@@ -1,15 +1,12 @@
 """Context-aware venue ranking from comment-text embeddings."""
 
-from ._kernels import BACKEND, warmup
 from .errors import ConfigError, FormatError, VenuerecError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConfigError",
     "FormatError",
     "VenuerecError",
-    "warmup",
     "__version__",
 ]

@@ -1,25 +1,15 @@
-"""Numeric inner-loop kernels, JIT-compiled with numba when available.
+"""Numeric inner-loop kernels.
 
-Three loops dominate runtime: the cosine scan behind nearest-term search,
-the least-squares split search inside tree boosting, and routing feature
-rows through fitted trees.  Each has a pure-numpy implementation and a
-numba ``@njit`` twin; the public aliases pick the numba path unless the
-``VENUEREC_PURE_NUMPY`` environment variable is set to a non-empty value
-other than ``0`` (or numba is not importable).
-
-Both paths satisfy the same contracts and tie-break rules, but may differ
-in the last floating-point bits because summation order differs.  Within
-one path results are bit-deterministic.
+Three loops dominate the numeric work: the cosine scan behind
+nearest-term search, the least-squares split search inside tree
+boosting, and routing feature rows through fitted trees.  Each is a
+vectorised numpy function and is bit-deterministic for a given input.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("VENUEREC_PURE_NUMPY", "") not in ("", "0")
 
-
-def numpy_cosine_scores(matrix, norms, query):
+def cosine_scores(matrix, norms, query):
     """Cosine of `query` against every row of `matrix`.
 
     `norms` are precomputed row norms; zero-norm rows score 0.  A zero
@@ -36,31 +26,7 @@ def numpy_cosine_scores(matrix, norms, query):
     return out
 
 
-def _cosine_scores_loop(matrix, norms, query):
-    n, d = matrix.shape
-    out = np.zeros(n)
-    qsq = 0.0
-    for j in range(d):
-        qsq += query[j] * query[j]
-    qnorm = np.sqrt(qsq)
-    if qnorm == 0.0:
-        return out
-    for i in range(n):
-        if norms[i] == 0.0:
-            continue
-        dot = 0.0
-        for j in range(d):
-            dot += matrix[i, j] * query[j]
-        s = dot / (norms[i] * qnorm)
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        out[i] = s
-    return out
-
-
-def numpy_best_split(values, targets, min_leaf):
+def best_split(values, targets, min_leaf):
     """Best least-squares split of a sorted value/target column.
 
     `values` must be ascending with `targets` aligned.  Returns
@@ -87,32 +53,7 @@ def numpy_best_split(values, targets, min_leaf):
     return float(gains[pos]), pos + 1
 
 
-def _best_split_loop(values, targets, min_leaf):
-    n = values.shape[0]
-    if n < 2 * min_leaf:
-        return 0.0, 0
-    total = 0.0
-    for i in range(n):
-        total += targets[i]
-    base = total * total / n
-    best_gain = 0.0
-    best_pos = 0
-    left = 0.0
-    for i in range(1, n):
-        left += targets[i - 1]
-        if i < min_leaf or n - i < min_leaf:
-            continue
-        if values[i] == values[i - 1]:
-            continue
-        right = total - left
-        gain = left * left / i + right * right / (n - i) - base
-        if gain > best_gain:
-            best_gain = gain
-            best_pos = i
-    return best_gain, best_pos
-
-
-def numpy_apply_tree(feature, threshold, left, right, value, X):
+def apply_tree(feature, threshold, left, right, value, X):
     """Leaf outputs for every row of `X` under one array-encoded tree.
 
     Nodes with ``feature < 0`` are leaves.  A row goes left when its
@@ -126,55 +67,3 @@ def numpy_apply_tree(feature, threshold, left, right, value, X):
         node[active] = np.where(goleft, left[cur], right[cur])
         active = active[feature[node[active]] >= 0]
     return value[node]
-
-
-def _apply_tree_loop(feature, threshold, left, right, value, X):
-    n = X.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        node = 0
-        while feature[node] >= 0:
-            if X[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = value[node]
-    return out
-
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-else:
-    njit = None
-
-if njit is not None:
-    BACKEND = "numba"
-    numba_cosine_scores = njit(cache=True)(_cosine_scores_loop)
-    numba_best_split = njit(cache=True)(_best_split_loop)
-    numba_apply_tree = njit(cache=True)(_apply_tree_loop)
-    cosine_scores = numba_cosine_scores
-    best_split = numba_best_split
-    apply_tree = numba_apply_tree
-else:
-    BACKEND = "numpy"
-    cosine_scores = numpy_cosine_scores
-    best_split = numpy_best_split
-    apply_tree = numpy_apply_tree
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    m = np.ones((2, 2))
-    cosine_scores(m, np.ones(2), np.ones(2))
-    best_split(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1)
-    apply_tree(
-        np.array([0, -1, -1], dtype=np.int64),
-        np.array([0.5, 0.0, 0.0]),
-        np.array([1, -1, -1], dtype=np.int64),
-        np.array([2, -1, -1], dtype=np.int64),
-        np.array([0.0, 1.0, 2.0]),
-        m,
-    )

@@ -23,8 +23,6 @@ from .ltr import (
 
 log = logging.getLogger(__name__)
 
-LEARNERS = ("coordinate_ascent", "mart")
-
 
 @dataclasses.dataclass(frozen=True)
 class AblationEntry:
@@ -49,28 +47,31 @@ def _zero_column(rows, j):
         for row in rows]
 
 
-def _fit(train, valid, learner, metric, seed, ca_config, mart_config):
-    if learner == "coordinate_ascent":
-        config = ca_config or CAConfig(metric=metric, seed=seed)
+def _fit(train, valid, config):
+    if isinstance(config, CAConfig):
         return train_coordinate_ascent(train, valid, config)
-    config = mart_config or MARTConfig(metric=metric, seed=seed)
     return train_mart(train, valid, config)
 
 
-def run_ablation(rows, learner="mart", metric="p5", seed=0,
-                 split_fraction=0.67, ca_config=None, mart_config=None):
+def run_ablation(rows, config, split_fraction=0.67):
     """Train the full model and one knockout per feature column.
 
-    Every variant is scored over all topics of `rows`, with the metric
-    averaged the same way the trainers do it.
+    `config` is a CAConfig or a MARTConfig; it picks the learner, and
+    its metric and seed drive training, the validation split and the
+    scoring alike.  Every variant is scored over all topics of `rows`,
+    with the metric averaged the same way the trainers do it.
     """
-    if learner not in LEARNERS:
-        raise VenuerecError("unknown learner %r" % (learner,))
+    if isinstance(config, CAConfig):
+        learner = "coordinate_ascent"
+    elif isinstance(config, MARTConfig):
+        learner = "mart"
+    else:
+        raise VenuerecError("unknown learner %r" % (config,))
+    metric, seed = config.metric, config.seed
     rows = list(rows)
     train, valid = split_train_validation(rows, split_fraction, seed)
 
-    baseline_model = _fit(train, valid, learner, metric, seed,
-                          ca_config, mart_config)
+    baseline_model = _fit(train, valid, config)
     blocks = TopicBlocks(rows)
     baseline = blocks.metric(predict_matrix(baseline_model, blocks.X), metric)
     if baseline == 0.0:
@@ -81,8 +82,7 @@ def run_ablation(rows, learner="mart", metric="p5", seed=0,
     for j, name in enumerate(FEATURE_NAMES):
         zeroed = _zero_column(rows, j)
         ztrain, zvalid = split_train_validation(zeroed, split_fraction, seed)
-        model = _fit(ztrain, zvalid, learner, metric, seed,
-                     ca_config, mart_config)
+        model = _fit(ztrain, zvalid, config)
         zblocks = TopicBlocks(zeroed)
         value = zblocks.metric(predict_matrix(model, zblocks.X), metric)
         if baseline > 0.0:

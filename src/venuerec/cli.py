@@ -18,9 +18,16 @@ import sys
 
 from . import __version__
 from .ablation import run_ablation, write_ablation
-from .corpus import GENDERS, load_contexts, load_profiles, load_qrels, load_venues
+from .corpus import (
+    GENDERS,
+    load_contexts,
+    load_profiles,
+    load_qrels,
+    load_venues,
+    numbered_lines,
+)
 from .embeddings import load_embeddings
-from .errors import ConfigError, VenuerecError
+from .errors import ConfigError, FormatError, VenuerecError
 from .evaluation import (
     evaluate_run,
     load_run,
@@ -58,7 +65,6 @@ log = logging.getLogger(__name__)
 
 CONFIG_TYPES = {
     "seed": int,
-    "threads": int,
     "k": int,
     "pos_threshold": int,
     "neg_threshold": int,
@@ -87,7 +93,6 @@ CONFIG_TYPES = {
 
 DEFAULTS = {
     "seed": 0,
-    "threads": 1,
     "k": 10,
     "pos_threshold": 4,
     "neg_threshold": 3,
@@ -145,8 +150,8 @@ def _coerce(key, raw):
 
 def parse_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    try:
+        for lineno, line in numbered_lines(path):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
@@ -159,6 +164,8 @@ def parse_config_file(path):
                 raise ConfigError("%s: line %d: unknown config key %r"
                                   % (path, lineno, key))
             values[key] = _coerce(key, raw)
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from None
     return values
 
 
@@ -176,7 +183,7 @@ def resolve_config(args):
         raise ConfigError("split_fraction must be in (0, 1)")
     if cfg["rating_min"] >= cfg["rating_max"]:
         raise ConfigError("rating_min must be below rating_max")
-    for key in ("k", "depth", "threads", "n_trees"):
+    for key in ("k", "depth", "n_trees"):
         if cfg[key] < 1:
             raise ConfigError("%s must be >= 1" % key)
     return cfg
@@ -219,8 +226,7 @@ def build_profiles_step(cfg, embeddings, venues_path, profiles_path, out_dir):
     log.info("loaded %d terms, %d venues, %d users",
              len(store.terms), len(venues), len(profiles))
 
-    venue_vectors = build_venue_vectors(store, venues,
-                                        threads=cfg["threads"])
+    venue_vectors = build_venue_vectors(store, venues)
     user_vectors = {}
     for profile in profiles:
         user_vectors[profile.user_id] = user_profile_vectors(
@@ -287,21 +293,28 @@ def _hyperparameters(cfg):
     return hyper
 
 
+def _learner_config(cfg):
+    """The CAConfig or MARTConfig that `cfg` asks for."""
+    if cfg["learner"] == "ca":
+        return CAConfig(
+            metric=cfg["metric"], restarts=cfg["restarts"],
+            max_sweeps=cfg["max_sweeps"], step_base=cfg["step_base"],
+            step_scales=cfg["step_scales"], seed=cfg["seed"])
+    return MARTConfig(
+        n_trees=cfg["n_trees"], shrinkage=cfg["shrinkage"],
+        max_leaves=cfg["max_leaves"], min_leaf=cfg["min_leaf"],
+        patience=cfg["patience"], metric=cfg["metric"], seed=cfg["seed"])
+
+
 def train_step(cfg, features_path, out_dir):
     rows = _rows_for_learning(cfg, features_path)
     train, valid = split_train_validation(rows, cfg["split_fraction"],
                                           cfg["seed"])
-    if cfg["learner"] == "ca":
-        model = train_coordinate_ascent(train, valid, CAConfig(
-            metric=cfg["metric"], restarts=cfg["restarts"],
-            max_sweeps=cfg["max_sweeps"], step_base=cfg["step_base"],
-            step_scales=cfg["step_scales"], seed=cfg["seed"]))
+    config = _learner_config(cfg)
+    if isinstance(config, CAConfig):
+        model = train_coordinate_ascent(train, valid, config)
     else:
-        model = train_mart(train, valid, MARTConfig(
-            n_trees=cfg["n_trees"], shrinkage=cfg["shrinkage"],
-            max_leaves=cfg["max_leaves"], min_leaf=cfg["min_leaf"],
-            patience=cfg["patience"], metric=cfg["metric"],
-            seed=cfg["seed"]))
+        model = train_mart(train, valid, config)
     path = _out(out_dir, "model.json")
     save_model(model, path, hyperparameters=_hyperparameters(cfg))
     log.info("model written to %s", path)
@@ -355,21 +368,8 @@ def eval_step(cfg, run_path, qrels_path, compare_path, out_dir):
 
 def ablate_step(cfg, features_path, out_dir):
     rows = _rows_for_learning(cfg, features_path)
-    learner = "coordinate_ascent" if cfg["learner"] == "ca" else "mart"
-    if cfg["learner"] == "ca":
-        configs = {"ca_config": CAConfig(
-            metric=cfg["metric"], restarts=cfg["restarts"],
-            max_sweeps=cfg["max_sweeps"], step_base=cfg["step_base"],
-            step_scales=cfg["step_scales"], seed=cfg["seed"])}
-    else:
-        configs = {"mart_config": MARTConfig(
-            n_trees=cfg["n_trees"], shrinkage=cfg["shrinkage"],
-            max_leaves=cfg["max_leaves"], min_leaf=cfg["min_leaf"],
-            patience=cfg["patience"], metric=cfg["metric"],
-            seed=cfg["seed"])}
-    report = run_ablation(rows, learner=learner, metric=cfg["metric"],
-                          seed=cfg["seed"],
-                          split_fraction=cfg["split_fraction"], **configs)
+    report = run_ablation(rows, _learner_config(cfg),
+                          split_fraction=cfg["split_fraction"])
     path = _out(out_dir, "ablation.tsv")
     write_ablation(report, path)
     log.info("ablation written to %s", path)
@@ -392,8 +392,6 @@ def build_parser():
     common.add_argument("--out-dir", default=".", metavar="DIR",
                         help="where outputs and caches live (default: .)")
     common.add_argument("--seed", type=int, help="RNG seed")
-    common.add_argument("--threads", type=int,
-                        help="worker threads for venue vectors")
     common.add_argument("--k", type=int,
                         help="expansion terms per seed subtraction")
     common.add_argument("--pos-threshold", type=int,

@@ -9,6 +9,7 @@ pointing at an unknown venue is kept, it just scores zero later.
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 
 from .errors import FormatError
@@ -135,20 +136,36 @@ class Qrels:
         return isinstance(other, Qrels) and self._judgments == other._judgments
 
 
-def _records(path):
-    with open(path, encoding="utf-8") as fh:
+# what the surrogateescape handler turns undecodable bytes into
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def numbered_lines(path):
+    """``(lineno, line)`` pairs of a UTF-8 text file, 1-based.
+
+    Bytes that are not UTF-8 raise a FormatError naming the line they
+    are on, instead of a UnicodeDecodeError from somewhere in the file.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError("bad JSON (%s)" % exc.msg, path=path,
-                                  line=lineno) from None
-            if not isinstance(obj, dict):
-                raise FormatError("record is not an object", path=path,
-                                  line=lineno)
-            yield lineno, obj
+            if _UNDECODABLE.search(line):
+                raise FormatError("not valid UTF-8", path=path, line=lineno)
+            yield lineno, line
+
+
+def _records(path):
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError("bad JSON (%s)" % exc.msg, path=path,
+                              line=lineno) from None
+        if not isinstance(obj, dict):
+            raise FormatError("record is not an object", path=path,
+                              line=lineno)
+        yield lineno, obj
 
 
 def _field(obj, key, kind, path, lineno, required=False):
@@ -236,6 +253,8 @@ def load_venues(path, config=DEFAULT_CONFIG):
         venues.append(Venue(id=vid,
                             name=_field(obj, "name", str, path, lineno) or "",
                             stats=stats, comments=tuple(comments)))
+    if not venues:
+        raise FormatError("no venue records", path=path)
     return venues
 
 
@@ -277,6 +296,8 @@ def load_profiles(path, rating_scale=(0, 4)):
             ratings.append((venue_id, rating))
         profiles.append(UserProfile(user_id=uid, gender=gender,
                                     ratings=tuple(ratings)))
+    if not profiles:
+        raise FormatError("no user profile records", path=path)
     return profiles
 
 
@@ -346,27 +367,26 @@ def load_contexts(path, users, schema=DEFAULT_SCHEMA, venues=None):
 
 def load_qrels(path):
     judgments = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise FormatError("expected 4 columns, got %d" % len(parts),
-                                  path=path, line=lineno)
-            topic_id, _unused, venue_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise FormatError("grade %r is not an integer" % grade_s,
-                                  path=path, line=lineno) from None
-            if grade < 0:
-                raise FormatError("grade must be >= 0", path=path, line=lineno)
-            key = (topic_id, venue_id)
-            if key in judgments:
-                raise FormatError("duplicate judgment for (%s, %s)" % key,
-                                  path=path, line=lineno)
-            judgments[key] = grade
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise FormatError("expected 4 columns, got %d" % len(parts),
+                              path=path, line=lineno)
+        topic_id, _unused, venue_id, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise FormatError("grade %r is not an integer" % grade_s,
+                              path=path, line=lineno) from None
+        if grade < 0:
+            raise FormatError("grade must be >= 0", path=path, line=lineno)
+        key = (topic_id, venue_id)
+        if key in judgments:
+            raise FormatError("duplicate judgment for (%s, %s)" % key,
+                              path=path, line=lineno)
+        judgments[key] = grade
     return Qrels(judgments)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DEFAULT_SCHEMA
+from .corpus import DEFAULT_SCHEMA, numbered_lines
 from .embeddings import cosine
 from .errors import FormatError
 
@@ -170,44 +170,47 @@ def write_features(rows, path):
 
 def read_features(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            body, sep, venue_id = line.partition(" # ")
-            if not sep or not venue_id:
-                raise FormatError("missing '# <venue_id>' trailer",
-                                  path=path, line=lineno)
-            parts = body.split(" ")
-            if len(parts) != 2 + N_FEATURES:
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        body, sep, venue_id = line.partition(" # ")
+        if not sep or not venue_id:
+            raise FormatError("missing '# <venue_id>' trailer",
+                              path=path, line=lineno)
+        parts = body.split(" ")
+        if len(parts) != 2 + N_FEATURES:
+            raise FormatError(
+                "expected label, qid and %d features" % N_FEATURES,
+                path=path, line=lineno)
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise FormatError("label %r is not an integer" % parts[0],
+                              path=path, line=lineno) from None
+        if not parts[1].startswith("qid:") or len(parts[1]) < 5:
+            raise FormatError("second field must be qid:<topic>",
+                              path=path, line=lineno)
+        topic_id = parts[1][4:]
+        feats = []
+        for i, tok in enumerate(parts[2:], start=1):
+            prefix = "%d:" % i
+            if not tok.startswith(prefix):
                 raise FormatError(
-                    "expected label, qid and %d features" % N_FEATURES,
+                    "expected feature %d, got %r" % (i, tok),
                     path=path, line=lineno)
             try:
-                label = int(parts[0])
+                value = float(tok[len(prefix):])
             except ValueError:
-                raise FormatError("label %r is not an integer" % parts[0],
-                                  path=path, line=lineno) from None
-            if not parts[1].startswith("qid:") or len(parts[1]) < 5:
-                raise FormatError("second field must be qid:<topic>",
+                raise FormatError(
+                    "feature %d is not a number" % i,
+                    path=path, line=lineno) from None
+            if not math.isfinite(value):
+                raise FormatError("feature %d is not finite" % i,
                                   path=path, line=lineno)
-            topic_id = parts[1][4:]
-            feats = []
-            for i, tok in enumerate(parts[2:], start=1):
-                prefix = "%d:" % i
-                if not tok.startswith(prefix):
-                    raise FormatError(
-                        "expected feature %d, got %r" % (i, tok),
-                        path=path, line=lineno)
-                try:
-                    feats.append(float(tok[len(prefix):]))
-                except ValueError:
-                    raise FormatError(
-                        "feature %d is not a number" % i,
-                        path=path, line=lineno) from None
-            rows.append(FeatureVector(topic_id=topic_id, venue_id=venue_id,
-                                      label=label, features=tuple(feats)))
+            feats.append(value)
+        rows.append(FeatureVector(topic_id=topic_id, venue_id=venue_id,
+                                  label=label, features=tuple(feats)))
     return rows
 
 

@@ -12,7 +12,6 @@ pseudo-aspect male/female.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,14 +101,9 @@ def venue_vector(store, venue):
     return VenueVector(venue_id=venue.id, vector=acc)
 
 
-def build_venue_vectors(store, venues, threads=1):
-    """VenueVector for every venue, keyed by id; optionally threaded."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vectors = list(pool.map(lambda v: venue_vector(store, v), venues))
-    else:
-        vectors = [venue_vector(store, v) for v in venues]
-    return {vv.venue_id: vv for vv in vectors}
+def build_venue_vectors(store, venues):
+    """VenueVector for every venue, keyed by id."""
+    return {v.id: venue_vector(store, v) for v in venues}
 
 
 def user_profile_vectors(store, venue_vectors, profile,

@@ -36,16 +36,14 @@ _FAST_MART = MARTConfig(n_trees=20, patience=5, metric="mrr", seed=0)
 class TestKnockoutClosedForms:
 
     def test_informative_column_costs_its_planted_share(self):
-        report = run_ablation(taste_rows(), metric="mrr",
-                              mart_config=_FAST_MART)
+        report = run_ablation(taste_rows(), _FAST_MART)
         assert report.baseline == 1.0
         by_name = {e.feature: e for e in report.entries}
         assert by_name["uv_pos"].metric_value == 0.25
         assert by_name["uv_pos"].delta_percent == -75.0
 
     def test_dead_columns_cost_nothing(self):
-        report = run_ablation(taste_rows(), metric="mrr",
-                              mart_config=_FAST_MART)
+        report = run_ablation(taste_rows(), _FAST_MART)
         for entry in report.entries:
             if entry.feature != "uv_pos":
                 assert entry.delta_percent == 0.0
@@ -54,23 +52,21 @@ class TestKnockoutClosedForms:
     def test_coordinate_ascent_learner_agrees(self, caplog):
         with caplog.at_level(logging.ERROR, logger="venuerec.ltr"):
             report = run_ablation(
-                taste_rows(), learner="coordinate_ascent", metric="mrr",
-                ca_config=CAConfig(metric="mrr", restarts=2, max_sweeps=5,
-                                   seed=0))
+                taste_rows(),
+                CAConfig(metric="mrr", restarts=2, max_sweeps=5, seed=0))
         assert report.learner == "coordinate_ascent"
         by_name = {e.feature: e for e in report.entries}
         assert by_name["uv_pos"].delta_percent == -75.0
 
     def test_entries_follow_feature_order(self):
-        report = run_ablation(taste_rows(), metric="mrr",
-                              mart_config=_FAST_MART)
+        report = run_ablation(taste_rows(), _FAST_MART)
         assert tuple(e.feature for e in report.entries) == FEATURE_NAMES
 
     def test_zero_baseline_reports_zero_deltas(self, caplog):
         rows = [FeatureVector("t%d" % t, "v%d" % v, 0, pad(float(v)))
                 for t in range(3) for v in range(3)]
         with caplog.at_level(logging.WARNING, logger="venuerec.ablation"):
-            report = run_ablation(rows, mart_config=MARTConfig(
+            report = run_ablation(rows, MARTConfig(
                 n_trees=2, patience=0, seed=0))
         assert report.baseline == 0.0
         assert all(e.delta_percent == 0.0 for e in report.entries)
@@ -78,7 +74,7 @@ class TestKnockoutClosedForms:
 
     def test_unknown_learner_rejected(self):
         with pytest.raises(VenuerecError, match="unknown learner"):
-            run_ablation(taste_rows(), learner="boosting")
+            run_ablation(taste_rows(), "boosting")
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +87,7 @@ class TestSyntheticCorpus:
     """The generated corpus reproduces its exported closed forms."""
 
     def test_deltas_match_the_planted_design(self, synth_rows):
-        report = run_ablation(synth_rows, seed=synthdata.SEED)
+        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED))
         assert report.baseline == synthdata.FULL_P5
         by_name = {e.feature: e for e in report.entries}
         # the per-topic values are exact; only the mean accumulates dust
@@ -105,7 +101,7 @@ class TestSyntheticCorpus:
             assert by_name[name].delta_percent == 0.0
 
     def test_taste_knockout_is_the_single_largest_drop(self, synth_rows):
-        report = run_ablation(synth_rows, seed=synthdata.SEED)
+        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED))
         worst = min(report.entries, key=lambda e: e.delta_percent)
         assert worst.feature == "uv_pos"
         runner_up = min(e.delta_percent for e in report.entries

@@ -4,8 +4,7 @@ Ten independent checks, one test each, covering the parsing layer, the
 embedding-space equations against brute-force oracles, metric and
 significance arithmetic, both learners, and the full command line
 pipeline on the planted-signal corpus.  Wall-clock budgets guard
-against accidental complexity blowups; the JIT warmup runs once up
-front so compile time is not billed to any check.
+against accidental complexity blowups.
 """
 
 import contextlib
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 import synthdata
-from venuerec import warmup
 from venuerec.cli import main
 from venuerec.corpus import Comment, ContextSchema, UserProfile, Venue, VenueStats
 from venuerec.embeddings import EmbeddingStore, load_embeddings, save_embeddings
@@ -40,11 +38,6 @@ from venuerec.profiles import (
     venue_vector,
 )
 from venuerec.text import preprocess
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warmed():
-    warmup()
 
 
 @contextlib.contextmanager

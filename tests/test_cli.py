@@ -155,6 +155,18 @@ class TestConfig:
         assert code == 2
         assert "wants int" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, corpus, pipeline_dir, tmp_path,
+                                     capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_bytes(b"seed = 7\nrun_tag = caf\xe9\n")
+        code = main(["eval", "--out-dir", str(tmp_path),
+                     "--config", str(cfg),
+                     "--run", str(pipeline_dir / "run.txt"),
+                     "--qrels", corpus["qrels"]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: not valid UTF-8\n" % cfg)
+
     def test_config_used_echoes_every_setting(self, pipeline_dir):
         lines = (pipeline_dir / "config.used").read_text(
             encoding="utf-8").splitlines()
@@ -195,6 +207,55 @@ class TestAblateCommand:
         assert "# baseline\tp5\t1.000000\n" in table
         assert "uv_pos\t-40.000000\n" in table
         assert "cv_season\t-10.000000\n" in table
+
+
+class TestBadInputs:
+    """Broken input files end in exit 2 and one error line naming them."""
+
+    def build_profiles(self, corpus, out_dir, **paths):
+        files = {key: corpus[key] for key in
+                 ("embeddings", "venues", "profiles")}
+        files.update((key, str(path)) for key, path in paths.items())
+        return main(["build-profiles", "--out-dir", str(out_dir),
+                     "--embeddings", files["embeddings"],
+                     "--venues", files["venues"],
+                     "--profiles", files["profiles"]])
+
+    @pytest.mark.parametrize("kind, message", [
+        ("venues", "no venue records"),
+        ("profiles", "no user profile records"),
+    ])
+    def test_empty_corpus_file_exits_2(self, corpus, tmp_path, capsys,
+                                       kind, message):
+        empty = tmp_path / ("%s.jsonl" % kind)
+        empty.write_text("")
+        code = self.build_profiles(corpus, tmp_path / "out", **{kind: empty})
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (empty,
+                                                               message)
+
+    def test_non_utf8_venues_exit_2(self, corpus, tmp_path, capsys):
+        venues = tmp_path / "venues.jsonl"
+        venues.write_bytes(b'{"id": "v1"}\n{"id": "caf\xe9"}\n')
+        code = self.build_profiles(corpus, tmp_path / "out", venues=venues)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: not valid UTF-8\n" % venues)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_features_exit_2(self, pipeline_dir, tmp_path, capsys,
+                                        token):
+        lines = (pipeline_dir / "features.txt").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        head, _, rest = lines[1].partition(" 1:")
+        lines[1] = "%s 1:%s%s" % (head, token, rest[rest.index(" "):])
+        features = tmp_path / "features.txt"
+        features.write_text("".join(lines), encoding="utf-8")
+        code = main(["ablate", "--out-dir", str(tmp_path / "out"),
+                     "--features", str(features)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: feature 1 is not finite\n" % features)
 
 
 class TestParser:

@@ -94,6 +94,23 @@ class TestLoadVenues:
         with pytest.raises(FormatError, match="checkins"):
             load_venues(p)
 
+    def test_empty_file_is_an_error(self, tmp_path):
+        p = tmp_path / "v.jsonl"
+        p.write_text("\n")
+        with pytest.raises(FormatError, match="no venue records") as err:
+            load_venues(p)
+        assert err.value.path == p
+
+    def test_non_utf8_bytes_report_their_line(self, tmp_path):
+        # far past the first read buffer, so the line must be exact
+        p = tmp_path / "v.jsonl"
+        good = "".join(json.dumps({"id": "v%d" % i}) + "\n"
+                       for i in range(1000))
+        p.write_bytes(good.encode() + b'{"id": "caf\xe9"}\n')
+        with pytest.raises(FormatError, match="not valid UTF-8") as err:
+            load_venues(p)
+        assert (err.value.path, err.value.line) == (p, 1001)
+
 
 class TestLoadProfiles:
     def test_basic(self, profile_file):
@@ -134,6 +151,14 @@ class TestLoadProfiles:
                         {"user_id": "u1", "gender": "male", "ratings": []}])
         with pytest.raises(FormatError, match="duplicate user id"):
             load_profiles(p)
+
+    def test_empty_file_is_an_error(self, tmp_path):
+        p = tmp_path / "p.jsonl"
+        p.write_text("")
+        with pytest.raises(FormatError, match="no user profile records") \
+                as err:
+            load_profiles(p)
+        assert err.value.path == p
 
 
 class TestLoadContexts:
@@ -296,3 +321,9 @@ class TestRoundTrips:
         out = tmp_path / "again.txt"
         save_qrels(q, out)
         assert load_qrels(out) == q
+
+    def test_qrels_non_utf8_bytes_report_their_line(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_bytes(b"t1 0 v1 1\nt1 0 v\xff 1\n")
+        with pytest.raises(FormatError, match="line 2: not valid UTF-8"):
+            load_qrels(p)

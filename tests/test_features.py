@@ -315,6 +315,24 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="expected feature 5"):
             read_features(p)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_its_line(self, tmp_path, token):
+        p = tmp_path / "features.txt"
+        good = "0 qid:t1 " + " ".join(
+            "%d:0.0" % i for i in range(1, 14)) + " # v1\n"
+        p.write_text(good + good.replace("3:0.0", "3:" + token))
+        with pytest.raises(FormatError, match="feature 3 is not finite") \
+                as err:
+            read_features(p)
+        assert (err.value.path, err.value.line) == (p, 2)
+
+    def test_non_utf8_bytes_report_their_line(self, tmp_path):
+        p = tmp_path / "features.txt"
+        p.write_bytes(b"0 qid:t1 " + b" ".join(
+            b"%d:0.0" % i for i in range(1, 14)) + b" # v\xe9\n")
+        with pytest.raises(FormatError, match="line 1: not valid UTF-8"):
+            read_features(p)
+
     def test_whitespace_identifier_rejected(self, tmp_path):
         row = FeatureVector("t 1", "v1", 0, (0.0,) * 13)
         with pytest.raises(ValueError, match="whitespace"):

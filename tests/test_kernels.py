@@ -1,22 +1,11 @@
-"""Kernel contracts, and agreement between the numba and numpy paths."""
-
-import os
-import subprocess
-import sys
+"""Kernel contracts, and agreement with the brute-force loop oracles."""
 
 import numpy as np
 import pytest
 
+import reference_kernels
 from venuerec import _kernels
 from venuerec.ltr.mart import fit_tree
-
-needs_numba = pytest.mark.skipif(_kernels.BACKEND != "numba",
-                                 reason="numba backend not active")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warmed():
-    _kernels.warmup()
 
 
 def leaf_tree_arrays():
@@ -127,10 +116,9 @@ class TestApplyTree:
         assert out.tolist() == [-1.0, 5.0, 6.0]
 
 
-class TestBackendAgreement:
-    """The JIT twins must satisfy the same contracts as the numpy path."""
+class TestReferenceAgreement:
+    """The numpy kernels match the element-by-element loops."""
 
-    @needs_numba
     def test_cosine_scores_agree(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -138,11 +126,10 @@ class TestBackendAgreement:
             matrix[rng.integers(40)] = 0.0
             norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
             query = rng.normal(size=8)
-            a = _kernels.numpy_cosine_scores(matrix, norms, query)
-            b = _kernels.numba_cosine_scores(matrix, norms, query)
+            a = _kernels.cosine_scores(matrix, norms, query)
+            b = reference_kernels.cosine_scores(matrix, norms, query)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @needs_numba
     def test_best_split_agrees_exactly_on_integer_targets(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -150,36 +137,33 @@ class TestBackendAgreement:
             values = np.sort(rng.integers(0, 6, size=n).astype(np.float64))
             targets = rng.integers(-3, 4, size=n).astype(np.float64)
             min_leaf = int(rng.integers(1, 4))
-            a = _kernels.numpy_best_split(values, targets, min_leaf)
-            b = _kernels.numba_best_split(values, targets, min_leaf)
+            a = _kernels.best_split(values, targets, min_leaf)
+            b = reference_kernels.best_split(values, targets, min_leaf)
             assert a == b
 
-    @needs_numba
     def test_best_split_gains_agree_on_float_targets(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(4, 60))
             values = np.sort(rng.normal(size=n))
             targets = rng.normal(size=n)
-            ga, _pa = _kernels.numpy_best_split(values, targets, 1)
-            gb, _pb = _kernels.numba_best_split(values, targets, 1)
+            ga, _pa = _kernels.best_split(values, targets, 1)
+            gb, _pb = reference_kernels.best_split(values, targets, 1)
             assert ga == pytest.approx(gb, rel=1e-9, abs=1e-12)
 
-    @needs_numba
-    def test_apply_tree_is_bit_exact_across_backends(self):
-        # routing only compares and gathers, so the paths cannot drift
+    def test_apply_tree_is_bit_exact(self):
+        # routing only compares and gathers, so the loop cannot drift
         rng = np.random.default_rng(14)
         for _ in range(10):
             X = rng.normal(size=(60, 5))
             resid = rng.normal(size=60)
             tree = fit_tree(X, resid, max_leaves=6, min_leaf=2)
             arrays = tree.arrays()
-            a = _kernels.numpy_apply_tree(*arrays, X)
-            b = _kernels.numba_apply_tree(*arrays, X)
+            a = _kernels.apply_tree(*arrays, X)
+            b = reference_kernels.apply_tree(*arrays, X)
             np.testing.assert_array_equal(a, b)
 
-    @needs_numba
-    def test_kernels_are_deterministic_within_a_path(self):
+    def test_kernels_are_deterministic(self):
         rng = np.random.default_rng(15)
         matrix = rng.normal(size=(25, 6))
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
@@ -187,35 +171,3 @@ class TestBackendAgreement:
         first = _kernels.cosine_scores(matrix, norms, query)
         again = _kernels.cosine_scores(matrix, norms, query)
         np.testing.assert_array_equal(first, again)
-
-
-class TestEnvironmentFlag:
-
-    def probe_backend(self, flag):
-        env = dict(os.environ)
-        if flag is None:
-            env.pop("VENUEREC_PURE_NUMPY", None)
-        else:
-            env["VENUEREC_PURE_NUMPY"] = flag
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from venuerec._kernels import BACKEND; print(BACKEND)"],
-            capture_output=True, text=True, env=env, check=True)
-        return out.stdout.strip()
-
-    def test_flag_forces_the_numpy_path(self):
-        assert self.probe_backend("1") == "numpy"
-
-    def test_zero_and_empty_keep_the_default(self):
-        default = self.probe_backend(None)
-        assert self.probe_backend("0") == default
-        assert self.probe_backend("") == default
-
-    @needs_numba
-    def test_default_prefers_numba(self):
-        assert self.probe_backend(None) == "numba"
-
-
-def test_warmup_is_idempotent():
-    _kernels.warmup()
-    _kernels.warmup()

@@ -72,19 +72,6 @@ class TestVenueVector:
         part2 = venue_vector(store, make_venue("v", all_comments[2:])).vector
         np.testing.assert_allclose(part1 + part2, whole, atol=1e-9, rtol=0)
 
-    def test_threaded_build_matches_serial(self):
-        rng = np.random.default_rng(4)
-        store = EmbeddingStore.from_pairs(
-            [("t%d" % i, rng.normal(size=3)) for i in range(6)])
-        venues = [make_venue("v%d" % i, [["t%d" % (i % 6), "t0"]])
-                  for i in range(10)]
-        serial = build_venue_vectors(store, venues, threads=1)
-        threaded = build_venue_vectors(store, venues, threads=4)
-        assert serial.keys() == threaded.keys()
-        for vid in serial:
-            np.testing.assert_array_equal(serial[vid].vector,
-                                          threaded[vid].vector)
-
 
 class TestUserProfileVectors:
     def make_vv(self, mapping):
