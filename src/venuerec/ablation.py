@@ -40,13 +40,6 @@ class AblationReport:
     entries: tuple
 
 
-def _zero_column(rows, j):
-    return [dataclasses.replace(
-        row, features=tuple(0.0 if i == j else f
-                            for i, f in enumerate(row.features)))
-        for row in rows]
-
-
 def _fit(train, valid, config):
     if isinstance(config, CAConfig):
         return train_coordinate_ascent(train, valid, config)
@@ -58,8 +51,12 @@ def run_ablation(rows, config, split_fraction=0.67):
 
     `config` is a CAConfig or a MARTConfig; it picks the learner, and
     its metric and seed drive training, the validation split and the
-    scoring alike.  Every variant is scored over all topics of `rows`,
-    with the metric averaged the same way the trainers do it.
+    scoring alike.  The train, validation and all-rows TopicBlocks are
+    built once; each knockout trains and scores on copies of them with
+    one column of `X` zeroed, which is exact because the split and the
+    row order depend only on topic and venue ids.  Every variant is
+    scored over all topics of `rows`, with the metric averaged the same
+    way the trainers do it.
     """
     if isinstance(config, CAConfig):
         learner = "coordinate_ascent"
@@ -69,10 +66,12 @@ def run_ablation(rows, config, split_fraction=0.67):
         raise VenuerecError("unknown learner %r" % (config,))
     metric, seed = config.metric, config.seed
     rows = list(rows)
-    train, valid = split_train_validation(rows, split_fraction, seed)
+    train_rows, valid_rows = split_train_validation(rows, split_fraction,
+                                                    seed)
+    train, valid = TopicBlocks(train_rows), TopicBlocks(valid_rows)
+    blocks = TopicBlocks(rows)
 
     baseline_model = _fit(train, valid, config)
-    blocks = TopicBlocks(rows)
     baseline = blocks.metric(predict_matrix(baseline_model, blocks.X), metric)
     if baseline == 0.0:
         log.warning("baseline %s is zero; knockout deltas are reported as 0",
@@ -80,10 +79,9 @@ def run_ablation(rows, config, split_fraction=0.67):
 
     entries = []
     for j, name in enumerate(FEATURE_NAMES):
-        zeroed = _zero_column(rows, j)
-        ztrain, zvalid = split_train_validation(zeroed, split_fraction, seed)
-        model = _fit(ztrain, zvalid, config)
-        zblocks = TopicBlocks(zeroed)
+        model = _fit(train.without_feature(j), valid.without_feature(j),
+                     config)
+        zblocks = blocks.without_feature(j)
         value = zblocks.metric(predict_matrix(model, zblocks.X), metric)
         if baseline > 0.0:
             delta = 100.0 * (value - baseline) / baseline

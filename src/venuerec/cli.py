@@ -40,6 +40,7 @@ from .features import ModelSet, extract_all, normalize_per_topic, read_features,
 from .ltr import (
     CAConfig,
     MARTConfig,
+    TopicBlocks,
     load_model,
     load_model_info,
     predict_rows,
@@ -308,8 +309,9 @@ def _learner_config(cfg):
 
 def train_step(cfg, features_path, out_dir):
     rows = _rows_for_learning(cfg, features_path)
-    train, valid = split_train_validation(rows, cfg["split_fraction"],
-                                          cfg["seed"])
+    train_rows, valid_rows = split_train_validation(
+        rows, cfg["split_fraction"], cfg["seed"])
+    train, valid = TopicBlocks(train_rows), TopicBlocks(valid_rows)
     config = _learner_config(cfg)
     if isinstance(config, CAConfig):
         model = train_coordinate_ascent(train, valid, config)

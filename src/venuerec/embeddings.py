@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import cosine_scores
+from .corpus import numbered_lines
 from .errors import FormatError
 
 
@@ -204,34 +205,33 @@ def _load_text(path):
     seen = set()
     declared = None
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
+            try:
+                declared = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                declared = None
+            if declared is not None:
+                if declared[0] < 1 or declared[1] < 1:
+                    raise FormatError(
+                        "header counts must be positive", path=path, line=1)
+                dim = declared[1]
                 continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    declared = (int(parts[0]), int(parts[1]))
-                except ValueError:
-                    declared = None
-                if declared is not None:
-                    if declared[0] < 1 or declared[1] < 1:
-                        raise FormatError(
-                            "header counts must be positive", path=path, line=1)
-                    dim = declared[1]
-                    continue
-            term = parts[0]
-            if dim is None:
-                dim = len(parts) - 1
-                if dim < 1:
-                    raise FormatError("cannot infer dimension", path=path,
-                                      line=lineno)
-            if term in seen:
-                raise FormatError("duplicate term %r" % term, path=path,
+        term = parts[0]
+        if dim is None:
+            dim = len(parts) - 1
+            if dim < 1:
+                raise FormatError("cannot infer dimension", path=path,
                                   line=lineno)
-            seen.add(term)
-            terms.append(term)
-            vectors.append(_parse_vector(parts[1:], dim, term, path, lineno))
+        if term in seen:
+            raise FormatError("duplicate term %r" % term, path=path,
+                              line=lineno)
+        seen.add(term)
+        terms.append(term)
+        vectors.append(_parse_vector(parts[1:], dim, term, path, lineno))
     if not terms:
         raise FormatError("no vectors in file", path=path)
     if declared is not None and declared[0] != len(terms):

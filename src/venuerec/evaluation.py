@@ -12,6 +12,7 @@ back to exactly the values a second write would produce.
 import dataclasses
 import math
 
+from .corpus import numbered_lines
 from .errors import FormatError, VenuerecError
 from .stats import student_t_two_sided_p
 
@@ -80,46 +81,45 @@ def load_run(path):
     tag = None
     topics = {}
     seen = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError("expected 6 columns, got %d" % len(parts),
-                                  path=path, line=lineno)
-            topic_id, q0, venue_id, rank_s, score_s, line_tag = parts
-            if q0 != "Q0":
-                raise FormatError("second column must be Q0, got %r" % q0,
-                                  path=path, line=lineno)
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise FormatError("bad rank or score", path=path, line=lineno)
-            if not math.isfinite(score):
-                raise FormatError("non-finite score", path=path, line=lineno)
-            if tag is None:
-                tag = line_tag
-            elif line_tag != tag:
-                raise FormatError("tag changed from %r to %r" % (tag, line_tag),
-                                  path=path, line=lineno)
-            entries = topics.setdefault(topic_id, [])
-            if rank != len(entries) + 1:
-                raise FormatError(
-                    "topic %s: expected rank %d, got %d"
-                    % (topic_id, len(entries) + 1, rank),
-                    path=path, line=lineno)
-            if entries and score > entries[-1][2]:
-                raise FormatError(
-                    "topic %s: score increases at rank %d" % (topic_id, rank),
-                    path=path, line=lineno)
-            if venue_id in seen.setdefault(topic_id, set()):
-                raise FormatError(
-                    "topic %s: duplicate venue %s" % (topic_id, venue_id),
-                    path=path, line=lineno)
-            seen[topic_id].add(venue_id)
-            entries.append((venue_id, rank, score))
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise FormatError("expected 6 columns, got %d" % len(parts),
+                              path=path, line=lineno)
+        topic_id, q0, venue_id, rank_s, score_s, line_tag = parts
+        if q0 != "Q0":
+            raise FormatError("second column must be Q0, got %r" % q0,
+                              path=path, line=lineno)
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise FormatError("bad rank or score", path=path, line=lineno)
+        if not math.isfinite(score):
+            raise FormatError("non-finite score", path=path, line=lineno)
+        if tag is None:
+            tag = line_tag
+        elif line_tag != tag:
+            raise FormatError("tag changed from %r to %r" % (tag, line_tag),
+                              path=path, line=lineno)
+        entries = topics.setdefault(topic_id, [])
+        if rank != len(entries) + 1:
+            raise FormatError(
+                "topic %s: expected rank %d, got %d"
+                % (topic_id, len(entries) + 1, rank),
+                path=path, line=lineno)
+        if entries and score > entries[-1][2]:
+            raise FormatError(
+                "topic %s: score increases at rank %d" % (topic_id, rank),
+                path=path, line=lineno)
+        if venue_id in seen.setdefault(topic_id, set()):
+            raise FormatError(
+                "topic %s: duplicate venue %s" % (topic_id, venue_id),
+                path=path, line=lineno)
+        seen[topic_id].add(venue_id)
+        entries.append((venue_id, rank, score))
     if tag is None:
         raise FormatError("run file is empty", path=path)
     return RankedRun(tag=tag,

@@ -12,7 +12,7 @@ import logging
 import numpy as np
 
 from ..errors import VenuerecError
-from .data import METRICS, TopicBlocks
+from .data import METRICS
 
 log = logging.getLogger(__name__)
 
@@ -93,22 +93,21 @@ def _better(valid_m, train_m, best):
     return train_m > best[1] + _EPS
 
 
-def train_coordinate_ascent(train_rows, valid_rows, config=None):
-    """Fit a LinearModel on train rows, pick the restart by validation.
+def train_coordinate_ascent(train, valid, config=None):
+    """Fit a LinearModel on `train`, pick the restart by `valid`.
 
-    Restart 0 starts from uniform weights; later restarts draw random
-    positive starts from a generator seeded by (seed, restart).  Only
-    restarts that at least match the uniform baseline on the training
-    metric are eligible; among those the best validation metric wins,
-    ties going to the higher training metric and then the earlier
-    restart.
+    Both are TopicBlocks; when `valid` is empty the training metric
+    stands in for the validation one.  Restart 0 starts from uniform
+    weights; later restarts draw random positive starts from a
+    generator seeded by (seed, restart).  Only restarts that at least
+    match the uniform baseline on the training metric are eligible;
+    among those the best validation metric wins, ties going to the
+    higher training metric and then the earlier restart.
     """
     config = config or CAConfig()
-    blocks = TopicBlocks(train_rows)
-    if not len(blocks):
+    if not len(train):
         raise VenuerecError("no training rows")
-    vblocks = TopicBlocks(valid_rows)
-    nf = blocks.X.shape[1]
+    nf = train.X.shape[1]
     deltas = []
     for i in range(config.step_scales):
         step = config.step_base * 2.0 ** i
@@ -116,7 +115,7 @@ def train_coordinate_ascent(train_rows, valid_rows, config=None):
         deltas.append(-step)
 
     uniform = np.full(nf, 1.0 / nf)
-    baseline = blocks.metric(blocks.X @ uniform, config.metric)
+    baseline = train.metric(train.X @ uniform, config.metric)
 
     best = None
     for restart in range(config.restarts):
@@ -125,11 +124,11 @@ def train_coordinate_ascent(train_rows, valid_rows, config=None):
         else:
             rng = np.random.default_rng([config.seed, restart])
             w = _normalize(rng.random(nf))
-        train_m = _ascend(blocks, w, config, deltas)
+        train_m = _ascend(train, w, config, deltas)
         if train_m < baseline - _EPS:
             continue
-        if len(vblocks):
-            valid_m = vblocks.metric(vblocks.X @ w, config.metric)
+        if len(valid):
+            valid_m = valid.metric(valid.X @ w, config.metric)
         else:
             valid_m = train_m
         if best is None or _better(valid_m, train_m, best):

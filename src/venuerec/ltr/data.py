@@ -6,6 +6,8 @@ same tie handling as the run builder: score descending, venue id
 ascending.
 """
 
+import copy
+
 import numpy as np
 
 from ..errors import VenuerecError
@@ -55,17 +57,24 @@ def split_train_validation(rows, fraction=0.67, seed=0):
 class TopicBlocks:
     """Canonically ordered feature matrix with per-topic slices.
 
-    Built once per training set; `metric` then scores any candidate
-    weight assignment from a score vector aligned with `X`.  Topics
-    without a single relevant row are left out of the average, matching
-    the run evaluator.
+    Built once per row set; the trainers take it as their input, and
+    `metric` scores any score vector aligned with `X`.  Topics without
+    a single relevant row are left out of the average, matching the run
+    evaluator.  The arrays are read-only, so copies made by
+    `without_feature` can share everything but `X`.
+
+    For the metric, the row indices of the included topics sit in one
+    (topics × widest topic) matrix; a short topic is padded with the
+    index one past the last row, which `metric` points at a NaN.  NaN
+    sorts after every number, so the padding always ranks last, and a
+    stable sort of each padded row puts the real rows in the same order
+    as a stable sort of the topic alone.
     """
 
     def __init__(self, rows, cutoff=1):
         grouped = rows_by_topic(rows)
-        ordered = [row for topic in sorted(grouped) for row in grouped[topic]]
-        self.rows = tuple(ordered)
         self.topic_ids = tuple(sorted(grouped))
+        ordered = [row for topic in self.topic_ids for row in grouped[topic]]
         if ordered:
             self.X, self.y = feature_matrix(ordered)
         else:
@@ -83,23 +92,49 @@ class TopicBlocks:
             i for i, (lo, hi) in enumerate(self.bounds)
             if self.rel[lo:hi].any())
 
+        width = max((self.bounds[i][1] - self.bounds[i][0]
+                     for i in self.included), default=0)
+        self._index = np.full((len(self.included), width), len(self.y),
+                              dtype=np.intp)
+        for r, i in enumerate(self.included):
+            lo, hi = self.bounds[i]
+            self._index[r, :hi - lo] = np.arange(lo, hi)
+        # relevance of the padded matrix, flat, and where each row starts
+        self._padded_rel = np.append(self.rel, False)[self._index].ravel()
+        self._row_starts = width * np.arange(len(self.included))[:, None]
+        for array in (self.X, self.y, self.rel, self._index,
+                      self._padded_rel, self._row_starts):
+            array.flags.writeable = False
+
     def __len__(self):
-        return len(self.rows)
+        return len(self.y)
+
+    def without_feature(self, j):
+        """A copy whose column `j` of `X` is zero; other arrays are shared."""
+        clone = copy.copy(self)
+        clone.X = self.X.copy()
+        clone.X[:, j] = 0.0
+        clone.X.flags.writeable = False
+        return clone
 
     def metric(self, scores, metric="p5", k=5):
-        """Mean P@k or MRR of `scores` over topics with relevant rows."""
+        """Mean P@k or MRR of `scores` over topics with relevant rows.
+
+        The per-topic values are added in topic order, so the mean is
+        the same float a loop over the topics gives.
+        """
         if metric not in METRICS:
             raise VenuerecError("unknown metric %r" % (metric,))
         if not self.included:
             return 0.0
-        total = 0.0
-        for i in self.included:
-            lo, hi = self.bounds[i]
-            order = np.argsort(-scores[lo:hi], kind="stable")
-            rel = self.rel[lo:hi][order]
-            if metric == "p5":
-                total += float(rel[:k].sum()) / k
-            else:
-                hits = np.nonzero(rel)[0]
-                total += 1.0 / (hits[0] + 1.0)
-        return total / len(self.included)
+        keys = np.empty(len(self.y) + 1)
+        np.negative(scores, out=keys[:-1])
+        keys[-1] = np.nan
+        order = np.argsort(keys[self._index], axis=1, kind="stable")
+        if metric == "p5":
+            rel = self._padded_rel[order[:, :k] + self._row_starts]
+            values = rel.sum(axis=1) / k
+        else:
+            rel = self._padded_rel[order + self._row_starts]
+            values = 1.0 / (rel.argmax(axis=1) + 1.0)
+        return float(np.cumsum(values)[-1]) / len(self.included)

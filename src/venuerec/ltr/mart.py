@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import _kernels
 from ..errors import VenuerecError
-from .data import METRICS, TopicBlocks
+from .data import METRICS
 
 log = logging.getLogger(__name__)
 
@@ -148,24 +148,22 @@ def _tree_outputs(tree, X):
     return _kernels.apply_tree(f, t, l, r, v, np.ascontiguousarray(X))
 
 
-def train_mart(train_rows, valid_rows, config=None):
-    """Boost `config.n_trees` stages on the training rows.
+def train_mart(train, valid, config=None):
+    """Boost `config.n_trees` stages on the `train` TopicBlocks.
 
     After each stage the validation ranking metric is computed on the
     accumulated model; when `patience` consecutive stages bring no
     improvement the loop stops and the ensemble is cut back to the best
-    scoring prefix (ties to the shorter one).  Without validation rows
-    the training metric stands in.
+    scoring prefix (ties to the shorter one).  When the `valid`
+    TopicBlocks is empty the training metric stands in.
     """
     config = config or MARTConfig()
-    blocks = TopicBlocks(train_rows)
-    if not len(blocks):
+    if not len(train):
         raise VenuerecError("no training rows")
-    vblocks = TopicBlocks(valid_rows)
 
-    X, y = blocks.X, blocks.y
-    F = np.zeros(len(blocks))
-    Fv = np.zeros(len(vblocks))
+    X, y = train.X, train.y
+    F = np.zeros(len(train))
+    Fv = np.zeros(len(valid))
     trees = []
     train_mse = []
     valid_metric = []
@@ -176,14 +174,14 @@ def train_mart(train_rows, valid_rows, config=None):
         tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf)
         trees.append(tree)
         F += config.shrinkage * _tree_outputs(tree, X)
-        if len(vblocks):
-            Fv += config.shrinkage * _tree_outputs(tree, vblocks.X)
+        if len(valid):
+            Fv += config.shrinkage * _tree_outputs(tree, valid.X)
         diff = y - F
-        train_mse.append(float(diff @ diff) / len(blocks))
-        if len(vblocks):
-            vm = vblocks.metric(Fv, config.metric)
+        train_mse.append(float(diff @ diff) / len(train))
+        if len(valid):
+            vm = valid.metric(Fv, config.metric)
         else:
-            vm = blocks.metric(F, config.metric)
+            vm = train.metric(F, config.metric)
         valid_metric.append(vm)
         if vm > best_m + _EPS:
             best_m = vm

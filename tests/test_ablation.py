@@ -1,6 +1,8 @@
 """Feature knockout study on planted signals with closed-form outcomes."""
 
+import dataclasses
 import logging
+import random
 
 import pytest
 
@@ -8,7 +10,15 @@ import synthdata
 from venuerec.ablation import AblationReport, AblationEntry, run_ablation, write_ablation
 from venuerec.errors import VenuerecError
 from venuerec.features import FEATURE_NAMES, N_FEATURES, FeatureVector
-from venuerec.ltr import CAConfig, MARTConfig
+from venuerec.ltr import (
+    CAConfig,
+    MARTConfig,
+    TopicBlocks,
+    predict_matrix,
+    split_train_validation,
+    train_coordinate_ascent,
+    train_mart,
+)
 
 
 def pad(*values):
@@ -107,6 +117,65 @@ class TestSyntheticCorpus:
         runner_up = min(e.delta_percent for e in report.entries
                         if e.feature != "uv_pos")
         assert worst.delta_percent < runner_up
+
+
+def rebuilt_ablation(rows, config, split_fraction=0.67):
+    """The knockout study from rebuilt rows: every knockout zeroes the
+    column in fresh FeatureVectors, splits them and retrains on them."""
+    if isinstance(config, CAConfig):
+        train, learner = train_coordinate_ascent, "coordinate_ascent"
+    else:
+        train, learner = train_mart, "mart"
+
+    def score(rows):
+        fit_rows, valid_rows = split_train_validation(rows, split_fraction,
+                                                      config.seed)
+        model = train(TopicBlocks(fit_rows), TopicBlocks(valid_rows), config)
+        blocks = TopicBlocks(rows)
+        return blocks.metric(predict_matrix(model, blocks.X), config.metric)
+
+    baseline = score(rows)
+    entries = []
+    for j, name in enumerate(FEATURE_NAMES):
+        value = score([dataclasses.replace(
+            row, features=tuple(0.0 if i == j else f
+                                for i, f in enumerate(row.features)))
+            for row in rows])
+        delta = 100.0 * (value - baseline) / baseline if baseline else 0.0
+        entries.append(AblationEntry(name, value, delta))
+    return AblationReport(baseline=baseline, metric=config.metric,
+                          learner=learner, seed=config.seed,
+                          entries=tuple(entries))
+
+
+def noisy_rows(n_topics=16, seed=11):
+    """Ragged topics; relevance leaks weakly into the first six columns."""
+    rng = random.Random(seed)
+    rows = []
+    for t in range(n_topics):
+        for c in range(rng.randint(4, 30)):
+            label = 1 if rng.random() < 0.25 else 0
+            features = tuple(
+                rng.gauss(0.0, 1.0) + (label * 0.3 * (6 - j) if j < 6 else 0)
+                for j in range(N_FEATURES))
+            rows.append(FeatureVector("t%02d" % t, "v%02d" % c, label,
+                                      features))
+    return rows
+
+
+class TestKnockoutOnTheMatrix:
+    """Zeroing a column of the built matrices equals rebuilding the rows."""
+
+    @pytest.mark.parametrize("config", [
+        CAConfig(metric="p5", restarts=2, max_sweeps=3, seed=3),
+        CAConfig(metric="mrr", restarts=1, max_sweeps=2, seed=5),
+        MARTConfig(n_trees=8, patience=3, metric="p5", seed=3),
+        MARTConfig(n_trees=6, patience=0, metric="mrr", seed=5),
+    ], ids=["ca-p5", "ca-mrr", "mart-p5", "mart-mrr"])
+    @pytest.mark.parametrize("data", ["synth", "noisy"])
+    def test_matches_rebuilt_rows(self, synth_rows, config, data):
+        rows = synth_rows if data == "synth" else noisy_rows()
+        assert run_ablation(rows, config) == rebuilt_ablation(rows, config)
 
 
 def test_write_ablation_freezes_the_layout(tmp_path):

@@ -238,8 +238,8 @@ def test_a04_cosine_features_are_scale_invariant(corpus, tmp_path):
     base_rows = synthdata.feature_rows(corpus)
     X0, _ = feature_matrix(base_rows)
     train, valid = split_train_validation(base_rows, 0.67, 0)
-    model = train_mart(train, valid, MARTConfig(n_trees=20, patience=5,
-                                                seed=0))
+    model = train_mart(TopicBlocks(train), TopicBlocks(valid),
+                       MARTConfig(n_trees=20, patience=5, seed=0))
 
     def run_bytes(rows, name):
         scored = {}
@@ -350,7 +350,8 @@ def test_a07_coordinate_ascent_learns_the_separating_feature():
                 feats[6] = 1.0 if label else 0.0
                 rows.append(FeatureVector("t%02d" % t, "v%02d%d" % (t, c),
                                           label, tuple(feats)))
-        model = train_coordinate_ascent(rows, [], CAConfig(seed=0))
+        model = train_coordinate_ascent(TopicBlocks(rows), TopicBlocks([]),
+                                        CAConfig(seed=0))
         blocks = TopicBlocks(rows)
         weights = np.array(model.weights)
         assert blocks.metric(blocks.X @ weights, "p5") == 1.0
@@ -371,7 +372,7 @@ def test_a08_mart_training_error_shrinks_monotonically():
                                     for x in rng.normal(size=N_FEATURES)))
                 for i in range(40)]
         config = MARTConfig(n_trees=200, patience=0, max_leaves=4, seed=0)
-        model = train_mart(rows, [], config)
+        model = train_mart(TopicBlocks(rows), TopicBlocks([]), config)
         mse = model.history["train_mse"]
         assert len(mse) == 200
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
@@ -379,7 +380,7 @@ def test_a08_mart_training_error_shrinks_monotonically():
         toy = [FeatureVector("t0", "v%d" % i, i // 2,
                              tuple([float(i)] + [0.0] * (N_FEATURES - 1)))
                for i in range(8)]
-        overfit = train_mart(toy, [], config)
+        overfit = train_mart(TopicBlocks(toy), TopicBlocks([]), config)
         assert math.sqrt(overfit.history["train_mse"][-1]) < 0.01
 
 

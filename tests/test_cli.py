@@ -242,6 +242,24 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             "error: %s: line 2: not valid UTF-8\n" % venues)
 
+    def test_non_utf8_embeddings_exit_2(self, corpus, tmp_path, capsys):
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_bytes(b"cafe 0.1 0.2\ncaf\xe9 0.1 0.2\n")
+        code = self.build_profiles(corpus, tmp_path / "out",
+                                   embeddings=embeddings)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: not valid UTF-8\n" % embeddings)
+
+    def test_non_utf8_run_exits_2(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run.txt"
+        run.write_bytes(b"t1 Q0 v\xe9 1 1.0 tag\n")
+        code = main(["eval", "--out-dir", str(tmp_path / "out"),
+                     "--run", str(run), "--qrels", corpus["qrels"]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 1: not valid UTF-8\n" % run)
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_features_exit_2(self, pipeline_dir, tmp_path, capsys,
                                         token):

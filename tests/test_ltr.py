@@ -6,7 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from reference_models import loop_metric
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import N_FEATURES, FeatureVector
 from venuerec.ltr import (
@@ -154,11 +158,12 @@ class TestTopicBlocks:
                 plan["t%02d" % t] = cands
             rows = make_rows(plan)
             blocks = TopicBlocks(rows)
+            canonical = sorted(rows, key=lambda r: (r.topic_id, r.venue_id))
             scores = np.asarray(
-                [rng.choice([0.0, 0.5, 1.0]) for _ in blocks.rows])
+                [rng.choice([0.0, 0.5, 1.0]) for _ in canonical])
             for metric in ("p5", "mrr"):
                 got = blocks.metric(scores, metric)
-                want = brute_metric(blocks.rows, scores, metric)
+                want = brute_metric(canonical, scores, metric)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_no_relevant_topics_scores_zero(self):
@@ -185,13 +190,75 @@ class TestTopicBlocks:
         assert blocks.metric(np.zeros(2), "mrr") == 0.5
 
 
+# Ties, signed zeros and the non-finite values a score vector can hold.
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def scored_topics(draw):
+    """Ragged topics of 1-60 rows, labels mostly 0, and aligned scores."""
+    sizes = draw(st.lists(st.integers(1, 60), max_size=6))
+    labels = draw(hnp.arrays(np.int64, sum(sizes),
+                             elements=st.sampled_from([0, 0, 0, 1, 2])))
+    scores = draw(hnp.arrays(np.float64, sum(sizes), elements=SCORES))
+    rows = []
+    for t, size in enumerate(sizes):
+        rows.extend(FeatureVector("t%02d" % t, "v%02d" % c, int(label),
+                                  pad())
+                    for c, label in enumerate(labels[:size]))
+        labels = labels[size:]
+    return rows, scores
+
+
+class TestMetricMatchesTopicLoop:
+    """The padded-matrix metric gives the very float of a per-topic loop."""
+
+    @given(case=scored_topics(), k=st.integers(1, 8))
+    @example(case=([], np.zeros(0)), k=5)
+    @example(case=(make_rows({"t1": [("vA", 0, pad()), ("vB", 0, pad())]}),
+                   np.zeros(2)), k=5)
+    @example(case=(make_rows({
+        "t1": [("vA", 0, pad()), ("vB", 1, pad())],
+        "t2": [("v%d" % c, int(c == 0), pad()) for c in range(4)]}),
+        np.array([1.0, math.nan, 0.0, 0.0, 0.0, 0.0])), k=5)
+    @example(case=(make_rows({"t1": [("v%d" % c, int(c == 6), pad())
+                                     for c in range(7)]}),
+                   np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])), k=5)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop(self, case, k):
+        rows, scores = case
+        blocks = TopicBlocks(rows)
+        for metric in ("p5", "mrr"):
+            assert (blocks.metric(scores, metric, k)
+                    == loop_metric(blocks, scores, metric, k))
+
+    def test_many_topics_add_in_topic_order(self):
+        # Enough topics that a pairwise sum would round differently.
+        rng = random.Random(5)
+        for _ in range(20):
+            plan = {"t%03d" % t: [("v%02d" % c, rng.choice([0, 0, 1]),
+                                   pad())
+                                  for c in range(rng.randint(1, 60))]
+                    for t in range(rng.randint(20, 120))}
+            blocks = TopicBlocks(make_rows(plan))
+            scores = np.asarray([rng.choice([0.0, 0.25, rng.random()])
+                                 for _ in range(len(blocks))])
+            for metric in ("p5", "mrr"):
+                assert (blocks.metric(scores, metric)
+                        == loop_metric(blocks, scores, metric))
+
+
 class TestCoordinateAscent:
     def test_separable_signal_reaches_perfect_p5(self):
         rows = separable_rows()
         config = CAConfig(restarts=2, max_sweeps=10, seed=1)
-        model = train_coordinate_ascent(rows, [], config)
+        model = train_coordinate_ascent(TopicBlocks(rows), TopicBlocks([]),
+                                        config)
         blocks = TopicBlocks(rows)
-        assert blocks.metric(predict_rows(model, list(blocks.rows)),
+        assert blocks.metric(predict_matrix(model, blocks.X),
                              "p5") == pytest.approx(3 / 5)
         # 3 relevant of 8 candidates: all three must land in the top 5,
         # and with only three relevant P@5 caps at 3/5.
@@ -209,10 +276,11 @@ class TestCoordinateAscent:
             plan["t%02d" % t] = cands
         rows = make_rows(plan)
         model = train_coordinate_ascent(
-            rows, [], CAConfig(restarts=2, max_sweeps=10, seed=1))
+            TopicBlocks(rows), TopicBlocks([]),
+            CAConfig(restarts=2, max_sweeps=10, seed=1))
         assert model.weights[0] < 0
         blocks = TopicBlocks(rows)
-        ranked = blocks.metric(predict_rows(model, list(blocks.rows)), "mrr")
+        ranked = blocks.metric(predict_matrix(model, blocks.X), "mrr")
         assert ranked == pytest.approx(1.0)
 
     def test_constant_features_return_uniform_with_warning(self, caplog):
@@ -222,19 +290,23 @@ class TestCoordinateAscent:
         })
         with caplog.at_level("WARNING", logger="venuerec.ltr"):
             model = train_coordinate_ascent(
-                rows, [], CAConfig(restarts=2, max_sweeps=3, seed=0))
+                TopicBlocks(rows), TopicBlocks([]),
+                CAConfig(restarts=2, max_sweeps=3, seed=0))
         assert model.weights == tuple([1.0 / N_FEATURES] * N_FEATURES)
         assert any("uniform" in rec.message for rec in caplog.records)
 
     def test_weights_are_l1_normalized(self):
         model = train_coordinate_ascent(
-            separable_rows(), [], CAConfig(restarts=1, max_sweeps=5, seed=0))
+            TopicBlocks(separable_rows()), TopicBlocks([]),
+            CAConfig(restarts=1, max_sweeps=5, seed=0))
         assert sum(abs(w) for w in model.weights) == pytest.approx(1.0)
 
     def test_deterministic_across_runs(self):
         config = CAConfig(restarts=3, max_sweeps=5, seed=42)
-        a = train_coordinate_ascent(separable_rows(), [], config)
-        b = train_coordinate_ascent(separable_rows(), [], config)
+        a = train_coordinate_ascent(TopicBlocks(separable_rows()),
+                                    TopicBlocks([]), config)
+        b = train_coordinate_ascent(TopicBlocks(separable_rows()),
+                                    TopicBlocks([]), config)
         assert a == b
 
     def test_config_validation(self):
@@ -247,7 +319,8 @@ class TestCoordinateAscent:
 
     def test_empty_training_rows(self):
         with pytest.raises(VenuerecError, match="no training rows"):
-            train_coordinate_ascent([], [], CAConfig())
+            train_coordinate_ascent(TopicBlocks([]), TopicBlocks([]),
+                                    CAConfig())
 
 
 class TestFitTree:
@@ -310,7 +383,7 @@ class TestMart:
         rows = make_rows(plan)
         config = MARTConfig(n_trees=200, shrinkage=0.1, max_leaves=4,
                             patience=0, seed=0)
-        model = train_mart(rows, [], config)
+        model = train_mart(TopicBlocks(rows), TopicBlocks([]), config)
         assert len(model.trees) == 200
         rmse = math.sqrt(model.history["train_mse"][-1])
         assert rmse < 0.01
@@ -324,7 +397,8 @@ class TestMart:
                  pad(rng.random(), rng.random(), rng.random()))
                 for c in range(10)]
         rows = make_rows(plan)
-        model = train_mart(rows, [], MARTConfig(n_trees=200, patience=0))
+        model = train_mart(TopicBlocks(rows), TopicBlocks([]),
+                           MARTConfig(n_trees=200, patience=0))
         mse = model.history["train_mse"]
         assert len(mse) == 200
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
@@ -334,7 +408,7 @@ class TestMart:
         # One candidate per validation topic: the metric cannot move, so
         # the first stage stays the best and patience cuts right there.
         valid = make_rows({"v1": [("vA", 1, pad(0.3))]})
-        model = train_mart(rows, valid,
+        model = train_mart(TopicBlocks(rows), TopicBlocks(valid),
                            MARTConfig(n_trees=30, patience=1, seed=0))
         assert len(model.trees) == 1
         assert model.history["kept_trees"] == 1
@@ -343,7 +417,7 @@ class TestMart:
     def test_patience_zero_keeps_all_trees(self):
         rows = separable_rows(n_topics=3)
         valid = make_rows({"v1": [("vA", 1, pad(0.3))]})
-        model = train_mart(rows, valid,
+        model = train_mart(TopicBlocks(rows), TopicBlocks(valid),
                            MARTConfig(n_trees=12, patience=0, seed=0))
         assert len(model.trees) == 12
 
@@ -361,16 +435,17 @@ class TestMart:
 
     def test_deterministic_across_runs(self):
         config = MARTConfig(n_trees=15, patience=0, seed=7)
-        a = train_mart(separable_rows(), [], config)
-        b = train_mart(separable_rows(), [], config)
+        a = train_mart(TopicBlocks(separable_rows()), TopicBlocks([]), config)
+        b = train_mart(TopicBlocks(separable_rows()), TopicBlocks([]), config)
         assert a == b
 
     def test_separable_signal_ranks_perfectly(self):
         rows = separable_rows(n_topics=5)
         train, valid = split_train_validation(rows, 0.6, seed=2)
-        model = train_mart(train, valid, MARTConfig(n_trees=40, seed=0))
+        model = train_mart(TopicBlocks(train), TopicBlocks(valid),
+                           MARTConfig(n_trees=40, seed=0))
         blocks = TopicBlocks(rows)
-        assert blocks.metric(predict_rows(model, list(blocks.rows)),
+        assert blocks.metric(predict_matrix(model, blocks.X),
                              "mrr") == pytest.approx(1.0)
 
 
@@ -403,7 +478,8 @@ class TestPredict:
 class TestSerialization:
     def test_linear_round_trip_is_exact(self, tmp_path):
         model = train_coordinate_ascent(
-            separable_rows(), [], CAConfig(restarts=2, max_sweeps=5, seed=3))
+            TopicBlocks(separable_rows()), TopicBlocks([]),
+            CAConfig(restarts=2, max_sweeps=5, seed=3))
         path = tmp_path / "model.json"
         save_model(model, path, hyperparameters={"restarts": 2})
         loaded = load_model(path)
@@ -413,7 +489,7 @@ class TestSerialization:
                                       predict_matrix(loaded, X))
 
     def test_mart_round_trip_is_exact(self, tmp_path):
-        model = train_mart(separable_rows(), [],
+        model = train_mart(TopicBlocks(separable_rows()), TopicBlocks([]),
                            MARTConfig(n_trees=10, patience=0, seed=1))
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -428,8 +504,9 @@ class TestSerialization:
         config = MARTConfig(n_trees=8, patience=0, seed=5)
         one = tmp_path / "one.json"
         two = tmp_path / "two.json"
-        save_model(train_mart(separable_rows(), [], config), one)
-        save_model(train_mart(separable_rows(), [], config), two)
+        for path in (one, two):
+            save_model(train_mart(TopicBlocks(separable_rows()),
+                                  TopicBlocks([]), config), path)
         assert one.read_bytes() == two.read_bytes()
 
     def test_document_shape(self, tmp_path):
