@@ -3,7 +3,9 @@
 Subcommands cover the whole workflow: build the embedding-space vector
 caches, extract feature rows, train a ranker, produce and score run
 files, and knock features out one at a time.  `pipeline` chains the
-first five steps over one output directory.
+first five steps over one output directory: it loads the corpus once
+and hands the loaded objects from step to step, so the files it writes
+along the way are outputs only.
 
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file, then command line flags.  Whatever wins is
@@ -216,14 +218,13 @@ def _out(out_dir, name):
 
 
 # ---------------------------------------------------------------------------
-# Steps, shared between individual subcommands and `pipeline`
+# Steps, shared between individual subcommands and `pipeline`.  A step
+# computes from loaded objects and writes its artifact; the _cmd_*
+# wrappers further down load those objects from files.
 # ---------------------------------------------------------------------------
 
-def build_profiles_step(cfg, embeddings, venues_path, profiles_path, out_dir):
-    store = load_embeddings(embeddings, format=cfg["embedding_format"])
-    venues = load_venues(venues_path)
-    profiles = load_profiles(
-        profiles_path, rating_scale=(cfg["rating_min"], cfg["rating_max"]))
+def build_profiles_step(cfg, store, venues, profiles, out_dir):
+    """Write the three vector caches; returns the ModelSet they hold."""
     log.info("loaded %d terms, %d venues, %d users",
              len(store.terms), len(venues), len(profiles))
 
@@ -235,6 +236,12 @@ def build_profiles_step(cfg, embeddings, venues_path, profiles_path, out_dir):
             pos_threshold=cfg["pos_threshold"],
             neg_threshold=cfg["neg_threshold"],
             shifted_negative=cfg["shifted_negative"])
+    dangling = [sum(venue_id not in venue_vectors for venue_id, _ in p.ratings)
+                for p in profiles]
+    if any(dangling):
+        log.warning("%d ratings by %d users name venues not present in the "
+                    "venue corpus (skipped)", sum(dangling),
+                    sum(1 for n in dangling if n))
     context_vectors = build_context_vectors(store, k=cfg["k"])
     gender_vectors = [gender_vector(store, g, k=cfg["k"]) for g in GENDERS]
 
@@ -243,40 +250,27 @@ def build_profiles_step(cfg, embeddings, venues_path, profiles_path, out_dir):
     save_context_vectors(context_vectors, gender_vectors,
                          _out(out_dir, "context_vectors.txt"))
     log.info("profile caches written to %s", out_dir)
+    # the caches print every float with %r, so they load back to
+    # exactly these values
+    return ModelSet(
+        venue_vectors=venue_vectors, user_profiles=user_vectors,
+        context_vectors={(cv.aspect, cv.dimension): cv
+                         for cv in context_vectors},
+        gender_vectors={gv.gender: gv for gv in gender_vectors})
 
 
-def extract_step(cfg, venues_path, profiles_path, contexts_path, qrels_path,
-                 out_dir):
-    venues = load_venues(venues_path)
-    venues_by_id = {v.id: v for v in venues}
-    profiles = load_profiles(
-        profiles_path, rating_scale=(cfg["rating_min"], cfg["rating_max"]))
-    users = {p.user_id: p for p in profiles}
-    pairs = load_contexts(contexts_path, users, venues=venues_by_id)
-    qrels = load_qrels(qrels_path) if qrels_path else None
-
-    context_vectors, gender_vectors = load_context_vectors(
-        _out(out_dir, "context_vectors.txt"))
-    models = ModelSet(
-        venue_vectors=load_venue_vectors(_out(out_dir, "venue_vectors.txt")),
-        user_profiles=load_user_vectors(
-            _out(out_dir, "user_vectors.txt"),
-            pos_threshold=cfg["pos_threshold"],
-            neg_threshold=cfg["neg_threshold"]),
-        context_vectors=context_vectors,
-        gender_vectors=gender_vectors)
-    rows = extract_all(pairs, venues_by_id, models, qrels)
+def extract_step(venues_by_id, pairs, qrels, models, out_dir):
+    """Write features.txt; returns its rows in file order."""
     path = _out(out_dir, "features.txt")
-    write_features(rows, path)
+    rows = write_features(extract_all(pairs, venues_by_id, models, qrels),
+                          path)
     log.info("%d feature rows over %d topics written to %s",
              len(rows), len(pairs), path)
-
-
-def _rows_for_learning(cfg, features_path):
-    rows = read_features(features_path)
-    if cfg["normalize"]:
-        rows = normalize_per_topic(rows)
     return rows
+
+
+def _rows_for_learning(cfg, rows):
+    return normalize_per_topic(rows) if cfg["normalize"] else rows
 
 
 def _hyperparameters(cfg):
@@ -307,8 +301,8 @@ def _learner_config(cfg):
         patience=cfg["patience"], metric=cfg["metric"], seed=cfg["seed"])
 
 
-def train_step(cfg, features_path, out_dir):
-    rows = _rows_for_learning(cfg, features_path)
+def train_step(cfg, rows, out_dir):
+    rows = _rows_for_learning(cfg, rows)
     train_rows, valid_rows = split_train_validation(
         rows, cfg["split_fraction"], cfg["seed"])
     train, valid = TopicBlocks(train_rows), TopicBlocks(valid_rows)
@@ -322,11 +316,10 @@ def train_step(cfg, features_path, out_dir):
     log.info("model written to %s", path)
 
 
-def rank_step(cfg, features_path, model_path, out_dir):
+def rank_step(cfg, rows, model_path, out_dir):
     model = load_model(model_path)
     info = load_model_info(model_path)
     normalize = bool(info.get("normalize", cfg["normalize"]))
-    rows = read_features(features_path)
     if normalize:
         rows = normalize_per_topic(rows)
         log.info("per-topic normalization applied before scoring")
@@ -341,15 +334,14 @@ def rank_step(cfg, features_path, model_path, out_dir):
     log.info("run over %d topics written to %s", len(scored), path)
 
 
-def eval_step(cfg, run_path, qrels_path, compare_path, out_dir):
-    run = load_run(run_path)
-    qrels = load_qrels(qrels_path)
+def eval_step(cfg, run, qrels, compare, out_dir):
+    """Score `run`; `compare`, a second run or None, adds a t-test."""
     report = evaluate_run(run, qrels, cutoff=cfg["cutoff"],
                           include_empty=cfg["include_empty"])
     path = _out(out_dir, "metrics.txt")
     write_report(report, path)
-    if compare_path:
-        other = evaluate_run(load_run(compare_path), qrels,
+    if compare is not None:
+        other = evaluate_run(compare, qrels,
                              cutoff=cfg["cutoff"],
                              include_empty=cfg["include_empty"])
         mine = dict((t, p) for t, p, _ in report.per_topic)
@@ -368,8 +360,8 @@ def eval_step(cfg, run_path, qrels_path, compare_path, out_dir):
     print("MRR\tall\t%.6f" % report.mrr)
 
 
-def ablate_step(cfg, features_path, out_dir):
-    rows = _rows_for_learning(cfg, features_path)
+def ablate_step(cfg, rows, out_dir):
+    rows = _rows_for_learning(cfg, rows)
     report = run_ablation(rows, _learner_config(cfg),
                           split_fraction=cfg["split_fraction"])
     path = _out(out_dir, "ablation.tsv")
@@ -458,42 +450,81 @@ def build_parser():
     return parser
 
 
+def _load_profiles(cfg, path):
+    return load_profiles(
+        path, rating_scale=(cfg["rating_min"], cfg["rating_max"]))
+
+
+def _load_models(cfg, out_dir):
+    """The ModelSet held by the vector caches in `out_dir`."""
+    context_vectors, gender_vectors = load_context_vectors(
+        _out(out_dir, "context_vectors.txt"))
+    return ModelSet(
+        venue_vectors=load_venue_vectors(_out(out_dir, "venue_vectors.txt")),
+        user_profiles=load_user_vectors(
+            _out(out_dir, "user_vectors.txt"),
+            pos_threshold=cfg["pos_threshold"],
+            neg_threshold=cfg["neg_threshold"]),
+        context_vectors=context_vectors,
+        gender_vectors=gender_vectors)
+
+
+def _load_topics(args, venues, profiles):
+    """Venues by id, the context pairs, and the qrels or None."""
+    venues_by_id = {v.id: v for v in venues}
+    users = {p.user_id: p for p in profiles}
+    pairs = load_contexts(args.contexts, users, venues=venues_by_id)
+    qrels = load_qrels(args.qrels) if args.qrels else None
+    return venues_by_id, pairs, qrels
+
+
 def _cmd_build_profiles(cfg, args):
-    build_profiles_step(cfg, args.embeddings, args.venues, args.profiles,
-                        args.out_dir)
+    store = load_embeddings(args.embeddings, format=cfg["embedding_format"])
+    build_profiles_step(cfg, store, load_venues(args.venues),
+                        _load_profiles(cfg, args.profiles), args.out_dir)
 
 
 def _cmd_extract(cfg, args):
-    extract_step(cfg, args.venues, args.profiles, args.contexts, args.qrels,
+    venues_by_id, pairs, qrels = _load_topics(
+        args, load_venues(args.venues), _load_profiles(cfg, args.profiles))
+    extract_step(venues_by_id, pairs, qrels, _load_models(cfg, args.out_dir),
                  args.out_dir)
 
 
 def _cmd_train(cfg, args):
-    train_step(cfg, args.features, args.out_dir)
+    train_step(cfg, read_features(args.features), args.out_dir)
 
 
 def _cmd_rank(cfg, args):
-    rank_step(cfg, args.features, args.model, args.out_dir)
+    rank_step(cfg, read_features(args.features), args.model, args.out_dir)
 
 
 def _cmd_eval(cfg, args):
-    eval_step(cfg, args.run, args.qrels, args.compare, args.out_dir)
+    run = load_run(args.run)
+    qrels = load_qrels(args.qrels)
+    compare = load_run(args.compare) if args.compare else None
+    eval_step(cfg, run, qrels, compare, args.out_dir)
 
 
 def _cmd_ablate(cfg, args):
-    ablate_step(cfg, args.features, args.out_dir)
+    ablate_step(cfg, read_features(args.features), args.out_dir)
 
 
 def _cmd_pipeline(cfg, args):
+    """The five steps on a corpus loaded once, passed on in memory."""
     out_dir = args.out_dir
-    build_profiles_step(cfg, args.embeddings, args.venues, args.profiles,
-                        out_dir)
-    extract_step(cfg, args.venues, args.profiles, args.contexts, args.qrels,
-                 out_dir)
-    features = _out(out_dir, "features.txt")
-    train_step(cfg, features, out_dir)
-    rank_step(cfg, features, _out(out_dir, "model.json"), out_dir)
-    eval_step(cfg, _out(out_dir, "run.txt"), args.qrels, None, out_dir)
+    store = load_embeddings(args.embeddings, format=cfg["embedding_format"])
+    venues = load_venues(args.venues)
+    profiles = _load_profiles(cfg, args.profiles)
+    venues_by_id, pairs, qrels = _load_topics(args, venues, profiles)
+    models = build_profiles_step(cfg, store, venues, profiles, out_dir)
+    # the embedding matrix is the largest input and no later step needs
+    # it; held on, it would raise the peak RSS of training
+    del store
+    rows = extract_step(venues_by_id, pairs, qrels, models, out_dir)
+    train_step(cfg, rows, out_dir)
+    rank_step(cfg, rows, _out(out_dir, "model.json"), out_dir)
+    eval_step(cfg, load_run(_out(out_dir, "run.txt")), qrels, None, out_dir)
 
 
 _COMMANDS = {

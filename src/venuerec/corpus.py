@@ -105,35 +105,38 @@ class ContextPair:
 
 
 class Qrels:
-    """Graded judgments keyed by (topic_id, venue_id)."""
+    """Graded judgments keyed by (topic_id, venue_id), indexed by topic."""
 
     def __init__(self, judgments):
-        self._judgments = dict(judgments)
-        for (topic, venue), grade in self._judgments.items():
+        self._by_topic = {}
+        for (topic, venue), grade in dict(judgments).items():
             if grade < 0:
                 raise ValueError("negative grade for (%s, %s)" % (topic, venue))
+            self._by_topic.setdefault(topic, {})[venue] = grade
 
     def grade(self, topic_id, venue_id, default=0):
-        return self._judgments.get((topic_id, venue_id), default)
+        return self._by_topic.get(topic_id, {}).get(venue_id, default)
 
     def is_judged(self, topic_id, venue_id):
-        return (topic_id, venue_id) in self._judgments
+        return venue_id in self._by_topic.get(topic_id, {})
 
     def topics(self):
-        return sorted({t for t, _ in self._judgments})
+        return sorted(self._by_topic)
 
     def relevant_venues(self, topic_id, cutoff=1):
-        return {v for (t, v), g in self._judgments.items()
-                if t == topic_id and g >= cutoff}
+        return {v for v, g in self._by_topic.get(topic_id, {}).items()
+                if g >= cutoff}
 
     def items(self):
-        return sorted(self._judgments.items())
+        return sorted(((topic, venue), grade)
+                      for topic, grades in self._by_topic.items()
+                      for venue, grade in grades.items())
 
     def __len__(self):
-        return len(self._judgments)
+        return sum(len(grades) for grades in self._by_topic.values())
 
     def __eq__(self, other):
-        return isinstance(other, Qrels) and self._judgments == other._judgments
+        return isinstance(other, Qrels) and self._by_topic == other._by_topic
 
 
 # what the surrogateescape handler turns undecodable bytes into
@@ -203,6 +206,26 @@ def _field(obj, key, kind, path, lineno, required=False):
     raise AssertionError(kind)
 
 
+def _has_space(text):
+    return any(ch.isspace() for ch in text)
+
+
+def _identifier(obj, key, path, lineno):
+    """A required id field: a non-empty string without whitespace.
+
+    Ids end up as whitespace-separated tokens in the vector caches and
+    the features, run and qrels files.
+    """
+    value = _field(obj, key, str, path, lineno, required=True)
+    if not value:
+        raise FormatError("field %r must be non-empty" % key, path=path,
+                          line=lineno)
+    if _has_space(value):
+        raise FormatError("field %r must not contain whitespace, got %r"
+                          % (key, value), path=path, line=lineno)
+    return value
+
+
 def _non_negative(value, key, path, lineno):
     if value is not None and value < 0:
         raise FormatError("field %r must be non-negative" % key, path=path,
@@ -214,10 +237,7 @@ def load_venues(path, config=DEFAULT_CONFIG):
     venues = []
     seen = set()
     for lineno, obj in _records(path):
-        vid = _field(obj, "id", str, path, lineno, required=True)
-        if not vid:
-            raise FormatError("field 'id' must be non-empty", path=path,
-                              line=lineno)
+        vid = _identifier(obj, "id", path, lineno)
         if vid in seen:
             raise FormatError("duplicate venue id %r" % vid, path=path,
                               line=lineno)
@@ -263,10 +283,7 @@ def load_profiles(path, rating_scale=(0, 4)):
     profiles = []
     seen = set()
     for lineno, obj in _records(path):
-        uid = _field(obj, "user_id", str, path, lineno, required=True)
-        if not uid:
-            raise FormatError("field 'user_id' must be non-empty", path=path,
-                              line=lineno)
+        uid = _identifier(obj, "user_id", path, lineno)
         if uid in seen:
             raise FormatError("duplicate user id %r" % uid, path=path,
                               line=lineno)
@@ -282,8 +299,7 @@ def load_profiles(path, rating_scale=(0, 4)):
             if not isinstance(entry, dict):
                 raise FormatError("field 'ratings' must hold objects",
                                   path=path, line=lineno)
-            venue_id = _field(entry, "venue_id", str, path, lineno,
-                              required=True)
+            venue_id = _identifier(entry, "venue_id", path, lineno)
             rating = _field(entry, "rating", int, path, lineno, required=True)
             if venue_id in rated:
                 raise FormatError("duplicate rating for venue %r" % venue_id,
@@ -313,10 +329,7 @@ def load_contexts(path, users, schema=DEFAULT_SCHEMA, venues=None):
     seen = set()
     dangling = 0
     for lineno, obj in _records(path):
-        topic_id = _field(obj, "topic_id", str, path, lineno, required=True)
-        if not topic_id:
-            raise FormatError("field 'topic_id' must be non-empty", path=path,
-                              line=lineno)
+        topic_id = _identifier(obj, "topic_id", path, lineno)
         if topic_id in seen:
             raise FormatError("duplicate topic id %r" % topic_id, path=path,
                               line=lineno)
@@ -350,6 +363,9 @@ def load_contexts(path, users, schema=DEFAULT_SCHEMA, venues=None):
                 raise FormatError(
                     "field 'candidates' must hold non-empty strings",
                     path=path, line=lineno)
+            if _has_space(cand):
+                raise FormatError("candidate %r contains whitespace" % cand,
+                                  path=path, line=lineno)
             if cand in candidates:
                 raise FormatError("duplicate candidate %r" % cand, path=path,
                                   line=lineno)

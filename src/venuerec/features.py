@@ -152,6 +152,11 @@ def normalize_per_topic(rows, columns=range(6)):
 # ---------------------------------------------------------------------------
 
 def write_features(rows, path):
+    """Write rows sorted by (topic, venue); returns them in that order.
+
+    Every value is printed with %r, so the returned rows equal what
+    read_features loads back from `path`.
+    """
     for row in rows:
         for ident in (row.topic_id, row.venue_id):
             if not ident or any(ch.isspace() for ch in ident):
@@ -166,6 +171,7 @@ def write_features(rows, path):
             parts.append("#")
             parts.append(row.venue_id)
             fh.write(" ".join(parts) + "\n")
+    return ordered
 
 
 def read_features(path):

@@ -114,26 +114,23 @@ def user_profile_vectors(store, venue_vectors, profile,
 
     `shifted_negative` weighs negative venues by rating + 1 so that
     zero-rated venues still register; off by default, which follows the
-    literal weighting (a rating of 0 annihilates its venue).
+    literal weighting (a rating of 0 annihilates its venue).  Ratings of
+    venues missing from `venue_vectors` are skipped; the caller warns
+    about them once for all users.
     """
     if neg_threshold >= pos_threshold:
         raise ValueError("neg_threshold must be below pos_threshold")
     pos = np.zeros(store.dimension, dtype=np.float64)
     neg = np.zeros(store.dimension, dtype=np.float64)
-    skipped = 0
     for venue_id, rating in profile.ratings:
         vv = venue_vectors.get(venue_id)
         if vv is None:
-            skipped += 1
             continue
         if rating >= pos_threshold:
             pos += rating * vv.vector
         elif rating <= neg_threshold:
             weight = rating + 1 if shifted_negative else rating
             neg += weight * vv.vector
-    if skipped:
-        log.warning("user %s: %d rated venues missing from the corpus",
-                    profile.user_id, skipped)
     return UserVenueProfile(user_id=profile.user_id, positive=pos,
                             negative=neg, pos_threshold=pos_threshold,
                             neg_threshold=neg_threshold)

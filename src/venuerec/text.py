@@ -6,6 +6,7 @@ toolkits), i.e. including the bli/logi rules and the rule that words of
 length <= 2 are left alone.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -216,8 +217,13 @@ def _step5b(w):
     return w
 
 
+@functools.lru_cache(maxsize=None)
 def porter_stem(word):
-    """Stem one lowercase token; words of length <= 2 pass through."""
+    """Stem one lowercase token; words of length <= 2 pass through.
+
+    The rules look at the word alone, so each distinct token is stemmed
+    once and its stem remembered for the life of the process.
+    """
     if len(word) <= 2:
         return word
     w = _step1a(word)

@@ -1,6 +1,7 @@
 """Command line front end, driven in-process through main()."""
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -54,9 +55,18 @@ class TestPipeline:
             assert (tmp_path / name).read_bytes() == \
                 (pipeline_dir / name).read_bytes(), name
 
+    @pytest.mark.parametrize("flags", [
+        (), ("--learner", "ca", "--normalize"), ("--metric", "mrr"),
+    ], ids=["default", "ca-normalize", "mrr"])
     def test_individual_steps_reproduce_it(self, corpus, pipeline_dir,
-                                           tmp_path):
-        out = ["--out-dir", str(tmp_path), "--seed", "42"]
+                                           tmp_path, flags):
+        # pipeline hands objects from step to step in memory; the five
+        # subcommands read each other's files instead
+        if flags:
+            pipeline_dir = tmp_path / "pipeline"
+            assert main(pipeline_argv(corpus, pipeline_dir, *flags)) == 0
+        steps = tmp_path / "steps"
+        out = ["--out-dir", str(steps), "--seed", "42", *flags]
         assert main(["build-profiles", *out,
                      "--embeddings", corpus["embeddings"],
                      "--venues", corpus["venues"],
@@ -66,14 +76,14 @@ class TestPipeline:
                      "--contexts", corpus["contexts"],
                      "--qrels", corpus["qrels"]]) == 0
         assert main(["train", *out,
-                     "--features", str(tmp_path / "features.txt")]) == 0
+                     "--features", str(steps / "features.txt")]) == 0
         assert main(["rank", *out,
-                     "--features", str(tmp_path / "features.txt"),
-                     "--model", str(tmp_path / "model.json")]) == 0
-        assert main(["eval", *out, "--run", str(tmp_path / "run.txt"),
+                     "--features", str(steps / "features.txt"),
+                     "--model", str(steps / "model.json")]) == 0
+        assert main(["eval", *out, "--run", str(steps / "run.txt"),
                      "--qrels", corpus["qrels"]]) == 0
         for name in ARTIFACTS:
-            assert (tmp_path / name).read_bytes() == \
+            assert (steps / name).read_bytes() == \
                 (pipeline_dir / name).read_bytes(), name
 
     def test_binary_embeddings_are_accepted(self, corpus, tmp_path):
@@ -88,6 +98,27 @@ class TestPipeline:
                      "--venues", corpus["venues"],
                      "--profiles", corpus["profiles"]]) == 0
         assert (tmp_path / "venue_vectors.txt").is_file()
+
+
+class TestBuildProfiles:
+
+    def test_dangling_ratings_warn_once(self, corpus, tmp_path, caplog):
+        lines = open(corpus["profiles"], encoding="utf-8").read().splitlines()
+        for i, ghosts in ((0, 2), (3, 1), (5, 2)):
+            record = json.loads(lines[i])
+            record["ratings"] += [{"venue_id": "ghost%d" % g, "rating": 4}
+                                  for g in range(ghosts)]
+            lines[i] = json.dumps(record)
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert main(["build-profiles", "--out-dir", str(tmp_path),
+                         "--embeddings", corpus["embeddings"],
+                         "--venues", corpus["venues"],
+                         "--profiles", str(profiles)]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "5 ratings by 3 users name venues not present in the venue "
+            "corpus (skipped)"]
 
 
 class TestEval:
@@ -259,6 +290,30 @@ class TestBadInputs:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: %s: line 1: not valid UTF-8\n" % run)
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("venues", "id", "v y",
+         "field 'id' must not contain whitespace, got 'v y'"),
+        ("profiles", "user_id", "u y",
+         "field 'user_id' must not contain whitespace, got 'u y'"),
+        ("contexts", "topic_id", "t 1",
+         "field 'topic_id' must not contain whitespace, got 't 1'"),
+        ("contexts", "candidates", ["v x"],
+         "candidate 'v x' contains whitespace"),
+    ], ids=["venue", "user", "topic", "candidate"])
+    def test_id_with_whitespace_exits_2(self, corpus, tmp_path, capsys, kind,
+                                        field, value, message):
+        lines = open(corpus[kind], encoding="utf-8").read().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record)
+        bad = tmp_path / ("%s.jsonl" % kind)
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(pipeline_argv({**corpus, kind: str(bad)},
+                                  tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: line 2: %s\n" % (
+            bad, message)
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_features_exit_2(self, pipeline_dir, tmp_path, capsys,

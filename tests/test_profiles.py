@@ -1,7 +1,11 @@
 """Preference-vector builders against hand values and the brute-force route."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference_models import (
     brute_context_terms,
@@ -9,11 +13,15 @@ from reference_models import (
     brute_user_vectors,
     brute_venue_vector,
 )
-from venuerec.corpus import Comment, ContextSchema, UserProfile, Venue
+from venuerec.corpus import GENDERS, Comment, ContextSchema, UserProfile, Venue
 from venuerec.embeddings import EmbeddingStore, vec_combine
 from venuerec.errors import VenuerecError
 from venuerec.profiles import (
     ContextTermSet,
+    ContextVector,
+    GenderVector,
+    UserVenueProfile,
+    VenueVector,
     build_context_vectors,
     build_venue_vectors,
     context_terms,
@@ -123,13 +131,14 @@ class TestUserProfileVectors:
         np.testing.assert_array_equal(got.positive, [4.0, 0.0])
         np.testing.assert_array_equal(got.negative, [3.0, 2.0])
 
-    def test_unknown_venue_skipped_with_warning(self, ab_store, caplog):
+    def test_unknown_venue_skipped_silently(self, ab_store, caplog):
+        # one warning for all users comes from the build-profiles step
         import logging
         prof = UserProfile("u", "male", (("ghost", 4),))
         with caplog.at_level(logging.WARNING, logger="venuerec.profiles"):
             got = user_profile_vectors(ab_store, {}, prof)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
-        assert any("missing" in r.message for r in caplog.records)
+        assert not caplog.records
 
     def test_threshold_order_enforced(self, ab_store):
         prof = UserProfile("u", "male", ())
@@ -379,3 +388,80 @@ class TestCaches:
         vv = build_venue_vectors(ab_store, [make_venue("bad id", [["a"]])])
         with pytest.raises(VenuerecError, match="whitespace"):
             save_venue_vectors(vv, tmp_path / "x.txt")
+
+
+# Any finite float64, with -0.0, subnormals and values near the top of
+# the range drawn often.
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_IDS = st.text(alphabet=string.ascii_letters + string.digits + "-./",
+               min_size=1, max_size=8)
+_WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=5)
+
+
+@st.composite
+def vector_tables(draw, keys, size=5):
+    """``{key: float64 vector}`` with 1 to `size` keys of one length."""
+    dim = draw(st.integers(1, 4))
+    ids = draw(st.lists(keys, min_size=1, max_size=size, unique=True))
+    return {key: np.array(draw(st.lists(_FLOATS, min_size=dim,
+                                        max_size=dim)), dtype=np.float64)
+            for key in ids}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCacheRoundTripIsBitExact:
+    """What a cache writer saves, its reader returns bit for bit."""
+
+    @given(table=vector_tables(_IDS))
+    def test_venue_vectors(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("cache") / "venue_vectors.txt"
+        save_venue_vectors({k: VenueVector(k, v) for k, v in table.items()},
+                           path)
+        back = load_venue_vectors(path)
+        assert back.keys() == table.keys()
+        for key, vec in table.items():
+            assert back[key].venue_id == key
+            assert same_bits(back[key].vector, vec)
+
+    @given(table=vector_tables(_IDS, size=6))
+    def test_user_vectors(self, tmp_path_factory, table):
+        keys = sorted(table)
+        half = len(keys) // 2 or 1
+        users = {}
+        for user_id, neg_key in zip(keys[:half], keys[half:] + keys[:1]):
+            users[user_id] = UserVenueProfile(
+                user_id, table[user_id], table[neg_key], 4, 3)
+        path = tmp_path_factory.mktemp("cache") / "user_vectors.txt"
+        save_user_vectors(users, path)
+        back = load_user_vectors(path)
+        assert back.keys() == users.keys()
+        for user_id, up in users.items():
+            assert same_bits(back[user_id].positive, up.positive)
+            assert same_bits(back[user_id].negative, up.negative)
+
+    @given(table=vector_tables(st.one_of(
+        st.tuples(_WORDS.filter(lambda w: w != "gender"),
+                  st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)),
+        st.sampled_from(GENDERS))))
+    def test_context_and_gender_vectors(self, tmp_path_factory, table):
+        # a dimension's spaces are stored as '_' in the cache key
+        contexts = [ContextVector(k[0], k[1], v) for k, v in table.items()
+                    if isinstance(k, tuple)]
+        genders = [GenderVector(k, v) for k, v in table.items()
+                   if not isinstance(k, tuple)]
+        path = tmp_path_factory.mktemp("cache") / "context_vectors.txt"
+        save_context_vectors(contexts, genders, path)
+        by_dim, by_gender = load_context_vectors(path)
+        assert set(by_dim) == {(cv.aspect, cv.dimension) for cv in contexts}
+        assert set(by_gender) == {gv.gender for gv in genders}
+        for cv in contexts:
+            assert same_bits(by_dim[(cv.aspect, cv.dimension)].vector,
+                             cv.vector)
+        for gv in genders:
+            assert same_bits(by_gender[gv.gender].vector, gv.vector)
