@@ -323,7 +323,10 @@ def rank_step(cfg, rows, model_path, out_dir):
     if normalize:
         rows = normalize_per_topic(rows)
         log.info("per-topic normalization applied before scoring")
-    scores = predict_rows(model, rows)
+    try:
+        scores = predict_rows(model, rows)
+    except VenuerecError as exc:
+        raise FormatError(str(exc), path=model_path)
     scored = {}
     for row, score in zip(rows, scores):
         scored.setdefault(row.topic_id, []).append(

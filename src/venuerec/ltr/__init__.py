@@ -42,6 +42,10 @@ def predict_matrix(model, X):
                                 % (X.shape[1], w.shape[0]))
         return X @ w
     if isinstance(model, TreeEnsemble):
+        width = 1 + max(max(tree.feature) for tree in model.trees)
+        if X.shape[1] < width:
+            raise VenuerecError("matrix has %d features, model needs %d"
+                                % (X.shape[1], width))
         out = np.zeros(X.shape[0])
         for tree in model.trees:
             out += model.shrinkage * _tree_outputs(tree, X)

@@ -84,59 +84,88 @@ class TreeEnsemble:
             raise VenuerecError("ensemble needs at least one tree")
 
 
-def _best_candidate(X, resid, idx, min_leaf):
-    """Best split of the rows `idx`: (gain, feature, threshold, left, right)."""
+def _best_candidate(X, resid, order, min_leaf):
+    """Best split of a node whose rows are `order`, one sorted row per feature.
+
+    Returns ``(gain, feature, threshold, cut, order)``: the rows
+    ``order[feature, :cut]`` go left.  None when no split gains.
+    """
     best = None
-    for j in range(X.shape[1]):
-        col = X[idx, j]
-        order = np.argsort(col, kind="stable")
-        gain, pos = _kernels.best_split(col[order], resid[idx][order],
-                                        min_leaf)
+    targets = resid[order]
+    for j in range(order.shape[0]):
+        col = X[order[j], j]
+        gain, pos = _kernels.best_split(col, targets[j], min_leaf)
         if pos == 0:
             continue
         if best is None or gain > best[0] + _EPS:
-            sorted_idx = idx[order]
-            threshold = 0.5 * (col[order[pos - 1]] + col[order[pos]])
-            best = (gain, j, float(threshold),
-                    sorted_idx[:pos], sorted_idx[pos:])
+            threshold = 0.5 * (col[pos - 1] + col[pos])
+            best = (gain, j, float(threshold), pos, order)
     return best
 
 
-def fit_tree(X, resid, max_leaves=7, min_leaf=1):
-    """Grow one least-squares tree best-first up to `max_leaves` leaves."""
+def _presort(X):
+    """One stable argsort of each column of `X`, as int32 features x rows."""
+    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
+
+
+def _partition(order, left_rows, n_rows):
+    """`order` split per feature into the `left_rows` and the rest."""
+    goes_left = np.zeros(n_rows, dtype=bool)
+    goes_left[left_rows] = True
+    flat = order.ravel()
+    mask = goes_left.take(flat)
+    n_features = order.shape[0]
+    return (flat.compress(mask).reshape(n_features, -1),
+            flat.compress(~mask).reshape(n_features, -1))
+
+
+def fit_tree(X, resid, max_leaves=7, min_leaf=1, order=None):
+    """Grow one least-squares tree best-first up to `max_leaves` leaves.
+
+    `order` holds a stable argsort of each column of `X`, features x
+    rows; `train_mart` sorts once and passes it to every tree.  A child
+    keeps its parent's per-feature order with the other side's rows
+    filtered out, so no node sorts again, and ties inside a column go
+    by row index.
+    """
+    if order is None:
+        order = _presort(X)
     feature = [-1]
     threshold = [0.0]
     left = [0]
     right = [0]
     value = [float(resid.mean()) if resid.size else 0.0]
-    all_idx = np.arange(X.shape[0], dtype=np.int64)
     candidates = {}
-    cand = _best_candidate(X, resid, all_idx, min_leaf)
+    cand = _best_candidate(X, resid, order, min_leaf)
     if cand is not None:
         candidates[0] = cand
     n_leaves = 1
     while n_leaves < max_leaves and candidates:
         node = max(candidates, key=lambda nid: (candidates[nid][0], -nid))
-        gain, j, thr, left_idx, right_idx = candidates.pop(node)
+        gain, j, thr, pos, node_order = candidates.pop(node)
         if gain <= _EPS:
             break
         feature[node] = j
         threshold[node] = thr
-        for side, idx in ((0, left_idx), (1, right_idx)):
-            child = len(feature)
+        left[node] = len(feature)
+        right[node] = len(feature) + 1
+        rows = node_order[j]
+        for idx in (rows[:pos], rows[pos:]):
             feature.append(-1)
             threshold.append(0.0)
             left.append(0)
             right.append(0)
             value.append(float(resid[idx].mean()))
-            if side == 0:
-                left[node] = child
-            else:
-                right[node] = child
-            cand = _best_candidate(X, resid, idx, min_leaf)
+        n_leaves += 1
+        # the children of the split that fills the tree are never split
+        if n_leaves == max_leaves:
+            break
+        for child, child_order in zip(
+                (left[node], right[node]),
+                _partition(node_order, rows[:pos], X.shape[0])):
+            cand = _best_candidate(X, resid, child_order, min_leaf)
             if cand is not None:
                 candidates[child] = cand
-        n_leaves += 1
     return Tree(feature=tuple(feature), threshold=tuple(threshold),
                 left=tuple(left), right=tuple(right), value=tuple(value))
 
@@ -162,6 +191,7 @@ def train_mart(train, valid, config=None):
         raise VenuerecError("no training rows")
 
     X, y = train.X, train.y
+    order = _presort(X)
     F = np.zeros(len(train))
     Fv = np.zeros(len(valid))
     trees = []
@@ -171,7 +201,8 @@ def train_mart(train, valid, config=None):
     best_stage = 0
     since_best = 0
     for stage in range(1, config.n_trees + 1):
-        tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf)
+        tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf,
+                        order=order)
         trees.append(tree)
         F += config.shrinkage * _tree_outputs(tree, X)
         if len(valid):

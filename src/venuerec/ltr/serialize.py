@@ -77,10 +77,24 @@ def _check_tree(node, i, path):
     n = len(feature)
     if not n or any(len(a) != n for a in (threshold, left, right, value)):
         raise FormatError("tree %d arrays differ in length" % i, path=path)
-    for f, lo, hi in zip(feature, left, right):
-        if f >= 0 and not (0 <= lo < n and 0 <= hi < n):
+    # Children come after their node and every node but the root has
+    # exactly one parent, so each path from the root ends at a leaf.
+    parents = [0] * n
+    for node, (f, lo, hi) in enumerate(zip(feature, left, right)):
+        if f < 0:
+            continue
+        if not (0 <= lo < n and 0 <= hi < n):
             raise FormatError("tree %d child index out of range" % i,
                               path=path)
+        if lo <= node or hi <= node:
+            raise FormatError("tree %d node %d has a child index not after "
+                              "its own" % (i, node), path=path)
+        parents[lo] += 1
+        parents[hi] += 1
+    for node in range(1, n):
+        if parents[node] != 1:
+            raise FormatError("tree %d node %d is the child of %d nodes, "
+                              "not 1" % (i, node, parents[node]), path=path)
     return Tree(feature=feature, threshold=threshold, left=left,
                 right=right, value=value)
 
@@ -129,6 +143,9 @@ def load_model(path):
         shrinkage = doc.get("shrinkage")
         if not isinstance(shrinkage, (int, float)) or isinstance(shrinkage, bool):
             raise FormatError("missing or bad shrinkage", path=path)
+        if not 0.0 < shrinkage <= 1.0:
+            raise FormatError("shrinkage must be in (0, 1], got %r"
+                              % (shrinkage,), path=path)
         parsed = tuple(_check_tree(node, i, path)
                        for i, node in enumerate(trees))
         return TreeEnsemble(trees=parsed, shrinkage=float(shrinkage),

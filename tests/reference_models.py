@@ -1,16 +1,22 @@
-"""Brute-force reference routes for the vector constructions and the metric.
+"""Brute-force reference routes for the vector constructions, the metric
+and the tree learner.
 
 Everything here works with explicit loops, sharing no code with the
 package implementation: venue sums, rating-weighted user sums,
 subtraction-based term expansion, and the summed context/gender vectors
 on plain dicts and python lists (tests assert the package matches these
 within 1e-9 per component), and the ranking metric topic by topic
-(tests assert the package gives the same float).
+(tests assert the package gives the same float).  The tree learner
+sorts every column afresh at every node; it shares only the 1-D split
+kernel, the gain tolerance and the `Tree` record with the package.
 """
 
 import math
 
 import numpy as np
+
+from venuerec import _kernels
+from venuerec.ltr.mart import _EPS, Tree
 
 
 def brute_cosine(a, b):
@@ -115,3 +121,64 @@ def loop_metric(blocks, scores, metric, k=5):
             hits = np.nonzero(rel)[0]
             total += 1.0 / (hits[0] + 1.0)
     return total / len(blocks.included)
+
+
+def _argsort_best_candidate(X, resid, idx, min_leaf):
+    """Best split of the rows `idx`: (gain, feature, threshold, left, right)."""
+    best = None
+    for j in range(X.shape[1]):
+        col = X[idx, j]
+        order = np.argsort(col, kind="stable")
+        gain, pos = _kernels.best_split(col[order], resid[idx][order],
+                                        min_leaf)
+        if pos == 0:
+            continue
+        if best is None or gain > best[0] + _EPS:
+            sorted_idx = idx[order]
+            threshold = 0.5 * (col[order[pos - 1]] + col[order[pos]])
+            best = (gain, j, float(threshold),
+                    sorted_idx[:pos], sorted_idx[pos:])
+    return best
+
+
+def argsort_fit_tree(X, resid, max_leaves=7, min_leaf=1):
+    """Best-first least-squares tree that argsorts each column at each node.
+
+    A node's rows keep the order of its parent's split column, so ties
+    inside a column follow the chain of ancestor split features.
+    """
+    feature = [-1]
+    threshold = [0.0]
+    left = [0]
+    right = [0]
+    value = [float(resid.mean()) if resid.size else 0.0]
+    all_idx = np.arange(X.shape[0], dtype=np.int64)
+    candidates = {}
+    cand = _argsort_best_candidate(X, resid, all_idx, min_leaf)
+    if cand is not None:
+        candidates[0] = cand
+    n_leaves = 1
+    while n_leaves < max_leaves and candidates:
+        node = max(candidates, key=lambda nid: (candidates[nid][0], -nid))
+        gain, j, thr, left_idx, right_idx = candidates.pop(node)
+        if gain <= _EPS:
+            break
+        feature[node] = j
+        threshold[node] = thr
+        for side, idx in ((0, left_idx), (1, right_idx)):
+            child = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(0)
+            right.append(0)
+            value.append(float(resid[idx].mean()))
+            if side == 0:
+                left[node] = child
+            else:
+                right[node] = child
+            cand = _argsort_best_candidate(X, resid, idx, min_leaf)
+            if cand is not None:
+                candidates[child] = cand
+        n_leaves += 1
+    return Tree(feature=tuple(feature), threshold=tuple(threshold),
+                left=tuple(left), right=tuple(right), value=tuple(value))

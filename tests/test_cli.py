@@ -330,6 +330,30 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             "error: %s: line 2: feature 1 is not finite\n" % features)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("feature", 99, "matrix has 13 features, model needs 100"),
+        ("shrinkage", float("nan"), "shrinkage must be in (0, 1], got nan"),
+    ])
+    def test_bad_tree_model_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                    field, value, message):
+        doc = json.loads((pipeline_dir / "model.json").read_text(
+            encoding="utf-8"))
+        if field == "feature":
+            tree = doc["trees"][0]
+            split = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+            tree["feature"][split] = value
+        else:
+            doc[field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["rank", "--out-dir", str(tmp_path / "out"),
+                     "--features", str(pipeline_dir / "features.txt"),
+                     "--model", str(model)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (model,
+                                                               message)
+
+
 
 class TestParser:
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_models import loop_metric
+from reference_models import argsort_fit_tree, loop_metric
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import N_FEATURES, FeatureVector
 from venuerec.ltr import (
@@ -374,6 +374,70 @@ class TestFitTree:
         assert list(outs) == [0.0, 0.0, 4.0, 4.0, 9.0, 9.0]
 
 
+@st.composite
+def tree_problems(draw):
+    """Feature matrix, residuals and sizes for one fit_tree call.
+
+    Each column is tie-free, constant, zeroed (as `without_feature`
+    leaves it) or drawn from a few small integers, so full of ties.
+    Residuals are integer-valued or arbitrary floats.
+    """
+    n = draw(st.integers(1, 200))
+    kinds = draw(st.lists(st.sampled_from(("distinct", "constant", "zero",
+                                           "tied")), min_size=1,
+                          max_size=6))
+    columns = []
+    for kind in kinds:
+        if kind == "distinct":
+            columns.append(draw(hnp.arrays(
+                np.float64, n, unique=True,
+                elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+        elif kind == "constant":
+            columns.append(np.full(n, draw(st.floats(-1e3, 1e3))))
+        elif kind == "zero":
+            columns.append(np.zeros(n))
+        else:
+            columns.append(draw(hnp.arrays(
+                np.float64, n, elements=st.integers(-2, 2).map(float))))
+    X = np.column_stack(columns)
+    integer_resid = draw(st.booleans())
+    if integer_resid:
+        elements = st.integers(-1000, 1000).map(float)
+    else:
+        elements = st.floats(-10.0, 10.0)
+    resid = draw(hnp.arrays(np.float64, n, elements=elements))
+    exact = integer_resid or "tied" not in kinds
+    return (X, resid, draw(st.integers(2, 9)), draw(st.integers(1, 4)),
+            exact)
+
+
+class TestPresortedSplitSearch:
+    """fit_tree sorts each column once; the oracle sorts at every node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_problems())
+    def test_matches_the_per_node_argsort_oracle(self, problem):
+        X, resid, max_leaves, min_leaf, exact = problem
+        tree = fit_tree(X, resid, max_leaves, min_leaf)
+        oracle = argsort_fit_tree(X, resid, max_leaves, min_leaf)
+        assert tree.feature == oracle.feature
+        assert tree.threshold == oracle.threshold
+        assert tree.left == oracle.left
+        assert tree.right == oracle.right
+        if exact:
+            # Sums over tied rows may be added in another order, so only
+            # without ties or with integer residuals are the values exact.
+            assert tree.value == oracle.value
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_problems())
+    def test_given_order_matches_own_sort(self, problem):
+        X, resid, max_leaves, min_leaf, _ = problem
+        order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
+        assert fit_tree(X, resid, max_leaves, min_leaf, order=order) == \
+            fit_tree(X, resid, max_leaves, min_leaf)
+
+
 class TestMart:
     def test_overfits_tiny_regression(self):
         X = np.arange(8.0).reshape(8, 1)
@@ -473,6 +537,66 @@ class TestPredict:
     def test_empty_rows(self):
         model = LinearModel(weights=(1.0,), metric="p5", seed=0)
         assert predict_rows(model, []).shape == (0,)
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def random_trees(draw):
+    """A tree grown by splitting random leaves, with edge-case floats."""
+    feature, left, right = [-1], [0], [0]
+    for _ in range(draw(st.integers(0, 6))):
+        node = draw(st.sampled_from(
+            [i for i, f in enumerate(feature) if f < 0]))
+        feature[node] = draw(st.integers(0, N_FEATURES - 1))
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        left += [0, 0]
+        right += [0, 0]
+    n = len(feature)
+    floats = st.lists(_EDGE_FLOATS, min_size=n, max_size=n).map(tuple)
+    return Tree(feature=tuple(feature), threshold=draw(floats),
+                left=tuple(left), right=tuple(right), value=draw(floats))
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestModelRoundTripIsBitExact:
+    """What save_model writes, load_model returns bit for bit."""
+
+    @settings(deadline=None)
+    @given(trees=st.lists(random_trees(), min_size=1, max_size=3),
+           shrinkage=st.one_of(st.sampled_from([5e-324, 1e-310, 1.0]),
+                               st.floats(5e-324, 1.0)))
+    def test_tree_ensemble(self, tmp_path_factory, trees, shrinkage):
+        model = TreeEnsemble(trees=tuple(trees), shrinkage=shrinkage,
+                             metric="mrr", seed=3)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert len(back.trees) == len(model.trees)
+        for got, want in zip(back.trees, model.trees):
+            assert got.feature == want.feature
+            assert got.left == want.left
+            assert got.right == want.right
+            assert float_bits(got.threshold) == float_bits(want.threshold)
+            assert float_bits(got.value) == float_bits(want.value)
+        assert float_bits(back.shrinkage) == float_bits(shrinkage)
+        assert (back.metric, back.seed) == ("mrr", 3)
+
+    @settings(deadline=None)
+    @given(weights=st.lists(_EDGE_FLOATS, min_size=1, max_size=N_FEATURES))
+    def test_linear_model(self, tmp_path_factory, weights):
+        model = LinearModel(weights=tuple(weights), metric="p5", seed=0)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        assert float_bits(load_model(path).weights) == float_bits(weights)
 
 
 class TestSerialization:
@@ -587,3 +711,54 @@ class TestSerialization:
                           "left": [7], "right": [0], "value": [1.0]}]}
         with pytest.raises(FormatError, match="child index"):
             load_model(self.write_doc(tmp_path, doc))
+
+    def mart_doc(self, shrinkage=0.1, **tree):
+        node = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                "left": [1, 0, 0], "right": [2, 0, 0],
+                "value": [0.0, -1.0, 1.0]}
+        node.update(tree)
+        return {"format": "venuerec-model", "version": 1, "learner": "mart",
+                "seed": 0, "metric": "p5", "shrinkage": shrinkage,
+                "hyperparameters": {}, "trees": [node]}
+
+    def test_accepts_a_well_formed_tree(self, tmp_path):
+        model = load_model(self.write_doc(tmp_path, self.mart_doc()))
+        assert model.trees[0].left == (1, 0, 0)
+
+    @pytest.mark.parametrize("tree, message", [
+        ({"left": [0, 0, 0]}, "node 0 has a child index not after its own"),
+        ({"feature": [0, 1, -1, -1, -1], "threshold": [0.0] * 5,
+          "left": [1, 1, 0, 0, 0], "right": [2, 3, 0, 0, 0],
+          "value": [0.0] * 5},
+         "node 1 has a child index not after its own"),
+        ({"right": [1, 0, 0]}, "node 1 is the child of 2 nodes, not 1"),
+        ({"feature": [0, 0, -1, -1], "threshold": [0.0] * 4,
+          "left": [1, 2, 0, 0], "right": [2, 3, 0, 0], "value": [0.0] * 4},
+         "node 2 is the child of 2 nodes, not 1"),
+        ({"feature": [0, -1, -1, -1], "threshold": [0.0] * 4,
+          "left": [1, 0, 0, 0], "right": [2, 0, 0, 0], "value": [0.0] * 4},
+         "node 3 is the child of 0 nodes, not 1"),
+    ], ids=["root-cycle", "self-loop", "shared-child", "diamond", "orphan"])
+    def test_rejects_a_tree_that_is_not_one(self, tmp_path, tree, message):
+        path = self.write_doc(tmp_path, self.mart_doc(**tree))
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == "%s: tree 0 %s" % (path, message)
+
+    @pytest.mark.parametrize("shrinkage", [
+        float("nan"), float("inf"), float("-inf"), -0.1, 0.0, 1.5])
+    def test_rejects_a_bad_shrinkage(self, tmp_path, shrinkage):
+        path = self.write_doc(tmp_path, self.mart_doc(shrinkage=shrinkage))
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == "%s: shrinkage must be in (0, 1], got %r" \
+            % (path, shrinkage)
+
+    def test_tree_feature_past_the_matrix(self):
+        tree = Tree(feature=(99, -1, -1), threshold=(0.5, 0.0, 0.0),
+                    left=(1, 0, 0), right=(2, 0, 0), value=(0.0, -1.0, 1.0))
+        model = TreeEnsemble(trees=(tree,), shrinkage=0.1, metric="p5",
+                             seed=0)
+        with pytest.raises(VenuerecError,
+                           match="matrix has 13 features, model needs 100"):
+            predict_matrix(model, np.zeros((2, N_FEATURES)))
