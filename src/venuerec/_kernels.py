@@ -37,8 +37,9 @@ def best_split(values, targets, min_leaf):
     n = values.shape[0]
     if n < 2 * min_leaf:
         return 0.0, 0
-    total = float(np.cumsum(targets)[-1])
-    left_sums = np.cumsum(targets)[:-1]
+    c = np.cumsum(targets)
+    total = float(c[-1])
+    left_sums = c[:-1]
     left_ns = np.arange(1, n, dtype=np.float64)
     right_ns = n - left_ns
     base = total * total / n

@@ -46,7 +46,7 @@ def _fit(train, valid, config):
     return train_mart(train, valid, config)
 
 
-def run_ablation(rows, config, split_fraction=0.67):
+def run_ablation(table, config, split_fraction=0.67):
     """Train the full model and one knockout per feature column.
 
     `config` is a CAConfig or a MARTConfig; it picks the learner, and
@@ -55,8 +55,8 @@ def run_ablation(rows, config, split_fraction=0.67):
     built once; each knockout trains and scores on copies of them with
     one column of `X` zeroed, which is exact because the split and the
     row order depend only on topic and venue ids.  Every variant is
-    scored over all topics of `rows`, with the metric averaged the same
-    way the trainers do it.
+    scored over all topics of the FeatureTable `table`, with the metric
+    averaged the same way the trainers do it.
     """
     if isinstance(config, CAConfig):
         learner = "coordinate_ascent"
@@ -65,11 +65,10 @@ def run_ablation(rows, config, split_fraction=0.67):
     else:
         raise VenuerecError("unknown learner %r" % (config,))
     metric, seed = config.metric, config.seed
-    rows = list(rows)
-    train_rows, valid_rows = split_train_validation(rows, split_fraction,
-                                                    seed)
-    train, valid = TopicBlocks(train_rows), TopicBlocks(valid_rows)
-    blocks = TopicBlocks(rows)
+    train_table, valid_table = split_train_validation(table, split_fraction,
+                                                      seed)
+    train, valid = TopicBlocks(train_table), TopicBlocks(valid_table)
+    blocks = TopicBlocks(table)
 
     baseline_model = _fit(train, valid, config)
     baseline = blocks.metric(predict_matrix(baseline_model, blocks.X), metric)

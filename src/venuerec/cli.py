@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands cover the whole workflow: build the embedding-space vector
-caches, extract feature rows, train a ranker, produce and score run
+caches, extract the feature table, train a ranker, produce and score run
 files, and knock features out one at a time.  `pipeline` chains the
 first five steps over one output directory: it loads the corpus once
 and hands the loaded objects from step to step, so the files it writes
@@ -15,6 +15,7 @@ outputs alone.
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -45,7 +46,7 @@ from .ltr import (
     TopicBlocks,
     load_model,
     load_model_info,
-    predict_rows,
+    predict_matrix,
     save_model,
     split_train_validation,
     train_coordinate_ascent,
@@ -145,6 +146,9 @@ def _coerce(key, raw):
     except ValueError:
         raise ConfigError("config key %r wants %s, got %r"
                           % (key, kind.__name__, raw))
+    if kind is float and not math.isfinite(value):
+        raise ConfigError("config key %r must be finite, got %r"
+                          % (key, raw.strip()))
     if key in CHOICES and value not in CHOICES[key]:
         raise ConfigError("config key %r must be one of %s, got %r"
                           % (key, "/".join(CHOICES[key]), value))
@@ -166,7 +170,11 @@ def parse_config_file(path):
             if key not in CONFIG_TYPES:
                 raise ConfigError("%s: line %d: unknown config key %r"
                                   % (path, lineno, key))
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = _coerce(key, raw)
+            except ConfigError as exc:
+                raise ConfigError("%s: line %d: %s"
+                                  % (path, lineno, exc)) from None
     except FormatError as exc:
         raise ConfigError(str(exc)) from None
     return values
@@ -260,17 +268,17 @@ def build_profiles_step(cfg, store, venues, profiles, out_dir):
 
 
 def extract_step(venues_by_id, pairs, qrels, models, out_dir):
-    """Write features.txt; returns its rows in file order."""
+    """Write features.txt; returns the FeatureTable it holds."""
     path = _out(out_dir, "features.txt")
-    rows = write_features(extract_all(pairs, venues_by_id, models, qrels),
-                          path)
+    table = extract_all(pairs, venues_by_id, models, qrels)
+    write_features(table, path)
     log.info("%d feature rows over %d topics written to %s",
-             len(rows), len(pairs), path)
-    return rows
+             len(table), len(pairs), path)
+    return table
 
 
-def _rows_for_learning(cfg, rows):
-    return normalize_per_topic(rows) if cfg["normalize"] else rows
+def _table_for_learning(cfg, table):
+    return normalize_per_topic(table) if cfg["normalize"] else table
 
 
 def _hyperparameters(cfg):
@@ -301,11 +309,10 @@ def _learner_config(cfg):
         patience=cfg["patience"], metric=cfg["metric"], seed=cfg["seed"])
 
 
-def train_step(cfg, rows, out_dir):
-    rows = _rows_for_learning(cfg, rows)
-    train_rows, valid_rows = split_train_validation(
-        rows, cfg["split_fraction"], cfg["seed"])
-    train, valid = TopicBlocks(train_rows), TopicBlocks(valid_rows)
+def train_step(cfg, table, out_dir):
+    train_table, valid_table = split_train_validation(
+        _table_for_learning(cfg, table), cfg["split_fraction"], cfg["seed"])
+    train, valid = TopicBlocks(train_table), TopicBlocks(valid_table)
     config = _learner_config(cfg)
     if isinstance(config, CAConfig):
         model = train_coordinate_ascent(train, valid, config)
@@ -316,21 +323,20 @@ def train_step(cfg, rows, out_dir):
     log.info("model written to %s", path)
 
 
-def rank_step(cfg, rows, model_path, out_dir):
+def rank_step(cfg, table, model_path, out_dir):
     model = load_model(model_path)
     info = load_model_info(model_path)
     normalize = bool(info.get("normalize", cfg["normalize"]))
     if normalize:
-        rows = normalize_per_topic(rows)
+        table = normalize_per_topic(table)
         log.info("per-topic normalization applied before scoring")
     try:
-        scores = predict_rows(model, rows)
+        scores = predict_matrix(model, table.X).tolist()
     except VenuerecError as exc:
         raise FormatError(str(exc), path=model_path)
-    scored = {}
-    for row, score in zip(rows, scores):
-        scored.setdefault(row.topic_id, []).append(
-            (row.venue_id, float(score)))
+    scored = {table.topic_ids[start]: list(zip(table.venue_ids[start:stop],
+                                               scores[start:stop]))
+              for start, stop in table.bounds}
     run = ranked_run(cfg["run_tag"], scored, depth=cfg["depth"])
     path = _out(out_dir, "run.txt")
     write_run(run, path)
@@ -363,9 +369,9 @@ def eval_step(cfg, run, qrels, compare, out_dir):
     print("MRR\tall\t%.6f" % report.mrr)
 
 
-def ablate_step(cfg, rows, out_dir):
-    rows = _rows_for_learning(cfg, rows)
-    report = run_ablation(rows, _learner_config(cfg),
+def ablate_step(cfg, table, out_dir):
+    report = run_ablation(_table_for_learning(cfg, table),
+                          _learner_config(cfg),
                           split_fraction=cfg["split_fraction"])
     path = _out(out_dir, "ablation.tsv")
     write_ablation(report, path)
@@ -524,9 +530,9 @@ def _cmd_pipeline(cfg, args):
     # the embedding matrix is the largest input and no later step needs
     # it; held on, it would raise the peak RSS of training
     del store
-    rows = extract_step(venues_by_id, pairs, qrels, models, out_dir)
-    train_step(cfg, rows, out_dir)
-    rank_step(cfg, rows, _out(out_dir, "model.json"), out_dir)
+    table = extract_step(venues_by_id, pairs, qrels, models, out_dir)
+    train_step(cfg, table, out_dir)
+    rank_step(cfg, table, _out(out_dir, "model.json"), out_dir)
     eval_step(cfg, load_run(_out(out_dir, "run.txt")), qrels, None, out_dir)
 
 

@@ -10,6 +10,7 @@ pointing at an unknown venue is kept, it just scores zero later.
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import FormatError
@@ -177,22 +178,22 @@ def _field(obj, key, kind, path, lineno, required=False):
             raise FormatError("missing field %r" % key, path=path, line=lineno)
         return None
     value = obj[key]
-    if kind is int:
-        # bool is an int subclass; floats must be integral to pass
+    if kind is int or kind is float:
+        # bool is an int subclass; JSON reads 1e400 as inf, and float()
+        # overflows on an integer such as 10**400
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError("field %r must be a number" % key, path=path,
                               line=lineno)
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise FormatError("field %r must be an integer" % key,
-                                  path=path, line=lineno)
-            value = int(value)
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError("field %r must be a number" % key, path=path,
-                              line=lineno)
-        return float(value)
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise FormatError("field %r does not fit a finite float" % key,
+                              path=path, line=lineno)
+        if kind is float:
+            return float(value)
+        # floats must be integral to pass
+        if isinstance(value, float) and not value.is_integer():
+            raise FormatError("field %r must be an integer" % key,
+                              path=path, line=lineno)
+        return int(value)
     if kind is str:
         if not isinstance(value, str):
             raise FormatError("field %r must be a string" % key, path=path,
@@ -398,6 +399,10 @@ def load_qrels(path):
                               path=path, line=lineno) from None
         if grade < 0:
             raise FormatError("grade must be >= 0", path=path, line=lineno)
+        if grade >= 2 ** 63:
+            # feature tables hold labels as 64-bit integers
+            raise FormatError("grade must fit in 64 bits", path=path,
+                              line=lineno)
         key = (topic_id, venue_id)
         if key in judgments:
             raise FormatError("duplicate judgment for (%s, %s)" % key,

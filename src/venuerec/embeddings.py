@@ -1,4 +1,4 @@
-"""Pre-trained word embedding store: file I/O, vector arithmetic, top-K search.
+"""Pre-trained word embedding store: file I/O, cosine, top-K search.
 
 Two on-disk formats are supported.  Text: an optional "<count> <dim>"
 header line, then one "term c1 ... cD" line per word.  Binary: the
@@ -97,39 +97,6 @@ def cosine(a, b):
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def vec_combine(weighted, dimension=None):
-    """Sum of weight * vector over (vector, weight) pairs.
-
-    An empty input needs an explicit dimension to size the zero vector.
-    """
-    acc = None
-    for vec, weight in weighted:
-        v = np.asarray(vec, dtype=np.float64)
-        if acc is None:
-            if v.ndim != 1:
-                raise ValueError("vec_combine requires rank-1 vectors")
-            if dimension is not None and v.shape[0] != dimension:
-                raise ValueError("vector length %d != dimension %d"
-                                 % (v.shape[0], dimension))
-            acc = np.zeros(v.shape[0], dtype=np.float64)
-        elif v.shape != acc.shape:
-            raise ValueError("vec_combine requires equal-length vectors")
-        acc += float(weight) * v
-    if acc is None:
-        if dimension is None:
-            raise ValueError("empty combine needs an explicit dimension")
-        return np.zeros(dimension, dtype=np.float64)
-    return acc
-
-
-def vec_sub(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("vec_sub requires two vectors of equal length")
-    return a - b
 
 
 def similar_k(store, query, k, exclude=()):
@@ -275,7 +242,11 @@ def _load_binary(path):
         space = blob.find(b" ", pos)
         if space < 0:
             raise FormatError("truncated record", path=path, offset=pos)
-        term = blob[pos:space].decode("utf-8").lstrip("\n")
+        try:
+            term = blob[pos:space].decode("utf-8").lstrip("\n")
+        except UnicodeDecodeError:
+            raise FormatError("term is not valid UTF-8", path=path,
+                              offset=pos) from None
         if not term:
             raise FormatError("empty term", path=path, offset=pos)
         if term in seen:

@@ -6,14 +6,13 @@ Everything downstream (training, serialization, ablation reports)
 refers to features by this order or by the names below.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import DEFAULT_SCHEMA, numbered_lines
 from .embeddings import cosine
-from .errors import FormatError
+from .errors import FormatError, VenuerecError
 
 FEATURE_NAMES = (
     "checkins", "likes", "comment_count", "photos", "rating_avg",
@@ -27,19 +26,75 @@ _STAT_FIELDS = ("checkins", "likes", "comment_count", "photos", "rating_avg",
                 "unique_users")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    topic_id: str
-    venue_id: str
-    label: int
-    features: tuple
+class FeatureTableError(VenuerecError, ValueError):
+    """A row the feature table cannot hold; `row` is its input index."""
 
-    def __post_init__(self):
-        if len(self.features) != N_FEATURES:
-            raise ValueError("expected %d features, got %d"
-                             % (N_FEATURES, len(self.features)))
-        if not all(math.isfinite(x) for x in self.features):
-            raise ValueError("features must be finite")
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
+
+
+class FeatureTable:
+    """Feature rows, sorted by topic id and then venue id.
+
+    Row i is candidate ``venue_ids[i]`` of topic ``topic_ids[i]``, with
+    label ``labels[i]`` and features ``X[i]``; `bounds` holds each
+    topic's ``(start, stop)`` slice.  The arrays are read-only.
+
+    The constructor takes rows in any order, and is the one place where
+    rows are sorted and checked: 13 finite features, ids non-empty and
+    free of whitespace, 64-bit labels, no (topic, venue) pair twice.  A
+    failed check raises FeatureTableError with the bad row's index.
+    """
+
+    def __init__(self, topic_ids, venue_ids, labels, X):
+        n = len(topic_ids)
+        X = np.array(X, dtype=np.float64)
+        if not n:
+            X = X.reshape(0, N_FEATURES)
+        if (X.shape != (n, N_FEATURES)
+                or not len(venue_ids) == len(labels) == n):
+            raise FeatureTableError("expected ids, labels and %d features for "
+                                    "each of %d rows" % (N_FEATURES, n))
+        for i, ids in enumerate(zip(topic_ids, venue_ids)):
+            for ident in ids:
+                # split() cuts at exactly the characters isspace() knows
+                if ident.split() != [ident]:
+                    raise FeatureTableError(
+                        "identifier %r is empty or has whitespace" % ident, i)
+        try:
+            labels = np.array(labels, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, label in enumerate(labels)
+                     if not -2 ** 63 <= label < 2 ** 63)
+            raise FeatureTableError("label %d does not fit in 64 bits"
+                                    % labels[i], i) from None
+        bad = np.argwhere(~np.isfinite(X))
+        if len(bad):
+            i, j = bad[0]
+            raise FeatureTableError("feature %d is not finite" % (j + 1),
+                                    int(i))
+        keys = list(zip(topic_ids, venue_ids))
+        order = sorted(range(n), key=keys.__getitem__)
+        repeats = [order[k] for k in range(1, n)
+                   if keys[order[k]] == keys[order[k - 1]]]
+        if repeats:
+            i = min(repeats)
+            raise FeatureTableError("duplicate row for topic %s venue %s"
+                                    % keys[i], i)
+
+        self.topic_ids = tuple(topic_ids[i] for i in order)
+        self.venue_ids = tuple(venue_ids[i] for i in order)
+        self.labels = labels[order]
+        self.X = X[order]
+        self.labels.flags.writeable = False
+        self.X.flags.writeable = False
+        starts = [k for k in range(n)
+                  if not k or self.topic_ids[k] != self.topic_ids[k - 1]]
+        self.bounds = tuple(zip(starts, starts[1:] + [n]))
+
+    def __len__(self):
+        return len(self.topic_ids)
 
 
 @dataclass(frozen=True)
@@ -53,8 +108,8 @@ class ModelSet:
     schema: object = field(default=DEFAULT_SCHEMA)
 
 
-def extract_features(pair, venue, models, qrels=None):
-    """One feature row; degenerate inputs yield zeros, never errors."""
+def extract_features(pair, venue, models):
+    """The 13 features of one row; degenerate inputs give zeros, not errors."""
     venue_id = venue.id if venue is not None else None
     stats = venue.stats if venue is not None else None
     row = []
@@ -88,94 +143,74 @@ def extract_features(pair, venue, models, qrels=None):
         row.append(0.0)
     else:
         row.append(cosine(w2v, gv.vector))
-
-    label = qrels.grade(pair.topic_id, venue_id) if (
-        qrels is not None and venue_id is not None) else 0
-    return FeatureVector(topic_id=pair.topic_id,
-                         venue_id=venue_id if venue_id is not None else "",
-                         label=label, features=tuple(row))
-
-
-def extract_topic(pair, venues_by_id, models, qrels=None):
-    """Feature rows for every candidate of one topic, candidate order."""
-    rows = []
-    for venue_id in pair.candidates:
-        venue = venues_by_id.get(venue_id)
-        if venue is None:
-            # dangling candidate: keep it rankable on zero features
-            row = extract_features(pair, None, models, qrels)
-            label = qrels.grade(pair.topic_id, venue_id) if qrels else 0
-            row = FeatureVector(topic_id=pair.topic_id, venue_id=venue_id,
-                                label=label, features=row.features)
-        else:
-            row = extract_features(pair, venue, models, qrels)
-        rows.append(row)
-    return rows
+    return tuple(row)
 
 
 def extract_all(pairs, venues_by_id, models, qrels=None):
-    rows = []
+    """The FeatureTable of every candidate of every pair.
+
+    A dangling candidate, one missing from `venues_by_id`, keeps its id
+    and label and is ranked on zero features.
+    """
+    topic_ids, venue_ids, labels, rows = [], [], [], []
     for pair in pairs:
-        rows.extend(extract_topic(pair, venues_by_id, models, qrels))
-    return rows
+        for venue_id in pair.candidates:
+            topic_ids.append(pair.topic_id)
+            venue_ids.append(venue_id)
+            labels.append(qrels.grade(pair.topic_id, venue_id)
+                          if qrels is not None else 0)
+            rows.append(extract_features(pair, venues_by_id.get(venue_id),
+                                         models))
+    return FeatureTable(topic_ids, venue_ids, labels, rows)
 
 
-def normalize_per_topic(rows, columns=range(6)):
+def normalize_per_topic(table, columns=range(6)):
     """Min-max scale the given feature columns within each topic.
 
     Intended for the linear learner on raw count features; a constant
-    column maps to 0.  Returns new rows, input order preserved.
+    column maps to 0.  Returns a new FeatureTable.
     """
     columns = tuple(columns)
-    by_topic = {}
-    for row in rows:
-        by_topic.setdefault(row.topic_id, []).append(row)
-    replacement = {}
-    for topic_rows in by_topic.values():
-        matrix = np.array([r.features for r in topic_rows], dtype=np.float64)
+    X = table.X.copy()
+    for start, stop in table.bounds:
         for c in columns:
-            lo = matrix[:, c].min()
-            hi = matrix[:, c].max()
+            col = X[start:stop, c]
+            lo = col.min()
+            hi = col.max()
             if hi > lo:
-                matrix[:, c] = (matrix[:, c] - lo) / (hi - lo)
+                col[:] = (col - lo) / (hi - lo)
             else:
-                matrix[:, c] = 0.0
-        for r, vals in zip(topic_rows, matrix):
-            replacement[id(r)] = FeatureVector(
-                topic_id=r.topic_id, venue_id=r.venue_id, label=r.label,
-                features=tuple(float(x) for x in vals))
-    return [replacement[id(r)] for r in rows]
+                col[:] = 0.0
+    return FeatureTable(table.topic_ids, table.venue_ids, table.labels, X)
 
 
 # ---------------------------------------------------------------------------
 # Feature file I/O
 # ---------------------------------------------------------------------------
 
-def write_features(rows, path):
-    """Write rows sorted by (topic, venue); returns them in that order.
+def write_features(table, path):
+    """Write a FeatureTable, one line a row in table order.
 
-    Every value is printed with %r, so the returned rows equal what
-    read_features loads back from `path`.
+    Every value is printed with %r, so read_features loads back a table
+    equal to `table` bit for bit.
     """
-    for row in rows:
-        for ident in (row.topic_id, row.venue_id):
-            if not ident or any(ch.isspace() for ch in ident):
-                raise ValueError("identifier %r is empty or has whitespace"
-                                 % ident)
-    ordered = sorted(rows, key=lambda r: (r.topic_id, r.venue_id))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in ordered:
-            parts = ["%d" % row.label, "qid:" + row.topic_id]
-            for i, x in enumerate(row.features, start=1):
-                parts.append("%d:%r" % (i, float(x)))
-            parts.append("#")
-            parts.append(row.venue_id)
-            fh.write(" ".join(parts) + "\n")
-    return ordered
+        for topic_id, venue_id, label, row in zip(
+                table.topic_ids, table.venue_ids, table.labels.tolist(),
+                table.X.tolist()):
+            features = " ".join("%d:%r" % (i, x)
+                                for i, x in enumerate(row, start=1))
+            fh.write("%d qid:%s %s # %s\n"
+                     % (label, topic_id, features, venue_id))
 
 
 def read_features(path):
-    rows = []
+    """The FeatureTable a features file holds.
+
+    A bad row, a repeated (topic, venue) pair included, is a FormatError
+    naming its line.
+    """
+    topic_ids, venue_ids, labels, rows, linenos = [], [], [], [], []
     for lineno, line in numbered_lines(path):
         line = line.strip()
         if not line:
@@ -197,7 +232,6 @@ def read_features(path):
         if not parts[1].startswith("qid:") or len(parts[1]) < 5:
             raise FormatError("second field must be qid:<topic>",
                               path=path, line=lineno)
-        topic_id = parts[1][4:]
         feats = []
         for i, tok in enumerate(parts[2:], start=1):
             prefix = "%d:" % i
@@ -206,24 +240,18 @@ def read_features(path):
                     "expected feature %d, got %r" % (i, tok),
                     path=path, line=lineno)
             try:
-                value = float(tok[len(prefix):])
+                feats.append(float(tok[len(prefix):]))
             except ValueError:
                 raise FormatError(
                     "feature %d is not a number" % i,
                     path=path, line=lineno) from None
-            if not math.isfinite(value):
-                raise FormatError("feature %d is not finite" % i,
-                                  path=path, line=lineno)
-            feats.append(value)
-        rows.append(FeatureVector(topic_id=topic_id, venue_id=venue_id,
-                                  label=label, features=tuple(feats)))
-    return rows
-
-
-def feature_matrix(rows):
-    """(X, y) arrays in row order; X is float64, y the integer labels."""
-    X = np.array([r.features for r in rows], dtype=np.float64)
-    y = np.array([r.label for r in rows], dtype=np.float64)
-    if X.size == 0:
-        X = X.reshape(0, N_FEATURES)
-    return X, y
+        topic_ids.append(parts[1][4:])
+        venue_ids.append(venue_id)
+        labels.append(label)
+        rows.append(feats)
+        linenos.append(lineno)
+    try:
+        return FeatureTable(topic_ids, venue_ids, labels, rows)
+    except FeatureTableError as exc:
+        raise FormatError(str(exc), path=path, line=linenos[exc.row]) \
+            from None

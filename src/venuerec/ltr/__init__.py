@@ -3,9 +3,8 @@
 import numpy as np
 
 from ..errors import VenuerecError
-from ..features import feature_matrix
 from .coordinate_ascent import CAConfig, LinearModel, train_coordinate_ascent
-from .data import TopicBlocks, rows_by_topic, split_train_validation
+from .data import TopicBlocks, split_train_validation
 from .mart import MARTConfig, Tree, TreeEnsemble, fit_tree, train_mart
 from .mart import _tree_outputs
 from .serialize import load_model, load_model_info, save_model
@@ -21,8 +20,6 @@ __all__ = [
     "load_model",
     "load_model_info",
     "predict_matrix",
-    "predict_rows",
-    "rows_by_topic",
     "save_model",
     "split_train_validation",
     "train_coordinate_ascent",
@@ -52,10 +49,3 @@ def predict_matrix(model, X):
         return out
     raise VenuerecError("cannot score with %r" % type(model).__name__)
 
-
-def predict_rows(model, rows):
-    """Score feature rows in their given order."""
-    if not rows:
-        return np.zeros(0)
-    X, _ = feature_matrix(rows)
-    return predict_matrix(model, X)

@@ -8,6 +8,7 @@ comparable across restarts.
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class CAConfig:
         if self.restarts < 1 or self.max_sweeps < 1 or self.step_scales < 1:
             raise VenuerecError("restarts, max_sweeps and step_scales "
                                 "must be positive")
-        if self.step_base <= 0.0:
-            raise VenuerecError("step_base must be positive")
+        if not 0.0 < self.step_base < math.inf:
+            raise VenuerecError("step_base must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)

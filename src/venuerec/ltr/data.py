@@ -1,9 +1,9 @@
-"""Row grouping and the train/validation split for the rankers.
+"""The train/validation split and the per-topic blocks the rankers use.
 
-Rows are kept in a canonical order (topic ascending, venue ascending
-inside a topic) so that a stable descending sort on scores yields the
-same tie handling as the run builder: score descending, venue id
-ascending.
+Feature tables keep their rows in canonical order (topic ascending,
+venue ascending inside a topic), so a stable descending sort on scores
+yields the same tie handling as the run builder: score descending,
+venue id ascending.
 """
 
 import copy
@@ -11,36 +11,22 @@ import copy
 import numpy as np
 
 from ..errors import VenuerecError
-from ..features import feature_matrix
+from ..features import FeatureTable
 
 METRICS = ("p5", "mrr")
 
 
-def rows_by_topic(rows):
-    """Group feature rows into ``{topic_id: [row, ...]}`` in canonical order."""
-    seen = set()
-    for row in rows:
-        key = (row.topic_id, row.venue_id)
-        if key in seen:
-            raise VenuerecError("duplicate row for topic %s venue %s" % key)
-        seen.add(key)
-    grouped = {}
-    for row in sorted(rows, key=lambda r: (r.topic_id, r.venue_id)):
-        grouped.setdefault(row.topic_id, []).append(row)
-    return grouped
+def split_train_validation(table, fraction=0.67, seed=0):
+    """Partition a FeatureTable into train and validation tables by topic.
 
-
-def split_train_validation(rows, fraction=0.67, seed=0):
-    """Partition rows into train and validation sets at topic granularity.
-
-    The topic list is shuffled with a generator seeded by `seed`; the
-    first ``round(fraction * n)`` topics (clamped so both sides stay
+    The sorted topic list is shuffled with a generator seeded by `seed`;
+    the first ``round(fraction * n)`` topics (clamped so both sides stay
     non-empty) become the training side.  Row order is preserved.
     """
     if not 0.0 < fraction < 1.0:
         raise VenuerecError("split fraction must be in (0, 1), got %r"
                             % (fraction,))
-    topics = sorted({row.topic_id for row in rows})
+    topics = [table.topic_ids[start] for start, _ in table.bounds]
     if len(topics) < 2:
         raise VenuerecError("need at least 2 topics to split, got %d"
                             % len(topics))
@@ -49,15 +35,19 @@ def split_train_validation(rows, fraction=0.67, seed=0):
     n_train = int(round(fraction * len(topics)))
     n_train = min(max(n_train, 1), len(topics) - 1)
     train_topics = {topics[i] for i in perm[:n_train]}
-    train = [row for row in rows if row.topic_id in train_topics]
-    valid = [row for row in rows if row.topic_id not in train_topics]
-    return train, valid
+    in_train = np.array([topic in train_topics for topic in table.topic_ids])
+    sides = []
+    for rows in (np.flatnonzero(in_train), np.flatnonzero(~in_train)):
+        sides.append(FeatureTable([table.topic_ids[i] for i in rows],
+                                  [table.venue_ids[i] for i in rows],
+                                  table.labels[rows], table.X[rows]))
+    return tuple(sides)
 
 
 class TopicBlocks:
-    """Canonically ordered feature matrix with per-topic slices.
+    """A FeatureTable's matrix, labels and per-topic slices, for ranking.
 
-    Built once per row set; the trainers take it as their input, and
+    Built once per table; the trainers take it as their input, and
     `metric` scores any score vector aligned with `X`.  Topics without
     a single relevant row are left out of the average, matching the run
     evaluator.  The arrays are read-only, so copies made by
@@ -71,23 +61,11 @@ class TopicBlocks:
     as a stable sort of the topic alone.
     """
 
-    def __init__(self, rows, cutoff=1):
-        grouped = rows_by_topic(rows)
-        self.topic_ids = tuple(sorted(grouped))
-        ordered = [row for topic in self.topic_ids for row in grouped[topic]]
-        if ordered:
-            self.X, self.y = feature_matrix(ordered)
-        else:
-            self.X = np.zeros((0, 0))
-            self.y = np.zeros(0)
+    def __init__(self, table, cutoff=1):
+        self.X = table.X
+        self.y = table.labels.astype(np.float64)
         self.rel = self.y >= cutoff
-        bounds = []
-        start = 0
-        for topic in self.topic_ids:
-            stop = start + len(grouped[topic])
-            bounds.append((start, stop))
-            start = stop
-        self.bounds = tuple(bounds)
+        self.bounds = table.bounds
         self.included = tuple(
             i for i, (lo, hi) in enumerate(self.bounds)
             if self.rel[lo:hi].any())

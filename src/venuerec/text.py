@@ -52,17 +52,6 @@ def preprocess(text, config=DEFAULT_CONFIG):
     return out
 
 
-def load_stopwords(path):
-    """One stopword per line; blank lines and '#' comments ignored."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                words.add(word)
-    return frozenset(words)
-
-
 # ---------------------------------------------------------------------------
 # Porter stemmer
 # ---------------------------------------------------------------------------

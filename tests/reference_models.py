@@ -1,21 +1,26 @@
-"""Brute-force reference routes for the vector constructions, the metric
-and the tree learner.
+"""Brute-force reference routes for the vector constructions, the metric,
+the per-topic normalization and the tree learner.
 
 Everything here works with explicit loops, sharing no code with the
 package implementation: venue sums, rating-weighted user sums,
 subtraction-based term expansion, and the summed context/gender vectors
 on plain dicts and python lists (tests assert the package matches these
 within 1e-9 per component), and the ranking metric topic by topic
-(tests assert the package gives the same float).  The tree learner
-sorts every column afresh at every node; it shares only the 1-D split
-kernel, the gain tolerance and the `Tree` record with the package.
+(tests assert the package gives the same float).  The normalization
+rescales one row record at a time (tests assert the package gives the
+same bits).  The tree learner sorts every column afresh at every node;
+it shares only the 1-D split kernel, the gain tolerance and the `Tree`
+record with the package.  `table_of` and `table_bits` build and compare
+the package's FeatureTable for the tests.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from venuerec import _kernels
+from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr.mart import _EPS, Tree
 
 
@@ -100,6 +105,62 @@ def brute_term_sum(vectors, terms, dim):
         for i in range(dim):
             acc[i] += v[i]
     return acc
+
+
+@dataclass(frozen=True)
+class FeatureRow:
+    """One feature row as a record, as `rowwise_normalize` takes it."""
+
+    topic_id: str
+    venue_id: str
+    label: int
+    features: tuple
+
+    def __post_init__(self):
+        if len(self.features) != N_FEATURES:
+            raise ValueError("expected %d features, got %d"
+                             % (N_FEATURES, len(self.features)))
+        if not all(math.isfinite(x) for x in self.features):
+            raise ValueError("features must be finite")
+
+
+def table_of(rows):
+    """The FeatureTable of ``(topic, venue, label, features)`` tuples."""
+    return FeatureTable([r[0] for r in rows], [r[1] for r in rows],
+                        [r[2] for r in rows], [r[3] for r in rows])
+
+
+def table_bits(table):
+    """What a FeatureTable holds, as a value that compares bit for bit."""
+    return (table.topic_ids, table.venue_ids, table.labels.tolist(),
+            table.bounds, table.X.tobytes())
+
+
+def rowwise_normalize(rows, columns=range(6)):
+    """Min-max scale the given feature columns within each topic.
+
+    Intended for the linear learner on raw count features; a constant
+    column maps to 0.  Returns new rows, input order preserved.
+    """
+    columns = tuple(columns)
+    by_topic = {}
+    for row in rows:
+        by_topic.setdefault(row.topic_id, []).append(row)
+    replacement = {}
+    for topic_rows in by_topic.values():
+        matrix = np.array([r.features for r in topic_rows], dtype=np.float64)
+        for c in columns:
+            lo = matrix[:, c].min()
+            hi = matrix[:, c].max()
+            if hi > lo:
+                matrix[:, c] = (matrix[:, c] - lo) / (hi - lo)
+            else:
+                matrix[:, c] = 0.0
+        for r, vals in zip(topic_rows, matrix):
+            replacement[id(r)] = FeatureRow(
+                topic_id=r.topic_id, venue_id=r.venue_id, label=r.label,
+                features=tuple(float(x) for x in vals))
+    return [replacement[id(r)] for r in rows]
 
 
 def loop_metric(blocks, scores, metric, k=5):

@@ -234,7 +234,7 @@ def write_corpus(out_dir, n_topics=N_TOPICS, seed=SEED):
 
 
 def feature_rows(paths, scale=1.0):
-    """Labeled feature rows for a written corpus, via the library wiring.
+    """The labeled FeatureTable of a written corpus, via the library wiring.
 
     `scale` multiplies every stored embedding before the vectors are
     built, which must leave all cosine features unchanged.

@@ -1,15 +1,15 @@
 """Feature knockout study on planted signals with closed-form outcomes."""
 
-import dataclasses
 import logging
 import random
 
 import pytest
 
 import synthdata
+from reference_models import table_of
 from venuerec.ablation import AblationReport, AblationEntry, run_ablation, write_ablation
 from venuerec.errors import VenuerecError
-from venuerec.features import FEATURE_NAMES, N_FEATURES, FeatureVector
+from venuerec.features import FEATURE_NAMES, N_FEATURES, FeatureTable
 from venuerec.ltr import (
     CAConfig,
     MARTConfig,
@@ -35,9 +35,8 @@ def taste_rows(n_topics=6):
     for t in range(n_topics):
         for vid, flag, label in (("a0", 0.0, 0), ("a1", 0.0, 0),
                                  ("a2", 0.0, 0), ("z0", 1.0, 1)):
-            rows.append(FeatureVector("t%d" % t, vid, label,
-                                      pad(0, 0, 0, 0, 0, 0, flag)))
-    return rows
+            rows.append(("t%d" % t, vid, label, pad(0, 0, 0, 0, 0, 0, flag)))
+    return table_of(rows)
 
 
 _FAST_MART = MARTConfig(n_trees=20, patience=5, metric="mrr", seed=0)
@@ -73,10 +72,10 @@ class TestKnockoutClosedForms:
         assert tuple(e.feature for e in report.entries) == FEATURE_NAMES
 
     def test_zero_baseline_reports_zero_deltas(self, caplog):
-        rows = [FeatureVector("t%d" % t, "v%d" % v, 0, pad(float(v)))
-                for t in range(3) for v in range(3)]
+        table = table_of([("t%d" % t, "v%d" % v, 0, pad(float(v)))
+                          for t in range(3) for v in range(3)])
         with caplog.at_level(logging.WARNING, logger="venuerec.ablation"):
-            report = run_ablation(rows, MARTConfig(
+            report = run_ablation(table, MARTConfig(
                 n_trees=2, patience=0, seed=0))
         assert report.baseline == 0.0
         assert all(e.delta_percent == 0.0 for e in report.entries)
@@ -119,28 +118,28 @@ class TestSyntheticCorpus:
         assert worst.delta_percent < runner_up
 
 
-def rebuilt_ablation(rows, config, split_fraction=0.67):
-    """The knockout study from rebuilt rows: every knockout zeroes the
-    column in fresh FeatureVectors, splits them and retrains on them."""
+def rebuilt_ablation(table, config, split_fraction=0.67):
+    """The knockout study from rebuilt tables: every knockout zeroes the
+    column in a fresh FeatureTable, splits it and retrains on it."""
     if isinstance(config, CAConfig):
         train, learner = train_coordinate_ascent, "coordinate_ascent"
     else:
         train, learner = train_mart, "mart"
 
-    def score(rows):
-        fit_rows, valid_rows = split_train_validation(rows, split_fraction,
-                                                      config.seed)
-        model = train(TopicBlocks(fit_rows), TopicBlocks(valid_rows), config)
-        blocks = TopicBlocks(rows)
+    def score(table):
+        fit, valid = split_train_validation(table, split_fraction,
+                                            config.seed)
+        model = train(TopicBlocks(fit), TopicBlocks(valid), config)
+        blocks = TopicBlocks(table)
         return blocks.metric(predict_matrix(model, blocks.X), config.metric)
 
-    baseline = score(rows)
+    baseline = score(table)
     entries = []
     for j, name in enumerate(FEATURE_NAMES):
-        value = score([dataclasses.replace(
-            row, features=tuple(0.0 if i == j else f
-                                for i, f in enumerate(row.features)))
-            for row in rows])
+        value = score(FeatureTable(
+            table.topic_ids, table.venue_ids, table.labels.tolist(),
+            [[0.0 if i == j else f for i, f in enumerate(row)]
+             for row in table.X.tolist()]))
         delta = 100.0 * (value - baseline) / baseline if baseline else 0.0
         entries.append(AblationEntry(name, value, delta))
     return AblationReport(baseline=baseline, metric=config.metric,
@@ -158,9 +157,8 @@ def noisy_rows(n_topics=16, seed=11):
             features = tuple(
                 rng.gauss(0.0, 1.0) + (label * 0.3 * (6 - j) if j < 6 else 0)
                 for j in range(N_FEATURES))
-            rows.append(FeatureVector("t%02d" % t, "v%02d" % c, label,
-                                      features))
-    return rows
+            rows.append(("t%02d" % t, "v%02d" % c, label, features))
+    return table_of(rows)
 
 
 class TestKnockoutOnTheMatrix:

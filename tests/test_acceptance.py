@@ -19,12 +19,12 @@ from venuerec.cli import main
 from venuerec.corpus import Comment, ContextSchema, UserProfile, Venue, VenueStats
 from venuerec.embeddings import EmbeddingStore, load_embeddings, save_embeddings
 from venuerec.evaluation import evaluate_run, paired_t_test, ranked_run, write_run
-from venuerec.features import FeatureVector, N_FEATURES, feature_matrix
+from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr import (
     CAConfig,
     MARTConfig,
     TopicBlocks,
-    predict_rows,
+    predict_matrix,
     split_train_validation,
     train_coordinate_ascent,
     train_mart,
@@ -38,6 +38,9 @@ from venuerec.profiles import (
     venue_vector,
 )
 from venuerec.text import preprocess
+
+
+NO_ROWS = FeatureTable([], [], [], [])
 
 
 @contextlib.contextmanager
@@ -235,28 +238,26 @@ def test_a03_nearest_terms_match_exhaustive_scan():
 
 def test_a04_cosine_features_are_scale_invariant(corpus, tmp_path):
     """Scaling every stored vector leaves f7-f13 and run files unchanged."""
-    base_rows = synthdata.feature_rows(corpus)
-    X0, _ = feature_matrix(base_rows)
-    train, valid = split_train_validation(base_rows, 0.67, 0)
+    base = synthdata.feature_rows(corpus)
+    train, valid = split_train_validation(base, 0.67, 0)
     model = train_mart(TopicBlocks(train), TopicBlocks(valid),
                        MARTConfig(n_trees=20, patience=5, seed=0))
 
-    def run_bytes(rows, name):
+    def run_bytes(table, name):
         scored = {}
-        for row, score in zip(rows, predict_rows(model, rows)):
-            scored.setdefault(row.topic_id, []).append(
-                (row.venue_id, float(score)))
+        for topic, venue, score in zip(table.topic_ids, table.venue_ids,
+                                       predict_matrix(model, table.X)):
+            scored.setdefault(topic, []).append((venue, float(score)))
         path = tmp_path / name
         write_run(ranked_run("scale", scored), str(path))
         return path.read_bytes()
 
-    reference = run_bytes(base_rows, "base.txt")
+    reference = run_bytes(base, "base.txt")
     for c in (0.01, 3.0, 1e4):
-        rows = synthdata.feature_rows(corpus, scale=c)
-        assert [r.venue_id for r in rows] == [r.venue_id for r in base_rows]
-        X, _ = feature_matrix(rows)
-        assert np.abs(X[:, 6:13] - X0[:, 6:13]).max() <= 1e-12
-        assert run_bytes(rows, "c%s.txt" % c) == reference
+        table = synthdata.feature_rows(corpus, scale=c)
+        assert table.venue_ids == base.venue_ids
+        assert np.abs(table.X[:, 6:13] - base.X[:, 6:13]).max() <= 1e-12
+        assert run_bytes(table, "c%s.txt" % c) == reference
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -341,18 +342,21 @@ def test_a07_coordinate_ascent_learns_the_separating_feature():
     """With f7 separating perfectly, training P@5 hits 1.0 and w7 leads."""
     with budget(10):
         rng = np.random.default_rng(0)
-        rows = []
+        topics, venues, labels, X = [], [], [], []
         for t in range(20):
             for c in range(8):
                 label = 1 if c < 5 else 0
                 feats = [float(5.0 * rng.random())
                          for _ in range(N_FEATURES)]
                 feats[6] = 1.0 if label else 0.0
-                rows.append(FeatureVector("t%02d" % t, "v%02d%d" % (t, c),
-                                          label, tuple(feats)))
-        model = train_coordinate_ascent(TopicBlocks(rows), TopicBlocks([]),
-                                        CAConfig(seed=0))
-        blocks = TopicBlocks(rows)
+                topics.append("t%02d" % t)
+                venues.append("v%02d%d" % (t, c))
+                labels.append(label)
+                X.append(feats)
+        table = FeatureTable(topics, venues, labels, X)
+        model = train_coordinate_ascent(TopicBlocks(table),
+                                        TopicBlocks(NO_ROWS), CAConfig(seed=0))
+        blocks = TopicBlocks(table)
         weights = np.array(model.weights)
         assert blocks.metric(blocks.X @ weights, "p5") == 1.0
         magnitude = np.abs(weights)
@@ -366,21 +370,23 @@ def test_a08_mart_training_error_shrinks_monotonically():
     """MSE never rises over 200 stages; an 8-row toy overfits below 0.01."""
     with budget(10):
         rng = np.random.default_rng(808)
-        rows = [FeatureVector("t%d" % (i // 10), "v%02d" % i,
-                              int(rng.integers(0, 5)),
-                              tuple(float(x)
-                                    for x in rng.normal(size=N_FEATURES)))
-                for i in range(40)]
+        labels, X = [], []
+        for _ in range(40):
+            labels.append(int(rng.integers(0, 5)))
+            X.append(rng.normal(size=N_FEATURES))
+        table = FeatureTable(["t%d" % (i // 10) for i in range(40)],
+                             ["v%02d" % i for i in range(40)], labels, X)
         config = MARTConfig(n_trees=200, patience=0, max_leaves=4, seed=0)
-        model = train_mart(TopicBlocks(rows), TopicBlocks([]), config)
+        model = train_mart(TopicBlocks(table), TopicBlocks(NO_ROWS), config)
         mse = model.history["train_mse"]
         assert len(mse) == 200
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
 
-        toy = [FeatureVector("t0", "v%d" % i, i // 2,
-                             tuple([float(i)] + [0.0] * (N_FEATURES - 1)))
-               for i in range(8)]
-        overfit = train_mart(TopicBlocks(toy), TopicBlocks([]), config)
+        toy = FeatureTable(["t0"] * 8, ["v%d" % i for i in range(8)],
+                           [i // 2 for i in range(8)],
+                           [[float(i)] + [0.0] * (N_FEATURES - 1)
+                            for i in range(8)])
+        overfit = train_mart(TopicBlocks(toy), TopicBlocks(NO_ROWS), config)
         assert math.sqrt(overfit.history["train_mse"][-1]) < 0.01
 
 

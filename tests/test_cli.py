@@ -330,6 +330,76 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             "error: %s: line 2: feature 1 is not finite\n" % features)
 
+    @pytest.mark.parametrize("command", ["train", "rank", "ablate"])
+    def test_repeated_feature_row_exits_2(self, pipeline_dir, tmp_path,
+                                          capsys, command):
+        lines = (pipeline_dir / "features.txt").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        lines.append(lines[3].replace("qid:", "1 qid:", 1)[2:])
+        features = tmp_path / "features.txt"
+        features.write_text("".join(lines), encoding="utf-8")
+        topic = lines[3].split()[1][4:]
+        venue = lines[3].split()[-1]
+        argv = [command, "--out-dir", str(tmp_path / "out"),
+                "--features", str(features)]
+        if command == "rank":
+            argv += ["--model", str(pipeline_dir / "model.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line %d: duplicate row for topic %s venue %s\n"
+            % (features, len(lines), topic, venue))
+
+    def test_non_utf8_binary_term_exits_2(self, corpus, tmp_path, capsys):
+        blob = tmp_path / "embeddings.bin"
+        vector = np.ones(3, dtype="<f4").tobytes()
+        blob.write_bytes(b"2 3\nok " + vector + b"\ncaf\xe9 " + vector
+                         + b"\n")
+        code = main(["build-profiles", "--out-dir", str(tmp_path / "out"),
+                     "--embedding-format", "binary",
+                     "--embeddings", str(blob),
+                     "--venues", corpus["venues"],
+                     "--profiles", corpus["profiles"]])
+        assert code == 2
+        # the second term starts after the header (4 bytes), the first
+        # record ("ok ", 12 bytes of floats) and its newline
+        assert capsys.readouterr().err == (
+            "error: %s: offset 20: term is not valid UTF-8\n" % blob)
+
+    @pytest.mark.parametrize("field, raw", [
+        ("checkins", "1" + "0" * 400),
+        ("rating_avg", "1e400"),
+        ("likes", "-1e400"),
+    ], ids=["huge-int", "huge-float", "huge-negative"])
+    def test_oversized_venue_statistic_exits_2(self, corpus, tmp_path,
+                                               capsys, field, raw):
+        lines = open(corpus["venues"], encoding="utf-8").read().splitlines()
+        record = json.loads(lines[1])
+        record[field] = 0
+        lines[1] = json.dumps(record).replace(
+            '"%s": 0' % field, '"%s": %s' % (field, raw))
+        venues = tmp_path / "venues.jsonl"
+        venues.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(pipeline_argv({**corpus, "venues": str(venues)},
+                                  tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: field %r does not fit a finite float\n"
+            % (venues, field))
+
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-inf"])
+    def test_non_finite_step_base_exits_2(self, pipeline_dir, tmp_path,
+                                          capsys, raw):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("learner = ca\nstep_base = %s\n" % raw,
+                       encoding="utf-8")
+        code = main(["train", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg),
+                     "--features", str(pipeline_dir / "features.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: config key 'step_base' must be finite, "
+            "got %r\n" % (cfg, raw))
+
     @pytest.mark.parametrize("field, value, message", [
         ("feature", 99, "matrix has 13 features, model needs 100"),
         ("shrinkage", float("nan"), "shrinkage must be in (0, 1], got nan"),

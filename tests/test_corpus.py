@@ -266,6 +266,12 @@ class TestQrels:
         with pytest.raises(FormatError, match=">= 0"):
             load_qrels(p)
 
+    def test_grade_past_64_bits(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_text("t1 0 v1 %d\nt1 0 v2 %d\n" % (2 ** 63 - 1, 2 ** 63))
+        with pytest.raises(FormatError, match="line 2: grade must fit in 64"):
+            load_qrels(p)
+
 
 class TestSchema:
     def test_default_aspects(self):

@@ -1,4 +1,4 @@
-"""Embedding store: file formats, vector ops, exact top-K search."""
+"""Embedding store: file formats, cosine, exact top-K search."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from venuerec.embeddings import (
     load_embeddings,
     save_embeddings,
     similar_k,
-    vec_combine,
-    vec_sub,
 )
 from venuerec.errors import FormatError
 
@@ -117,50 +115,6 @@ class TestCosine:
         base = cosine(a, b)
         for alpha, beta in [(0.01, 3.0), (1e4, 1e-3), (7.0, 7.0)]:
             assert abs(cosine(alpha * a, beta * b) - base) <= 1e-12
-
-
-class TestVecOps:
-    def test_combine_two_unit_weights(self):
-        np.testing.assert_allclose(
-            vec_combine([([1.0, 2.0], 1), ([3.0, 4.0], 1)]), [4.0, 6.0])
-
-    def test_combine_zero_weight_annihilates(self):
-        np.testing.assert_array_equal(
-            vec_combine([([1.0, 2.0], 0)]), [0.0, 0.0])
-
-    def test_combine_mixed_weights(self):
-        np.testing.assert_allclose(
-            vec_combine([([1.0, 0.0], 2), ([0.0, 1.0], -1)]), [2.0, -1.0])
-
-    def test_combine_empty_needs_dimension(self):
-        np.testing.assert_array_equal(vec_combine([], dimension=3),
-                                      [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            vec_combine([])
-
-    def test_combine_length_mismatch(self):
-        with pytest.raises(ValueError):
-            vec_combine([([1.0, 2.0], 1), ([1.0], 1)])
-
-    def test_combine_permutation_stability(self):
-        rng = np.random.default_rng(13)
-        pairs = [(rng.uniform(-1e3, 1e3, size=5), rng.uniform(-3, 3))
-                 for _ in range(40)]
-        forward = vec_combine(pairs)
-        backward = vec_combine(pairs[::-1])
-        np.testing.assert_allclose(forward, backward, atol=1e-9, rtol=0)
-
-    def test_sub(self):
-        np.testing.assert_array_equal(vec_sub([1.0, 2.0], [1.0, 2.0]),
-                                      [0.0, 0.0])
-        np.testing.assert_array_equal(vec_sub([3.0, 1.0], [1.0, 1.0]),
-                                      [2.0, 0.0])
-        np.testing.assert_array_equal(vec_sub([0.0, 0.0], [1.0, 1.0]),
-                                      [-1.0, -1.0])
-
-    def test_sub_length_mismatch(self):
-        with pytest.raises(ValueError):
-            vec_sub([1.0], [1.0, 2.0])
 
 
 class TestSimilarK:

@@ -1,7 +1,12 @@
-"""Feature extraction values, bounds, and the feature-file round trip."""
+"""Feature extraction values, bounds, the feature table and its file."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from reference_models import FeatureRow, rowwise_normalize, table_bits, table_of
 
 from venuerec.corpus import (
     Comment,
@@ -11,15 +16,13 @@ from venuerec.corpus import (
     Venue,
     VenueStats,
 )
-from venuerec.errors import FormatError
+from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import (
     FEATURE_NAMES,
-    FeatureVector,
+    N_FEATURES,
     ModelSet,
     extract_all,
     extract_features,
-    extract_topic,
-    feature_matrix,
     normalize_per_topic,
     read_features,
     write_features,
@@ -78,56 +81,56 @@ class TestExtractFeatures:
 
     def test_toy_chain_uv_pos_is_one(self):
         row = extract_features(make_pair(), make_venue(), make_models())
-        assert row.features[6] == 1.0  # cosine((1,0),(4,0))
+        assert row[6] == 1.0  # cosine((1,0),(4,0))
 
     def test_stats_fill_first_six(self):
         venue = make_venue(checkins=12, likes=3, comment_count=7, photos=2,
                            rating_avg=8.5, unique_users=4)
         row = extract_features(make_pair(), venue, make_models())
-        assert row.features[:6] == (12.0, 3.0, 7.0, 2.0, 8.5, 4.0)
+        assert row[:6] == (12.0, 3.0, 7.0, 2.0, 8.5, 4.0)
 
     def test_absent_stats_are_zero(self):
         row = extract_features(make_pair(), make_venue(likes=5), make_models())
-        assert row.features[:6] == (0.0, 5.0, 0.0, 0.0, 0.0, 0.0)
+        assert row[:6] == (0.0, 5.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_zero_venue_vector_zeroes_cosines(self):
         row = extract_features(make_pair(candidates=("v0",)),
                                make_venue("v0"), make_models())
-        assert row.features[6:] == (0.0,) * 7
+        assert row[6:] == (0.0,) * 7
 
     def test_absent_aspects_zero_bound_aspect_scored(self):
         row = extract_features(make_pair(), make_venue(), make_models())
         # only season bound: f9, f11, f12 zero; f10 = cosine((1,0),(0,1))
-        assert row.features[8] == 0.0
-        assert row.features[9] == 0.0
-        assert row.features[10] == 0.0
-        assert row.features[11] == 0.0
+        assert row[8] == 0.0
+        assert row[9] == 0.0
+        assert row[10] == 0.0
+        assert row[11] == 0.0
 
     def test_two_bound_aspects(self):
         pair = make_pair(context=(("season", "summer"), ("group", "family")))
         row = extract_features(pair, make_venue(), make_models())
-        assert row.features[10] == pytest.approx(SQRT_HALF, abs=1e-12)
+        assert row[10] == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_gender_feature(self):
         row = extract_features(make_pair(), make_venue(), make_models())
-        assert row.features[12] == pytest.approx(SQRT_HALF, abs=1e-12)
+        assert row[12] == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_unknown_user_profile_yields_zero_uv(self):
         pair = make_pair(user=UserProfile("ghost", "male", ()))
         row = extract_features(pair, make_venue(), make_models())
-        assert row.features[6] == 0.0
-        assert row.features[7] == 0.0
+        assert row[6] == 0.0
+        assert row[7] == 0.0
 
     def test_label_from_qrels(self):
         qrels = Qrels({("t1", "v1"): 3})
-        row = extract_features(make_pair(), make_venue(), make_models(),
-                               qrels)
-        assert row.label == 3
+        table = extract_all([make_pair()], {"v1": make_venue()},
+                            make_models(), qrels)
+        assert table.labels.tolist() == [3]
 
     def test_unjudged_label_zero(self):
-        row = extract_features(make_pair(), make_venue(), make_models(),
-                               Qrels({}))
-        assert row.label == 0
+        table = extract_all([make_pair()], {"v1": make_venue()},
+                            make_models(), Qrels({}))
+        assert table.labels.tolist() == [0]
 
     def test_bounds_on_random_models(self):
         rng = np.random.default_rng(8)
@@ -140,7 +143,7 @@ class TestExtractFeatures:
                     "male", rng.normal(size=2))},
             )
             row = extract_features(make_pair(), make_venue(), models)
-            for x in row.features[6:]:
+            for x in row[6:]:
                 assert -1.0 <= x <= 1.0
 
     def test_identical_inputs_identical_features(self):
@@ -178,7 +181,7 @@ class TestExtractFeatures:
             )
             scaled = extract_features(make_pair(), make_venue(),
                                       scaled_models)
-            np.testing.assert_allclose(scaled.features[6:], base.features[6:],
+            np.testing.assert_allclose(scaled[6:], base[6:],
                                        atol=1e-12, rtol=0)
 
 
@@ -186,87 +189,87 @@ class TestExtractTopic:
     def test_dangling_candidate_kept_with_zeros(self):
         pair = make_pair(candidates=("v1", "ghost"))
         qrels = Qrels({("t1", "ghost"): 1})
-        rows = extract_topic(pair, {"v1": make_venue()}, make_models(), qrels)
-        assert [r.venue_id for r in rows] == ["v1", "ghost"]
-        assert rows[1].features == (0.0,) * 13
-        assert rows[1].label == 1
+        table = extract_all([pair], {"v1": make_venue()}, make_models(),
+                            qrels)
+        assert table.venue_ids == ("ghost", "v1")
+        assert tuple(table.X[0]) == (0.0,) * 13
+        assert table.labels[0] == 1
 
     def test_extract_all_orders_by_pair(self):
         pairs = [make_pair(candidates=("v1",)),
                  ContextPair("t2", UserProfile("u1", "male", ()), (),
                              ("v0",))]
-        rows = extract_all(pairs, {"v1": make_venue(),
-                                   "v0": make_venue("v0")}, make_models())
-        assert [(r.topic_id, r.venue_id) for r in rows] == [
+        table = extract_all(pairs, {"v1": make_venue(),
+                                    "v0": make_venue("v0")}, make_models())
+        assert list(zip(table.topic_ids, table.venue_ids)) == [
             ("t1", "v1"), ("t2", "v0")]
 
 
 class TestFeatureVectorType:
+    """The constructor's checks on each row of a FeatureTable."""
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            FeatureVector("t", "v", 0, (1.0, 2.0))
+            table_of([("t", "v", 0, (1.0, 2.0))])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            FeatureVector("t", "v", 0, (float("inf"),) + (0.0,) * 12)
+            table_of([("t", "v", 0, (float("inf"),) + (0.0,) * 12)])
 
     def test_feature_matrix_shapes(self):
-        rows = [FeatureVector("t", "v%d" % i, i, tuple(float(i)
-                for _ in range(13))) for i in range(3)]
-        X, y = feature_matrix(rows)
-        assert X.shape == (3, 13)
-        np.testing.assert_array_equal(y, [0.0, 1.0, 2.0])
+        table = table_of([("t", "v%d" % i, i, tuple(float(i)
+                           for _ in range(13))) for i in range(3)])
+        assert table.X.shape == (3, 13)
+        np.testing.assert_array_equal(table.labels, [0, 1, 2])
 
 
 class TestNormalizePerTopic:
     def test_minmax_per_topic(self):
-        rows = [
-            FeatureVector("t1", "a", 0, (10.0,) + (0.0,) * 12),
-            FeatureVector("t1", "b", 0, (30.0,) + (0.0,) * 12),
-            FeatureVector("t2", "a", 0, (5.0,) + (0.0,) * 12),
-            FeatureVector("t2", "b", 0, (15.0,) + (0.0,) * 12),
-        ]
-        out = normalize_per_topic(rows)
-        assert out[0].features[0] == 0.0
-        assert out[1].features[0] == 1.0
-        assert out[2].features[0] == 0.0
-        assert out[3].features[0] == 1.0
+        out = normalize_per_topic(table_of([
+            ("t1", "a", 0, (10.0,) + (0.0,) * 12),
+            ("t1", "b", 0, (30.0,) + (0.0,) * 12),
+            ("t2", "a", 0, (5.0,) + (0.0,) * 12),
+            ("t2", "b", 0, (15.0,) + (0.0,) * 12),
+        ]))
+        assert out.X[0, 0] == 0.0
+        assert out.X[1, 0] == 1.0
+        assert out.X[2, 0] == 0.0
+        assert out.X[3, 0] == 1.0
 
     def test_constant_column_becomes_zero(self):
-        rows = [FeatureVector("t1", "a", 0, (7.0,) + (0.0,) * 12),
-                FeatureVector("t1", "b", 0, (7.0,) + (0.0,) * 12)]
-        out = normalize_per_topic(rows)
-        assert out[0].features[0] == 0.0
-        assert out[1].features[0] == 0.0
+        out = normalize_per_topic(table_of([
+            ("t1", "a", 0, (7.0,) + (0.0,) * 12),
+            ("t1", "b", 0, (7.0,) + (0.0,) * 12)]))
+        assert out.X[0, 0] == 0.0
+        assert out.X[1, 0] == 0.0
 
     def test_cosine_columns_untouched_by_default(self):
-        rows = [FeatureVector("t1", "a", 0, (1.0,) * 6 + (0.5,) * 7),
-                FeatureVector("t1", "b", 0, (2.0,) * 6 + (0.9,) * 7)]
-        out = normalize_per_topic(rows)
-        assert out[0].features[6:] == (0.5,) * 7
-        assert out[1].features[6:] == (0.9,) * 7
+        out = normalize_per_topic(table_of([
+            ("t1", "a", 0, (1.0,) * 6 + (0.5,) * 7),
+            ("t1", "b", 0, (2.0,) * 6 + (0.9,) * 7)]))
+        assert tuple(out.X[0, 6:]) == (0.5,) * 7
+        assert tuple(out.X[1, 6:]) == (0.9,) * 7
 
 
 class TestFeatureFile:
     def rows(self):
         return [
-            FeatureVector("t2", "v1", 0, tuple(np.linspace(-1, 1, 13))),
-            FeatureVector("t1", "v9", 2,
-                          (3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 0.25, -0.5,
-                           0.125, 0.0, 1.0, -1.0, 0.75)),
-            FeatureVector("t1", "v2", 1, (0.0,) * 13),
+            ("t2", "v1", 0, tuple(np.linspace(-1, 1, 13))),
+            ("t1", "v9", 2,
+             (3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 0.25, -0.5,
+              0.125, 0.0, 1.0, -1.0, 0.75)),
+            ("t1", "v2", 1, (0.0,) * 13),
         ]
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "features.txt"
-        write_features(self.rows(), p)
+        write_features(table_of(self.rows()), p)
         back = read_features(p)
-        assert sorted(self.rows(), key=lambda r: (r.topic_id, r.venue_id)) \
-            == back
+        assert table_bits(back) == table_bits(table_of(self.rows()))
 
     def test_writer_sorts(self, tmp_path):
         p = tmp_path / "features.txt"
-        write_features(self.rows(), p)
+        write_features(table_of(self.rows()), p)
         lines = p.read_text().splitlines()
         assert lines[0].endswith("# v2")
         assert lines[0].startswith("1 qid:t1 ")
@@ -275,7 +278,7 @@ class TestFeatureFile:
 
     def test_line_shape(self, tmp_path):
         p = tmp_path / "features.txt"
-        write_features([self.rows()[1]], p)
+        write_features(table_of([self.rows()[1]]), p)
         line = p.read_text().rstrip("\n")
         parts = line.split(" ")
         assert parts[0] == "2"
@@ -334,16 +337,145 @@ class TestFeatureFile:
             read_features(p)
 
     def test_whitespace_identifier_rejected(self, tmp_path):
-        row = FeatureVector("t 1", "v1", 0, (0.0,) * 13)
         with pytest.raises(ValueError, match="whitespace"):
-            write_features([row], tmp_path / "f.txt")
+            write_features(table_of([("t 1", "v1", 0, (0.0,) * 13)]),
+                           tmp_path / "f.txt")
 
     def test_values_survive_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(33)
-        rows = [FeatureVector("t1", "v%02d" % i, int(rng.integers(0, 5)),
-                              tuple(float(x) for x in rng.normal(size=13)))
-                for i in range(20)]
+        table = table_of([("t1", "v%02d" % i, int(rng.integers(0, 5)),
+                           tuple(float(x) for x in rng.normal(size=13)))
+                          for i in range(20)])
         p = tmp_path / "features.txt"
-        write_features(rows, p)
-        assert read_features(p) == sorted(
-            rows, key=lambda r: (r.topic_id, r.venue_id))
+        write_features(table, p)
+        assert table_bits(read_features(p)) == table_bits(table)
+
+
+class TestFeatureTable:
+    def test_rows_sort_and_topics_bound(self):
+        table = table_of([("t2", "vB", 0, (2.0,) * 13),
+                          ("t10", "vZ", 1, (3.0,) * 13),
+                          ("t2", "vA", 1, (1.0,) * 13)])
+        assert table.topic_ids == ("t10", "t2", "t2")
+        assert table.venue_ids == ("vZ", "vA", "vB")
+        assert table.labels.tolist() == [1, 1, 0]
+        assert table.X[:, 0].tolist() == [3.0, 1.0, 2.0]
+        assert table.bounds == ((0, 1), (1, 3))
+        assert len(table) == 3
+
+    def test_empty_table(self):
+        table = table_of([])
+        assert (len(table), table.bounds, table.X.shape) == (0, (), (0, 13))
+
+    def test_arrays_are_read_only(self):
+        table = table_of([("t1", "v1", 0, (0.0,) * 13)])
+        with pytest.raises(ValueError):
+            table.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.labels[0] = 1
+
+    def test_duplicate_names_the_repeat(self):
+        rows = [("t1", "v1", 0, (0.0,) * 13), ("t1", "v2", 0, (0.0,) * 13),
+                ("t0", "v9", 0, (0.0,) * 13), ("t1", "v1", 1, (1.0,) * 13)]
+        with pytest.raises(VenuerecError,
+                           match="duplicate row for topic t1 venue v1") \
+                as err:
+            table_of(rows)
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("label", [2 ** 63, -2 ** 63 - 1])
+    def test_label_beyond_64_bits(self, label):
+        with pytest.raises(VenuerecError, match="does not fit in 64 bits") \
+                as err:
+            table_of([("t1", "v1", 0, (0.0,) * 13),
+                      ("t1", "v2", label, (0.0,) * 13)])
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("0 qid:t1 %s # v1", "duplicate row for topic t1 venue v1"),
+        ("0 qid:t1 %s # v 2", "identifier 'v 2' is empty or has whitespace"),
+        ("9223372036854775808 qid:t1 %s # v2",
+         "label 9223372036854775808 does not fit in 64 bits"),
+    ], ids=["repeat", "whitespace", "label"])
+    def test_reader_names_the_line(self, tmp_path, line, message):
+        feats = " ".join("%d:0.5" % i for i in range(1, 14))
+        p = tmp_path / "features.txt"
+        p.write_text("0 qid:t1 %s # v1\n1 qid:t0 %s # v1\n\n%s\n"
+                     % (feats, feats, line % feats))
+        with pytest.raises(FormatError) as err:
+            read_features(p)
+        assert str(err.value) == "%s: line 4: %s" % (p, message)
+
+
+# Signed zeros, subnormals, the extremes, and ordinary floats.
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def shuffled_rows(draw):
+    """Ragged topics of (topic, venue, label, features) rows, any order."""
+    names = st.text("ab1", min_size=1, max_size=3)
+    keys = [(topic, venue)
+            for topic in draw(st.lists(names, unique=True, max_size=5))
+            for venue in draw(st.lists(names, unique=True, min_size=1,
+                                       max_size=7))]
+    labels = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                           min_size=len(keys), max_size=len(keys)))
+    X = draw(hnp.arrays(np.float64, (len(keys), N_FEATURES),
+                        elements=VALUES))
+    rows = [(topic, venue, label, tuple(x.tolist()))
+            for (topic, venue), label, x in zip(keys, labels, X)]
+    return draw(st.permutations(rows))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestTableProperties:
+    """The table against sorted(), its own file, and the row oracle."""
+
+    @given(rows=shuffled_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_holds_its_rows_in_sorted_order(self, rows):
+        table = table_of(rows)
+        want = sorted(rows, key=lambda r: (r[0], r[1]))
+        assert list(zip(table.topic_ids, table.venue_ids)) == [
+            (r[0], r[1]) for r in want]
+        assert table.labels.tolist() == [r[2] for r in want]
+        assert table.X.tobytes() == bits([r[3] for r in want])
+
+    @given(rows=shuffled_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_file_round_trip_is_bit_exact(self, tmp_path_factory, rows):
+        table = table_of(rows)
+        path = tmp_path_factory.mktemp("table") / "features.txt"
+        write_features(table, path)
+        back = read_features(path)
+        assert table_bits(back) == table_bits(table)
+
+    @given(rows=shuffled_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_matches_the_row_oracle(self, rows):
+        table = table_of(rows)
+        canonical = [FeatureRow(t, v, int(label), tuple(x))
+                     for t, v, label, x in zip(
+                         table.topic_ids, table.venue_ids, table.labels,
+                         table.X.tolist())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = rowwise_normalize(canonical)
+            except ValueError:
+                # a topic's range overflows to inf: the oracle's rows
+                # and the table both refuse the non-finite result
+                with pytest.raises(ValueError, match="not finite"):
+                    normalize_per_topic(table)
+                return
+            got = normalize_per_topic(table)
+        assert got.X.tobytes() == bits([r.features for r in want])
+        assert (got.topic_ids, got.venue_ids) == (table.topic_ids,
+                                                  table.venue_ids)
+        assert got.labels.tolist() == table.labels.tolist()

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_models import argsort_fit_tree, loop_metric
+from reference_models import argsort_fit_tree, loop_metric, table_bits, table_of
 from venuerec.errors import FormatError, VenuerecError
-from venuerec.features import N_FEATURES, FeatureVector
+from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr import (
     CAConfig,
     LinearModel,
@@ -23,8 +23,6 @@ from venuerec.ltr import (
     fit_tree,
     load_model,
     predict_matrix,
-    predict_rows,
-    rows_by_topic,
     save_model,
     split_train_validation,
     train_coordinate_ascent,
@@ -39,13 +37,12 @@ def pad(*values):
 
 
 def make_rows(plan):
-    """``{topic: [(venue, label, features tuple), ...]}`` to row list."""
-    rows = []
-    for topic in sorted(plan):
-        for venue, label, features in plan[topic]:
-            rows.append(FeatureVector(topic_id=topic, venue_id=venue,
-                                      label=label, features=features))
-    return rows
+    """``{topic: [(venue, label, features tuple), ...]}`` to a FeatureTable."""
+    return table_of([(topic, venue, label, features) for topic in plan
+                     for venue, label, features in plan[topic]])
+
+
+NO_ROWS = make_rows({})
 
 
 def separable_rows(n_topics=4, n_candidates=8, seed=3):
@@ -63,19 +60,21 @@ def separable_rows(n_topics=4, n_candidates=8, seed=3):
 
 
 class TestRowsByTopic:
+    """A FeatureTable groups its rows by topic, in canonical order."""
+
     def test_groups_and_orders(self):
-        rows = make_rows({
+        table = make_rows({
             "t2": [("vB", 0, pad(1)), ("vA", 1, pad(2))],
             "t1": [("vZ", 0, pad(3))],
         })
-        grouped = rows_by_topic(rows)
+        grouped = {table.topic_ids[start]: table.venue_ids[start:stop]
+                   for start, stop in table.bounds}
         assert list(grouped) == ["t1", "t2"]
-        assert [r.venue_id for r in grouped["t2"]] == ["vA", "vB"]
+        assert list(grouped["t2"]) == ["vA", "vB"]
 
     def test_rejects_duplicate_rows(self):
-        rows = make_rows({"t1": [("vA", 0, pad(1))]})
         with pytest.raises(VenuerecError, match="duplicate row"):
-            rows_by_topic(rows + rows)
+            FeatureTable(["t1", "t1"], ["vA", "vA"], [0, 0], [pad(1)] * 2)
 
 
 class TestSplit:
@@ -87,8 +86,8 @@ class TestSplit:
 
     def test_topic_granularity(self):
         train, valid = split_train_validation(self.rows(10), 0.67, seed=5)
-        train_topics = {r.topic_id for r in train}
-        valid_topics = {r.topic_id for r in valid}
+        train_topics = set(train.topic_ids)
+        valid_topics = set(valid.topic_ids)
         assert not train_topics & valid_topics
         assert len(train_topics) == 7
         assert len(valid_topics) == 3
@@ -96,20 +95,18 @@ class TestSplit:
     def test_deterministic_per_seed(self):
         a = split_train_validation(self.rows(9), 0.67, seed=11)
         b = split_train_validation(self.rows(9), 0.67, seed=11)
-        assert a == b
+        assert list(map(table_bits, a)) == list(map(table_bits, b))
 
     def test_seed_changes_assignment(self):
-        splits = {tuple(sorted({r.topic_id for r in
-                                split_train_validation(self.rows(12),
-                                                       0.5, seed=s)[0]}))
-                  for s in range(8)}
+        splits = {split_train_validation(self.rows(12), 0.5, seed=s)[0]
+                  .topic_ids for s in range(8)}
         assert len(splits) > 1
 
     def test_extreme_fractions_keep_both_sides(self):
         train, valid = split_train_validation(self.rows(10), 0.01, seed=0)
-        assert len({r.topic_id for r in train}) == 1
+        assert len(train.bounds) == 1
         train, valid = split_train_validation(self.rows(10), 0.99, seed=0)
-        assert len({r.topic_id for r in valid}) == 1
+        assert len(valid.bounds) == 1
 
     def test_too_few_topics(self):
         with pytest.raises(VenuerecError, match="at least 2 topics"):
@@ -121,24 +118,25 @@ class TestSplit:
                 split_train_validation(self.rows(4), fraction, seed=0)
 
 
-def brute_metric(rows, scores, metric, k=5):
+def brute_metric(table, scores, metric, k=5):
     """Mean metric over topics with a relevant row, by repeated max."""
     by_topic = {}
-    for row, score in zip(rows, scores):
-        by_topic.setdefault(row.topic_id, []).append((row, float(score)))
+    for topic, venue, label, score in zip(table.topic_ids, table.venue_ids,
+                                          table.labels, scores):
+        by_topic.setdefault(topic, []).append((venue, label, float(score)))
     totals = []
     for topic in sorted(by_topic):
-        pairs = by_topic[topic]
-        if not any(row.label >= 1 for row, _ in pairs):
+        rows = by_topic[topic]
+        if not any(label >= 1 for _, label, _ in rows):
             continue
-        ordered = sorted(pairs, key=lambda p: (-p[1], p[0].venue_id))
+        ordered = sorted(rows, key=lambda r: (-r[2], r[0]))
         if metric == "p5":
-            hits = sum(1 for row, _ in ordered[:k] if row.label >= 1)
+            hits = sum(1 for _, label, _ in ordered[:k] if label >= 1)
             totals.append(hits / k)
         else:
             rr = 0.0
-            for pos, (row, _) in enumerate(ordered):
-                if row.label >= 1:
+            for pos, (_, label, _) in enumerate(ordered):
+                if label >= 1:
                     rr = 1.0 / (pos + 1)
                     break
             totals.append(rr)
@@ -156,14 +154,13 @@ class TestTopicBlocks:
                     cands.append(("v%02d" % c, rng.choice([0, 0, 1, 2]),
                                   pad(rng.random(), rng.random())))
                 plan["t%02d" % t] = cands
-            rows = make_rows(plan)
-            blocks = TopicBlocks(rows)
-            canonical = sorted(rows, key=lambda r: (r.topic_id, r.venue_id))
+            table = make_rows(plan)
+            blocks = TopicBlocks(table)
             scores = np.asarray(
-                [rng.choice([0.0, 0.5, 1.0]) for _ in canonical])
+                [rng.choice([0.0, 0.5, 1.0]) for _ in range(len(table))])
             for metric in ("p5", "mrr"):
                 got = blocks.metric(scores, metric)
-                want = brute_metric(canonical, scores, metric)
+                want = brute_metric(table, scores, metric)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_no_relevant_topics_scores_zero(self):
@@ -204,20 +201,19 @@ def scored_topics(draw):
     labels = draw(hnp.arrays(np.int64, sum(sizes),
                              elements=st.sampled_from([0, 0, 0, 1, 2])))
     scores = draw(hnp.arrays(np.float64, sum(sizes), elements=SCORES))
-    rows = []
+    plan = {}
     for t, size in enumerate(sizes):
-        rows.extend(FeatureVector("t%02d" % t, "v%02d" % c, int(label),
-                                  pad())
-                    for c, label in enumerate(labels[:size]))
+        plan["t%02d" % t] = [("v%02d" % c, int(label), pad())
+                             for c, label in enumerate(labels[:size])]
         labels = labels[size:]
-    return rows, scores
+    return make_rows(plan), scores
 
 
 class TestMetricMatchesTopicLoop:
     """The padded-matrix metric gives the very float of a per-topic loop."""
 
     @given(case=scored_topics(), k=st.integers(1, 8))
-    @example(case=([], np.zeros(0)), k=5)
+    @example(case=(NO_ROWS, np.zeros(0)), k=5)
     @example(case=(make_rows({"t1": [("vA", 0, pad()), ("vB", 0, pad())]}),
                    np.zeros(2)), k=5)
     @example(case=(make_rows({
@@ -255,8 +251,8 @@ class TestCoordinateAscent:
     def test_separable_signal_reaches_perfect_p5(self):
         rows = separable_rows()
         config = CAConfig(restarts=2, max_sweeps=10, seed=1)
-        model = train_coordinate_ascent(TopicBlocks(rows), TopicBlocks([]),
-                                        config)
+        model = train_coordinate_ascent(TopicBlocks(rows),
+                                        TopicBlocks(NO_ROWS), config)
         blocks = TopicBlocks(rows)
         assert blocks.metric(predict_matrix(model, blocks.X),
                              "p5") == pytest.approx(3 / 5)
@@ -276,7 +272,7 @@ class TestCoordinateAscent:
             plan["t%02d" % t] = cands
         rows = make_rows(plan)
         model = train_coordinate_ascent(
-            TopicBlocks(rows), TopicBlocks([]),
+            TopicBlocks(rows), TopicBlocks(NO_ROWS),
             CAConfig(restarts=2, max_sweeps=10, seed=1))
         assert model.weights[0] < 0
         blocks = TopicBlocks(rows)
@@ -290,23 +286,23 @@ class TestCoordinateAscent:
         })
         with caplog.at_level("WARNING", logger="venuerec.ltr"):
             model = train_coordinate_ascent(
-                TopicBlocks(rows), TopicBlocks([]),
+                TopicBlocks(rows), TopicBlocks(NO_ROWS),
                 CAConfig(restarts=2, max_sweeps=3, seed=0))
         assert model.weights == tuple([1.0 / N_FEATURES] * N_FEATURES)
         assert any("uniform" in rec.message for rec in caplog.records)
 
     def test_weights_are_l1_normalized(self):
         model = train_coordinate_ascent(
-            TopicBlocks(separable_rows()), TopicBlocks([]),
+            TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
             CAConfig(restarts=1, max_sweeps=5, seed=0))
         assert sum(abs(w) for w in model.weights) == pytest.approx(1.0)
 
     def test_deterministic_across_runs(self):
         config = CAConfig(restarts=3, max_sweeps=5, seed=42)
         a = train_coordinate_ascent(TopicBlocks(separable_rows()),
-                                    TopicBlocks([]), config)
+                                    TopicBlocks(NO_ROWS), config)
         b = train_coordinate_ascent(TopicBlocks(separable_rows()),
-                                    TopicBlocks([]), config)
+                                    TopicBlocks(NO_ROWS), config)
         assert a == b
 
     def test_config_validation(self):
@@ -317,9 +313,14 @@ class TestCoordinateAscent:
         with pytest.raises(VenuerecError):
             CAConfig(step_base=0.0)
 
+    @pytest.mark.parametrize("step_base", [math.inf, math.nan, -1.0])
+    def test_step_base_must_be_finite_and_positive(self, step_base):
+        with pytest.raises(VenuerecError, match="step_base must be positive"):
+            CAConfig(step_base=step_base)
+
     def test_empty_training_rows(self):
         with pytest.raises(VenuerecError, match="no training rows"):
-            train_coordinate_ascent(TopicBlocks([]), TopicBlocks([]),
+            train_coordinate_ascent(TopicBlocks(NO_ROWS), TopicBlocks(NO_ROWS),
                                     CAConfig())
 
 
@@ -447,7 +448,7 @@ class TestMart:
         rows = make_rows(plan)
         config = MARTConfig(n_trees=200, shrinkage=0.1, max_leaves=4,
                             patience=0, seed=0)
-        model = train_mart(TopicBlocks(rows), TopicBlocks([]), config)
+        model = train_mart(TopicBlocks(rows), TopicBlocks(NO_ROWS), config)
         assert len(model.trees) == 200
         rmse = math.sqrt(model.history["train_mse"][-1])
         assert rmse < 0.01
@@ -461,7 +462,7 @@ class TestMart:
                  pad(rng.random(), rng.random(), rng.random()))
                 for c in range(10)]
         rows = make_rows(plan)
-        model = train_mart(TopicBlocks(rows), TopicBlocks([]),
+        model = train_mart(TopicBlocks(rows), TopicBlocks(NO_ROWS),
                            MARTConfig(n_trees=200, patience=0))
         mse = model.history["train_mse"]
         assert len(mse) == 200
@@ -499,8 +500,10 @@ class TestMart:
 
     def test_deterministic_across_runs(self):
         config = MARTConfig(n_trees=15, patience=0, seed=7)
-        a = train_mart(TopicBlocks(separable_rows()), TopicBlocks([]), config)
-        b = train_mart(TopicBlocks(separable_rows()), TopicBlocks([]), config)
+        a = train_mart(TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
+                       config)
+        b = train_mart(TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
+                       config)
         assert a == b
 
     def test_separable_signal_ranks_perfectly(self):
@@ -535,8 +538,8 @@ class TestPredict:
             predict_matrix(model, np.zeros((2, 5)))
 
     def test_empty_rows(self):
-        model = LinearModel(weights=(1.0,), metric="p5", seed=0)
-        assert predict_rows(model, []).shape == (0,)
+        model = LinearModel(weights=(1.0,) * N_FEATURES, metric="p5", seed=0)
+        assert predict_matrix(model, NO_ROWS.X).shape == (0,)
 
 
 _EDGE_FLOATS = st.one_of(
@@ -602,25 +605,26 @@ class TestModelRoundTripIsBitExact:
 class TestSerialization:
     def test_linear_round_trip_is_exact(self, tmp_path):
         model = train_coordinate_ascent(
-            TopicBlocks(separable_rows()), TopicBlocks([]),
+            TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
             CAConfig(restarts=2, max_sweeps=5, seed=3))
         path = tmp_path / "model.json"
         save_model(model, path, hyperparameters={"restarts": 2})
         loaded = load_model(path)
         assert loaded == model
-        X = np.asarray([r.features for r in separable_rows()])
+        X = separable_rows().X
         np.testing.assert_array_equal(predict_matrix(model, X),
                                       predict_matrix(loaded, X))
 
     def test_mart_round_trip_is_exact(self, tmp_path):
-        model = train_mart(TopicBlocks(separable_rows()), TopicBlocks([]),
+        model = train_mart(TopicBlocks(separable_rows()),
+                           TopicBlocks(NO_ROWS),
                            MARTConfig(n_trees=10, patience=0, seed=1))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.trees == model.trees
         assert loaded.shrinkage == model.shrinkage
-        X = np.asarray([r.features for r in separable_rows()])
+        X = separable_rows().X
         np.testing.assert_array_equal(predict_matrix(model, X),
                                       predict_matrix(loaded, X))
 
@@ -630,7 +634,7 @@ class TestSerialization:
         two = tmp_path / "two.json"
         for path in (one, two):
             save_model(train_mart(TopicBlocks(separable_rows()),
-                                  TopicBlocks([]), config), path)
+                                  TopicBlocks(NO_ROWS), config), path)
         assert one.read_bytes() == two.read_bytes()
 
     def test_document_shape(self, tmp_path):

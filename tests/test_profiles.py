@@ -14,7 +14,7 @@ from reference_models import (
     brute_venue_vector,
 )
 from venuerec.corpus import GENDERS, Comment, ContextSchema, UserProfile, Venue
-from venuerec.embeddings import EmbeddingStore, vec_combine
+from venuerec.embeddings import EmbeddingStore
 from venuerec.errors import VenuerecError
 from venuerec.profiles import (
     ContextTermSet,
@@ -218,12 +218,6 @@ class TestContextVector:
         ts = ContextTermSet("season", "spring", (), 2)
         got = context_vector(ab_store, ts)
         np.testing.assert_array_equal(got.vector, [0.0, 0.0])
-
-    def test_equals_unit_weight_combine(self, ab_store):
-        ts = ContextTermSet("season", "spring", ("a", "b"), 2)
-        got = context_vector(ab_store, ts)
-        want = vec_combine([(ab_store.vector_of(t), 1.0) for t in ts.terms])
-        np.testing.assert_array_equal(got.vector, want)
 
 
 class TestGender:

@@ -15,7 +15,6 @@ from reference_porter import reference_stem
 from venuerec.text import (
     DEFAULT_CONFIG,
     PreprocessConfig,
-    load_stopwords,
     porter_stem,
     preprocess,
     tokenize,
@@ -193,11 +192,6 @@ class TestStopwords:
     @pytest.mark.parametrize("word", ["the", "a", "of", "alone", "can", "us"])
     def test_membership(self, word):
         assert word in SMART_STOPWORDS
-
-    def test_load_stopwords(self, tmp_path):
-        p = tmp_path / "stops.txt"
-        p.write_text("the\nAND  # comment\n\n# whole line comment\nof\n")
-        assert load_stopwords(p) == frozenset({"the", "and", "of"})
 
 
 class TestPreprocess:
