@@ -14,10 +14,12 @@ outputs alone.
 """
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
 import sys
+import typing
 
 from . import __version__
 from .ablation import run_ablation, write_ablation
@@ -52,6 +54,7 @@ from .ltr import (
     train_coordinate_ascent,
     train_mart,
 )
+from .ltr.data import METRICS
 from .profiles import (
     build_context_vectors,
     build_venue_vectors,
@@ -67,74 +70,81 @@ from .profiles import (
 
 log = logging.getLogger(__name__)
 
-CONFIG_TYPES = {
-    "seed": int,
-    "k": int,
-    "pos_threshold": int,
-    "neg_threshold": int,
-    "rating_min": int,
-    "rating_max": int,
-    "depth": int,
-    "cutoff": int,
-    "n_trees": int,
-    "max_leaves": int,
-    "min_leaf": int,
-    "patience": int,
-    "restarts": int,
-    "max_sweeps": int,
-    "step_scales": int,
-    "split_fraction": float,
-    "shrinkage": float,
-    "step_base": float,
-    "learner": str,
-    "metric": str,
-    "embedding_format": str,
-    "run_tag": str,
-    "normalize": bool,
-    "shifted_negative": bool,
-    "include_empty": bool,
-}
 
-DEFAULTS = {
-    "seed": 0,
-    "k": 10,
-    "pos_threshold": 4,
-    "neg_threshold": 3,
-    "rating_min": 0,
-    "rating_max": 4,
-    "depth": 50,
-    "cutoff": 1,
-    "n_trees": 100,
-    "max_leaves": 7,
-    "min_leaf": 1,
-    "patience": 20,
-    "restarts": 5,
-    "max_sweeps": 25,
-    "step_scales": 10,
-    "split_fraction": 0.67,
-    "shrinkage": 0.1,
-    "step_base": 0.05,
-    "learner": "mart",
-    "metric": "p5",
-    "embedding_format": "text",
-    "run_tag": "venuerec",
-    "normalize": False,
-    "shifted_negative": False,
-    "include_empty": False,
-}
+class Setting(typing.NamedTuple):
+    """One config key; the default's type is the key's type.
 
-CHOICES = {
-    "learner": ("ca", "mart"),
-    "metric": ("p5", "mrr"),
-    "embedding_format": ("text", "binary"),
+    `check(key, value)` raises VenuerecError when the value breaks the
+    key's own rule.  A key with `help` also gets a flag.
+    """
+
+    default: object
+    choices: tuple = None
+    check: object = None
+    help: str = None
+
+
+def _rule(test, text):
+    def check(key, value):
+        if not test(value):
+            raise ConfigError("%s %s, got %r" % (key, text, value))
+    return check
+
+
+SETTINGS = {
+    "seed": Setting(0, check=_rule(lambda v: v >= 0, "must be >= 0"),
+                    help="RNG seed"),
+    "k": Setting(10, check=_rule(lambda v: v >= 1, "must be >= 1"),
+                 help="expansion terms per seed subtraction"),
+    "pos_threshold": Setting(4, help="minimum rating that counts as "
+                                     "positive"),
+    "neg_threshold": Setting(3, help="maximum rating that counts as "
+                                     "negative"),
+    "rating_min": Setting(0),
+    "rating_max": Setting(4),
+    "depth": Setting(50, check=_rule(lambda v: v >= 1, "must be >= 1")),
+    "cutoff": Setting(1),
+    "split_fraction": Setting(0.67, check=_rule(lambda v: 0.0 < v < 1.0,
+                                                "must be in (0, 1)")),
+    "learner": Setting("mart", ("ca", "mart"),
+                       help="ranking learner (default: mart)"),
+    "metric": Setting("p5", METRICS, help="training metric (default: p5)"),
+    "embedding_format": Setting("text", ("text", "binary"),
+                                help="embedding file layout (default: text)"),
+    # the tag is the sixth whitespace-separated column of a run file
+    "run_tag": Setting("venuerec", check=_rule(
+        lambda v: v.split() == [v], "must be non-empty with no whitespace")),
+    "normalize": Setting(False,
+                         help="min-max scale count features per topic"),
+    "shifted_negative": Setting(False),
+    "include_empty": Setting(False),
 }
+# The learner keys: each field of CAConfig and MARTConfig not above,
+# checked by building its dataclass with just that field.
+SETTINGS.update(
+    (field.name, Setting(field.default, check=lambda key, value, cls=cls:
+                         cls(**{key: value})))
+    for cls in (CAConfig, MARTConfig) for field in dataclasses.fields(cls)
+    if field.name not in SETTINGS)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
+def _check(key, value):
+    setting = SETTINGS[key]
+    if setting.choices and value not in setting.choices:
+        raise ConfigError("config key %r must be one of %s, got %r"
+                          % (key, "/".join(setting.choices), value))
+    if setting.check is not None:
+        try:
+            setting.check(key, value)
+        except VenuerecError as exc:
+            raise ConfigError(str(exc)) from None
+
+
 def _coerce(key, raw):
-    kind = CONFIG_TYPES[key]
+    kind = type(SETTINGS[key].default)
     if kind is bool:
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
@@ -149,9 +159,7 @@ def _coerce(key, raw):
     if kind is float and not math.isfinite(value):
         raise ConfigError("config key %r must be finite, got %r"
                           % (key, raw.strip()))
-    if key in CHOICES and value not in CHOICES[key]:
-        raise ConfigError("config key %r must be one of %s, got %r"
-                          % (key, "/".join(CHOICES[key]), value))
+    _check(key, value)
     return value
 
 
@@ -167,7 +175,7 @@ def parse_config_file(path):
             if not sep or not key:
                 raise ConfigError("%s: line %d: expected 'key = value'"
                                   % (path, lineno))
-            if key not in CONFIG_TYPES:
+            if key not in SETTINGS:
                 raise ConfigError("%s: line %d: unknown config key %r"
                                   % (path, lineno, key))
             try:
@@ -181,22 +189,18 @@ def parse_config_file(path):
 
 
 def resolve_config(args):
-    cfg = dict(DEFAULTS)
+    cfg = {key: setting.default for key, setting in SETTINGS.items()}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for key in CONFIG_TYPES:
+    for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
+            _check(key, flag)
             cfg[key] = flag
     if cfg["neg_threshold"] >= cfg["pos_threshold"]:
         raise ConfigError("neg_threshold must be below pos_threshold")
-    if not 0.0 < cfg["split_fraction"] < 1.0:
-        raise ConfigError("split_fraction must be in (0, 1)")
     if cfg["rating_min"] >= cfg["rating_max"]:
         raise ConfigError("rating_min must be below rating_max")
-    for key in ("k", "depth", "n_trees"):
-        if cfg[key] < 1:
-            raise ConfigError("%s must be >= 1" % key)
     return cfg
 
 
@@ -281,32 +285,11 @@ def _table_for_learning(cfg, table):
     return normalize_per_topic(table) if cfg["normalize"] else table
 
 
-def _hyperparameters(cfg):
-    keys = ("learner", "metric", "normalize", "split_fraction", "k",
-            "pos_threshold", "neg_threshold", "shifted_negative")
-    hyper = {key: cfg[key] for key in keys}
-    if cfg["learner"] == "ca":
-        hyper.update(restarts=cfg["restarts"], max_sweeps=cfg["max_sweeps"],
-                     step_base=cfg["step_base"],
-                     step_scales=cfg["step_scales"])
-    else:
-        hyper.update(n_trees=cfg["n_trees"], shrinkage=cfg["shrinkage"],
-                     max_leaves=cfg["max_leaves"], min_leaf=cfg["min_leaf"],
-                     patience=cfg["patience"])
-    return hyper
-
-
 def _learner_config(cfg):
     """The CAConfig or MARTConfig that `cfg` asks for."""
-    if cfg["learner"] == "ca":
-        return CAConfig(
-            metric=cfg["metric"], restarts=cfg["restarts"],
-            max_sweeps=cfg["max_sweeps"], step_base=cfg["step_base"],
-            step_scales=cfg["step_scales"], seed=cfg["seed"])
-    return MARTConfig(
-        n_trees=cfg["n_trees"], shrinkage=cfg["shrinkage"],
-        max_leaves=cfg["max_leaves"], min_leaf=cfg["min_leaf"],
-        patience=cfg["patience"], metric=cfg["metric"], seed=cfg["seed"])
+    config_class = CAConfig if cfg["learner"] == "ca" else MARTConfig
+    return config_class(**{field.name: cfg[field.name]
+                           for field in dataclasses.fields(config_class)})
 
 
 def train_step(cfg, table, out_dir):
@@ -319,7 +302,12 @@ def train_step(cfg, table, out_dir):
     else:
         model = train_mart(train, valid, config)
     path = _out(out_dir, "model.json")
-    save_model(model, path, hyperparameters=_hyperparameters(cfg))
+    hyperparameters = dict(dataclasses.asdict(config), **{
+        key: cfg[key] for key in ("learner", "normalize", "split_fraction",
+                                  "k", "pos_threshold", "neg_threshold",
+                                  "shifted_negative")})
+    del hyperparameters["seed"]   # model.json holds it at the top level
+    save_model(model, path, hyperparameters=hyperparameters)
     log.info("model written to %s", path)
 
 
@@ -394,22 +382,16 @@ def build_parser():
                         help="flat key = value settings file")
     common.add_argument("--out-dir", default=".", metavar="DIR",
                         help="where outputs and caches live (default: .)")
-    common.add_argument("--seed", type=int, help="RNG seed")
-    common.add_argument("--k", type=int,
-                        help="expansion terms per seed subtraction")
-    common.add_argument("--pos-threshold", type=int,
-                        help="minimum rating that counts as positive")
-    common.add_argument("--neg-threshold", type=int,
-                        help="maximum rating that counts as negative")
-    common.add_argument("--learner", choices=CHOICES["learner"],
-                        help="ranking learner (default: mart)")
-    common.add_argument("--metric", choices=CHOICES["metric"],
-                        help="training metric (default: p5)")
-    common.add_argument("--embedding-format",
-                        choices=CHOICES["embedding_format"],
-                        help="embedding file layout (default: text)")
-    common.add_argument("--normalize", action="store_true", default=None,
-                        help="min-max scale count features per topic")
+    for key, setting in SETTINGS.items():
+        if setting.help is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(setting.default, bool):
+            common.add_argument(flag, action="store_true", default=None,
+                                help=setting.help)
+        else:
+            common.add_argument(flag, type=type(setting.default),
+                                choices=setting.choices, help=setting.help)
     common.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v for progress, -vv for debug")
 

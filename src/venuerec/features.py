@@ -168,7 +168,8 @@ def normalize_per_topic(table, columns=range(6)):
     """Min-max scale the given feature columns within each topic.
 
     Intended for the linear learner on raw count features; a constant
-    column maps to 0.  Returns a new FeatureTable.
+    column maps to 0.  Returns a new FeatureTable; a range that
+    overflows a float raises FeatureTableError.
     """
     columns = tuple(columns)
     X = table.X.copy()
@@ -176,9 +177,15 @@ def normalize_per_topic(table, columns=range(6)):
         for c in columns:
             col = X[start:stop, c]
             lo = col.min()
-            hi = col.max()
-            if hi > lo:
-                col[:] = (col - lo) / (hi - lo)
+            with np.errstate(over="ignore"):
+                span = col.max() - lo
+            if span == np.inf:
+                raise FeatureTableError(
+                    "topic %s: feature %d is not finite once scaled: its "
+                    "range overflows a float"
+                    % (table.topic_ids[start], c + 1))
+            if span > 0.0:
+                col[:] = (col - lo) / span
             else:
                 col[:] = 0.0
     return FeatureTable(table.topic_ids, table.venue_ids, table.labels, X)

@@ -32,9 +32,10 @@ class CAConfig:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise VenuerecError("unknown metric %r" % (self.metric,))
-        if self.restarts < 1 or self.max_sweeps < 1 or self.step_scales < 1:
-            raise VenuerecError("restarts, max_sweeps and step_scales "
-                                "must be positive")
+        for name in ("restarts", "max_sweeps", "step_scales"):
+            if getattr(self, name) < 1:
+                raise VenuerecError("%s must be >= 1, got %d"
+                                    % (name, getattr(self, name)))
         if not 0.0 < self.step_base < math.inf:
             raise VenuerecError("step_base must be positive and finite")
 

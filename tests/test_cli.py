@@ -1,5 +1,6 @@
 """Command line front end, driven in-process through main()."""
 
+import argparse
 import json
 import logging
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import synthdata
-from venuerec.cli import DEFAULTS, main
+from venuerec.cli import build_parser, main
 from venuerec.embeddings import EmbeddingStore, save_embeddings
 
 ARTIFACTS = ("config.used", "venue_vectors.txt", "user_vectors.txt",
@@ -28,6 +29,23 @@ def pipeline_argv(corpus, out_dir, *extra):
             "--profiles", corpus["profiles"],
             "--contexts", corpus["contexts"],
             "--qrels", corpus["qrels"], *extra]
+
+
+def command_argv(command, corpus, pipeline_dir, out_dir, *extra):
+    """`command` on the shared corpus or on the pipeline's outputs."""
+    if command == "pipeline":
+        return pipeline_argv(corpus, out_dir, *extra)
+    argv = [command, "--out-dir", str(out_dir), *extra,
+            "--features", str(pipeline_dir / "features.txt")]
+    if command == "rank":
+        argv += ["--model", str(pipeline_dir / "model.json")]
+    return argv
+
+
+def with_feature_1(line, token):
+    """A features.txt line with its first feature value set to `token`."""
+    head, _, rest = line.partition(" 1:")
+    return "%s 1:%s%s" % (head, token, rest[rest.index(" "):])
 
 
 @pytest.fixture(scope="module")
@@ -201,11 +219,103 @@ class TestConfig:
     def test_config_used_echoes_every_setting(self, pipeline_dir):
         lines = (pipeline_dir / "config.used").read_text(
             encoding="utf-8").splitlines()
-        keys = [line.split(" = ")[0] for line in lines]
-        assert keys == sorted(DEFAULTS)
-        assert "seed = 42" in lines
-        assert "learner = mart" in lines
-        assert "normalize = false" in lines
+        assert lines == [
+            "cutoff = 1", "depth = 50", "embedding_format = text",
+            "include_empty = false", "k = 10", "learner = mart",
+            "max_leaves = 7", "max_sweeps = 25", "metric = p5",
+            "min_leaf = 1", "n_trees = 100", "neg_threshold = 3",
+            "normalize = false", "patience = 20", "pos_threshold = 4",
+            "rating_max = 4", "rating_min = 0", "restarts = 5",
+            "run_tag = venuerec", "seed = 42", "shifted_negative = false",
+            "shrinkage = 0.1", "split_fraction = 0.67", "step_base = 0.05",
+            "step_scales = 10"]
+
+    # Every key's own rule holds whichever learner is chosen, and fails
+    # before any input is read or any output written.  A learner key is
+    # set under the other learner to show it.
+    @pytest.mark.parametrize("command, text, message", [
+        ("pipeline", "seed = -1", "seed must be >= 0, got -1"),
+        ("pipeline", "k = 0", "k must be >= 1, got 0"),
+        ("pipeline", "depth = 0", "depth must be >= 1, got 0"),
+        ("pipeline", "split_fraction = 0",
+         "split_fraction must be in (0, 1), got 0.0"),
+        ("pipeline", "split_fraction = 1",
+         "split_fraction must be in (0, 1), got 1.0"),
+        ("pipeline", "learner = svm",
+         "config key 'learner' must be one of ca/mart, got 'svm'"),
+        ("pipeline", "metric = map",
+         "config key 'metric' must be one of p5/mrr, got 'map'"),
+        ("pipeline", "embedding_format = csv",
+         "config key 'embedding_format' must be one of text/binary, "
+         "got 'csv'"),
+        ("pipeline", "run_tag = a b",
+         "run_tag must be non-empty with no whitespace, got 'a b'"),
+        ("rank", "run_tag =",
+         "run_tag must be non-empty with no whitespace, got ''"),
+        ("rank", "run_tag = a\tb",
+         "run_tag must be non-empty with no whitespace, got 'a\\tb'"),
+        ("pipeline", "learner = mart\nrestarts = 0",
+         "restarts must be >= 1, got 0"),
+        ("train", "learner = mart\nmax_sweeps = 0",
+         "max_sweeps must be >= 1, got 0"),
+        ("train", "learner = mart\nstep_scales = 0",
+         "step_scales must be >= 1, got 0"),
+        ("train", "learner = mart\nstep_base = 0",
+         "step_base must be positive and finite"),
+        ("pipeline", "learner = ca\nn_trees = 0",
+         "n_trees must be >= 1, got 0"),
+        ("ablate", "learner = ca\nshrinkage = 1.5",
+         "shrinkage must be in (0, 1], got 1.5"),
+        ("pipeline", "max_leaves = 1", "max_leaves must be >= 2"),
+        ("ablate", "learner = ca\nmin_leaf = 0", "min_leaf must be >= 1"),
+        ("train", "learner = ca\npatience = -1", "patience must be >= 0"),
+    ])
+    def test_rule_breach_in_file_exits_2_before_any_output(
+            self, corpus, pipeline_dir, tmp_path, capsys, command, text,
+            message):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(command_argv(command, corpus, pipeline_dir, out,
+                                 "--config", str(cfg)))
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: line %d: %s\n" % (
+            cfg, text.count("\n") + 1, message)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_negative_seed_exits_2(self, corpus, pipeline_dir, tmp_path,
+                                   capsys, command, via):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        extra = ["--seed", "-1"] if via == "flag" else ["--config", str(cfg)]
+        code = main(command_argv(command, corpus, pipeline_dir,
+                                 tmp_path / "out", *extra))
+        assert code == 2
+        where = "" if via == "flag" else "%s: line 1: " % cfg
+        assert capsys.readouterr().err == (
+            "error: %sseed must be >= 0, got -1\n" % where)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("learner, own", [
+        ("ca", {"restarts": 5, "max_sweeps": 25, "step_base": 0.05,
+                "step_scales": 10}),
+        ("mart", {"n_trees": 100, "shrinkage": 0.1, "max_leaves": 7,
+                  "min_leaf": 1, "patience": 20}),
+    ])
+    def test_model_records_its_hyperparameters(self, pipeline_dir, tmp_path,
+                                               learner, own):
+        assert main(["train", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--learner", learner,
+                     "--features", str(pipeline_dir / "features.txt")]) == 0
+        doc = json.loads((tmp_path / "model.json").read_text(
+            encoding="utf-8"))
+        assert doc["hyperparameters"] == {
+            "learner": learner, "metric": "p5", "normalize": False,
+            "split_fraction": 0.67, "k": 10, "pos_threshold": 4,
+            "neg_threshold": 3, "shifted_negative": False, **own}
 
 
 class TestTrainRankHandshake:
@@ -320,8 +430,7 @@ class TestBadInputs:
                                         token):
         lines = (pipeline_dir / "features.txt").read_text(
             encoding="utf-8").splitlines(keepends=True)
-        head, _, rest = lines[1].partition(" 1:")
-        lines[1] = "%s 1:%s%s" % (head, token, rest[rest.index(" "):])
+        lines[1] = with_feature_1(lines[1], token)
         features = tmp_path / "features.txt"
         features.write_text("".join(lines), encoding="utf-8")
         code = main(["ablate", "--out-dir", str(tmp_path / "out"),
@@ -329,6 +438,23 @@ class TestBadInputs:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: %s: line 2: feature 1 is not finite\n" % features)
+
+    def test_overflowing_normalization_exits_2(self, pipeline_dir, tmp_path,
+                                               capsys):
+        lines = (pipeline_dir / "features.txt").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        lines[0] = with_feature_1(lines[0], "1e308")
+        lines[1] = with_feature_1(lines[1], "-1e308")
+        topic = lines[0].split()[1][4:]
+        assert lines[1].split()[1] == "qid:" + topic
+        features = tmp_path / "features.txt"
+        features.write_text("".join(lines), encoding="utf-8")
+        code = main(["train", "--out-dir", str(tmp_path / "out"),
+                     "--normalize", "--features", str(features)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: topic %s: feature 1 is not finite once scaled: its range "
+            "overflows a float\n" % topic)
 
     @pytest.mark.parametrize("command", ["train", "rank", "ablate"])
     def test_repeated_feature_row_exits_2(self, pipeline_dir, tmp_path,
@@ -435,6 +561,33 @@ class TestParser:
         for name in ("build-profiles", "extract", "train", "rank", "eval",
                      "ablate", "pipeline"):
             assert name in out
+
+    def test_options_of_each_subcommand(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+        def options(p):
+            return sorted(option for action in p._actions
+                          for option in action.option_strings)
+
+        common = ["--config", "--embedding-format", "--help", "--k",
+                  "--learner", "--metric", "--neg-threshold", "--normalize",
+                  "--out-dir", "--pos-threshold", "--seed", "--verbose",
+                  "-h", "-v"]
+        own = {
+            "build-profiles": ["--embeddings", "--profiles", "--venues"],
+            "extract": ["--contexts", "--profiles", "--qrels", "--venues"],
+            "train": ["--features"],
+            "rank": ["--features", "--model"],
+            "eval": ["--compare", "--qrels", "--run"],
+            "ablate": ["--features"],
+            "pipeline": ["--contexts", "--embeddings", "--profiles",
+                         "--qrels", "--venues"],
+        }
+        assert options(parser) == ["--help", "--version", "-h"]
+        assert {name: options(p) for name, p in sub.choices.items()} == {
+            name: sorted(common + flags) for name, flags in own.items()}
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:
