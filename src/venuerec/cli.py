@@ -165,6 +165,7 @@ def _coerce(key, raw):
 
 def parse_config_file(path):
     values = {}
+    set_on = {}
     try:
         for lineno, line in numbered_lines(path):
             body = line.split("#", 1)[0].strip()
@@ -178,6 +179,10 @@ def parse_config_file(path):
             if key not in SETTINGS:
                 raise ConfigError("%s: line %d: unknown config key %r"
                                   % (path, lineno, key))
+            if key in set_on:
+                raise ConfigError("%s: line %d: config key %r already set on "
+                                  "line %d" % (path, lineno, key, set_on[key]))
+            set_on[key] = lineno
             try:
                 values[key] = _coerce(key, raw)
             except ConfigError as exc:
@@ -446,18 +451,13 @@ def _load_profiles(cfg, path):
         path, rating_scale=(cfg["rating_min"], cfg["rating_max"]))
 
 
-def _load_models(cfg, out_dir):
+def _load_models(out_dir):
     """The ModelSet held by the vector caches in `out_dir`."""
     context_vectors, gender_vectors = load_context_vectors(
         _out(out_dir, "context_vectors.txt"))
-    return ModelSet(
-        venue_vectors=load_venue_vectors(_out(out_dir, "venue_vectors.txt")),
-        user_profiles=load_user_vectors(
-            _out(out_dir, "user_vectors.txt"),
-            pos_threshold=cfg["pos_threshold"],
-            neg_threshold=cfg["neg_threshold"]),
-        context_vectors=context_vectors,
-        gender_vectors=gender_vectors)
+    return ModelSet(load_venue_vectors(_out(out_dir, "venue_vectors.txt")),
+                    load_user_vectors(_out(out_dir, "user_vectors.txt")),
+                    context_vectors, gender_vectors)
 
 
 def _load_topics(args, venues, profiles):
@@ -478,7 +478,7 @@ def _cmd_build_profiles(cfg, args):
 def _cmd_extract(cfg, args):
     venues_by_id, pairs, qrels = _load_topics(
         args, load_venues(args.venues), _load_profiles(cfg, args.profiles))
-    extract_step(venues_by_id, pairs, qrels, _load_models(cfg, args.out_dir),
+    extract_step(venues_by_id, pairs, qrels, _load_models(args.out_dir),
                  args.out_dir)
 
 

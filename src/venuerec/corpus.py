@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import FormatError
-from .text import DEFAULT_CONFIG, preprocess
+from .text import preprocess
 
 log = logging.getLogger(__name__)
 
@@ -234,7 +234,7 @@ def _non_negative(value, key, path, lineno):
     return value
 
 
-def load_venues(path, config=DEFAULT_CONFIG):
+def load_venues(path):
     venues = []
     seen = set()
     for lineno, obj in _records(path):
@@ -270,7 +270,7 @@ def load_venues(path, config=DEFAULT_CONFIG):
                 raise FormatError("field 'comments' must hold strings",
                                   path=path, line=lineno)
             comments.append(Comment(raw=raw,
-                                    tokens=tuple(preprocess(raw, config))))
+                                    tokens=tuple(preprocess(raw))))
         venues.append(Venue(id=vid,
                             name=_field(obj, "name", str, path, lineno) or "",
                             stats=stats, comments=tuple(comments)))

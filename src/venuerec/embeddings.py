@@ -87,16 +87,25 @@ class EmbeddingStore:
         return self._matrix[i]
 
 
-def cosine(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("cosine requires two vectors of equal length")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+def cosine_matrix(A, B):
+    """The cosine of each row of `A` with each row of `B`; 0 for a zero row.
+
+    Each dot and squared norm is a one-row matmul, done by the BLAS
+    ``ddot`` of ``np.dot`` and ``np.linalg.norm``, so each cosine is the
+    pairwise float bit for bit; ``einsum`` and ``A @ B.T`` add in
+    another order.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError("cosine_matrix requires rows of one length")
+    dots = (A[:, None, None, :] @ B[None, :, :, None])[:, :, 0, 0]
+    na, nb = (np.sqrt((M[:, None, :] @ M[:, :, None])[:, 0, 0])
+              for M in (A, B))
+    out = np.zeros(dots.shape)
+    np.divide(dots, np.outer(na, nb), out=out,
+              where=np.outer(na != 0.0, nb != 0.0))
+    return np.clip(out, -1.0, 1.0)
 
 
 def similar_k(store, query, k, exclude=()):
@@ -166,9 +175,12 @@ def _parse_vector(parts, dim, term, path, lineno):
     return vec
 
 
-def _load_text(path):
-    terms = []
-    vectors = []
+def read_text_vectors(path):
+    """Yield ``(line, term, vector)`` for each term of a text-format file.
+
+    The vector caches, which hold sums, are read with this alone; only
+    load_embeddings also limits the norm.
+    """
     seen = set()
     declared = None
     dim = None
@@ -197,13 +209,24 @@ def _load_text(path):
             raise FormatError("duplicate term %r" % term, path=path,
                               line=lineno)
         seen.add(term)
-        terms.append(term)
-        vectors.append(_parse_vector(parts[1:], dim, term, path, lineno))
-    if not terms:
+        yield lineno, term, _parse_vector(parts[1:], dim, term, path, lineno)
+    if not seen:
         raise FormatError("no vectors in file", path=path)
-    if declared is not None and declared[0] != len(terms):
+    if declared is not None and declared[0] != len(seen):
         raise FormatError("header declares %d terms, file holds %d"
-                          % (declared[0], len(terms)), path=path)
+                          % (declared[0], len(seen)), path=path)
+
+
+def _load_text(path):
+    terms, vectors = [], []
+    # every cosine takes this norm; float32 binary values cannot overflow it
+    with np.errstate(over="ignore"):
+        for lineno, term, vec in read_text_vectors(path):
+            if not np.isfinite(np.dot(vec, vec)):
+                raise FormatError("squared norm of term %r overflows a float"
+                                  % term, path=path, line=lineno)
+            terms.append(term)
+            vectors.append(vec)
     return EmbeddingStore(terms, np.array(vectors))
 
 

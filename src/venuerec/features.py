@@ -6,12 +6,12 @@ Everything downstream (training, serialization, ablation reports)
 refers to features by this order or by the names below.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import DEFAULT_SCHEMA, numbered_lines
-from .embeddings import cosine
+from .embeddings import cosine_matrix
 from .errors import FormatError, VenuerecError
 
 FEATURE_NAMES = (
@@ -22,8 +22,7 @@ FEATURE_NAMES = (
 
 N_FEATURES = len(FEATURE_NAMES)
 
-_STAT_FIELDS = ("checkins", "likes", "comment_count", "photos", "rating_avg",
-                "unique_users")
+_STAT_FIELDS = FEATURE_NAMES[:6]
 
 
 class FeatureTableError(VenuerecError, ValueError):
@@ -99,51 +98,43 @@ class FeatureTable:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Everything extract_features needs, keyed for lookup."""
+    """Everything extract_all needs, keyed for lookup."""
 
     venue_vectors: dict
     user_profiles: dict          # user_id -> UserVenueProfile
     context_vectors: dict        # (aspect, dimension) -> ContextVector
     gender_vectors: dict         # gender -> GenderVector
-    schema: object = field(default=DEFAULT_SCHEMA)
 
 
-def extract_features(pair, venue, models):
-    """The 13 features of one row; degenerate inputs give zeros, not errors."""
-    venue_id = venue.id if venue is not None else None
-    stats = venue.stats if venue is not None else None
-    row = []
-    for name in _STAT_FIELDS:
-        value = getattr(stats, name) if stats is not None else None
-        row.append(float(value) if value is not None else 0.0)
+def _topic_block(pair, venues, models):
+    """The 13 features of each candidate venue; None marks a dangling one.
 
-    vv = models.venue_vectors.get(venue_id) if venue_id is not None else None
-    if vv is not None:
-        w2v = vv.vector
-    else:
-        w2v = None  # no vector at all: every cosine below is 0
-
+    Degenerate inputs give zeros, not errors: a missing statistic is 0,
+    and a zero row stands in for an absent vector, so its cosines are 0.
+    """
+    block = np.zeros((len(venues), N_FEATURES))
+    for row, venue in zip(block, venues):
+        for j, name in enumerate(_STAT_FIELDS):
+            value = getattr(venue.stats, name) if venue is not None else None
+            if value is not None:
+                row[j] = float(value)
+    found = [models.venue_vectors.get(venue.id) if venue is not None
+             else None for venue in venues]
+    known = [vv.vector for vv in found if vv is not None]
+    if not known:
+        return block
+    zero = np.zeros(len(known[0]))
+    A = np.array([vv.vector if vv is not None else zero for vv in found])
+    # the user's two tastes, one context vector per aspect, the gender
     profile = models.user_profiles.get(pair.user.user_id)
-    if w2v is None or profile is None:
-        row.extend([0.0, 0.0])
-    else:
-        row.append(cosine(w2v, profile.positive))
-        row.append(cosine(w2v, profile.negative))
-
-    for aspect in models.schema.aspect_names():
-        dim = pair.dimension_of(aspect)
-        cv = models.context_vectors.get((aspect, dim)) if dim else None
-        if w2v is None or cv is None:
-            row.append(0.0)
-        else:
-            row.append(cosine(w2v, cv.vector))
-
-    gv = models.gender_vectors.get(pair.user.gender)
-    if w2v is None or gv is None:
-        row.append(0.0)
-    else:
-        row.append(cosine(w2v, gv.vector))
-    return tuple(row)
+    tastes = ([profile.positive, profile.negative] if profile is not None
+              else [zero, zero])
+    held = [models.context_vectors.get((aspect, pair.dimension_of(aspect)))
+            for aspect in DEFAULT_SCHEMA.aspect_names()]
+    held.append(models.gender_vectors.get(pair.user.gender))
+    B = np.array(tastes + [v.vector if v is not None else zero for v in held])
+    block[:, len(_STAT_FIELDS):] = cosine_matrix(A, B)
+    return block
 
 
 def extract_all(pairs, venues_by_id, models, qrels=None):
@@ -152,16 +143,16 @@ def extract_all(pairs, venues_by_id, models, qrels=None):
     A dangling candidate, one missing from `venues_by_id`, keeps its id
     and label and is ranked on zero features.
     """
-    topic_ids, venue_ids, labels, rows = [], [], [], []
+    topic_ids, venue_ids, labels, blocks = [], [], [], []
     for pair in pairs:
-        for venue_id in pair.candidates:
-            topic_ids.append(pair.topic_id)
-            venue_ids.append(venue_id)
-            labels.append(qrels.grade(pair.topic_id, venue_id)
-                          if qrels is not None else 0)
-            rows.append(extract_features(pair, venues_by_id.get(venue_id),
-                                         models))
-    return FeatureTable(topic_ids, venue_ids, labels, rows)
+        topic_ids += [pair.topic_id] * len(pair.candidates)
+        venue_ids += pair.candidates
+        labels += [qrels.grade(pair.topic_id, v) if qrels is not None else 0
+                   for v in pair.candidates]
+        blocks.append(_topic_block(
+            pair, [venues_by_id.get(v) for v in pair.candidates], models))
+    return FeatureTable(topic_ids, venue_ids, labels,
+                        np.concatenate(blocks) if blocks else ())
 
 
 def normalize_per_topic(table, columns=range(6)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DEFAULT_SCHEMA, GENDERS
-from .embeddings import load_embeddings, similar_k
+from .embeddings import read_text_vectors, similar_k
 from .errors import FormatError, VenuerecError
 from .text import PreprocessConfig, preprocess
 
@@ -44,8 +44,6 @@ class UserVenueProfile:
     user_id: str
     positive: np.ndarray
     negative: np.ndarray
-    pos_threshold: int
-    neg_threshold: int
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,7 @@ def user_profile_vectors(store, venue_vectors, profile,
             weight = rating + 1 if shifted_negative else rating
             neg += weight * vv.vector
     return UserVenueProfile(user_id=profile.user_id, positive=pos,
-                            negative=neg, pos_threshold=pos_threshold,
-                            neg_threshold=neg_threshold)
+                            negative=neg)
 
 
 def _expand_terms(store, seeds, target, k):
@@ -230,18 +227,13 @@ def _write_cache(entries, path):
             fh.write("\n")
 
 
-def _read_cache(path):
-    store = load_embeddings(path, format="text")
-    return [(t, np.array(store.vector_of(t))) for t in store.terms]
-
-
 def save_venue_vectors(vectors, path):
     _write_cache([(vv.venue_id, vv.vector) for vv in vectors.values()], path)
 
 
 def load_venue_vectors(path):
     return {key: VenueVector(venue_id=key, vector=vec)
-            for key, vec in _read_cache(path)}
+            for _, key, vec in read_text_vectors(path)}
 
 
 def save_user_vectors(profiles, path):
@@ -252,10 +244,9 @@ def save_user_vectors(profiles, path):
     _write_cache(entries, path)
 
 
-def load_user_vectors(path, pos_threshold=DEFAULT_POS_THRESHOLD,
-                      neg_threshold=DEFAULT_NEG_THRESHOLD):
+def load_user_vectors(path):
     halves = {}
-    for key, vec in _read_cache(path):
+    for _, key, vec in read_text_vectors(path):
         user_id, _, side = key.rpartition("/")
         if side not in ("pos", "neg") or not user_id:
             raise FormatError("bad user vector key %r" % key, path=path)
@@ -266,8 +257,7 @@ def load_user_vectors(path, pos_threshold=DEFAULT_POS_THRESHOLD,
             raise FormatError("user %r is missing a profile side" % user_id,
                               path=path)
         out[user_id] = UserVenueProfile(
-            user_id=user_id, positive=sides["pos"], negative=sides["neg"],
-            pos_threshold=pos_threshold, neg_threshold=neg_threshold)
+            user_id=user_id, positive=sides["pos"], negative=sides["neg"])
     return out
 
 
@@ -284,7 +274,7 @@ def save_context_vectors(context_vectors, gender_vectors, path):
 def load_context_vectors(path):
     by_dim = {}
     by_gender = {}
-    for key, vec in _read_cache(path):
+    for _, key, vec in read_text_vectors(path):
         aspect, _, rest = key.partition("/")
         if not rest:
             raise FormatError("bad context vector key %r" % key, path=path)

@@ -17,11 +17,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Pipeline switches; the defaults are what corpus ingestion uses."""
+    """The stopword list; the default is what corpus ingestion uses."""
 
     stopwords: frozenset = SMART_STOPWORDS
-    stem: bool = True
-    drop_digit_tokens: bool = True
 
 
 DEFAULT_CONFIG = PreprocessConfig()
@@ -33,21 +31,18 @@ def tokenize(text):
 
 
 def preprocess(text, config=DEFAULT_CONFIG):
-    """Full pipeline: tokenize, drop stopwords, stem, re-filter stopwords.
+    """Full pipeline: tokenize, drop digits and stopwords, stem, re-filter.
 
     The second stopword pass keeps the invariant that no output token is
     a stopword even when stemming collapses a word onto one.
     """
     out = []
     for tok in tokenize(text):
-        if config.drop_digit_tokens and tok.isdigit():
+        if tok.isdigit() or tok in config.stopwords:
             continue
+        tok = porter_stem(tok)
         if tok in config.stopwords:
             continue
-        if config.stem:
-            tok = porter_stem(tok)
-            if tok in config.stopwords:
-                continue
         out.append(tok)
     return out
 

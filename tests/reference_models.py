@@ -10,8 +10,11 @@ within 1e-9 per component), and the ranking metric topic by topic
 rescales one row record at a time (tests assert the package gives the
 same bits).  The tree learner sorts every column afresh at every node;
 it shares only the 1-D split kernel, the gain tolerance and the `Tree`
-record with the package.  `table_of` and `table_bits` build and compare
-the package's FeatureTable for the tests.
+record with the package.  `extract_features` is the per-row feature
+extraction that the batched `extract_all` replaced, with its scalar
+`cosine`; `rowwise_extract_all` builds the table from it one row at a
+time.  `table_of` and `table_bits` build and compare the package's
+FeatureTable for the tests.
 """
 
 import math
@@ -20,8 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from venuerec import _kernels
+from venuerec.corpus import DEFAULT_SCHEMA
 from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr.mart import _EPS, Tree
+
+_STAT_FIELDS = ("checkins", "likes", "comment_count", "photos", "rating_avg",
+                "unique_users")
 
 
 def brute_cosine(a, b):
@@ -105,6 +112,70 @@ def brute_term_sum(vectors, terms, dim):
         for i in range(dim):
             acc[i] += v[i]
     return acc
+
+
+def cosine(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("cosine requires two vectors of equal length")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def extract_features(pair, venue, models):
+    """The 13 features of one row; degenerate inputs give zeros, not errors."""
+    venue_id = venue.id if venue is not None else None
+    stats = venue.stats if venue is not None else None
+    row = []
+    for name in _STAT_FIELDS:
+        value = getattr(stats, name) if stats is not None else None
+        row.append(float(value) if value is not None else 0.0)
+
+    vv = models.venue_vectors.get(venue_id) if venue_id is not None else None
+    if vv is not None:
+        w2v = vv.vector
+    else:
+        w2v = None  # no vector at all: every cosine below is 0
+
+    profile = models.user_profiles.get(pair.user.user_id)
+    if w2v is None or profile is None:
+        row.extend([0.0, 0.0])
+    else:
+        row.append(cosine(w2v, profile.positive))
+        row.append(cosine(w2v, profile.negative))
+
+    for aspect in DEFAULT_SCHEMA.aspect_names():
+        dim = pair.dimension_of(aspect)
+        cv = models.context_vectors.get((aspect, dim)) if dim else None
+        if w2v is None or cv is None:
+            row.append(0.0)
+        else:
+            row.append(cosine(w2v, cv.vector))
+
+    gv = models.gender_vectors.get(pair.user.gender)
+    if w2v is None or gv is None:
+        row.append(0.0)
+    else:
+        row.append(cosine(w2v, gv.vector))
+    return tuple(row)
+
+
+def rowwise_extract_all(pairs, venues_by_id, models, qrels=None):
+    """The FeatureTable of every candidate, one extract_features row each."""
+    topic_ids, venue_ids, labels, rows = [], [], [], []
+    for pair in pairs:
+        for venue_id in pair.candidates:
+            topic_ids.append(pair.topic_id)
+            venue_ids.append(venue_id)
+            labels.append(qrels.grade(pair.topic_id, venue_id)
+                          if qrels is not None else 0)
+            rows.append(extract_features(pair, venues_by_id.get(venue_id),
+                                         models))
+    return FeatureTable(topic_ids, venue_ids, labels, rows)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,10 @@ class TestConfig:
         ("pipeline", "max_leaves = 1", "max_leaves must be >= 2"),
         ("ablate", "learner = ca\nmin_leaf = 0", "min_leaf must be >= 1"),
         ("train", "learner = ca\npatience = -1", "patience must be >= 0"),
+        ("pipeline", "seed = 1\nseed = 2",
+         "config key 'seed' already set on line 1"),
+        ("ablate", "k = 3\n# same value\nk = 3",
+         "config key 'k' already set on line 1"),
     ])
     def test_rule_breach_in_file_exits_2_before_any_output(
             self, corpus, pipeline_dir, tmp_path, capsys, command, text,
@@ -391,6 +395,19 @@ class TestBadInputs:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: %s: line 2: not valid UTF-8\n" % embeddings)
+
+    def test_overflowing_embedding_norm_exits_2(self, corpus, tmp_path,
+                                                capsys):
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_text("a 1e154 0.0\nb 1e160 -1e160\n")
+        out = tmp_path / "out"
+        code = main(pipeline_argv({**corpus, "embeddings": str(embeddings)},
+                                  out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line 2: squared norm of term 'b' overflows a float\n"
+            % embeddings)
+        assert os.listdir(out) == ["config.used"]
 
     def test_non_utf8_run_exits_2(self, corpus, tmp_path, capsys):
         run = tmp_path / "run.txt"

@@ -6,7 +6,7 @@ import pytest
 from venuerec.embeddings import (
     EmbeddingStore,
     SimilarTerm,
-    cosine,
+    cosine_matrix,
     load_embeddings,
     save_embeddings,
     similar_k,
@@ -82,39 +82,47 @@ class TestStoreBasics:
 
 
 class TestCosine:
+    """cosine_matrix, on each pair of rows."""
+
     def test_self_similarity_is_one(self):
         v = np.array([0.3, -1.2, 7.0])
-        assert cosine(v, v) == 1.0
+        assert cosine_matrix([v], [v]).tolist() == [[1.0]]
 
     def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert cosine_matrix([[1.0, 0.0]], [[0.0, 1.0]]).tolist() == [[0.0]]
 
     def test_analytic_45_degrees(self):
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
-            0.7071067811865475, abs=1e-15)
+        got = cosine_matrix([[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0]])
+        assert got.shape == (2, 1)
+        assert got[0, 0] == pytest.approx(0.7071067811865475, abs=1e-15)
+        assert got[1, 0] == 1.0
 
     def test_zero_norm_returns_zero(self):
-        assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-        assert cosine([1.0, 2.0], [0.0, 0.0]) == 0.0
+        got = cosine_matrix([[0.0, 0.0], [3.0, 4.0]],
+                            [[3.0, 4.0], [0.0, 0.0]])
+        assert got.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cosine([1.0, 2.0], [1.0, 2.0, 3.0])
+            cosine_matrix([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError):
+            cosine_matrix([1.0, 2.0], [1.0, 2.0])
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            assert cosine(a, b) == cosine(b, a)
+        a = rng.normal(size=(50, 6))
+        b = rng.normal(size=(7, 6))
+        np.testing.assert_array_equal(cosine_matrix(a, b),
+                                      cosine_matrix(b, a).T)
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(12)
-        a = rng.normal(size=8)
-        b = rng.normal(size=8)
-        base = cosine(a, b)
+        a = rng.normal(size=(5, 8))
+        b = rng.normal(size=(3, 8))
+        base = cosine_matrix(a, b)
         for alpha, beta in [(0.01, 3.0), (1e4, 1e-3), (7.0, 7.0)]:
-            assert abs(cosine(alpha * a, beta * b) - base) <= 1e-12
+            np.testing.assert_allclose(cosine_matrix(alpha * a, beta * b),
+                                       base, atol=1e-12, rtol=0)
 
 
 class TestSimilarK:
@@ -216,6 +224,13 @@ class TestTextFormat:
         p.write_text("a 1 2\nb x 4\n")
         with pytest.raises(FormatError, match="line 2"):
             load_embeddings(p, format="text")
+
+    def test_overflowing_squared_norm_has_line(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("a 1e154 0.0\nb 1e154 1e154\n")
+        with pytest.raises(FormatError, match="line 2: squared norm of "
+                                              "term 'b' overflows a float"):
+            load_embeddings(p)
 
     def test_values_survive_shortest_repr(self, tmp_path):
         rng = np.random.default_rng(5)

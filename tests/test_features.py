@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_models import FeatureRow, rowwise_normalize, table_bits, table_of
+from reference_models import (
+    FeatureRow,
+    rowwise_extract_all,
+    rowwise_normalize,
+    table_bits,
+    table_of,
+)
 
 from venuerec.corpus import (
+    DEFAULT_SCHEMA,
+    GENDERS,
     Comment,
     ContextPair,
     Qrels,
@@ -22,7 +30,6 @@ from venuerec.features import (
     N_FEATURES,
     ModelSet,
     extract_all,
-    extract_features,
     normalize_per_topic,
     read_features,
     write_features,
@@ -45,7 +52,7 @@ def make_models(**overrides):
         },
         user_profiles={
             "u1": UserVenueProfile("u1", np.array([4.0, 0.0]),
-                                   np.array([0.0, 1.0]), 4, 3),
+                                   np.array([0.0, 1.0])),
         },
         context_vectors={
             ("season", "summer"): ContextVector("season", "summer",
@@ -72,6 +79,13 @@ def make_venue(vid="v1", **stats):
     return Venue(id=vid, stats=VenueStats(**stats))
 
 
+def one_row(pair, venue, models):
+    """The one row extract_all gives `venue` as the pair's one candidate."""
+    assert pair.candidates == (venue.id,)
+    table = extract_all([pair], {venue.id: venue}, models)
+    return tuple(table.X[0].tolist())
+
+
 class TestExtractFeatures:
     def test_feature_names_order(self):
         assert FEATURE_NAMES == (
@@ -80,26 +94,26 @@ class TestExtractFeatures:
             "cv_group", "cv_type", "gv")
 
     def test_toy_chain_uv_pos_is_one(self):
-        row = extract_features(make_pair(), make_venue(), make_models())
+        row = one_row(make_pair(), make_venue(), make_models())
         assert row[6] == 1.0  # cosine((1,0),(4,0))
 
     def test_stats_fill_first_six(self):
         venue = make_venue(checkins=12, likes=3, comment_count=7, photos=2,
                            rating_avg=8.5, unique_users=4)
-        row = extract_features(make_pair(), venue, make_models())
+        row = one_row(make_pair(), venue, make_models())
         assert row[:6] == (12.0, 3.0, 7.0, 2.0, 8.5, 4.0)
 
     def test_absent_stats_are_zero(self):
-        row = extract_features(make_pair(), make_venue(likes=5), make_models())
+        row = one_row(make_pair(), make_venue(likes=5), make_models())
         assert row[:6] == (0.0, 5.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_zero_venue_vector_zeroes_cosines(self):
-        row = extract_features(make_pair(candidates=("v0",)),
-                               make_venue("v0"), make_models())
+        row = one_row(make_pair(candidates=("v0",)),
+                      make_venue("v0"), make_models())
         assert row[6:] == (0.0,) * 7
 
     def test_absent_aspects_zero_bound_aspect_scored(self):
-        row = extract_features(make_pair(), make_venue(), make_models())
+        row = one_row(make_pair(), make_venue(), make_models())
         # only season bound: f9, f11, f12 zero; f10 = cosine((1,0),(0,1))
         assert row[8] == 0.0
         assert row[9] == 0.0
@@ -108,16 +122,16 @@ class TestExtractFeatures:
 
     def test_two_bound_aspects(self):
         pair = make_pair(context=(("season", "summer"), ("group", "family")))
-        row = extract_features(pair, make_venue(), make_models())
+        row = one_row(pair, make_venue(), make_models())
         assert row[10] == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_gender_feature(self):
-        row = extract_features(make_pair(), make_venue(), make_models())
+        row = one_row(make_pair(), make_venue(), make_models())
         assert row[12] == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_unknown_user_profile_yields_zero_uv(self):
         pair = make_pair(user=UserProfile("ghost", "male", ()))
-        row = extract_features(pair, make_venue(), make_models())
+        row = one_row(pair, make_venue(), make_models())
         assert row[6] == 0.0
         assert row[7] == 0.0
 
@@ -138,19 +152,17 @@ class TestExtractFeatures:
             models = make_models(
                 venue_vectors={"v1": VenueVector("v1", rng.normal(size=2))},
                 user_profiles={"u1": UserVenueProfile(
-                    "u1", rng.normal(size=2), rng.normal(size=2), 4, 3)},
+                    "u1", rng.normal(size=2), rng.normal(size=2))},
                 gender_vectors={"male": GenderVector(
                     "male", rng.normal(size=2))},
             )
-            row = extract_features(make_pair(), make_venue(), models)
+            row = one_row(make_pair(), make_venue(), models)
             for x in row[6:]:
                 assert -1.0 <= x <= 1.0
 
     def test_identical_inputs_identical_features(self):
-        a = extract_features(make_pair(), make_venue(checkins=5),
-                             make_models())
-        b = extract_features(make_pair(), make_venue(checkins=5),
-                             make_models())
+        a = one_row(make_pair(), make_venue(checkins=5), make_models())
+        b = one_row(make_pair(), make_venue(checkins=5), make_models())
         assert a == b
 
     def test_scale_invariance_of_cosine_features(self):
@@ -162,25 +174,24 @@ class TestExtractFeatures:
         base_models = make_models(
             venue_vectors={"v1": VenueVector("v1", w2v)},
             user_profiles={"u1": UserVenueProfile("u1", pos,
-                                                  rng.normal(size=4), 4, 3)},
+                                                  rng.normal(size=4))},
             context_vectors={("season", "summer"): ContextVector(
                 "season", "summer", cvv)},
             gender_vectors={"male": GenderVector("male", gvv)},
         )
-        base = extract_features(make_pair(), make_venue(), base_models)
+        base = one_row(make_pair(), make_venue(), base_models)
         for c in (0.01, 3.0, 1e4):
             scaled_models = make_models(
                 venue_vectors={"v1": VenueVector(
                     "v1", c * base_models.venue_vectors["v1"].vector)},
                 user_profiles={"u1": UserVenueProfile(
                     "u1", c * base_models.user_profiles["u1"].positive,
-                    c * base_models.user_profiles["u1"].negative, 4, 3)},
+                    c * base_models.user_profiles["u1"].negative)},
                 context_vectors={("season", "summer"): ContextVector(
                     "season", "summer", c * cvv)},
                 gender_vectors={"male": GenderVector("male", c * gvv)},
             )
-            scaled = extract_features(make_pair(), make_venue(),
-                                      scaled_models)
+            scaled = one_row(make_pair(), make_venue(), scaled_models)
             np.testing.assert_allclose(scaled[6:], base[6:],
                                        atol=1e-12, rtol=0)
 
@@ -479,3 +490,77 @@ class TestTableProperties:
         assert (got.topic_ids, got.venue_ids) == (table.topic_ids,
                                                   table.venue_ids)
         assert got.labels.tolist() == table.labels.tolist()
+
+
+# Vector components: signed zeros, subnormals and magnitudes up to 1e100,
+# whose squared norms stay finite at every dimension drawn.
+COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e100, -1e100]),
+    st.floats(-1e100, 1e100))
+STATS = st.builds(
+    VenueStats,
+    **{name: st.none() | st.integers(0, 10 ** 6)
+       for name in ("checkins", "likes", "comment_count", "photos",
+                    "unique_users")},
+    rating_avg=st.none() | st.just(-0.0) | st.floats(0.0, 10.0))
+VENUES = ["v%d" % i for i in range(8)]
+CONTEXT_KEYS = [(aspect, dim) for aspect in DEFAULT_SCHEMA.aspect_names()
+                for dim in DEFAULT_SCHEMA.dimensions(aspect)]
+
+
+@st.composite
+def extraction_inputs(draw):
+    """Pairs, venues by id, models and qrels, with every gap extract_all
+    fills with zeros: dangling candidates, venues without a vector or
+    with a zero one, users without a profile, unbound aspects and absent
+    context and gender vectors."""
+    dim = draw(st.integers(1, 300))
+    rows = len(VENUES) + 4 + len(CONTEXT_KEYS) + len(GENDERS)
+    M = draw(hnp.arrays(np.float64, (rows, dim), elements=COMPONENTS))
+    M[draw(hnp.arrays(np.bool_, rows))] = 0.0
+    vectors = iter(M)
+    venues_by_id = {vid: Venue(id=vid, stats=draw(STATS))
+                    for vid in draw(st.sets(st.sampled_from(VENUES)))}
+    venue_vectors = {vid: VenueVector(vid, next(vectors)) for vid in VENUES}
+    for vid in draw(st.sets(st.sampled_from(VENUES))):
+        del venue_vectors[vid]
+    user_profiles = {uid: UserVenueProfile(uid, next(vectors), next(vectors))
+                     for uid in ("u0", "u1")}
+    for uid in draw(st.sets(st.sampled_from(["u0", "u1"]))):
+        del user_profiles[uid]
+    context_vectors = {key: ContextVector(*key, next(vectors))
+                       for key in CONTEXT_KEYS}
+    for key in draw(st.sets(st.sampled_from(CONTEXT_KEYS))):
+        del context_vectors[key]
+    gender_vectors = {g: GenderVector(g, next(vectors)) for g in GENDERS}
+    for g in draw(st.sets(st.sampled_from(GENDERS))):
+        del gender_vectors[g]
+    models = ModelSet(venue_vectors, user_profiles, context_vectors,
+                      gender_vectors)
+
+    pairs = []
+    for t in range(draw(st.integers(0, 4))):
+        user = UserProfile(draw(st.sampled_from(["u0", "u1", "u2"])),
+                           draw(st.sampled_from(GENDERS)))
+        context = tuple(
+            (aspect, draw(st.sampled_from(DEFAULT_SCHEMA.dimensions(aspect))))
+            for aspect in DEFAULT_SCHEMA.aspect_names() if draw(st.booleans()))
+        candidates = draw(st.lists(st.sampled_from(VENUES + ["g0", "g1"]),
+                                   unique=True, max_size=8))
+        pairs.append(ContextPair("t%d" % t, user, context, tuple(candidates)))
+    qrels = draw(st.none() | st.builds(Qrels, st.dictionaries(
+        st.tuples(st.sampled_from(["t0", "t1"]), st.sampled_from(VENUES)),
+        st.integers(0, 3))))
+    return pairs, venues_by_id, models, qrels
+
+
+class TestExtractAllOracle:
+    """The batched extract_all against the per-row formula it replaced."""
+
+    @given(inputs=extraction_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_row_oracle_bit_for_bit(self, inputs):
+        got = extract_all(*inputs)
+        want = rowwise_extract_all(*inputs)
+        assert got.X.tobytes() == want.X.tobytes()
+        assert table_bits(got) == table_bits(want)

@@ -430,7 +430,7 @@ class TestCacheRoundTripIsBitExact:
         users = {}
         for user_id, neg_key in zip(keys[:half], keys[half:] + keys[:1]):
             users[user_id] = UserVenueProfile(
-                user_id, table[user_id], table[neg_key], 4, 3)
+                user_id, table[user_id], table[neg_key])
         path = tmp_path_factory.mktemp("cache") / "user_vectors.txt"
         save_user_vectors(users, path)
         back = load_user_vectors(path)

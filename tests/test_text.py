@@ -210,11 +210,6 @@ class TestPreprocess:
     def test_empty(self):
         assert preprocess("") == []
 
-    def test_no_stem_config(self):
-        cfg = PreprocessConfig(stem=False)
-        assert preprocess("Grandparents visited", cfg) == [
-            "grandparents", "visited"]
-
     def test_no_stopword_config_keeps_everything(self):
         cfg = PreprocessConfig(stopwords=frozenset())
         assert preprocess("alone at night", cfg) == ["alon", "at", "night"]
