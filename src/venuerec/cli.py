@@ -21,10 +21,11 @@ import os
 import sys
 import typing
 
+import numpy as np
+
 from . import __version__
 from .ablation import run_ablation, write_ablation
 from .corpus import (
-    GENDERS,
     load_contexts,
     load_profiles,
     load_qrels,
@@ -58,7 +59,6 @@ from .ltr.data import METRICS
 from .profiles import (
     build_context_vectors,
     build_venue_vectors,
-    gender_vector,
     load_context_vectors,
     load_user_vectors,
     load_venue_vectors,
@@ -260,20 +260,15 @@ def build_profiles_step(cfg, store, venues, profiles, out_dir):
                     "venue corpus (skipped)", sum(dangling),
                     sum(1 for n in dangling if n))
     context_vectors = build_context_vectors(store, k=cfg["k"])
-    gender_vectors = [gender_vector(store, g, k=cfg["k"]) for g in GENDERS]
 
     save_venue_vectors(venue_vectors, _out(out_dir, "venue_vectors.txt"))
     save_user_vectors(user_vectors, _out(out_dir, "user_vectors.txt"))
-    save_context_vectors(context_vectors, gender_vectors,
+    save_context_vectors(context_vectors,
                          _out(out_dir, "context_vectors.txt"))
     log.info("profile caches written to %s", out_dir)
     # the caches print every float with %r, so they load back to
     # exactly these values
-    return ModelSet(
-        venue_vectors=venue_vectors, user_profiles=user_vectors,
-        context_vectors={(cv.aspect, cv.dimension): cv
-                         for cv in context_vectors},
-        gender_vectors={gv.gender: gv for gv in gender_vectors})
+    return ModelSet(venue_vectors, user_vectors, context_vectors)
 
 
 def extract_step(venues_by_id, pairs, qrels, models, out_dir):
@@ -317,6 +312,7 @@ def train_step(cfg, table, out_dir):
 
 
 def rank_step(cfg, table, model_path, out_dir):
+    """Write run.txt; returns the RankedRun it holds."""
     model = load_model(model_path)
     info = load_model_info(model_path)
     normalize = bool(info.get("normalize", cfg["normalize"]))
@@ -324,9 +320,18 @@ def rank_step(cfg, table, model_path, out_dir):
         table = normalize_per_topic(table)
         log.info("per-topic normalization applied before scoring")
     try:
-        scores = predict_matrix(model, table.X).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = predict_matrix(model, table.X)
     except VenuerecError as exc:
         raise FormatError(str(exc), path=model_path)
+    # a run holds finite scores only; load_run refuses any other
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        i = bad[0]
+        raise VenuerecError("topic %s: the score of venue %s is %r"
+                            % (table.topic_ids[i], table.venue_ids[i],
+                               float(scores[i])))
+    scores = scores.tolist()
     scored = {table.topic_ids[start]: list(zip(table.venue_ids[start:stop],
                                                scores[start:stop]))
               for start, stop in table.bounds}
@@ -334,6 +339,7 @@ def rank_step(cfg, table, model_path, out_dir):
     path = _out(out_dir, "run.txt")
     write_run(run, path)
     log.info("run over %d topics written to %s", len(scored), path)
+    return run
 
 
 def eval_step(cfg, run, qrels, compare, out_dir):
@@ -453,11 +459,9 @@ def _load_profiles(cfg, path):
 
 def _load_models(out_dir):
     """The ModelSet held by the vector caches in `out_dir`."""
-    context_vectors, gender_vectors = load_context_vectors(
-        _out(out_dir, "context_vectors.txt"))
     return ModelSet(load_venue_vectors(_out(out_dir, "venue_vectors.txt")),
                     load_user_vectors(_out(out_dir, "user_vectors.txt")),
-                    context_vectors, gender_vectors)
+                    load_context_vectors(_out(out_dir, "context_vectors.txt")))
 
 
 def _load_topics(args, venues, profiles):
@@ -514,8 +518,8 @@ def _cmd_pipeline(cfg, args):
     del store
     table = extract_step(venues_by_id, pairs, qrels, models, out_dir)
     train_step(cfg, table, out_dir)
-    rank_step(cfg, table, _out(out_dir, "model.json"), out_dir)
-    eval_step(cfg, load_run(_out(out_dir, "run.txt")), qrels, None, out_dir)
+    run = rank_step(cfg, table, _out(out_dir, "model.json"), out_dir)
+    eval_step(cfg, run, qrels, None, out_dir)
 
 
 _COMMANDS = {

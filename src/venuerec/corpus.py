@@ -11,7 +11,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
 from .text import preprocess
@@ -227,13 +227,6 @@ def _identifier(obj, key, path, lineno):
     return value
 
 
-def _non_negative(value, key, path, lineno):
-    if value is not None and value < 0:
-        raise FormatError("field %r must be non-negative" % key, path=path,
-                          line=lineno)
-    return value
-
-
 def load_venues(path):
     venues = []
     seen = set()
@@ -243,24 +236,15 @@ def load_venues(path):
             raise FormatError("duplicate venue id %r" % vid, path=path,
                               line=lineno)
         seen.add(vid)
-        stats = VenueStats(
-            checkins=_non_negative(
-                _field(obj, "checkins", int, path, lineno), "checkins",
-                path, lineno),
-            likes=_non_negative(
-                _field(obj, "likes", int, path, lineno), "likes",
-                path, lineno),
-            comment_count=_non_negative(
-                _field(obj, "comment_count", int, path, lineno),
-                "comment_count", path, lineno),
-            photos=_non_negative(
-                _field(obj, "photos", int, path, lineno), "photos",
-                path, lineno),
-            rating_avg=_field(obj, "rating_avg", float, path, lineno),
-            unique_users=_non_negative(
-                _field(obj, "unique_users", int, path, lineno),
-                "unique_users", path, lineno),
-        )
+        values = {}
+        for stat in fields(VenueStats):
+            value = _field(obj, stat.name, stat.type, path, lineno)
+            # the counts, the int fields, are never negative
+            if stat.type is int and value is not None and value < 0:
+                raise FormatError("field %r must be non-negative" % stat.name,
+                                  path=path, line=lineno)
+            values[stat.name] = value
+        stats = VenueStats(**values)
         if stats.rating_avg is not None and not 0 <= stats.rating_avg <= 10:
             raise FormatError("field 'rating_avg' outside [0, 10]", path=path,
                               line=lineno)

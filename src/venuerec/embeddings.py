@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import cosine_scores
 from .corpus import numbered_lines
-from .errors import FormatError
+from .errors import FormatError, VenuerecError
 
 
 class SimilarTerm(NamedTuple):
@@ -87,21 +87,38 @@ class EmbeddingStore:
         return self._matrix[i]
 
 
+class NormOverflowError(VenuerecError, ValueError):
+    """A row whose squared norm overflows a float; `row` counts the rows
+    of A, then those of B."""
+
+    def __init__(self, row):
+        super().__init__("the squared norm of row %d overflows a float"
+                         % row)
+        self.row = row
+
+
 def cosine_matrix(A, B):
     """The cosine of each row of `A` with each row of `B`; 0 for a zero row.
 
     Each dot and squared norm is a one-row matmul, done by the BLAS
     ``ddot`` of ``np.dot`` and ``np.linalg.norm``, so each cosine is the
     pairwise float bit for bit; ``einsum`` and ``A @ B.T`` add in
-    another order.
+    another order.  A row whose squared norm overflows raises
+    NormOverflowError; with every squared norm finite, no dot overflows.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("cosine_matrix requires rows of one length")
+    with np.errstate(over="ignore"):
+        squares = np.concatenate([(M[:, None, :] @ M[:, :, None])[:, 0, 0]
+                                  for M in (A, B)])
+    bad = np.flatnonzero(~np.isfinite(squares))
+    if len(bad):
+        raise NormOverflowError(int(bad[0]))
     dots = (A[:, None, None, :] @ B[None, :, :, None])[:, :, 0, 0]
-    na, nb = (np.sqrt((M[:, None, :] @ M[:, :, None])[:, 0, 0])
-              for M in (A, B))
+    norms = np.sqrt(squares)
+    na, nb = norms[:len(A)], norms[len(A):]
     out = np.zeros(dots.shape)
     np.divide(dots, np.outer(na, nb), out=out,
               where=np.outer(na != 0.0, nb != 0.0))

@@ -158,9 +158,6 @@ class MetricReport:
                 return p, rr
         raise KeyError(topic_id)
 
-    def p_at_k_values(self):
-        return tuple(p for _, p, _ in self.per_topic)
-
 
 def evaluate_run(run, qrels, k=DEFAULT_K, cutoff=DEFAULT_CUTOFF,
                  include_empty=False):

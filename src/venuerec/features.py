@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DEFAULT_SCHEMA, numbered_lines
-from .embeddings import cosine_matrix
+from .embeddings import NormOverflowError, cosine_matrix
 from .errors import FormatError, VenuerecError
 
 FEATURE_NAMES = (
@@ -102,8 +102,8 @@ class ModelSet:
 
     venue_vectors: dict
     user_profiles: dict          # user_id -> UserVenueProfile
-    context_vectors: dict        # (aspect, dimension) -> ContextVector
-    gender_vectors: dict         # gender -> GenderVector
+    # (aspect, dimension) -> vector; gender is the aspect "gender"
+    context_vectors: dict
 
 
 def _topic_block(pair, venues, models):
@@ -111,6 +111,8 @@ def _topic_block(pair, venues, models):
 
     Degenerate inputs give zeros, not errors: a missing statistic is 0,
     and a zero row stands in for an absent vector, so its cosines are 0.
+    A vector whose squared norm overflows a float is an error naming
+    the topic and the vector.
     """
     block = np.zeros((len(venues), N_FEATURES))
     for row, venue in zip(block, venues):
@@ -126,14 +128,25 @@ def _topic_block(pair, venues, models):
     zero = np.zeros(len(known[0]))
     A = np.array([vv.vector if vv is not None else zero for vv in found])
     # the user's two tastes, one context vector per aspect, the gender
-    profile = models.user_profiles.get(pair.user.user_id)
+    user = pair.user
+    profile = models.user_profiles.get(user.user_id)
     tastes = ([profile.positive, profile.negative] if profile is not None
               else [zero, zero])
-    held = [models.context_vectors.get((aspect, pair.dimension_of(aspect)))
+    keys = [(aspect, pair.dimension_of(aspect))
             for aspect in DEFAULT_SCHEMA.aspect_names()]
-    held.append(models.gender_vectors.get(pair.user.gender))
-    B = np.array(tastes + [v.vector if v is not None else zero for v in held])
-    block[:, len(_STAT_FIELDS):] = cosine_matrix(A, B)
+    keys.append(("gender", user.gender))
+    B = np.array(tastes + [models.context_vectors.get(key, zero)
+                           for key in keys])
+    try:
+        block[:, len(_STAT_FIELDS):] = cosine_matrix(A, B)
+    except NormOverflowError as exc:
+        others = ["user vector '%s/%s'" % (user.user_id, side)
+                  for side in ("pos", "neg")]
+        others += ["context vector %r" % (key,) for key in keys]
+        name = ("venue vector %r" % found[exc.row].venue_id
+                if exc.row < len(found) else others[exc.row - len(found)])
+        raise VenuerecError("topic %s: squared norm of %s overflows a float"
+                            % (pair.topic_id, name)) from None
     return block
 
 

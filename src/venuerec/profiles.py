@@ -1,4 +1,4 @@
-"""Preference vectors: venue content, user taste, context, and gender.
+"""Preference vectors: venue content, user taste, and context.
 
 A venue's vector is the sum of the embedding vectors of every token
 occurrence in its comments.  A user's taste splits into a positive and
@@ -6,9 +6,9 @@ a negative vector: rating-weighted sums of the vectors of the venues
 they rated at or above the positive threshold, resp. at or below the
 negative one.  A contextual dimension's vector sums the embeddings of
 the terms found by subtracting each sibling dimension's seed vector
-from its own and taking the top-K most similar vocabulary terms.  The
-gender vector applies the same construction to the two-dimension
-pseudo-aspect male/female.
+from its own and taking the top-K most similar vocabulary terms.
+Gender is built as one more aspect, ``gender``, whose two dimensions
+are the names in GENDERS.
 """
 
 import logging
@@ -52,19 +52,6 @@ class ContextTermSet:
     dimension: str
     terms: tuple  # sorted, deduplicated
     k: int
-
-
-@dataclass(frozen=True)
-class ContextVector:
-    aspect: str
-    dimension: str
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class GenderVector:
-    gender: str
-    vector: np.ndarray
 
 
 def seed_tokens(dimension):
@@ -133,37 +120,32 @@ def user_profile_vectors(store, venue_vectors, profile,
                             negative=neg)
 
 
-def _expand_terms(store, seeds, target, k):
-    """Union of top-k terms over subtraction against each sibling seed.
-
-    `seeds` is an ordered list of (dimension, seed vector); every seed
-    token of every listed dimension is excluded from the search.
-    """
-    exclude = set()
-    for dim, _ in seeds:
-        exclude.update(seed_tokens(dim))
-    target_vec = dict(seeds)[target]
-    found = set()
-    for dim, vec in seeds:
-        if dim == target:
-            continue
-        for hit in similar_k(store, target_vec - vec, k, exclude):
-            found.add(hit.term)
-    return tuple(sorted(found))
+def _dimensions(schema, aspect):
+    return GENDERS if aspect == "gender" else schema.dimensions(aspect)
 
 
 def context_terms(store, aspect, dimension, k=DEFAULT_K,
                   schema=DEFAULT_SCHEMA):
+    """Union of the top-k terms over subtracting each sibling's seed
+    vector from the dimension's own.
+
+    `aspect` is one of the schema's, or ``gender`` with the dimensions
+    in GENDERS.  Every seed token of the aspect is excluded from the
+    search.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dims = schema.dimensions(aspect)
+    dims = _dimensions(schema, aspect)
     if dimension not in dims:
         raise ValueError("dimension %r is not legal for aspect %r"
                          % (dimension, aspect))
-    seeds = [(d, seed_vector(store, d)) for d in dims]
-    terms = _expand_terms(store, seeds, dimension, k)
-    return ContextTermSet(aspect=aspect, dimension=dimension, terms=terms,
-                          k=k)
+    seeds = {d: seed_vector(store, d) for d in dims}
+    exclude = {tok for d in dims for tok in seed_tokens(d)}
+    found = {hit.term for d in dims if d != dimension
+             for hit in similar_k(store, seeds[dimension] - seeds[d], k,
+                                  exclude)}
+    return ContextTermSet(aspect=aspect, dimension=dimension,
+                          terms=tuple(sorted(found)), k=k)
 
 
 def context_vector(store, term_set):
@@ -177,42 +159,21 @@ def context_vector(store, term_set):
         if v is None:
             raise VenuerecError("term %r vanished from the store" % term)
         acc += v
-    return ContextVector(aspect=term_set.aspect, dimension=term_set.dimension,
-                         vector=acc)
-
-
-def gender_terms(store, gender, k=DEFAULT_K):
-    if gender not in GENDERS:
-        raise ValueError("gender must be one of %s" % "/".join(GENDERS))
-    seeds = [(g, seed_vector(store, g)) for g in GENDERS]
-    return ContextTermSet(aspect="gender", dimension=gender,
-                          terms=_expand_terms(store, seeds, gender, k), k=k)
-
-
-def gender_vector(store, gender, k=DEFAULT_K):
-    term_set = gender_terms(store, gender, k)
-    cv = context_vector(store, term_set)
-    return GenderVector(gender=gender, vector=cv.vector)
+    return acc
 
 
 def build_context_vectors(store, k=DEFAULT_K, schema=DEFAULT_SCHEMA):
-    """All (aspect, dimension) context vectors for a schema, in order."""
-    out = []
-    for aspect in schema.aspect_names():
-        for dim in schema.dimensions(aspect):
-            out.append(context_vector(store, context_terms(
-                store, aspect, dim, k, schema)))
-    return out
+    """``{(aspect, dimension): vector}`` over the schema's aspects, then
+    over ``gender``."""
+    return {(aspect, dim): context_vector(
+                store, context_terms(store, aspect, dim, k, schema))
+            for aspect in schema.aspect_names() + ("gender",)
+            for dim in _dimensions(schema, aspect)}
 
 
 # ---------------------------------------------------------------------------
 # Vector caches, stored in the text embedding format with composite keys
 # ---------------------------------------------------------------------------
-
-def _check_cache_key(key):
-    if any(ch.isspace() for ch in key):
-        raise VenuerecError("cache key %r contains whitespace" % key)
-
 
 def _write_cache(entries, path):
     entries = sorted(entries)
@@ -220,7 +181,8 @@ def _write_cache(entries, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%d %d\n" % (len(entries), dim))
         for key, vec in entries:
-            _check_cache_key(key)
+            if any(ch.isspace() for ch in key):
+                raise VenuerecError("cache key %r contains whitespace" % key)
             fh.write(key)
             for x in vec:
                 fh.write(" %r" % float(x))
@@ -237,19 +199,18 @@ def load_venue_vectors(path):
 
 
 def save_user_vectors(profiles, path):
-    entries = []
-    for up in profiles.values():
-        entries.append((up.user_id + "/pos", up.positive))
-        entries.append((up.user_id + "/neg", up.negative))
-    _write_cache(entries, path)
+    _write_cache([(up.user_id + side, vec) for up in profiles.values()
+                  for side, vec in (("/pos", up.positive),
+                                    ("/neg", up.negative))], path)
 
 
 def load_user_vectors(path):
     halves = {}
-    for _, key, vec in read_text_vectors(path):
+    for lineno, key, vec in read_text_vectors(path):
         user_id, _, side = key.rpartition("/")
         if side not in ("pos", "neg") or not user_id:
-            raise FormatError("bad user vector key %r" % key, path=path)
+            raise FormatError("bad user vector key %r" % key, path=path,
+                              line=lineno)
         halves.setdefault(user_id, {})[side] = vec
     out = {}
     for user_id, sides in sorted(halves.items()):
@@ -261,29 +222,22 @@ def load_user_vectors(path):
     return out
 
 
-def save_context_vectors(context_vectors, gender_vectors, path):
-    entries = []
-    for cv in context_vectors:
-        key = "%s/%s" % (cv.aspect, cv.dimension.replace(" ", "_"))
-        entries.append((key, cv.vector))
-    for gv in gender_vectors:
-        entries.append(("gender/" + gv.gender, gv.vector))
-    _write_cache(entries, path)
+def save_context_vectors(context_vectors, path):
+    """Cache ``{(aspect, dimension): vector}``; a dimension's spaces are
+    stored as '_' in its key."""
+    _write_cache([("%s/%s" % (aspect, dim.replace(" ", "_")), vec)
+                  for (aspect, dim), vec in context_vectors.items()], path)
 
 
 def load_context_vectors(path):
-    by_dim = {}
-    by_gender = {}
-    for _, key, vec in read_text_vectors(path):
+    out = {}
+    for lineno, key, vec in read_text_vectors(path):
         aspect, _, rest = key.partition("/")
         if not rest:
-            raise FormatError("bad context vector key %r" % key, path=path)
-        if aspect == "gender":
-            if rest not in GENDERS:
-                raise FormatError("bad gender key %r" % key, path=path)
-            by_gender[rest] = GenderVector(gender=rest, vector=vec)
-        else:
-            dim = rest.replace("_", " ")
-            by_dim[(aspect, dim)] = ContextVector(aspect=aspect,
-                                                  dimension=dim, vector=vec)
-    return by_dim, by_gender
+            raise FormatError("bad context vector key %r" % key, path=path,
+                              line=lineno)
+        if aspect == "gender" and rest not in GENDERS:
+            raise FormatError("bad gender key %r" % key, path=path,
+                              line=lineno)
+        out[(aspect, rest.replace("_", " "))] = vec
+    return out

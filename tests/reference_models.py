@@ -154,13 +154,13 @@ def extract_features(pair, venue, models):
         if w2v is None or cv is None:
             row.append(0.0)
         else:
-            row.append(cosine(w2v, cv.vector))
+            row.append(cosine(w2v, cv))
 
-    gv = models.gender_vectors.get(pair.user.gender)
+    gv = models.context_vectors.get(("gender", pair.user.gender))
     if w2v is None or gv is None:
         row.append(0.0)
     else:
-        row.append(cosine(w2v, gv.vector))
+        row.append(cosine(w2v, gv))
     return tuple(row)
 
 

@@ -45,7 +45,6 @@ from venuerec.features import ModelSet, extract_all
 from venuerec.profiles import (
     build_context_vectors,
     build_venue_vectors,
-    gender_vector,
     seed_tokens,
     user_profile_vectors,
 )
@@ -254,9 +253,7 @@ def feature_rows(paths, scale=1.0):
         venue_vectors=venue_vectors,
         user_profiles={p.user_id: user_profile_vectors(store, venue_vectors, p)
                        for p in profiles},
-        context_vectors={(cv.aspect, cv.dimension): cv
-                         for cv in build_context_vectors(store)},
-        gender_vectors={g: gender_vector(store, g) for g in GENDERS})
+        context_vectors=build_context_vectors(store))
     return extract_all(pairs, by_id, models, qrels)
 
 

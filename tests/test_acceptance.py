@@ -32,8 +32,6 @@ from venuerec.ltr import (
 from venuerec.profiles import (
     context_terms,
     context_vector,
-    gender_terms,
-    gender_vector,
     user_profile_vectors,
     venue_vector,
 )
@@ -197,18 +195,19 @@ def test_a02_vector_equations_match_brute_force():
                     acc = [0.0] * 4
                     for t in want:
                         acc = [a + b for a, b in zip(acc, vocab[t])]
-                    assert cv.vector == pytest.approx(acc, abs=1e-9)
+                    assert cv == pytest.approx(acc, abs=1e-9)
 
             seed_of = {"male": "male", "female": "femal"}
             for gender in ("male", "female"):
                 want = brute_expand(vocab, ("male", "female"), seed_of,
                                     gender, k)
-                assert gender_terms(store, gender, k).terms == want
-                gv = gender_vector(store, gender, k)
+                ts = context_terms(store, "gender", gender, k)
+                assert ts.terms == want
+                gv = context_vector(store, ts)
                 acc = [0.0] * 4
                 for t in want:
                     acc = [a + b for a, b in zip(acc, vocab[t])]
-                assert gv.vector == pytest.approx(acc, abs=1e-9)
+                assert gv == pytest.approx(acc, abs=1e-9)
 
 
 # -- 3 ----------------------------------------------------------------------

@@ -409,6 +409,83 @@ class TestBadInputs:
             % embeddings)
         assert os.listdir(out) == ["config.used"]
 
+    def extract_on_caches(self, corpus, pipeline_dir, out_dir, name, edit):
+        """`extract` on the pipeline's caches, line i of cache `name`
+        replaced by ``edit(i, line)``; returns the exit code and path."""
+        out_dir.mkdir()
+        for cache in ("venue_vectors.txt", "user_vectors.txt",
+                      "context_vectors.txt"):
+            lines = (pipeline_dir / cache).read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if cache == name:
+                lines = [edit(i, line) for i, line in enumerate(lines, 1)]
+            (out_dir / cache).write_text("".join(lines), encoding="utf-8")
+        code = main(["extract", "--out-dir", str(out_dir),
+                     "--venues", corpus["venues"],
+                     "--profiles", corpus["profiles"],
+                     "--contexts", corpus["contexts"],
+                     "--qrels", corpus["qrels"]])
+        return code, out_dir / name
+
+    @pytest.mark.parametrize("name, key, message", [
+        ("user_vectors.txt", "u00/up", "bad user vector key 'u00/up'"),
+        ("context_vectors.txt", "gender/other",
+         "bad gender key 'gender/other'"),
+    ], ids=["user", "gender"])
+    def test_bad_cache_key_names_its_line(self, corpus, pipeline_dir,
+                                          tmp_path, capsys, name, key,
+                                          message):
+        code, path = self.extract_on_caches(
+            corpus, pipeline_dir, tmp_path / "out", name,
+            lambda i, line: key + line[line.index(" "):] if i == 3 else line)
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: line 3: %s\n" % (
+            path, message)
+
+    def test_overflowing_venue_vector_exits_2(self, corpus, pipeline_dir,
+                                              tmp_path, capsys):
+        first = json.loads(open(corpus["contexts"], encoding="utf-8")
+                           .readline())
+        venue = first["candidates"][0]
+
+        def blow_up(i, line):
+            key, *values = line.split()
+            if key != venue:
+                return line
+            values = ["2.6e154"] * 2 + ["0.0"] * (len(values) - 2)
+            return " ".join([key, *values]) + "\n"
+
+        code, _ = self.extract_on_caches(corpus, pipeline_dir,
+                                         tmp_path / "out",
+                                         "venue_vectors.txt", blow_up)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: topic %s: squared norm of venue vector %r overflows a "
+            "float\n" % (first["topic_id"], venue))
+
+    def test_non_finite_score_exits_2_before_the_run_is_written(
+            self, pipeline_dir, tmp_path, capsys):
+        doc = json.loads((pipeline_dir / "model.json").read_text(
+            encoding="utf-8"))
+        # two trees whose every leaf is 1.7e308 sum to inf on every row
+        tree = doc["trees"][0]
+        tree["value"] = [1.7e308] * len(tree["value"])
+        doc["trees"] = [tree, tree]
+        doc["shrinkage"] = 1.0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        first = (pipeline_dir / "features.txt").read_text(
+            encoding="utf-8").split("\n", 1)[0].split()
+        code = main(["rank", "--out-dir", str(out),
+                     "--features", str(pipeline_dir / "features.txt"),
+                     "--model", str(model)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: topic %s: the score of venue %s is inf\n"
+            % (first[1][4:], first[-1]))
+        assert not (out / "run.txt").exists()
+
     def test_non_utf8_run_exits_2(self, corpus, tmp_path, capsys):
         run = tmp_path / "run.txt"
         run.write_bytes(b"t1 Q0 v\xe9 1 1.0 tag\n")

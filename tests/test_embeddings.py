@@ -1,10 +1,13 @@
 """Embedding store: file formats, cosine, exact top-K search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from venuerec.embeddings import (
     EmbeddingStore,
+    NormOverflowError,
     SimilarTerm,
     cosine_matrix,
     load_embeddings,
@@ -123,6 +126,24 @@ class TestCosine:
         for alpha, beta in [(0.01, 3.0), (1e4, 1e-3), (7.0, 7.0)]:
             np.testing.assert_allclose(cosine_matrix(alpha * a, beta * b),
                                        base, atol=1e-12, rtol=0)
+
+    def test_overflowing_squared_norm_names_its_row(self):
+        # the rows of A count first, then those of B
+        big = [2.6e154, 2.6e154]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormOverflowError) as a_row:
+                cosine_matrix([[1.0, 1.0], big], [[1.0, 1.0]])
+            with pytest.raises(NormOverflowError) as b_row:
+                cosine_matrix([[1.0, 1.0]], [[1.0, 0.0], big])
+        assert (a_row.value.row, b_row.value.row) == (1, 2)
+
+    def test_largest_finite_squared_norm_still_scores(self):
+        # 9.4e153 squared, twice, is 1.77e308, just under the largest
+        # float: the row still scores its cosine
+        got = cosine_matrix([[9.4e153, 9.4e153]], [[1.0, 0.0]])
+        assert got.tolist() == [[pytest.approx(0.7071067811865476,
+                                               abs=1e-15)]]
 
 
 class TestSimilarK:

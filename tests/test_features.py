@@ -1,5 +1,7 @@
 """Feature extraction values, bounds, the feature table and its file."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,12 +36,7 @@ from venuerec.features import (
     read_features,
     write_features,
 )
-from venuerec.profiles import (
-    ContextVector,
-    GenderVector,
-    UserVenueProfile,
-    VenueVector,
-)
+from venuerec.profiles import UserVenueProfile, VenueVector
 
 SQRT_HALF = 0.7071067811865475
 
@@ -55,13 +52,9 @@ def make_models(**overrides):
                                    np.array([0.0, 1.0])),
         },
         context_vectors={
-            ("season", "summer"): ContextVector("season", "summer",
-                                                np.array([0.0, 1.0])),
-            ("group", "family"): ContextVector("group", "family",
-                                               np.array([1.0, 1.0])),
-        },
-        gender_vectors={
-            "male": GenderVector("male", np.array([1.0, 1.0])),
+            ("season", "summer"): np.array([0.0, 1.0]),
+            ("group", "family"): np.array([1.0, 1.0]),
+            ("gender", "male"): np.array([1.0, 1.0]),
         },
     )
     base.update(overrides)
@@ -153,8 +146,8 @@ class TestExtractFeatures:
                 venue_vectors={"v1": VenueVector("v1", rng.normal(size=2))},
                 user_profiles={"u1": UserVenueProfile(
                     "u1", rng.normal(size=2), rng.normal(size=2))},
-                gender_vectors={"male": GenderVector(
-                    "male", rng.normal(size=2))},
+                context_vectors={**make_models().context_vectors,
+                                 ("gender", "male"): rng.normal(size=2)},
             )
             row = one_row(make_pair(), make_venue(), models)
             for x in row[6:]:
@@ -175,9 +168,8 @@ class TestExtractFeatures:
             venue_vectors={"v1": VenueVector("v1", w2v)},
             user_profiles={"u1": UserVenueProfile("u1", pos,
                                                   rng.normal(size=4))},
-            context_vectors={("season", "summer"): ContextVector(
-                "season", "summer", cvv)},
-            gender_vectors={"male": GenderVector("male", gvv)},
+            context_vectors={("season", "summer"): cvv,
+                             ("gender", "male"): gvv},
         )
         base = one_row(make_pair(), make_venue(), base_models)
         for c in (0.01, 3.0, 1e4):
@@ -187,9 +179,8 @@ class TestExtractFeatures:
                 user_profiles={"u1": UserVenueProfile(
                     "u1", c * base_models.user_profiles["u1"].positive,
                     c * base_models.user_profiles["u1"].negative)},
-                context_vectors={("season", "summer"): ContextVector(
-                    "season", "summer", c * cvv)},
-                gender_vectors={"male": GenderVector("male", c * gvv)},
+                context_vectors={("season", "summer"): c * cvv,
+                                 ("gender", "male"): c * gvv},
             )
             scaled = one_row(make_pair(), make_venue(), scaled_models)
             np.testing.assert_allclose(scaled[6:], base[6:],
@@ -214,6 +205,40 @@ class TestExtractTopic:
                                     "v0": make_venue("v0")}, make_models())
         assert list(zip(table.topic_ids, table.venue_ids)) == [
             ("t1", "v1"), ("t2", "v0")]
+
+
+class TestOverflowingVector:
+    """A vector whose squared norm overflows is named, never scored 0."""
+
+    BIG = np.array([2.6e154, 2.6e154])
+
+    @pytest.mark.parametrize("where, name", [
+        ("venue", "venue vector 'v1'"),
+        ("pos", "user vector 'u1/pos'"),
+        ("neg", "user vector 'u1/neg'"),
+        ("season", "context vector ('season', 'summer')"),
+        ("gender", "context vector ('gender', 'male')"),
+    ])
+    def test_extract_all_names_topic_and_vector(self, where, name):
+        models = make_models()
+        big = self.BIG
+        if where == "venue":
+            models = make_models(venue_vectors={"v1": VenueVector("v1", big)})
+        elif where in ("pos", "neg"):
+            profile = models.user_profiles["u1"]
+            models = make_models(user_profiles={"u1": UserVenueProfile(
+                "u1", big if where == "pos" else profile.positive,
+                big if where == "neg" else profile.negative)})
+        else:
+            key = ("season", "summer") if where == "season" else (
+                "gender", "male")
+            models.context_vectors[key] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VenuerecError) as exc:
+                extract_all([make_pair()], {"v1": make_venue()}, models)
+        assert str(exc.value) == (
+            "topic t1: squared norm of %s overflows a float" % name)
 
 
 class TestFeatureVectorType:
@@ -505,7 +530,8 @@ STATS = st.builds(
     rating_avg=st.none() | st.just(-0.0) | st.floats(0.0, 10.0))
 VENUES = ["v%d" % i for i in range(8)]
 CONTEXT_KEYS = [(aspect, dim) for aspect in DEFAULT_SCHEMA.aspect_names()
-                for dim in DEFAULT_SCHEMA.dimensions(aspect)]
+                for dim in DEFAULT_SCHEMA.dimensions(aspect)] + [
+                    ("gender", g) for g in GENDERS]
 
 
 @st.composite
@@ -515,7 +541,7 @@ def extraction_inputs(draw):
     with a zero one, users without a profile, unbound aspects and absent
     context and gender vectors."""
     dim = draw(st.integers(1, 300))
-    rows = len(VENUES) + 4 + len(CONTEXT_KEYS) + len(GENDERS)
+    rows = len(VENUES) + 4 + len(CONTEXT_KEYS)
     M = draw(hnp.arrays(np.float64, (rows, dim), elements=COMPONENTS))
     M[draw(hnp.arrays(np.bool_, rows))] = 0.0
     vectors = iter(M)
@@ -528,15 +554,10 @@ def extraction_inputs(draw):
                      for uid in ("u0", "u1")}
     for uid in draw(st.sets(st.sampled_from(["u0", "u1"]))):
         del user_profiles[uid]
-    context_vectors = {key: ContextVector(*key, next(vectors))
-                       for key in CONTEXT_KEYS}
+    context_vectors = {key: next(vectors) for key in CONTEXT_KEYS}
     for key in draw(st.sets(st.sampled_from(CONTEXT_KEYS))):
         del context_vectors[key]
-    gender_vectors = {g: GenderVector(g, next(vectors)) for g in GENDERS}
-    for g in draw(st.sets(st.sampled_from(GENDERS))):
-        del gender_vectors[g]
-    models = ModelSet(venue_vectors, user_profiles, context_vectors,
-                      gender_vectors)
+    models = ModelSet(venue_vectors, user_profiles, context_vectors)
 
     pairs = []
     for t in range(draw(st.integers(0, 4))):

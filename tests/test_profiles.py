@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import synthdata
 from reference_models import (
     brute_context_terms,
     brute_term_sum,
@@ -18,16 +19,12 @@ from venuerec.embeddings import EmbeddingStore
 from venuerec.errors import VenuerecError
 from venuerec.profiles import (
     ContextTermSet,
-    ContextVector,
-    GenderVector,
     UserVenueProfile,
     VenueVector,
     build_context_vectors,
     build_venue_vectors,
     context_terms,
     context_vector,
-    gender_terms,
-    gender_vector,
     load_context_vectors,
     load_user_vectors,
     load_venue_vectors,
@@ -212,12 +209,12 @@ class TestContextVector:
     def test_two_term_sum(self, ab_store):
         ts = ContextTermSet("season", "spring", ("a", "b"), 2)
         got = context_vector(ab_store, ts)
-        np.testing.assert_array_equal(got.vector, [1.0, 2.0])
+        np.testing.assert_array_equal(got, [1.0, 2.0])
 
     def test_empty_set_zero_vector(self, ab_store):
         ts = ContextTermSet("season", "spring", (), 2)
         got = context_vector(ab_store, ts)
-        np.testing.assert_array_equal(got.vector, [0.0, 0.0])
+        np.testing.assert_array_equal(got, [0.0, 0.0])
 
 
 class TestGender:
@@ -228,10 +225,10 @@ class TestGender:
             ("w", [1.0, -1.0]),
             ("x", [0.3, 0.3]),
         ])
-        ts = gender_terms(store, "male", k=1)
+        ts = context_terms(store, "gender", "male", k=1)
         assert ts.terms == ("w",)
-        gv = gender_vector(store, "male", k=1)
-        np.testing.assert_array_equal(gv.vector, [1.0, -1.0])
+        gv = context_vector(store, ts)
+        np.testing.assert_array_equal(gv, [1.0, -1.0])
 
     def test_female_uses_opposite_subtraction(self):
         store = EmbeddingStore.from_pairs([
@@ -240,12 +237,27 @@ class TestGender:
             ("w", [1.0, -1.0]),
             ("v", [-1.0, 1.0]),
         ])
-        assert gender_terms(store, "male", k=1).terms == ("w",)
-        assert gender_terms(store, "female", k=1).terms == ("v",)
+        assert context_terms(store, "gender", "male", k=1).terms == ("w",)
+        assert context_terms(store, "gender", "female", k=1).terms == ("v",)
 
     def test_bad_gender(self, ab_store):
         with pytest.raises(ValueError):
-            gender_vector(ab_store, "unknown", k=1)
+            context_terms(ab_store, "gender", "unknown", k=1)
+
+
+class TestContextVectorsOfTheSynthCorpus:
+    def test_fourteen_dimensions_gender_last(self):
+        store = EmbeddingStore.from_pairs(
+            sorted(synthdata.build_vocab().items()))
+        vectors = build_context_vectors(store)
+        assert len(vectors) == 14
+        assert list(vectors)[-2:] == [("gender", "male"),
+                                      ("gender", "female")]
+        # each gender's expansion is the 10-term cluster on its own axis
+        for gender, axis in (("male", 12), ("female", 13)):
+            want = np.zeros(synthdata.DIMENSION)
+            want[axis] = 10.0
+            np.testing.assert_array_equal(vectors[("gender", gender)], want)
 
 
 class TestSeedTokens:
@@ -314,10 +326,10 @@ class TestBruteForceAgreement:
 
             cv = context_vector(store, ts)
             np.testing.assert_allclose(
-                cv.vector, brute_term_sum(vectors, ts.terms, 4),
+                cv, brute_term_sum(vectors, ts.terms, 4),
                 atol=1e-9, rtol=0)
 
-            gts = gender_terms(store, "male", k=k)
+            gts = context_terms(store, "gender", "male", k=k)
             want_g = brute_context_terms(
                 vectors, [("male", ["male"]), ("female", ["femal"])],
                 "male", k)
@@ -357,18 +369,14 @@ class TestCaches:
         schema = ContextSchema(aspects=(
             ("duration", ("day time", "night time")),))
         cvs = build_context_vectors(store, k=2, schema=schema)
-        gvs = [gender_vector(store, g, k=2) for g in ("male", "female")]
         p = tmp_path / "context_vectors.txt"
-        save_context_vectors(cvs, gvs, p)
-        by_dim, by_gender = load_context_vectors(p)
-        assert set(by_dim) == {("duration", "day time"),
-                               ("duration", "night time")}
-        for cv in cvs:
-            np.testing.assert_array_equal(
-                by_dim[(cv.aspect, cv.dimension)].vector, cv.vector)
-        for gv in gvs:
-            np.testing.assert_array_equal(by_gender[gv.gender].vector,
-                                          gv.vector)
+        save_context_vectors(cvs, p)
+        back = load_context_vectors(p)
+        assert list(back) == [("duration", "day time"),
+                              ("duration", "night time"),
+                              ("gender", "female"), ("gender", "male")]
+        for key, vec in cvs.items():
+            np.testing.assert_array_equal(back[key], vec)
 
     def test_cache_determinism(self, tmp_path, ab_store):
         vv = build_venue_vectors(ab_store, [make_venue("v1", [["a"]])])
@@ -442,20 +450,12 @@ class TestCacheRoundTripIsBitExact:
     @given(table=vector_tables(st.one_of(
         st.tuples(_WORDS.filter(lambda w: w != "gender"),
                   st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)),
-        st.sampled_from(GENDERS))))
+        st.sampled_from(GENDERS).map(lambda g: ("gender", g)))))
     def test_context_and_gender_vectors(self, tmp_path_factory, table):
         # a dimension's spaces are stored as '_' in the cache key
-        contexts = [ContextVector(k[0], k[1], v) for k, v in table.items()
-                    if isinstance(k, tuple)]
-        genders = [GenderVector(k, v) for k, v in table.items()
-                   if not isinstance(k, tuple)]
         path = tmp_path_factory.mktemp("cache") / "context_vectors.txt"
-        save_context_vectors(contexts, genders, path)
-        by_dim, by_gender = load_context_vectors(path)
-        assert set(by_dim) == {(cv.aspect, cv.dimension) for cv in contexts}
-        assert set(by_gender) == {gv.gender for gv in genders}
-        for cv in contexts:
-            assert same_bits(by_dim[(cv.aspect, cv.dimension)].vector,
-                             cv.vector)
-        for gv in genders:
-            assert same_bits(by_gender[gv.gender].vector, gv.vector)
+        save_context_vectors(table, path)
+        back = load_context_vectors(path)
+        assert back.keys() == table.keys()
+        for key, vec in table.items():
+            assert same_bits(back[key], vec)
