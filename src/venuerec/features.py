@@ -82,14 +82,31 @@ class FeatureTable:
             raise FeatureTableError("duplicate row for topic %s venue %s"
                                     % keys[i], i)
 
-        self.topic_ids = tuple(topic_ids[i] for i in order)
-        self.venue_ids = tuple(venue_ids[i] for i in order)
-        self.labels = labels[order]
-        self.X = X[order]
+        self._hold(tuple(topic_ids[i] for i in order),
+                   tuple(venue_ids[i] for i in order),
+                   labels[order], X[order])
+
+    @classmethod
+    def _presorted(cls, topic_ids, venue_ids, labels, X):
+        """A table of rows that are checked and in canonical order already.
+
+        For tables derived from another one, with the same rows or a
+        subset of them in the same order; nothing is sorted or checked.
+        """
+        table = cls.__new__(cls)
+        table._hold(tuple(topic_ids), tuple(venue_ids), labels, X)
+        return table
+
+    def _hold(self, topic_ids, venue_ids, labels, X):
+        self.topic_ids = topic_ids
+        self.venue_ids = venue_ids
+        self.labels = labels
+        self.X = X
         self.labels.flags.writeable = False
         self.X.flags.writeable = False
+        n = len(topic_ids)
         starts = [k for k in range(n)
-                  if not k or self.topic_ids[k] != self.topic_ids[k - 1]]
+                  if not k or topic_ids[k] != topic_ids[k - 1]]
         self.bounds = tuple(zip(starts, starts[1:] + [n]))
 
     def __len__(self):
@@ -192,7 +209,8 @@ def normalize_per_topic(table, columns=range(6)):
                 col[:] = (col - lo) / span
             else:
                 col[:] = 0.0
-    return FeatureTable(table.topic_ids, table.venue_ids, table.labels, X)
+    return FeatureTable._presorted(table.topic_ids, table.venue_ids,
+                                   table.labels, X)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ def split_train_validation(table, fraction=0.67, seed=0):
     in_train = np.array([topic in train_topics for topic in table.topic_ids])
     sides = []
     for rows in (np.flatnonzero(in_train), np.flatnonzero(~in_train)):
-        sides.append(FeatureTable([table.topic_ids[i] for i in rows],
-                                  [table.venue_ids[i] for i in rows],
-                                  table.labels[rows], table.X[rows]))
+        sides.append(FeatureTable._presorted(
+            [table.topic_ids[i] for i in rows],
+            [table.venue_ids[i] for i in rows],
+            table.labels[rows], table.X[rows]))
     return tuple(sides)
 
 
@@ -55,10 +56,19 @@ class TopicBlocks:
 
     For the metric, the row indices of the included topics sit in one
     (topics × widest topic) matrix; a short topic is padded with the
-    index one past the last row, which `metric` points at a NaN.  NaN
-    sorts after every number, so the padding always ranks last, and a
-    stable sort of each padded row puts the real rows in the same order
-    as a stable sort of the topic alone.
+    index one past the last row, which `metric` points at a NaN key.
+    Keys are negated scores, so a topic ranks by ascending key, ties by
+    row order, which is venue id order; NaN sorts after every number,
+    so the padding always ranks last.
+
+    One value sort of each padded row decides P@k: when the k-th and
+    (k+1)-th smallest keys differ and the k-th is a number, the top k
+    is exactly the keys up to the k-th, however ties below it fall.
+    MRR needs only the smallest key among the relevant rows: when no
+    other row holds it, the first relevant rank is one more than the
+    count of smaller keys.  Only when a tie crosses the cut does the
+    metric run a stable argsort of each row, which puts the real rows
+    in the same order as a stable sort of the topic alone.
     """
 
     def __init__(self, table, cutoff=1):
@@ -77,11 +87,9 @@ class TopicBlocks:
         for r, i in enumerate(self.included):
             lo, hi = self.bounds[i]
             self._index[r, :hi - lo] = np.arange(lo, hi)
-        # relevance of the padded matrix, flat, and where each row starts
-        self._padded_rel = np.append(self.rel, False)[self._index].ravel()
-        self._row_starts = width * np.arange(len(self.included))[:, None]
+        self._padded_rel = np.append(self.rel, False)[self._index]
         for array in (self.X, self.y, self.rel, self._index,
-                      self._padded_rel, self._row_starts):
+                      self._padded_rel):
             array.flags.writeable = False
 
     def __len__(self):
@@ -108,11 +116,27 @@ class TopicBlocks:
         keys = np.empty(len(self.y) + 1)
         np.negative(scores, out=keys[:-1])
         keys[-1] = np.nan
-        order = np.argsort(keys[self._index], axis=1, kind="stable")
+        K = keys[self._index]
+        rel = self._padded_rel
         if metric == "p5":
-            rel = self._padded_rel[order[:, :k] + self._row_starts]
-            values = rel.sum(axis=1) / k
+            if K.shape[1] <= k:
+                return self._mean(rel.sum(axis=1) / k)
+            s = np.sort(K, axis=1)
+            cut = s[:, k - 1:k]
+            if not (np.isnan(cut).any() or (s[:, k:k + 1] == cut).any()):
+                return self._mean((rel & (K <= cut)).sum(axis=1) / k)
         else:
-            rel = self._padded_rel[order + self._row_starts]
-            values = 1.0 / (rel.argmax(axis=1) + 1.0)
+            first = np.where(rel, K, np.inf).min(axis=1, keepdims=True)
+            if not (np.isnan(first).any()
+                    or ((K == first).sum(axis=1) != 1).any()):
+                return self._mean(1.0 / ((K < first).sum(axis=1) + 1.0))
+        # a tie or a NaN at the cut: rank each row by a stable sort
+        order = np.argsort(K, axis=1, kind="stable")
+        if metric == "p5":
+            hits = np.take_along_axis(rel, order[:, :k], axis=1)
+            return self._mean(hits.sum(axis=1) / k)
+        hits = np.take_along_axis(rel, order, axis=1)
+        return self._mean(1.0 / (hits.argmax(axis=1) + 1.0))
+
+    def _mean(self, values):
         return float(np.cumsum(values)[-1]) / len(self.included)

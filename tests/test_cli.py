@@ -354,6 +354,72 @@ class TestAblateCommand:
         assert "cv_season\t-10.000000\n" in table
 
 
+def rewrite_jsonl(src, dst, change):
+    """Write JSONL file `src` to `dst`, its records passed through `change`."""
+    with open(src, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    with open(dst, "w", encoding="utf-8") as fh:
+        for record in change(records):
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return str(dst)
+
+
+def zero_grades(corpus, tmp_path):
+    qrels = tmp_path / "qrels.txt"
+    with open(corpus["qrels"], encoding="utf-8") as fh:
+        qrels.write_text("".join("%s 0 %s 0\n" % (line.split()[0],
+                                                  line.split()[2])
+                                 for line in fh), encoding="utf-8")
+    return {"qrels": str(qrels)}
+
+
+def venues_with(comments):
+    def paths(corpus, tmp_path):
+        return {"venues": rewrite_jsonl(
+            corpus["venues"], tmp_path / "venues.jsonl",
+            lambda records: [dict(r, comments=comments) for r in records])}
+    return paths
+
+
+class TestDegenerateCorpora:
+    """A corpus with nothing to learn from has a defined outcome."""
+
+    @pytest.mark.parametrize("degrade, mrr", [
+        (zero_grades, "0.000000"),
+        (venues_with(["qzxv zzqk", "zzqk"]), "0.125000"),
+        (venues_with([]), "0.125000"),
+    ], ids=["all-zero-grades", "all-out-of-vocabulary", "no-comments"])
+    def test_pipeline_scores_zero_precision(self, corpus, tmp_path, capsys,
+                                            degrade, mrr):
+        paths = dict(corpus, **degrade(corpus, tmp_path))
+        assert main(pipeline_argv(paths, tmp_path / "out")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "P5\tall\t0.000000" in lines
+        assert "MRR\tall\t%s" % mrr in lines
+
+    @pytest.mark.parametrize("change, n_topics", [
+        (lambda records: records[:1], 1),
+        (lambda records: [], 0),
+        (lambda records: [dict(r, candidates=[]) for r in records], 0),
+    ], ids=["one-topic", "no-topics", "empty-candidate-lists"])
+    def test_too_few_topics_exit_2(self, corpus, tmp_path, capsys, change,
+                                   n_topics):
+        contexts = rewrite_jsonl(corpus["contexts"],
+                                 tmp_path / "contexts.jsonl", change)
+        assert main(pipeline_argv(dict(corpus, contexts=contexts),
+                                  tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least 2 topics to split, got %d\n" % n_topics)
+
+    def test_empty_qrels_exit_2(self, corpus, tmp_path, capsys):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("", encoding="utf-8")
+        assert main(pipeline_argv(dict(corpus, qrels=str(qrels)),
+                                  tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "error: run and qrels share no topics\n")
+
+
 class TestBadInputs:
     """Broken input files end in exit 2 and one error line naming them."""
 

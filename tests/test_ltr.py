@@ -209,6 +209,12 @@ def scored_topics(draw):
     return make_rows(plan), scores
 
 
+def seven_rows(relevant):
+    """One topic of venues v0-v6; the given ones are relevant."""
+    return make_rows({"t1": [("v%d" % c, int(c in relevant), pad())
+                             for c in range(7)]})
+
+
 class TestMetricMatchesTopicLoop:
     """The padded-matrix metric gives the very float of a per-topic loop."""
 
@@ -223,6 +229,37 @@ class TestMetricMatchesTopicLoop:
     @example(case=(make_rows({"t1": [("v%d" % c, int(c == 6), pad())
                                      for c in range(7)]}),
                    np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])), k=5)
+    # a tie straddling places k and k+1; the later venue is relevant
+    @example(case=(seven_rows(relevant=(5,)),
+                   np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 0.0])), k=5)
+    # -0.0 and 0.0 on either side of the cut
+    @example(case=(seven_rows(relevant=(4, 5)),
+                   np.array([3.0, 2.0, 1.0, 0.5, -0.0, 0.0, -1.0])), k=5)
+    @example(case=(seven_rows(relevant=(4,)),
+                   np.array([3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0])), k=5)
+    # NaN scores rank last, so here two of them fall inside the top k
+    @example(case=(seven_rows(relevant=(2, 4)),
+                   np.array([math.nan, 1.0, math.nan, 0.5, math.nan, 0.2,
+                             math.nan])), k=5)
+    # a topic narrower than k: alone, and padded next to a wider one
+    @example(case=(make_rows({"t1": [("v%d" % c, int(c == 2), pad())
+                                     for c in range(3)]}),
+                   np.array([0.3, 0.2, 0.1])), k=5)
+    @example(case=(make_rows({
+        "t1": [("v%d" % c, int(c == 2), pad()) for c in range(3)],
+        "t2": [("v%d" % c, int(c == 6), pad()) for c in range(8)]}),
+        np.array([0.3, 0.2, 0.1, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])),
+        k=5)
+    # +-inf at the cut: tied across it, and alone at it
+    @example(case=(seven_rows(relevant=(5,)),
+                   np.array([math.inf] * 6 + [0.0])), k=5)
+    @example(case=(seven_rows(relevant=(6,)),
+                   np.array([1.0, 0.0] + [-math.inf] * 5)), k=5)
+    @example(case=(seven_rows(relevant=(4,)),
+                   np.array([math.inf] * 5 + [0.0, -1.0])), k=5)
+    # for MRR, a row that ties the first relevant one and precedes it
+    @example(case=(seven_rows(relevant=(1, 3)),
+                   np.array([1.0, 1.0, 2.0, 0.5, 0.0, -1.0, -2.0])), k=5)
     @settings(max_examples=300, deadline=None)
     def test_equals_loop(self, case, k):
         rows, scores = case
@@ -230,6 +267,28 @@ class TestMetricMatchesTopicLoop:
         for metric in ("p5", "mrr"):
             assert (blocks.metric(scores, metric, k)
                     == loop_metric(blocks, scores, metric, k))
+
+    def test_argsort_runs_only_for_a_tie_at_the_cut(self, monkeypatch):
+        blocks = TopicBlocks(make_rows({
+            "t%d" % t: [("v%d" % c, int(c in (t, 6)), pad())
+                        for c in range(9)] for t in range(3)}))
+        tie_free = np.linspace(1.0, 0.0, len(blocks))
+        tied = tie_free.copy()
+        tied[4] = tied[5]
+        want = {metric: loop_metric(blocks, tie_free, metric)
+                for metric in ("p5", "mrr")}
+
+        class ArgsortCalled(Exception):
+            pass
+
+        def argsort(*args, **kwargs):
+            raise ArgsortCalled
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        for metric in ("p5", "mrr"):
+            assert blocks.metric(tie_free, metric) == want[metric]
+        with pytest.raises(ArgsortCalled):
+            blocks.metric(tied, "p5")
 
     def test_many_topics_add_in_topic_order(self):
         # Enough topics that a pairwise sum would round differently.
