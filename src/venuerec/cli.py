@@ -5,7 +5,7 @@ caches, extract the feature table, train a ranker, produce and score run
 files, and knock features out one at a time.  `pipeline` chains the
 first five steps over one output directory: it loads the corpus once
 and hands the loaded objects from step to step, so the files it writes
-along the way are outputs only.
+along the way, model.json included, are outputs only.
 
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file, then command line flags.  Whatever wins is
@@ -48,7 +48,6 @@ from .ltr import (
     MARTConfig,
     TopicBlocks,
     load_model,
-    load_model_info,
     predict_matrix,
     save_model,
     split_train_validation,
@@ -266,8 +265,8 @@ def build_profiles_step(cfg, store, venues, profiles, out_dir):
     save_context_vectors(context_vectors,
                          _out(out_dir, "context_vectors.txt"))
     log.info("profile caches written to %s", out_dir)
-    # the caches print every float with %r, so they load back to
-    # exactly these values
+    # write_text_vectors prints every float with repr, so the caches
+    # load back to exactly these values
     return ModelSet(venue_vectors, user_vectors, context_vectors)
 
 
@@ -293,6 +292,7 @@ def _learner_config(cfg):
 
 
 def train_step(cfg, table, out_dir):
+    """Write model.json; returns the model it holds."""
     train_table, valid_table = split_train_validation(
         _table_for_learning(cfg, table), cfg["split_fraction"], cfg["seed"])
     train, valid = TopicBlocks(train_table), TopicBlocks(valid_table)
@@ -309,14 +309,13 @@ def train_step(cfg, table, out_dir):
     del hyperparameters["seed"]   # model.json holds it at the top level
     save_model(model, path, hyperparameters=hyperparameters)
     log.info("model written to %s", path)
+    return model
 
 
-def rank_step(cfg, table, model_path, out_dir):
-    """Write run.txt; returns the RankedRun it holds."""
-    model = load_model(model_path)
-    info = load_model_info(model_path)
-    normalize = bool(info.get("normalize", cfg["normalize"]))
-    if normalize:
+def rank_step(cfg, table, model, model_path, out_dir):
+    """Write run.txt; returns the RankedRun it holds.  Errors in scoring
+    name `model_path`, the file `model` is stored in."""
+    if cfg["normalize"]:
         table = normalize_per_topic(table)
         log.info("per-topic normalization applied before scoring")
     try:
@@ -491,7 +490,12 @@ def _cmd_train(cfg, args):
 
 
 def _cmd_rank(cfg, args):
-    rank_step(cfg, read_features(args.features), args.model, args.out_dir)
+    table = read_features(args.features)
+    model, hyperparameters = load_model(args.model)
+    # the model remembers whether it was trained on scaled features
+    normalize = hyperparameters.get("normalize", cfg["normalize"])
+    rank_step(dict(cfg, normalize=normalize), table, model, args.model,
+              args.out_dir)
 
 
 def _cmd_eval(cfg, args):
@@ -517,8 +521,8 @@ def _cmd_pipeline(cfg, args):
     # it; held on, it would raise the peak RSS of training
     del store
     table = extract_step(venues_by_id, pairs, qrels, models, out_dir)
-    train_step(cfg, table, out_dir)
-    run = rank_step(cfg, table, _out(out_dir, "model.json"), out_dir)
+    model = train_step(cfg, table, out_dir)
+    run = rank_step(cfg, table, model, _out(out_dir, "model.json"), out_dir)
     eval_step(cfg, run, qrels, None, out_dir)
 
 

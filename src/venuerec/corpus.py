@@ -157,15 +157,30 @@ def numbered_lines(path):
             yield lineno, line
 
 
+def decode_json(text, path, line=None):
+    """The JSON value in `text` from `path` (a JSONL record: at `line`).
+
+    Bad JSON, nesting past the recursion limit and an integer past the
+    digit limit raise a FormatError naming the path and line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        # a record's own position is always line 1, so only a document
+        # shows it
+        reason = exc.msg if line else str(exc)
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError as exc:
+        reason = str(exc)
+    raise FormatError(("bad JSON (%s)" if line else "not valid JSON: %s")
+                      % reason, path=path, line=line)
+
+
 def _records(path):
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError("bad JSON (%s)" % exc.msg, path=path,
-                              line=lineno) from None
+        obj = decode_json(line, path, lineno)
         if not isinstance(obj, dict):
             raise FormatError("record is not an object", path=path,
                               line=lineno)

@@ -169,7 +169,7 @@ def load_embeddings(path, format="text"):
 
 def save_embeddings(store, path, format="text"):
     if format == "text":
-        _save_text(store, path)
+        write_text_vectors(zip(store.terms, store._matrix), path)
     elif format == "binary":
         _save_binary(store, path)
     else:
@@ -234,6 +234,25 @@ def read_text_vectors(path):
                           % (declared[0], len(seen)), path=path)
 
 
+def write_text_vectors(entries, path):
+    """Write ``(key, vector)`` pairs in the order given: a ``count dim``
+    header, then one ``key v1 ... vD`` line each.  The one writer of the
+    format; repr gives read_text_vectors each value back bit for bit.  A
+    key must be non-empty and free of whitespace.
+    """
+    entries = list(entries)
+    for key, _ in entries:
+        if key.split() != [key]:
+            raise VenuerecError("vector key %r is empty or contains "
+                                "whitespace" % key)
+    dim = len(entries[0][1])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % (len(entries), dim))
+        for key, vec in entries:
+            row = np.asarray(vec, dtype=np.float64).tolist()
+            fh.write("%s %s\n" % (key, " ".join(map(repr, row))))
+
+
 def _load_text(path):
     terms, vectors = [], []
     # every cosine takes this norm; float32 binary values cannot overflow it
@@ -245,17 +264,6 @@ def _load_text(path):
             terms.append(term)
             vectors.append(vec)
     return EmbeddingStore(terms, np.array(vectors))
-
-
-def _save_text(store, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d\n" % (len(store), store.dimension))
-        for i, term in enumerate(store.terms):
-            row = store._matrix[i]
-            fh.write(term)
-            for x in row:
-                fh.write(" %r" % float(x))
-            fh.write("\n")
 
 
 def _load_binary(path):

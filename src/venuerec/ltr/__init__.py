@@ -7,7 +7,7 @@ from .coordinate_ascent import CAConfig, LinearModel, train_coordinate_ascent
 from .data import TopicBlocks, split_train_validation
 from .mart import MARTConfig, Tree, TreeEnsemble, fit_tree, train_mart
 from .mart import _tree_outputs
-from .serialize import load_model, load_model_info, save_model
+from .serialize import load_model, save_model
 
 __all__ = [
     "CAConfig",
@@ -18,7 +18,6 @@ __all__ = [
     "TreeEnsemble",
     "fit_tree",
     "load_model",
-    "load_model_info",
     "predict_matrix",
     "save_model",
     "split_train_validation",

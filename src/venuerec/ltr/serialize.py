@@ -7,6 +7,7 @@ so retraining with the same seed rewrites the file byte for byte.
 import json
 import math
 
+from ..corpus import decode_json, numbered_lines
 from ..errors import FormatError
 from .coordinate_ascent import LinearModel
 from .mart import Tree, TreeEnsemble
@@ -99,27 +100,25 @@ def _check_tree(node, i, path):
                 right=right, value=value)
 
 
-def load_model_info(path):
-    """The hyperparameters block stored next to a model, as a dict."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError("not valid JSON: %s" % exc, path=path)
-    if not isinstance(doc, dict) or not isinstance(
-            doc.get("hyperparameters", {}), dict):
-        raise FormatError("model document must be an object", path=path)
-    return dict(doc.get("hyperparameters", {}))
-
-
 def load_model(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError("not valid JSON: %s" % exc, path=path)
+    """The model stored at `path` and its hyperparameters block, a dict;
+    `normalize` in that block must be a JSON boolean."""
+    doc = decode_json("".join(line for _, line in numbered_lines(path)),
+                      path)
     if not isinstance(doc, dict):
         raise FormatError("model document must be an object", path=path)
+    model = _model(doc, path)
+    hyperparameters = doc.get("hyperparameters", {})
+    if not isinstance(hyperparameters, dict):
+        raise FormatError("model document must be an object", path=path)
+    normalize = hyperparameters.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise FormatError("hyperparameter 'normalize' must be true or "
+                          "false, got %r" % (normalize,), path=path)
+    return model, hyperparameters
+
+
+def _model(doc, path):
     if doc.get("format") != FORMAT_TAG:
         raise FormatError("unrecognized format tag %r" % (doc.get("format"),),
                           path=path)

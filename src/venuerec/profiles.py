@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DEFAULT_SCHEMA, GENDERS
-from .embeddings import read_text_vectors, similar_k
+from .embeddings import read_text_vectors, similar_k, write_text_vectors
 from .errors import FormatError, VenuerecError
 from .text import PreprocessConfig, preprocess
 
@@ -175,22 +175,9 @@ def build_context_vectors(store, k=DEFAULT_K, schema=DEFAULT_SCHEMA):
 # Vector caches, stored in the text embedding format with composite keys
 # ---------------------------------------------------------------------------
 
-def _write_cache(entries, path):
-    entries = sorted(entries)
-    dim = len(entries[0][1])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d\n" % (len(entries), dim))
-        for key, vec in entries:
-            if any(ch.isspace() for ch in key):
-                raise VenuerecError("cache key %r contains whitespace" % key)
-            fh.write(key)
-            for x in vec:
-                fh.write(" %r" % float(x))
-            fh.write("\n")
-
-
 def save_venue_vectors(vectors, path):
-    _write_cache([(vv.venue_id, vv.vector) for vv in vectors.values()], path)
+    write_text_vectors(sorted((vv.venue_id, vv.vector)
+                              for vv in vectors.values()), path)
 
 
 def load_venue_vectors(path):
@@ -199,9 +186,10 @@ def load_venue_vectors(path):
 
 
 def save_user_vectors(profiles, path):
-    _write_cache([(up.user_id + side, vec) for up in profiles.values()
-                  for side, vec in (("/pos", up.positive),
-                                    ("/neg", up.negative))], path)
+    write_text_vectors(sorted(
+        (up.user_id + side, vec) for up in profiles.values()
+        for side, vec in (("/pos", up.positive), ("/neg", up.negative))),
+        path)
 
 
 def load_user_vectors(path):
@@ -225,8 +213,9 @@ def load_user_vectors(path):
 def save_context_vectors(context_vectors, path):
     """Cache ``{(aspect, dimension): vector}``; a dimension's spaces are
     stored as '_' in its key."""
-    _write_cache([("%s/%s" % (aspect, dim.replace(" ", "_")), vec)
-                  for (aspect, dim), vec in context_vectors.items()], path)
+    write_text_vectors(sorted(
+        ("%s/%s" % (aspect, dim.replace(" ", "_")), vec)
+        for (aspect, dim), vec in context_vectors.items()), path)
 
 
 def load_context_vectors(path):

@@ -104,6 +104,13 @@ class TestPipeline:
             assert (steps / name).read_bytes() == \
                 (pipeline_dir / name).read_bytes(), name
 
+    def test_reads_back_no_model(self, corpus, tmp_path, monkeypatch):
+        # train_step hands its model to rank_step in memory
+        def refuse(path):
+            raise AssertionError("pipeline read back %s" % path)
+        monkeypatch.setattr("venuerec.cli.load_model", refuse)
+        assert main(pipeline_argv(corpus, tmp_path)) == 0
+
     def test_binary_embeddings_are_accepted(self, corpus, tmp_path):
         vocab = synthdata.build_vocab()
         terms = sorted(vocab)
@@ -709,6 +716,67 @@ class TestBadInputs:
         assert capsys.readouterr().err == "error: %s: %s\n" % (model,
                                                                message)
 
+    def rank_with(self, pipeline_dir, out_dir, model):
+        return main(["rank", "--out-dir", str(out_dir),
+                     "--features", str(pipeline_dir / "features.txt"),
+                     "--model", str(model)])
+
+    def test_non_utf8_model_exits_2(self, pipeline_dir, tmp_path, capsys):
+        text = (pipeline_dir / "model.json").read_bytes()
+        model = tmp_path / "model.json"
+        model.write_bytes(text + b"\xff")
+        assert self.rank_with(pipeline_dir, tmp_path / "out", model) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: line %d: not valid UTF-8\n"
+            % (model, text.count(b"\n") + 1))
+
+    @pytest.mark.parametrize("kind", ["venues", "profiles", "contexts",
+                                      "model"])
+    def test_json_nested_too_deeply_exits_2(self, corpus, pipeline_dir,
+                                            tmp_path, capsys, kind):
+        deep = "[" * 5000 + "]" * 5000
+        out = tmp_path / "out"
+        if kind == "model":
+            path = tmp_path / "model.json"
+            path.write_text('{"hyperparameters": %s}' % deep)
+            code = self.rank_with(pipeline_dir, out, path)
+            message = "not valid JSON: nested too deeply"
+        else:
+            lines = open(corpus[kind], encoding="utf-8").readlines()
+            record = json.loads(lines[1])
+            record["comments" if kind == "venues" else "x"] = None
+            lines[1] = json.dumps(record).replace("null", deep) + "\n"
+            path = tmp_path / ("%s.jsonl" % kind)
+            path.write_text("".join(lines), encoding="utf-8")
+            code = main(pipeline_argv({**corpus, kind: str(path)}, out))
+            message = "line 2: bad JSON (nested too deeply)"
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (path,
+                                                               message)
+
+    def test_integer_past_the_digit_limit_exits_2(self, corpus, tmp_path,
+                                                  capsys):
+        venues = tmp_path / "venues.jsonl"
+        venues.write_text('{"id": "v1"}\n{"id": "v2", "checkins": %s}\n'
+                          % ("7" * 5000))
+        code = self.build_profiles(corpus, tmp_path / "out", venues=venues)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: line 2: " % venues)
+        assert err.count("\n") == 1
+
+    def test_normalize_that_is_not_a_boolean_exits_2(self, pipeline_dir,
+                                                     tmp_path, capsys):
+        # "false" used to turn per-topic scaling on
+        doc = json.loads((pipeline_dir / "model.json").read_text(
+            encoding="utf-8"))
+        doc["hyperparameters"]["normalize"] = "false"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.rank_with(pipeline_dir, tmp_path / "out", model) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: hyperparameter 'normalize' must be true or false, "
+            "got 'false'\n" % model)
 
 
 class TestParser:

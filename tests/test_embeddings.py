@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venuerec.embeddings import (
     EmbeddingStore,
@@ -11,10 +13,12 @@ from venuerec.embeddings import (
     SimilarTerm,
     cosine_matrix,
     load_embeddings,
+    read_text_vectors,
     save_embeddings,
     similar_k,
+    write_text_vectors,
 )
-from venuerec.errors import FormatError
+from venuerec.errors import FormatError, VenuerecError
 
 
 def brute_force_similar(store, query, k, exclude=()):
@@ -261,6 +265,51 @@ class TestTextFormat:
         save_embeddings(store, p, format="text")
         back = load_embeddings(p, format="text")
         np.testing.assert_array_equal(back._matrix, store._matrix)
+
+
+# Any finite float64, with -0.0, subnormals and the range's ends drawn
+# often; any key a line can hold: no whitespace, no surrogate.
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_KEYS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                max_size=8).filter(lambda key: key.split() == [key])
+
+
+class TestTextVectorWriter:
+    """write_text_vectors is the one writer of the text format."""
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_read_gives_back_every_bit(self, tmp_path_factory, data):
+        dim = data.draw(st.integers(1, 5))
+        keys = data.draw(st.lists(_KEYS, min_size=1, max_size=6,
+                                  unique=True))
+        rows = [np.array(data.draw(st.lists(_FLOATS, min_size=dim,
+                                            max_size=dim)))
+                for _ in keys]
+        path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+        write_text_vectors(zip(keys, rows), path)
+        back = list(read_text_vectors(path))
+        assert [key for _, key, _ in back] == keys
+        assert [vec.tobytes() for _, _, vec in back] == \
+            [row.tobytes() for row in rows]
+
+    def test_writes_the_header_and_entries_in_order(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        write_text_vectors([("b", np.array([0.1, -0.0])),
+                            ("a", np.array([1e308, 5e-324]))], path)
+        assert path.read_text(encoding="utf-8") == (
+            "2 2\nb 0.1 -0.0\na 1e+308 5e-324\n")
+
+    @pytest.mark.parametrize("key", ["", "a b", "a\tb", "a\u2028b", "a\n"])
+    def test_rejects_a_key_a_line_cannot_hold(self, tmp_path, key):
+        path = tmp_path / "vectors.txt"
+        with pytest.raises(VenuerecError, match="empty or contains "
+                                                "whitespace"):
+            write_text_vectors([("ok", [1.0]), (key, [2.0])], path)
+        assert not path.exists()
 
 
 class TestBinaryFormat:

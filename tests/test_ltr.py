@@ -641,7 +641,7 @@ class TestModelRoundTripIsBitExact:
                              metric="mrr", seed=3)
         path = tmp_path_factory.mktemp("model") / "model.json"
         save_model(model, path)
-        back = load_model(path)
+        back, _ = load_model(path)
         assert len(back.trees) == len(model.trees)
         for got, want in zip(back.trees, model.trees):
             assert got.feature == want.feature
@@ -658,7 +658,8 @@ class TestModelRoundTripIsBitExact:
         model = LinearModel(weights=tuple(weights), metric="p5", seed=0)
         path = tmp_path_factory.mktemp("model") / "model.json"
         save_model(model, path)
-        assert float_bits(load_model(path).weights) == float_bits(weights)
+        back, _ = load_model(path)
+        assert float_bits(back.weights) == float_bits(weights)
 
 
 class TestSerialization:
@@ -668,8 +669,9 @@ class TestSerialization:
             CAConfig(restarts=2, max_sweeps=5, seed=3))
         path = tmp_path / "model.json"
         save_model(model, path, hyperparameters={"restarts": 2})
-        loaded = load_model(path)
+        loaded, hyperparameters = load_model(path)
         assert loaded == model
+        assert hyperparameters == {"restarts": 2}
         X = separable_rows().X
         np.testing.assert_array_equal(predict_matrix(model, X),
                                       predict_matrix(loaded, X))
@@ -680,8 +682,9 @@ class TestSerialization:
                            MARTConfig(n_trees=10, patience=0, seed=1))
         path = tmp_path / "model.json"
         save_model(model, path)
-        loaded = load_model(path)
+        loaded, hyperparameters = load_model(path)
         assert loaded.trees == model.trees
+        assert hyperparameters == {}
         assert loaded.shrinkage == model.shrinkage
         X = separable_rows().X
         np.testing.assert_array_equal(predict_matrix(model, X),
@@ -743,6 +746,23 @@ class TestSerialization:
         with pytest.raises(FormatError, match="JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("normalize", ["false", 0, 1, None, [True]])
+    def test_rejects_a_normalize_that_is_not_a_boolean(self, tmp_path,
+                                                       normalize):
+        doc = self.base_doc()
+        doc["hyperparameters"] = {"normalize": normalize}
+        path = self.write_doc(tmp_path, doc)
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == ("%s: hyperparameter 'normalize' must be "
+                                   "true or false, got %r" % (path, normalize))
+
+    def test_rejects_hyperparameters_that_are_not_an_object(self, tmp_path):
+        doc = self.base_doc()
+        doc["hyperparameters"] = [1]
+        with pytest.raises(FormatError, match="must be an object"):
+            load_model(self.write_doc(tmp_path, doc))
+
     def test_rejects_empty_weights(self, tmp_path):
         doc = self.base_doc()
         doc["weights"] = []
@@ -785,7 +805,7 @@ class TestSerialization:
                 "hyperparameters": {}, "trees": [node]}
 
     def test_accepts_a_well_formed_tree(self, tmp_path):
-        model = load_model(self.write_doc(tmp_path, self.mart_doc()))
+        model, _ = load_model(self.write_doc(tmp_path, self.mart_doc()))
         assert model.trees[0].left == (1, 0, 0)
 
     @pytest.mark.parametrize("tree, message", [

@@ -1,0 +1,212 @@
+"""Byte-compare every output of this checkout against another commit's.
+
+Usage (from anywhere inside a checkout)::
+
+    python3 tools/artifact_diff.py BASE_REF
+
+BASE_REF is checked out with ``git worktree`` into a temporary
+directory.  Each side makes its own inputs, with its own generators and
+its own ``src/``, so a change to the code that writes them shows too:
+
+* the planted corpus of ``tests/synthdata.py`` (run with ``--seed 42``);
+* the ``pipeline-mart`` corpus of ``perfbench/gen.py``, seed 1 (run with
+  ``--seed 1``).
+
+On each corpus, each side runs:
+
+* ``pipeline`` with the MART defaults, with ``--learner ca --normalize``
+  and with ``--metric mrr``;
+* ``ablate`` with CA and with MART (the ``ablate-ca`` and
+  ``ablate-mart`` settings of ``perfbench/run.py``), both on the
+  ``features.txt`` of that side's default ``pipeline``.
+
+Every command runs with ``-v`` from its side's own directory and names
+its inputs and ``--out-dir`` by relative paths, so the paths it logs
+agree.  The inputs, each command's exit code, stdout and stderr and
+every file in its out-dir must be byte-identical.  For each file that
+differs, the first differing line and byte are printed, and the exit
+code is 1; 0 means all identical.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PIPELINES = (("pipeline", ()),
+             ("pipeline-ca-normalize", ("--learner", "ca", "--normalize")),
+             ("pipeline-mrr", ("--metric", "mrr")))
+ABLATIONS = ("ablate-ca", "ablate-mart")
+INPUTS = (("embeddings", ".txt"), ("venues", ".jsonl"),
+          ("profiles", ".jsonl"), ("contexts", ".jsonl"), ("qrels", ".txt"))
+CORPORA = (("gen1", 1), ("synth", 42))
+IN_DIR = "inputs"
+
+
+def _workloads(root):
+    """The benchmark's workload table, read from root's perfbench/run.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(root, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _env(src):
+    env = dict(os.environ)
+    # one BLAS thread, so float sums keep one order on both sides
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=src)
+    return env
+
+
+def _run(argv, cwd, src):
+    proc = subprocess.run(argv, cwd=cwd, env=_env(src), capture_output=True)
+    if proc.returncode != 0:
+        sys.exit("artifact_diff: %s failed:\n%s"
+                 % (" ".join(argv), proc.stderr.decode(errors="replace")))
+
+
+def make_inputs(root, side_dir):
+    """Write both corpora and the ablate configs under
+    ``side_dir/inputs``, with root's generators and ``src/``."""
+    src = os.path.join(root, "src")
+    workloads = _workloads(root)
+    in_dir = os.path.join(side_dir, IN_DIR)
+    os.makedirs(in_dir)
+    _run([sys.executable, os.path.join(root, "tests", "synthdata.py"),
+          os.path.join(in_dir, "synth")], root, src)
+    _run([sys.executable, os.path.join(root, "perfbench", "gen.py"),
+          "pipeline", src, os.path.join(in_dir, "gen1"), "1",
+          json.dumps(workloads["pipeline-mart"]["shape"])], root, src)
+    for name in ABLATIONS:
+        with open(os.path.join(in_dir, name + ".cfg"), "w",
+                  encoding="utf-8") as fh:
+            for key, value in sorted(workloads[name]["config"].items()):
+                fh.write("%s = %s\n" % (key, value))
+
+
+def commands():
+    """``(label, argv)`` for the whole matrix; labels are out dirs and
+    every path is relative to a side's directory.  Each corpus's
+    pipelines come before its ablations, which read the default
+    pipeline's features."""
+    out = []
+    for corpus, seed in CORPORA:
+        for name, flags in PIPELINES:
+            argv = ["pipeline", "--seed", str(seed), *flags]
+            for key, ext in INPUTS:
+                argv += ["--" + key, "%s/%s/%s%s" % (IN_DIR, corpus, key, ext)]
+            out.append(("%s/%s" % (corpus, name), argv))
+        for name in ABLATIONS:
+            out.append(("%s/%s" % (corpus, name),
+                        ["ablate", "--seed", str(seed), "--config",
+                         "%s/%s.cfg" % (IN_DIR, name),
+                         "--features", "%s/pipeline/features.txt" % corpus]))
+    return out
+
+
+def run_side(side_dir, src, label, argv):
+    """Run one command; its outputs land in ``side_dir/label``."""
+    out_dir = os.path.join(side_dir, label)
+    os.makedirs(out_dir)
+    proc = subprocess.run(
+        [sys.executable, "-m", "venuerec", *argv, "-v", "--out-dir", label],
+        cwd=side_dir, env=_env(src), capture_output=True)
+    for kind, data in (("exit_code", b"%d\n" % proc.returncode),
+                       ("stdout", proc.stdout), ("stderr", proc.stderr)):
+        with open(os.path.join(side_dir, label + "." + kind), "wb") as fh:
+            fh.write(data)
+    return proc.returncode
+
+
+def first_difference(a, b):
+    """1-based number of the first line where bytes `a` and `b` differ,
+    with both lines, or None when they are equal."""
+    if a == b:
+        return None
+    left, right = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    for n, (x, y) in enumerate(zip(left, right), start=1):
+        if x != y:
+            return n, x, y
+    n = min(len(left), len(right)) + 1
+    return (n, left[n - 1] if n <= len(left) else b"<end of file>",
+            right[n - 1] if n <= len(right) else b"<end of file>")
+
+
+def _files(side_dir):
+    return {os.path.relpath(os.path.join(dirpath, name), side_dir)
+            for dirpath, _, names in os.walk(side_dir) for name in names}
+
+
+def compare(base_dir, head_dir):
+    """Print each file under either side that differs; returns how many
+    differ."""
+    differ = 0
+    for name in sorted(_files(base_dir) | _files(head_dir)):
+        data = []
+        for side in (base_dir, head_dir):
+            path = os.path.join(side, name)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    data.append(fh.read())
+            else:
+                data.append(None)
+        if data[0] is None or data[1] is None:
+            differ += 1
+            print("%s: only on the %s side"
+                  % (name, "base" if data[1] is None else "head"))
+            continue
+        found = first_difference(*data)
+        if found is not None:
+            differ += 1
+            n, x, y = found
+            col = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q),
+                       min(len(x), len(y)))
+            at = max(0, col - 40)
+            print("%s: line %d differs at byte %d\n  base: %r\n  head: %r"
+                  % (name, n, col + 1, x[at:col + 80], y[at:col + 80]))
+    return differ
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0])
+    parser.add_argument("base_ref", metavar="BASE_REF",
+                        help="commit to compare this checkout against")
+    args = parser.parse_args(argv)
+
+    work = tempfile.mkdtemp(prefix="artifact-diff-")
+    worktree = os.path.join(work, "base-checkout")
+    matrix = commands()
+    try:
+        _run(["git", "-C", ROOT, "worktree", "add", "--detach", worktree,
+              args.base_ref], ROOT, "")
+        for side, root in (("base", worktree), ("head", ROOT)):
+            side_dir = os.path.join(work, side)
+            make_inputs(root, side_dir)
+            for label, command in matrix:
+                code = run_side(side_dir, os.path.join(root, "src"), label,
+                                command)
+                print("%s %s: exit %d" % (side, label, code), flush=True)
+        differ = compare(os.path.join(work, "base"), os.path.join(work, "head"))
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                        worktree], capture_output=True)
+        shutil.rmtree(work, ignore_errors=True)
+    if differ:
+        print("%d files differ from %s" % (differ, args.base_ref))
+        return 1
+    print("inputs and all outputs of %d commands identical to %s"
+          % (len(matrix), args.base_ref))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
