@@ -46,17 +46,18 @@ def _fit(train, valid, config):
     return train_mart(train, valid, config)
 
 
-def run_ablation(table, config, split_fraction=0.67):
+def run_ablation(table, config, split_fraction, cutoff):
     """Train the full model and one knockout per feature column.
 
     `config` is a CAConfig or a MARTConfig; it picks the learner, and
     its metric and seed drive training, the validation split and the
-    scoring alike.  The train, validation and all-rows TopicBlocks are
-    built once; each knockout trains and scores on copies of them with
-    one column of `X` zeroed, which is exact because the split and the
-    row order depend only on topic and venue ids.  Every variant is
-    scored over all topics of the FeatureTable `table`, with the metric
-    averaged the same way the trainers do it.
+    scoring alike.  Rows with a label of at least `cutoff` are the
+    relevant ones, as in the run evaluator.  The train, validation and
+    all-rows TopicBlocks are built once; each knockout trains and scores
+    on copies of them with one column of `X` zeroed, which is exact
+    because the split and the row order depend only on topic and venue
+    ids.  Every variant is scored over all topics of the FeatureTable
+    `table`, with the metric averaged the same way the trainers do it.
     """
     if isinstance(config, CAConfig):
         learner = "coordinate_ascent"
@@ -67,8 +68,9 @@ def run_ablation(table, config, split_fraction=0.67):
     metric, seed = config.metric, config.seed
     train_table, valid_table = split_train_validation(table, split_fraction,
                                                       seed)
-    train, valid = TopicBlocks(train_table), TopicBlocks(valid_table)
-    blocks = TopicBlocks(table)
+    train = TopicBlocks(train_table, cutoff)
+    valid = TopicBlocks(valid_table, cutoff)
+    blocks = TopicBlocks(table, cutoff)
 
     baseline_model = _fit(train, valid, config)
     baseline = blocks.metric(predict_matrix(baseline_model, blocks.X), metric)

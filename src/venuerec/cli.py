@@ -295,7 +295,8 @@ def train_step(cfg, table, out_dir):
     """Write model.json; returns the model it holds."""
     train_table, valid_table = split_train_validation(
         _table_for_learning(cfg, table), cfg["split_fraction"], cfg["seed"])
-    train, valid = TopicBlocks(train_table), TopicBlocks(valid_table)
+    train = TopicBlocks(train_table, cfg["cutoff"])
+    valid = TopicBlocks(valid_table, cfg["cutoff"])
     config = _learner_config(cfg)
     if isinstance(config, CAConfig):
         model = train_coordinate_ascent(train, valid, config)
@@ -369,8 +370,8 @@ def eval_step(cfg, run, qrels, compare, out_dir):
 
 def ablate_step(cfg, table, out_dir):
     report = run_ablation(_table_for_learning(cfg, table),
-                          _learner_config(cfg),
-                          split_fraction=cfg["split_fraction"])
+                          _learner_config(cfg), cfg["split_fraction"],
+                          cfg["cutoff"])
     path = _out(out_dir, "ablation.tsv")
     write_ablation(report, path)
     log.info("ablation written to %s", path)
@@ -467,7 +468,7 @@ def _load_topics(args, venues, profiles):
     """Venues by id, the context pairs, and the qrels or None."""
     venues_by_id = {v.id: v for v in venues}
     users = {p.user_id: p for p in profiles}
-    pairs = load_contexts(args.contexts, users, venues=venues_by_id)
+    pairs = load_contexts(args.contexts, users, venues_by_id)
     qrels = load_qrels(args.qrels) if args.qrels else None
     return venues_by_id, pairs, qrels
 

@@ -115,23 +115,16 @@ class Qrels:
                 raise ValueError("negative grade for (%s, %s)" % (topic, venue))
             self._by_topic.setdefault(topic, {})[venue] = grade
 
-    def grade(self, topic_id, venue_id, default=0):
-        return self._by_topic.get(topic_id, {}).get(venue_id, default)
-
-    def is_judged(self, topic_id, venue_id):
-        return venue_id in self._by_topic.get(topic_id, {})
+    def grade(self, topic_id, venue_id):
+        """The grade of the pair; 0 when it is not judged."""
+        return self._by_topic.get(topic_id, {}).get(venue_id, 0)
 
     def topics(self):
         return sorted(self._by_topic)
 
-    def relevant_venues(self, topic_id, cutoff=1):
+    def relevant_venues(self, topic_id, cutoff):
         return {v for v, g in self._by_topic.get(topic_id, {}).items()
                 if g >= cutoff}
-
-    def items(self):
-        return sorted(((topic, venue), grade)
-                      for topic, grades in self._by_topic.items()
-                      for venue, grade in grades.items())
 
     def __len__(self):
         return sum(len(grades) for grades in self._by_topic.values())
@@ -226,8 +219,19 @@ def _has_space(text):
     return any(ch.isspace() for ch in text)
 
 
+def _encodes(text):
+    """Whether `text` has a UTF-8 form; a JSON escape such as ``\\udc80``
+    can name a lone surrogate, which has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _identifier(obj, key, path, lineno):
-    """A required id field: a non-empty string without whitespace.
+    """A required id field: a non-empty string without whitespace that
+    encodes to UTF-8.
 
     Ids end up as whitespace-separated tokens in the vector caches and
     the features, run and qrels files.
@@ -238,6 +242,9 @@ def _identifier(obj, key, path, lineno):
                           line=lineno)
     if _has_space(value):
         raise FormatError("field %r must not contain whitespace, got %r"
+                          % (key, value), path=path, line=lineno)
+    if not _encodes(value):
+        raise FormatError("field %r is not valid UTF-8 text, got %r"
                           % (key, value), path=path, line=lineno)
     return value
 
@@ -278,7 +285,7 @@ def load_venues(path):
     return venues
 
 
-def load_profiles(path, rating_scale=(0, 4)):
+def load_profiles(path, rating_scale):
     lo, hi = rating_scale
     profiles = []
     seen = set()
@@ -317,14 +324,12 @@ def load_profiles(path, rating_scale=(0, 4)):
     return profiles
 
 
-def load_contexts(path, users, schema=DEFAULT_SCHEMA, venues=None):
+def load_contexts(path, users, venues, schema=DEFAULT_SCHEMA):
     """Load context topics; `users` maps user_id -> UserProfile.
 
-    When `venues` (a set of known venue ids, or anything supporting
-    `in`) is given, dangling candidates are warned about and kept.
+    Candidates missing from `venues` (known venue ids, or anything
+    supporting `in`) are dangling: they are warned about and kept.
     """
-    if not isinstance(users, dict):
-        users = {u.user_id: u for u in users}
     pairs = []
     seen = set()
     dangling = 0
@@ -366,10 +371,13 @@ def load_contexts(path, users, schema=DEFAULT_SCHEMA, venues=None):
             if _has_space(cand):
                 raise FormatError("candidate %r contains whitespace" % cand,
                                   path=path, line=lineno)
+            if not _encodes(cand):
+                raise FormatError("candidate %r is not valid UTF-8 text"
+                                  % cand, path=path, line=lineno)
             if cand in candidates:
                 raise FormatError("duplicate candidate %r" % cand, path=path,
                                   line=lineno)
-            if venues is not None and cand not in venues:
+            if cand not in venues:
                 dangling += 1
             candidates.append(cand)
         pairs.append(ContextPair(topic_id=topic_id, user=users[user_id],
@@ -408,44 +416,3 @@ def load_qrels(path):
                               path=path, line=lineno)
         judgments[key] = grade
     return Qrels(judgments)
-
-
-# ---------------------------------------------------------------------------
-# Writers, used by fixtures and for corpus round-trip checks
-# ---------------------------------------------------------------------------
-
-def save_venues(venues, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in venues:
-            obj = {"id": v.id, "name": v.name}
-            for key in ("checkins", "likes", "comment_count", "photos",
-                        "rating_avg", "unique_users"):
-                value = getattr(v.stats, key)
-                if value is not None:
-                    obj[key] = value
-            obj["comments"] = [c.raw for c in v.comments]
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def save_profiles(profiles, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in profiles:
-            obj = {"user_id": p.user_id, "gender": p.gender,
-                   "ratings": [{"venue_id": v, "rating": r}
-                               for v, r in p.ratings]}
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def save_contexts(pairs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            obj = {"topic_id": pair.topic_id, "user_id": pair.user.user_id,
-                   "context": dict(pair.context),
-                   "candidates": list(pair.candidates)}
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def save_qrels(qrels, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for (topic_id, venue_id), grade in qrels.items():
-            fh.write("%s 0 %s %d\n" % (topic_id, venue_id, grade))

@@ -5,8 +5,8 @@ header line, then one "term c1 ... cD" line per word.  Binary: the
 word2vec convention of an ASCII header followed by records of
 space-terminated term bytes plus D little-endian float32 values, with
 an optional newline between records.  Vectors are held as float64
-internally; binary values survive a load/save cycle bit for bit
-because every float32 is exactly representable in float64.
+internally; every float32 is exactly representable in float64, so
+binary values load bit for bit.
 """
 
 from typing import NamedTuple
@@ -55,15 +55,6 @@ class EmbeddingStore:
         rank[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(
             len(terms))
         self._lex_rank = rank
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("cannot build a store from zero terms")
-        terms = [t for t, _ in pairs]
-        matrix = np.array([np.asarray(v, dtype=np.float64) for _, v in pairs])
-        return cls(terms, matrix)
 
     @property
     def dimension(self):
@@ -159,21 +150,14 @@ def similar_k(store, query, k, exclude=()):
 # File formats
 # ---------------------------------------------------------------------------
 
-def load_embeddings(path, format="text"):
+def load_embeddings(path, format):
+    """The EmbeddingStore of the `format` ("text" or "binary") file at
+    `path`."""
     if format == "text":
         return _load_text(path)
     if format == "binary":
         return _load_binary(path)
     raise ValueError("unknown embedding format %r" % format)
-
-
-def save_embeddings(store, path, format="text"):
-    if format == "text":
-        write_text_vectors(zip(store.terms, store._matrix), path)
-    elif format == "binary":
-        _save_binary(store, path)
-    else:
-        raise ValueError("unknown embedding format %r" % format)
 
 
 def _parse_vector(parts, dim, term, path, lineno):
@@ -318,13 +302,3 @@ def _load_binary(path):
         raise FormatError("trailing data after %d records" % count,
                           path=path, offset=pos)
     return EmbeddingStore(terms, np.array(vectors))
-
-
-def _save_binary(store, path):
-    with open(path, "wb") as fh:
-        fh.write(b"%d %d\n" % (len(store), store.dimension))
-        for i, term in enumerate(store.terms):
-            fh.write(term.encode("utf-8"))
-            fh.write(b" ")
-            fh.write(store._matrix[i].astype("<f4").tobytes())
-            fh.write(b"\n")

@@ -16,23 +16,16 @@ from .corpus import numbered_lines
 from .errors import FormatError, VenuerecError
 from .stats import student_t_two_sided_p
 
-DEFAULT_DEPTH = 50
-DEFAULT_K = 5
-DEFAULT_CUTOFF = 1
 
-
-def rank_candidates(venue_ids, scores, depth=None):
+def rank_candidates(venue_ids, scores, depth):
     """Order candidates by score descending, venue id ascending on ties.
 
-    Returns a tuple of ``(venue_id, rank, score)`` entries with ranks
-    starting at 1, truncated to `depth` entries when given.
+    `scores` is aligned with `venue_ids`.  Returns a tuple of
+    ``(venue_id, rank, score)`` entries with ranks starting at 1, the
+    first `depth` of them.
     """
-    if len(venue_ids) != len(scores):
-        raise VenuerecError("venue_ids and scores differ in length")
     order = sorted(range(len(venue_ids)),
-                   key=lambda i: (-float(scores[i]), venue_ids[i]))
-    if depth is not None:
-        order = order[:depth]
+                   key=lambda i: (-float(scores[i]), venue_ids[i]))[:depth]
     return tuple((venue_ids[i], rank, float(scores[i]))
                  for rank, i in enumerate(order, start=1))
 
@@ -51,7 +44,7 @@ class RankedRun:
         return sorted(self.topics)
 
 
-def ranked_run(tag, scored, depth=DEFAULT_DEPTH):
+def ranked_run(tag, scored, depth):
     """Build a RankedRun from ``{topic: [(venue_id, score), ...]}``."""
     topics = {}
     for topic_id in sorted(scored):
@@ -126,12 +119,11 @@ def load_run(path):
                      topics={t: tuple(e) for t, e in topics.items()})
 
 
-def topic_precision_at_k(entries, relevant, k=DEFAULT_K):
-    """Fraction of the first `k` entries that are relevant; always over k."""
-    if k < 1:
-        raise VenuerecError("k must be >= 1")
-    hits = sum(1 for venue_id, _, _ in entries[:k] if venue_id in relevant)
-    return hits / k
+def topic_precision_at_k(entries, relevant):
+    """P@5: the fraction of the first 5 entries that are relevant; always
+    over 5."""
+    hits = sum(1 for venue_id, _, _ in entries[:5] if venue_id in relevant)
+    return hits / 5
 
 
 def topic_reciprocal_rank(entries, relevant):
@@ -149,19 +141,10 @@ class MetricReport:
     mean_p_at_k: float
     mrr: float
     excluded: tuple        # topic ids dropped from the averages
-    k: int
-    cutoff: int
-
-    def topic_scores(self, topic_id):
-        for tid, p, rr in self.per_topic:
-            if tid == topic_id:
-                return p, rr
-        raise KeyError(topic_id)
 
 
-def evaluate_run(run, qrels, k=DEFAULT_K, cutoff=DEFAULT_CUTOFF,
-                 include_empty=False):
-    """Score a run: precision at `k` and reciprocal rank per topic.
+def evaluate_run(run, qrels, cutoff, include_empty):
+    """Score a run: P@5 and reciprocal rank per topic.
 
     Topics with no judgments at all are always excluded from the
     averages.  Judged topics with no venue at or above `cutoff`
@@ -183,7 +166,7 @@ def evaluate_run(run, qrels, k=DEFAULT_K, cutoff=DEFAULT_CUTOFF,
             continue
         entries = run.entries(topic_id)
         per_topic.append((topic_id,
-                          topic_precision_at_k(entries, relevant, k=k),
+                          topic_precision_at_k(entries, relevant),
                           topic_reciprocal_rank(entries, relevant)))
     if per_topic:
         mean_p = sum(p for _, p, _ in per_topic) / len(per_topic)
@@ -192,15 +175,14 @@ def evaluate_run(run, qrels, k=DEFAULT_K, cutoff=DEFAULT_CUTOFF,
         mean_p = 0.0
         mrr = 0.0
     return MetricReport(per_topic=tuple(per_topic), mean_p_at_k=mean_p,
-                        mrr=mrr, excluded=tuple(excluded), k=k, cutoff=cutoff)
+                        mrr=mrr, excluded=tuple(excluded))
 
 
 def format_report(report):
-    name = "P%d" % report.k
     lines = []
     for topic_id, p, _ in report.per_topic:
-        lines.append("%s\t%s\t%.6f" % (name, topic_id, p))
-    lines.append("%s\tall\t%.6f" % (name, report.mean_p_at_k))
+        lines.append("P5\t%s\t%.6f" % (topic_id, p))
+    lines.append("P5\tall\t%.6f" % report.mean_p_at_k)
     for topic_id, _, rr in report.per_topic:
         lines.append("RR\t%s\t%.6f" % (topic_id, rr))
     lines.append("MRR\tall\t%.6f" % report.mrr)

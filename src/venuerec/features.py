@@ -167,11 +167,12 @@ def _topic_block(pair, venues, models):
     return block
 
 
-def extract_all(pairs, venues_by_id, models, qrels=None):
+def extract_all(pairs, venues_by_id, models, qrels):
     """The FeatureTable of every candidate of every pair.
 
     A dangling candidate, one missing from `venues_by_id`, keeps its id
-    and label and is ranked on zero features.
+    and label and is ranked on zero features.  With `qrels` None, every
+    label is 0.
     """
     topic_ids, venue_ids, labels, blocks = [], [], [], []
     for pair in pairs:
@@ -185,17 +186,16 @@ def extract_all(pairs, venues_by_id, models, qrels=None):
                         np.concatenate(blocks) if blocks else ())
 
 
-def normalize_per_topic(table, columns=range(6)):
-    """Min-max scale the given feature columns within each topic.
+def normalize_per_topic(table):
+    """Min-max scale the six venue statistics within each topic.
 
     Intended for the linear learner on raw count features; a constant
     column maps to 0.  Returns a new FeatureTable; a range that
     overflows a float raises FeatureTableError.
     """
-    columns = tuple(columns)
     X = table.X.copy()
     for start, stop in table.bounds:
-        for c in columns:
+        for c in range(len(_STAT_FIELDS)):
             col = X[start:stop, c]
             lo = col.min()
             with np.errstate(over="ignore"):

@@ -95,7 +95,7 @@ def _better(valid_m, train_m, best):
     return train_m > best[1] + _EPS
 
 
-def train_coordinate_ascent(train, valid, config=None):
+def train_coordinate_ascent(train, valid, config):
     """Fit a LinearModel on `train`, pick the restart by `valid`.
 
     Both are TopicBlocks; when `valid` is empty the training metric
@@ -106,7 +106,6 @@ def train_coordinate_ascent(train, valid, config=None):
     among those the best validation metric wins, ties going to the
     higher training metric and then the earlier restart.
     """
-    config = config or CAConfig()
     if not len(train):
         raise VenuerecError("no training rows")
     nf = train.X.shape[1]

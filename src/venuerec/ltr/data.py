@@ -16,7 +16,7 @@ from ..features import FeatureTable
 METRICS = ("p5", "mrr")
 
 
-def split_train_validation(table, fraction=0.67, seed=0):
+def split_train_validation(table, fraction, seed):
     """Partition a FeatureTable into train and validation tables by topic.
 
     The sorted topic list is shuffled with a generator seeded by `seed`;
@@ -49,8 +49,9 @@ class TopicBlocks:
     """A FeatureTable's matrix, labels and per-topic slices, for ranking.
 
     Built once per table; the trainers take it as their input, and
-    `metric` scores any score vector aligned with `X`.  Topics without
-    a single relevant row are left out of the average, matching the run
+    `metric` scores any score vector aligned with `X`.  A row is
+    relevant when its label is at least `cutoff`, and topics without a
+    single relevant row are left out of the average, matching the run
     evaluator.  The arrays are read-only, so copies made by
     `without_feature` can share everything but `X`.
 
@@ -61,9 +62,9 @@ class TopicBlocks:
     row order, which is venue id order; NaN sorts after every number,
     so the padding always ranks last.
 
-    One value sort of each padded row decides P@k: when the k-th and
-    (k+1)-th smallest keys differ and the k-th is a number, the top k
-    is exactly the keys up to the k-th, however ties below it fall.
+    One value sort of each padded row decides P@5: when the 5th and
+    6th smallest keys differ and the 5th is a number, the top 5 is
+    exactly the keys up to the 5th, however ties below it fall.
     MRR needs only the smallest key among the relevant rows: when no
     other row holds it, the first relevant rank is one more than the
     count of smaller keys.  Only when a tie crosses the cut does the
@@ -71,7 +72,7 @@ class TopicBlocks:
     in the same order as a stable sort of the topic alone.
     """
 
-    def __init__(self, table, cutoff=1):
+    def __init__(self, table, cutoff):
         self.X = table.X
         self.y = table.labels.astype(np.float64)
         self.rel = self.y >= cutoff
@@ -103,8 +104,8 @@ class TopicBlocks:
         clone.X.flags.writeable = False
         return clone
 
-    def metric(self, scores, metric="p5", k=5):
-        """Mean P@k or MRR of `scores` over topics with relevant rows.
+    def metric(self, scores, metric):
+        """Mean P@5 or MRR of `scores` over topics with relevant rows.
 
         The per-topic values are added in topic order, so the mean is
         the same float a loop over the topics gives.
@@ -118,6 +119,7 @@ class TopicBlocks:
         keys[-1] = np.nan
         K = keys[self._index]
         rel = self._padded_rel
+        k = 5
         if metric == "p5":
             if K.shape[1] <= k:
                 return self._mean(rel.sum(axis=1) / k)

@@ -67,9 +67,6 @@ class Tree:
                 np.asarray(self.right, dtype=np.int64),
                 np.asarray(self.value, dtype=np.float64))
 
-    def n_leaves(self):
-        return sum(1 for f in self.feature if f < 0)
-
 
 @dataclasses.dataclass(frozen=True)
 class TreeEnsemble:
@@ -119,17 +116,15 @@ def _partition(order, left_rows, n_rows):
             flat.compress(~mask).reshape(n_features, -1))
 
 
-def fit_tree(X, resid, max_leaves=7, min_leaf=1, order=None):
+def fit_tree(X, resid, max_leaves, min_leaf, order):
     """Grow one least-squares tree best-first up to `max_leaves` leaves.
 
     `order` holds a stable argsort of each column of `X`, features x
-    rows; `train_mart` sorts once and passes it to every tree.  A child
-    keeps its parent's per-feature order with the other side's rows
-    filtered out, so no node sorts again, and ties inside a column go
-    by row index.
+    rows, as `_presort` gives it; `train_mart` sorts once and passes it
+    to every tree.  A child keeps its parent's per-feature order with
+    the other side's rows filtered out, so no node sorts again, and
+    ties inside a column go by row index.
     """
-    if order is None:
-        order = _presort(X)
     feature = [-1]
     threshold = [0.0]
     left = [0]
@@ -177,7 +172,7 @@ def _tree_outputs(tree, X):
     return _kernels.apply_tree(f, t, l, r, v, np.ascontiguousarray(X))
 
 
-def train_mart(train, valid, config=None):
+def train_mart(train, valid, config):
     """Boost `config.n_trees` stages on the `train` TopicBlocks.
 
     After each stage the validation ranking metric is computed on the
@@ -186,7 +181,6 @@ def train_mart(train, valid, config=None):
     scoring prefix (ties to the shorter one).  When the `valid`
     TopicBlocks is empty the training metric stands in.
     """
-    config = config or MARTConfig()
     if not len(train):
         raise VenuerecError("no training rows")
 
@@ -201,8 +195,7 @@ def train_mart(train, valid, config=None):
     best_stage = 0
     since_best = 0
     for stage in range(1, config.n_trees + 1):
-        tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf,
-                        order=order)
+        tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf, order)
         trees.append(tree)
         F += config.shrinkage * _tree_outputs(tree, X)
         if len(valid):

@@ -37,13 +37,13 @@ def _ints(values, what, path):
     return tuple(out)
 
 
-def save_model(model, path, hyperparameters=None):
+def save_model(model, path, hyperparameters):
     doc = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "seed": model.seed,
         "metric": model.metric,
-        "hyperparameters": dict(hyperparameters or {}),
+        "hyperparameters": dict(hyperparameters),
     }
     if isinstance(model, LinearModel):
         doc["learner"] = "coordinate_ascent"
@@ -110,7 +110,7 @@ def load_model(path):
     model = _model(doc, path)
     hyperparameters = doc.get("hyperparameters", {})
     if not isinstance(hyperparameters, dict):
-        raise FormatError("model document must be an object", path=path)
+        raise FormatError("'hyperparameters' must be an object", path=path)
     normalize = hyperparameters.get("normalize", False)
     if not isinstance(normalize, bool):
         raise FormatError("hyperparameter 'normalize' must be true or "

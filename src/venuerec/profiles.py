@@ -28,10 +28,6 @@ log = logging.getLogger(__name__)
 # stopwords and must survive to act as seeds
 _SEED_CONFIG = PreprocessConfig(stopwords=frozenset())
 
-DEFAULT_K = 10
-DEFAULT_POS_THRESHOLD = 4
-DEFAULT_NEG_THRESHOLD = 3
-
 
 @dataclass(frozen=True)
 class VenueVector:
@@ -51,7 +47,6 @@ class ContextTermSet:
     aspect: str
     dimension: str
     terms: tuple  # sorted, deduplicated
-    k: int
 
 
 def seed_tokens(dimension):
@@ -91,15 +86,13 @@ def build_venue_vectors(store, venues):
     return {v.id: venue_vector(store, v) for v in venues}
 
 
-def user_profile_vectors(store, venue_vectors, profile,
-                         pos_threshold=DEFAULT_POS_THRESHOLD,
-                         neg_threshold=DEFAULT_NEG_THRESHOLD,
-                         shifted_negative=False):
+def user_profile_vectors(store, venue_vectors, profile, pos_threshold,
+                         neg_threshold, shifted_negative):
     """Rating-weighted sums over the user's positive and negative venues.
 
     `shifted_negative` weighs negative venues by rating + 1 so that
-    zero-rated venues still register; off by default, which follows the
-    literal weighting (a rating of 0 annihilates its venue).  Ratings of
+    zero-rated venues still register; off, the weighting is literal (a
+    rating of 0 annihilates its venue).  Ratings of
     venues missing from `venue_vectors` are skipped; the caller warns
     about them once for all users.
     """
@@ -124,8 +117,7 @@ def _dimensions(schema, aspect):
     return GENDERS if aspect == "gender" else schema.dimensions(aspect)
 
 
-def context_terms(store, aspect, dimension, k=DEFAULT_K,
-                  schema=DEFAULT_SCHEMA):
+def context_terms(store, aspect, dimension, k, schema=DEFAULT_SCHEMA):
     """Union of the top-k terms over subtracting each sibling's seed
     vector from the dimension's own.
 
@@ -145,7 +137,7 @@ def context_terms(store, aspect, dimension, k=DEFAULT_K,
              for hit in similar_k(store, seeds[dimension] - seeds[d], k,
                                   exclude)}
     return ContextTermSet(aspect=aspect, dimension=dimension,
-                          terms=tuple(sorted(found)), k=k)
+                          terms=tuple(sorted(found)))
 
 
 def context_vector(store, term_set):
@@ -162,7 +154,7 @@ def context_vector(store, term_set):
     return acc
 
 
-def build_context_vectors(store, k=DEFAULT_K, schema=DEFAULT_SCHEMA):
+def build_context_vectors(store, k, schema=DEFAULT_SCHEMA):
     """``{(aspect, dimension): vector}`` over the schema's aspects, then
     over ``gender``."""
     return {(aspect, dim): context_vector(

@@ -234,8 +234,8 @@ def rowwise_normalize(rows, columns=range(6)):
     return [replacement[id(r)] for r in rows]
 
 
-def loop_metric(blocks, scores, metric, k=5):
-    """Mean P@k or MRR of `scores` over a TopicBlocks, one topic at a time.
+def loop_metric(blocks, scores, metric):
+    """Mean P@5 or MRR of `scores` over a TopicBlocks, one topic at a time.
 
     Each topic is ranked by a stable descending sort of its own slice,
     and the per-topic values are added in topic order.
@@ -248,7 +248,7 @@ def loop_metric(blocks, scores, metric, k=5):
         order = np.argsort(-scores[lo:hi], kind="stable")
         rel = blocks.rel[lo:hi][order]
         if metric == "p5":
-            total += float(rel[:k].sum()) / k
+            total += float(rel[:5].sum()) / 5
         else:
             hits = np.nonzero(rel)[0]
             total += 1.0 / (hits[0] + 1.0)

@@ -32,6 +32,7 @@ import sys
 
 import numpy as np
 
+from venuerec.cli import SETTINGS
 from venuerec.corpus import (
     DEFAULT_SCHEMA,
     GENDERS,
@@ -40,7 +41,7 @@ from venuerec.corpus import (
     load_qrels,
     load_venues,
 )
-from venuerec.embeddings import EmbeddingStore, load_embeddings, save_embeddings
+from venuerec.embeddings import EmbeddingStore, load_embeddings
 from venuerec.features import ModelSet, extract_all
 from venuerec.profiles import (
     build_context_vectors,
@@ -48,6 +49,7 @@ from venuerec.profiles import (
     seed_tokens,
     user_profile_vectors,
 )
+from writers import save_embeddings
 
 N_TOPICS = 20
 N_RELEVANT = 5
@@ -233,27 +235,32 @@ def write_corpus(out_dir, n_topics=N_TOPICS, seed=SEED):
 
 
 def feature_rows(paths, scale=1.0):
-    """The labeled FeatureTable of a written corpus, via the library wiring.
+    """The labeled FeatureTable of a written corpus, via the library
+    wiring under the default settings.
 
     `scale` multiplies every stored embedding before the vectors are
     built, which must leave all cosine features unchanged.
     """
-    store = load_embeddings(paths["embeddings"])
+    cfg = {key: setting.default for key, setting in SETTINGS.items()}
+    store = load_embeddings(paths["embeddings"], cfg["embedding_format"])
     if scale != 1.0:
         matrix = np.array([store.vector_of(t) for t in store.terms]) * scale
         store = EmbeddingStore(store.terms, matrix)
     venues = load_venues(paths["venues"])
     by_id = {v.id: v for v in venues}
-    profiles = load_profiles(paths["profiles"])
+    profiles = load_profiles(paths["profiles"],
+                             (cfg["rating_min"], cfg["rating_max"]))
     pairs = load_contexts(paths["contexts"],
-                          {p.user_id: p for p in profiles}, venues=by_id)
+                          {p.user_id: p for p in profiles}, by_id)
     qrels = load_qrels(paths["qrels"])
     venue_vectors = build_venue_vectors(store, venues)
     models = ModelSet(
         venue_vectors=venue_vectors,
-        user_profiles={p.user_id: user_profile_vectors(store, venue_vectors, p)
-                       for p in profiles},
-        context_vectors=build_context_vectors(store))
+        user_profiles={p.user_id: user_profile_vectors(
+            store, venue_vectors, p, cfg["pos_threshold"],
+            cfg["neg_threshold"], cfg["shifted_negative"])
+            for p in profiles},
+        context_vectors=build_context_vectors(store, cfg["k"]))
     return extract_all(pairs, by_id, models, qrels)
 
 

@@ -8,6 +8,7 @@ import pytest
 import synthdata
 from reference_models import table_of
 from venuerec.ablation import AblationReport, AblationEntry, run_ablation, write_ablation
+from venuerec.cli import SETTINGS
 from venuerec.errors import VenuerecError
 from venuerec.features import FEATURE_NAMES, N_FEATURES, FeatureTable
 from venuerec.ltr import (
@@ -19,6 +20,9 @@ from venuerec.ltr import (
     train_coordinate_ascent,
     train_mart,
 )
+
+SPLIT = SETTINGS["split_fraction"].default
+CUTOFF = SETTINGS["cutoff"].default
 
 
 def pad(*values):
@@ -45,14 +49,14 @@ _FAST_MART = MARTConfig(n_trees=20, patience=5, metric="mrr", seed=0)
 class TestKnockoutClosedForms:
 
     def test_informative_column_costs_its_planted_share(self):
-        report = run_ablation(taste_rows(), _FAST_MART)
+        report = run_ablation(taste_rows(), _FAST_MART, SPLIT, CUTOFF)
         assert report.baseline == 1.0
         by_name = {e.feature: e for e in report.entries}
         assert by_name["uv_pos"].metric_value == 0.25
         assert by_name["uv_pos"].delta_percent == -75.0
 
     def test_dead_columns_cost_nothing(self):
-        report = run_ablation(taste_rows(), _FAST_MART)
+        report = run_ablation(taste_rows(), _FAST_MART, SPLIT, CUTOFF)
         for entry in report.entries:
             if entry.feature != "uv_pos":
                 assert entry.delta_percent == 0.0
@@ -62,13 +66,14 @@ class TestKnockoutClosedForms:
         with caplog.at_level(logging.ERROR, logger="venuerec.ltr"):
             report = run_ablation(
                 taste_rows(),
-                CAConfig(metric="mrr", restarts=2, max_sweeps=5, seed=0))
+                CAConfig(metric="mrr", restarts=2, max_sweeps=5, seed=0),
+                SPLIT, CUTOFF)
         assert report.learner == "coordinate_ascent"
         by_name = {e.feature: e for e in report.entries}
         assert by_name["uv_pos"].delta_percent == -75.0
 
     def test_entries_follow_feature_order(self):
-        report = run_ablation(taste_rows(), _FAST_MART)
+        report = run_ablation(taste_rows(), _FAST_MART, SPLIT, CUTOFF)
         assert tuple(e.feature for e in report.entries) == FEATURE_NAMES
 
     def test_zero_baseline_reports_zero_deltas(self, caplog):
@@ -76,14 +81,14 @@ class TestKnockoutClosedForms:
                           for t in range(3) for v in range(3)])
         with caplog.at_level(logging.WARNING, logger="venuerec.ablation"):
             report = run_ablation(table, MARTConfig(
-                n_trees=2, patience=0, seed=0))
+                n_trees=2, patience=0, seed=0), SPLIT, CUTOFF)
         assert report.baseline == 0.0
         assert all(e.delta_percent == 0.0 for e in report.entries)
         assert any("baseline p5 is zero" in r.message for r in caplog.records)
 
     def test_unknown_learner_rejected(self):
         with pytest.raises(VenuerecError, match="unknown learner"):
-            run_ablation(taste_rows(), "boosting")
+            run_ablation(taste_rows(), "boosting", SPLIT, CUTOFF)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +101,8 @@ class TestSyntheticCorpus:
     """The generated corpus reproduces its exported closed forms."""
 
     def test_deltas_match_the_planted_design(self, synth_rows):
-        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED))
+        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED),
+                              SPLIT, CUTOFF)
         assert report.baseline == synthdata.FULL_P5
         by_name = {e.feature: e for e in report.entries}
         # the per-topic values are exact; only the mean accumulates dust
@@ -110,7 +116,8 @@ class TestSyntheticCorpus:
             assert by_name[name].delta_percent == 0.0
 
     def test_taste_knockout_is_the_single_largest_drop(self, synth_rows):
-        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED))
+        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED),
+                              SPLIT, CUTOFF)
         worst = min(report.entries, key=lambda e: e.delta_percent)
         assert worst.feature == "uv_pos"
         runner_up = min(e.delta_percent for e in report.entries
@@ -118,7 +125,7 @@ class TestSyntheticCorpus:
         assert worst.delta_percent < runner_up
 
 
-def rebuilt_ablation(table, config, split_fraction=0.67):
+def rebuilt_ablation(table, config):
     """The knockout study from rebuilt tables: every knockout zeroes the
     column in a fresh FeatureTable, splits it and retrains on it."""
     if isinstance(config, CAConfig):
@@ -127,10 +134,10 @@ def rebuilt_ablation(table, config, split_fraction=0.67):
         train, learner = train_mart, "mart"
 
     def score(table):
-        fit, valid = split_train_validation(table, split_fraction,
-                                            config.seed)
-        model = train(TopicBlocks(fit), TopicBlocks(valid), config)
-        blocks = TopicBlocks(table)
+        fit, valid = split_train_validation(table, SPLIT, config.seed)
+        model = train(TopicBlocks(fit, CUTOFF), TopicBlocks(valid, CUTOFF),
+                      config)
+        blocks = TopicBlocks(table, CUTOFF)
         return blocks.metric(predict_matrix(model, blocks.X), config.metric)
 
     baseline = score(table)
@@ -173,7 +180,8 @@ class TestKnockoutOnTheMatrix:
     @pytest.mark.parametrize("data", ["synth", "noisy"])
     def test_matches_rebuilt_rows(self, synth_rows, config, data):
         rows = synth_rows if data == "synth" else noisy_rows()
-        assert run_ablation(rows, config) == rebuilt_ablation(rows, config)
+        assert (run_ablation(rows, config, SPLIT, CUTOFF)
+                == rebuilt_ablation(rows, config))
 
 
 def test_write_ablation_freezes_the_layout(tmp_path):

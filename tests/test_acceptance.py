@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import synthdata
-from venuerec.cli import main
+from venuerec.cli import SETTINGS, main
 from venuerec.corpus import Comment, ContextSchema, UserProfile, Venue, VenueStats
-from venuerec.embeddings import EmbeddingStore, load_embeddings, save_embeddings
+from venuerec.embeddings import EmbeddingStore, load_embeddings
 from venuerec.evaluation import evaluate_run, paired_t_test, ranked_run, write_run
 from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr import (
@@ -36,9 +36,15 @@ from venuerec.profiles import (
     venue_vector,
 )
 from venuerec.text import preprocess
+from writers import save_embeddings
 
 
-NO_ROWS = FeatureTable([], [], [], [])
+def default(key):
+    return SETTINGS[key].default
+
+
+CUTOFF = default("cutoff")
+NO_BLOCKS = TopicBlocks(FeatureTable([], [], [], []), CUTOFF)
 
 
 @contextlib.contextmanager
@@ -87,7 +93,7 @@ def test_a01_embedding_fixtures_load_exactly(tmp_path):
             fh.write("5 3\n")
             for term, vec in zip(terms, rows):
                 fh.write(term + " " + " ".join("%.6f" % x for x in vec) + "\n")
-        store = load_embeddings(str(text))
+        store = load_embeddings(str(text), format="text")
         for term, vec in zip(terms, rows):
             assert store.vector_of(term) == pytest.approx(vec, abs=1e-6)
 
@@ -173,7 +179,10 @@ def test_a02_vector_equations_match_brute_force():
                                   ratings=ratings)
             impl_vv = {vid: venue_vector(store, v)
                        for vid, v in venues.items()}
-            up = user_profile_vectors(store, impl_vv, profile)
+            up = user_profile_vectors(store, impl_vv, profile,
+                                      default("pos_threshold"),
+                                      default("neg_threshold"),
+                                      default("shifted_negative"))
             pos = [0.0] * 4
             neg = [0.0] * 4
             for vid, r in ratings:
@@ -238,8 +247,9 @@ def test_a03_nearest_terms_match_exhaustive_scan():
 def test_a04_cosine_features_are_scale_invariant(corpus, tmp_path):
     """Scaling every stored vector leaves f7-f13 and run files unchanged."""
     base = synthdata.feature_rows(corpus)
-    train, valid = split_train_validation(base, 0.67, 0)
-    model = train_mart(TopicBlocks(train), TopicBlocks(valid),
+    train, valid = split_train_validation(base, default("split_fraction"),
+                                          default("seed"))
+    model = train_mart(TopicBlocks(train, CUTOFF), TopicBlocks(valid, CUTOFF),
                        MARTConfig(n_trees=20, patience=5, seed=0))
 
     def run_bytes(table, name):
@@ -248,7 +258,7 @@ def test_a04_cosine_features_are_scale_invariant(corpus, tmp_path):
                                        predict_matrix(model, table.X)):
             scored.setdefault(topic, []).append((venue, float(score)))
         path = tmp_path / name
-        write_run(ranked_run("scale", scored), str(path))
+        write_run(ranked_run("scale", scored, default("depth")), str(path))
         return path.read_bytes()
 
     reference = run_bytes(base, "base.txt")
@@ -303,8 +313,9 @@ def test_a05_metrics_match_hand_computation():
                     relevant[topic] = rel
             if not judgments:
                 continue
-            run = ranked_run("fix", scored)
-            report = evaluate_run(run, Qrels(judgments))
+            run = ranked_run("fix", scored, default("depth"))
+            report = evaluate_run(run, Qrels(judgments), CUTOFF,
+                                  default("include_empty"))
             want_p5, want_mrr = brute_eval(scored, relevant)
             assert report.mean_p_at_k == want_p5
             assert report.mrr == want_mrr
@@ -312,11 +323,12 @@ def test_a05_metrics_match_hand_computation():
         # the two canonical spot values
         run = ranked_run("spot", {
             "q1": [("vA", 3.0), ("vB", 2.0), ("vC", 1.0)],
-            "q2": [("v%d" % i, float(9 - i)) for i in range(6)]})
+            "q2": [("v%d" % i, float(9 - i)) for i in range(6)]},
+            default("depth"))
         qrels = Qrels({("q1", "vA"): 0, ("q1", "vB"): 0, ("q1", "vC"): 1,
                        ("q2", "v0"): 1, ("q2", "v1"): 0, ("q2", "v2"): 1,
                        ("q2", "v3"): 0, ("q2", "v4"): 0, ("q2", "v5"): 0})
-        report = evaluate_run(run, qrels)
+        report = evaluate_run(run, qrels, CUTOFF, default("include_empty"))
         by_topic = {t: (p, rr) for t, p, rr in report.per_topic}
         assert by_topic["q1"][1] == 1.0 / 3.0
         assert by_topic["q2"][0] == 0.4
@@ -353,9 +365,9 @@ def test_a07_coordinate_ascent_learns_the_separating_feature():
                 labels.append(label)
                 X.append(feats)
         table = FeatureTable(topics, venues, labels, X)
-        model = train_coordinate_ascent(TopicBlocks(table),
-                                        TopicBlocks(NO_ROWS), CAConfig(seed=0))
-        blocks = TopicBlocks(table)
+        model = train_coordinate_ascent(TopicBlocks(table, CUTOFF),
+                                        NO_BLOCKS, CAConfig(seed=0))
+        blocks = TopicBlocks(table, CUTOFF)
         weights = np.array(model.weights)
         assert blocks.metric(blocks.X @ weights, "p5") == 1.0
         magnitude = np.abs(weights)
@@ -376,7 +388,7 @@ def test_a08_mart_training_error_shrinks_monotonically():
         table = FeatureTable(["t%d" % (i // 10) for i in range(40)],
                              ["v%02d" % i for i in range(40)], labels, X)
         config = MARTConfig(n_trees=200, patience=0, max_leaves=4, seed=0)
-        model = train_mart(TopicBlocks(table), TopicBlocks(NO_ROWS), config)
+        model = train_mart(TopicBlocks(table, CUTOFF), NO_BLOCKS, config)
         mse = model.history["train_mse"]
         assert len(mse) == 200
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
@@ -385,7 +397,7 @@ def test_a08_mart_training_error_shrinks_monotonically():
                            [i // 2 for i in range(8)],
                            [[float(i)] + [0.0] * (N_FEATURES - 1)
                             for i in range(8)])
-        overfit = train_mart(TopicBlocks(toy), TopicBlocks(NO_ROWS), config)
+        overfit = train_mart(TopicBlocks(toy, CUTOFF), NO_BLOCKS, config)
         assert math.sqrt(overfit.history["train_mse"][-1]) < 0.01
 
 

@@ -10,7 +10,8 @@ import pytest
 
 import synthdata
 from venuerec.cli import build_parser, main
-from venuerec.embeddings import EmbeddingStore, save_embeddings
+from venuerec.embeddings import EmbeddingStore
+from writers import save_embeddings
 
 ARTIFACTS = ("config.used", "venue_vectors.txt", "user_vectors.txt",
              "context_vectors.txt", "features.txt", "model.json", "run.txt",
@@ -360,6 +361,30 @@ class TestAblateCommand:
         assert "uv_pos\t-40.000000\n" in table
         assert "cv_season\t-10.000000\n" in table
 
+    @pytest.mark.parametrize("cutoff, p5", [(1, "0.600000"),
+                                            (2, "0.200000")])
+    def test_cutoff_sets_the_relevant_grade(self, tmp_path, cutoff, p5):
+        # In each topic, checkins rank v0-v5 in id order, as do the ties
+        # of a zeroed column, and only v0 reaches grade 2: any model and
+        # knockout puts v0-v2 in the top 5, for a P@5 of 3/5 or 1/5.
+        features = tmp_path / "features.txt"
+        features.write_text("".join(
+            "%d qid:t%d 1:%r %s # v%d\n"
+            % (grade, t, 6.0 - c,
+               " ".join("%d:0.0" % j for j in range(2, 14)), c)
+            for t in range(4)
+            for c, grade in enumerate((2, 1, 1, 0, 0, 0))))
+        config = tmp_path / "venuerec.conf"
+        config.write_text("cutoff = %d\n" % cutoff)
+        out = tmp_path / "out"
+        assert main(["ablate", "--out-dir", str(out), "--learner", "ca",
+                     "--config", str(config),
+                     "--features", str(features)]) == 0
+        lines = (out / "ablation.tsv").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0] == "# baseline\tp5\t%s" % p5
+        assert all(line.endswith("\t0.000000") for line in lines[2:])
+
 
 def rewrite_jsonl(src, dst, change):
     """Write JSONL file `src` to `dst`, its records passed through `change`."""
@@ -583,6 +608,36 @@ class TestBadInputs:
         lines = open(corpus[kind], encoding="utf-8").read().splitlines()
         record = json.loads(lines[1])
         record[field] = value
+        lines[1] = json.dumps(record)
+        bad = tmp_path / ("%s.jsonl" % kind)
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(pipeline_argv({**corpus, kind: str(bad)},
+                                  tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: line 2: %s\n" % (
+            bad, message)
+
+    @pytest.mark.parametrize("kind, keys, message", [
+        ("venues", ("id",),
+         "field 'id' is not valid UTF-8 text, got '\\udc80x'"),
+        ("profiles", ("user_id",),
+         "field 'user_id' is not valid UTF-8 text, got '\\udc80x'"),
+        ("profiles", ("ratings", 0, "venue_id"),
+         "field 'venue_id' is not valid UTF-8 text, got '\\udc80x'"),
+        ("contexts", ("topic_id",),
+         "field 'topic_id' is not valid UTF-8 text, got '\\udc80x'"),
+        ("contexts", ("candidates", 0),
+         "candidate '\\udc80x' is not valid UTF-8 text"),
+    ], ids=["venue", "user", "rating", "topic", "candidate"])
+    def test_lone_surrogate_in_an_id_exits_2(self, corpus, tmp_path, capsys,
+                                             kind, keys, message):
+        lines = open(corpus[kind], encoding="utf-8").read().splitlines()
+        record = json.loads(lines[1])
+        owner = record
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = "\udc80x"
+        # json.dumps writes the surrogate as the escape \\udc80
         lines[1] = json.dumps(record)
         bad = tmp_path / ("%s.jsonl" % kind)
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")

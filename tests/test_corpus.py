@@ -4,7 +4,10 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from venuerec.cli import SETTINGS
 from venuerec.corpus import (
     DEFAULT_SCHEMA,
     ContextSchema,
@@ -13,12 +16,12 @@ from venuerec.corpus import (
     load_profiles,
     load_qrels,
     load_venues,
-    save_contexts,
-    save_profiles,
-    save_qrels,
-    save_venues,
 )
-from venuerec.errors import FormatError
+from venuerec.embeddings import read_text_vectors, write_text_vectors
+from venuerec.errors import FormatError, VenuerecError
+from writers import save_contexts, save_profiles, save_qrels, save_venues
+
+RATING_SCALE = (SETTINGS["rating_min"].default, SETTINGS["rating_max"].default)
 
 
 def write_jsonl(path, records):
@@ -114,7 +117,7 @@ class TestLoadVenues:
 
 class TestLoadProfiles:
     def test_basic(self, profile_file):
-        profiles = load_profiles(profile_file)
+        profiles = load_profiles(profile_file, RATING_SCALE)
         assert profiles[0].ratings == (("v1", 4), ("v2", 1))
         assert profiles[1].gender == "male"
 
@@ -122,14 +125,14 @@ class TestLoadProfiles:
         p = tmp_path / "p.jsonl"
         write_jsonl(p, [{"user_id": "u1", "gender": "other", "ratings": []}])
         with pytest.raises(FormatError, match="gender"):
-            load_profiles(p)
+            load_profiles(p, RATING_SCALE)
 
     def test_rating_outside_scale(self, tmp_path):
         p = tmp_path / "p.jsonl"
         write_jsonl(p, [{"user_id": "u1", "gender": "male",
                          "ratings": [{"venue_id": "v1", "rating": 9}]}])
         with pytest.raises(FormatError, match="outside scale"):
-            load_profiles(p)
+            load_profiles(p, RATING_SCALE)
 
     def test_custom_scale_admits_wider_ratings(self, tmp_path):
         p = tmp_path / "p.jsonl"
@@ -143,34 +146,36 @@ class TestLoadProfiles:
                          "ratings": [{"venue_id": "v1", "rating": 1},
                                      {"venue_id": "v1", "rating": 2}]}])
         with pytest.raises(FormatError, match="duplicate rating"):
-            load_profiles(p)
+            load_profiles(p, RATING_SCALE)
 
     def test_duplicate_user(self, tmp_path):
         p = tmp_path / "p.jsonl"
         write_jsonl(p, [{"user_id": "u1", "gender": "male", "ratings": []},
                         {"user_id": "u1", "gender": "male", "ratings": []}])
         with pytest.raises(FormatError, match="duplicate user id"):
-            load_profiles(p)
+            load_profiles(p, RATING_SCALE)
 
     def test_empty_file_is_an_error(self, tmp_path):
         p = tmp_path / "p.jsonl"
         p.write_text("")
         with pytest.raises(FormatError, match="no user profile records") \
                 as err:
-            load_profiles(p)
+            load_profiles(p, RATING_SCALE)
         assert err.value.path == p
 
 
 class TestLoadContexts:
-    def make_users(self, profile_file):
-        return load_profiles(profile_file)
+    def load(self, path, profile_file, venues=("v1", "v2")):
+        users = {u.user_id: u
+                 for u in load_profiles(profile_file, RATING_SCALE)}
+        return load_contexts(path, users, set(venues))
 
     def test_two_aspects_bound(self, tmp_path, profile_file):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"topic_id": "t1", "user_id": "u1",
                          "candidates": ["v1", "v2"],
                          "context": {"season": "summer", "group": "family"}}])
-        pairs = load_contexts(p, self.make_users(profile_file))
+        pairs = self.load(p, profile_file)
         assert pairs[0].context == (("season", "summer"), ("group", "family"))
         assert pairs[0].dimension_of("season") == "summer"
         assert pairs[0].dimension_of("duration") is None
@@ -182,7 +187,7 @@ class TestLoadContexts:
                          "context": {"season": "monday"}}])
         with pytest.raises(FormatError,
                            match="'monday' is not legal for aspect 'season'"):
-            load_contexts(p, self.make_users(profile_file))
+            self.load(p, profile_file)
 
     def test_unknown_aspect(self, tmp_path, profile_file):
         p = tmp_path / "c.jsonl"
@@ -190,14 +195,14 @@ class TestLoadContexts:
                          "candidates": ["v1"],
                          "context": {"weather": "rainy"}}])
         with pytest.raises(FormatError, match="unknown aspect 'weather'"):
-            load_contexts(p, self.make_users(profile_file))
+            self.load(p, profile_file)
 
     def test_underscore_dimension_normalized(self, tmp_path, profile_file):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"topic_id": "t1", "user_id": "u1",
                          "candidates": ["v1"],
                          "context": {"duration": "Day_Time"}}])
-        pairs = load_contexts(p, self.make_users(profile_file))
+        pairs = self.load(p, profile_file)
         assert pairs[0].dimension_of("duration") == "day time"
 
     def test_unknown_user(self, tmp_path, profile_file):
@@ -205,7 +210,7 @@ class TestLoadContexts:
         write_jsonl(p, [{"topic_id": "t1", "user_id": "ghost",
                          "candidates": ["v1"], "context": {}}])
         with pytest.raises(FormatError, match="unknown user id 'ghost'"):
-            load_contexts(p, self.make_users(profile_file))
+            self.load(p, profile_file)
 
     def test_dangling_candidate_warns_and_keeps(self, tmp_path, profile_file,
                                                 caplog):
@@ -213,8 +218,7 @@ class TestLoadContexts:
         write_jsonl(p, [{"topic_id": "t1", "user_id": "u1",
                          "candidates": ["v1", "vX"], "context": {}}])
         with caplog.at_level(logging.WARNING, logger="venuerec.corpus"):
-            pairs = load_contexts(p, self.make_users(profile_file),
-                                  venues={"v1"})
+            pairs = self.load(p, profile_file, venues={"v1"})
         assert pairs[0].candidates == ("v1", "vX")
         assert any("not present" in r.message for r in caplog.records)
 
@@ -225,7 +229,7 @@ class TestLoadContexts:
                         {"topic_id": "t1", "user_id": "u2",
                          "candidates": ["v2"], "context": {}}])
         with pytest.raises(FormatError, match="duplicate topic id"):
-            load_contexts(p, self.make_users(profile_file))
+            self.load(p, profile_file)
 
 
 class TestQrels:
@@ -235,10 +239,10 @@ class TestQrels:
         q = load_qrels(p)
         assert q.grade("t1", "v1") == 2
         assert q.grade("t1", "missing") == 0
-        assert q.is_judged("t1", "v2")
-        assert not q.is_judged("t2", "v2")
+        assert q.relevant_venues("t1", cutoff=0) == {"v1", "v2"}
+        assert q.relevant_venues("t2", cutoff=0) == {"v1"}
         assert q.topics() == ["t1", "t2"]
-        assert q.relevant_venues("t1") == {"v1"}
+        assert q.relevant_venues("t1", cutoff=1) == {"v1"}
         assert q.relevant_venues("t1", cutoff=2) == {"v1"}
         assert q.relevant_venues("t1", cutoff=3) == set()
 
@@ -304,21 +308,22 @@ class TestRoundTrips:
         assert load_venues(out) == venues
 
     def test_profiles(self, tmp_path, profile_file):
-        profiles = load_profiles(profile_file)
+        profiles = load_profiles(profile_file, RATING_SCALE)
         out = tmp_path / "again.jsonl"
         save_profiles(profiles, out)
-        assert load_profiles(out) == profiles
+        assert load_profiles(out, RATING_SCALE) == profiles
 
     def test_contexts(self, tmp_path, profile_file):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"topic_id": "t1", "user_id": "u1",
                          "candidates": ["v2", "v1"],
                          "context": {"duration": "weekend"}}])
-        users = load_profiles(profile_file)
-        pairs = load_contexts(p, users)
+        users = {u.user_id: u
+                 for u in load_profiles(profile_file, RATING_SCALE)}
+        pairs = load_contexts(p, users, {"v1", "v2"})
         out = tmp_path / "again.jsonl"
         save_contexts(pairs, out)
-        assert load_contexts(out, users) == pairs
+        assert load_contexts(out, users, {"v1", "v2"}) == pairs
 
     def test_qrels(self, tmp_path):
         p = tmp_path / "qrels.txt"
@@ -333,3 +338,48 @@ class TestRoundTrips:
         p.write_bytes(b"t1 0 v1 1\nt1 0 v\xff 1\n")
         with pytest.raises(FormatError, match="line 2: not valid UTF-8"):
             load_qrels(p)
+
+
+# Any text a JSON string can hold, with lone surrogates, whitespace and
+# the empty string drawn often.
+_ID_TEXT = st.one_of(
+    st.sampled_from(["", " ", "v\t1", "v\u2028", "\udc80v", "v\ud800"]),
+    st.text(st.characters(exclude_categories=()), max_size=6))
+
+
+class TestIdFields:
+    """An id field either fails to load or can be written as the key of
+    a vector cache line, as build-profiles writes it."""
+
+    @settings(deadline=None)
+    @given(field=st.sampled_from(["id", "user_id", "venue_id", "topic_id",
+                                  "candidate"]),
+           text=_ID_TEXT)
+    def test_loads_or_raises(self, tmp_path_factory, field, text):
+        ids = {"id": "v1", "user_id": "u1", "venue_id": "v1",
+               "topic_id": "t1", "candidate": "v1", field: text}
+        d = tmp_path_factory.mktemp("ids")
+        write_jsonl(d / "venues.jsonl", [{"id": ids["id"]}])
+        write_jsonl(d / "profiles.jsonl", [{
+            "user_id": ids["user_id"], "gender": "male",
+            "ratings": [{"venue_id": ids["venue_id"], "rating": 4}]}])
+        write_jsonl(d / "contexts.jsonl", [{
+            "topic_id": ids["topic_id"], "user_id": ids["user_id"],
+            "candidates": [ids["candidate"]]}])
+        try:
+            venues = load_venues(d / "venues.jsonl")
+            profiles = load_profiles(d / "profiles.jsonl", RATING_SCALE)
+            pairs = load_contexts(d / "contexts.jsonl",
+                                  {p.user_id: p for p in profiles},
+                                  {v.id for v in venues})
+        except VenuerecError:
+            return
+        loaded = [venues[0].id, profiles[0].user_id,
+                  profiles[0].ratings[0][0], pairs[0].topic_id,
+                  pairs[0].candidates[0]]
+        assert loaded == [ids[key] for key in ("id", "user_id", "venue_id",
+                                               "topic_id", "candidate")]
+        keys = sorted(set(loaded))
+        write_text_vectors([(key, [0.0]) for key in keys], d / "keys.txt")
+        assert [key for _, key, _ in read_text_vectors(d / "keys.txt")] \
+            == keys

@@ -14,11 +14,11 @@ from venuerec.embeddings import (
     cosine_matrix,
     load_embeddings,
     read_text_vectors,
-    save_embeddings,
     similar_k,
     write_text_vectors,
 )
 from venuerec.errors import FormatError, VenuerecError
+from writers import save_embeddings
 
 
 def brute_force_similar(store, query, k, exclude=()):
@@ -45,11 +45,10 @@ def brute_force_similar(store, query, k, exclude=()):
 
 @pytest.fixture
 def toy_store():
-    return EmbeddingStore.from_pairs([
-        ("a", [1.0, 0.0]),
-        ("b", [0.9, 0.1]),
-        ("c", [0.0, 1.0]),
-    ])
+    return EmbeddingStore(["a", "b", "c"],
+                          [[1.0, 0.0],
+                           [0.9, 0.1],
+                           [0.0, 1.0]])
 
 
 class TestStoreBasics:
@@ -77,15 +76,15 @@ class TestStoreBasics:
 
     def test_duplicate_term_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            EmbeddingStore.from_pairs([("a", [1.0]), ("a", [2.0])])
+            EmbeddingStore(["a", "a"], [[1.0], [2.0]])
 
     def test_empty_term_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            EmbeddingStore.from_pairs([("", [1.0])])
+            EmbeddingStore([""], [[1.0]])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            EmbeddingStore.from_pairs([("a", [float("nan")])])
+            EmbeddingStore(["a"], [[float("nan")]])
 
 
 class TestCosine:
@@ -173,21 +172,17 @@ class TestSimilarK:
             similar_k(toy_store, [1.0, 0.0, 0.0], k=1)
 
     def test_exact_tie_broken_lexicographically(self):
-        store = EmbeddingStore.from_pairs([
-            ("zed", [1.0, 0.0]),
-            ("ant", [1.0, 0.0]),
-            ("mid", [2.0, 0.0]),
-            ("off", [0.0, 1.0]),
-        ])
+        store = EmbeddingStore(["zed", "ant", "mid", "off"],
+                               [[1.0, 0.0],
+                                [1.0, 0.0],
+                                [2.0, 0.0],
+                                [0.0, 1.0]])
         got = similar_k(store, [3.0, 0.0], k=4)
         # ant, mid, zed all score exactly 1.0
         assert [s.term for s in got] == ["ant", "mid", "zed", "off"]
 
     def test_zero_norm_store_row_scores_zero_but_present(self):
-        store = EmbeddingStore.from_pairs([
-            ("live", [1.0, 0.0]),
-            ("dead", [0.0, 0.0]),
-        ])
+        store = EmbeddingStore(["live", "dead"], [[1.0, 0.0], [0.0, 0.0]])
         got = similar_k(store, [1.0, 0.0], k=2)
         assert got[0] == SimilarTerm("live", 1.0)
         assert got[1] == SimilarTerm("dead", 0.0)
@@ -255,12 +250,12 @@ class TestTextFormat:
         p.write_text("a 1e154 0.0\nb 1e154 1e154\n")
         with pytest.raises(FormatError, match="line 2: squared norm of "
                                               "term 'b' overflows a float"):
-            load_embeddings(p)
+            load_embeddings(p, format="text")
 
     def test_values_survive_shortest_repr(self, tmp_path):
         rng = np.random.default_rng(5)
-        store = EmbeddingStore.from_pairs(
-            [("w%d" % i, rng.normal(size=4)) for i in range(20)])
+        store = EmbeddingStore(["w%d" % i for i in range(20)],
+                               rng.normal(size=(20, 4)))
         p = tmp_path / "emb.txt"
         save_embeddings(store, p, format="text")
         back = load_embeddings(p, format="text")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venuerec.cli import SETTINGS
 from venuerec.corpus import Qrels
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.evaluation import (
@@ -22,6 +23,15 @@ from venuerec.evaluation import (
     write_report,
     write_run,
 )
+
+DEPTH = SETTINGS["depth"].default
+CUTOFF = SETTINGS["cutoff"].default
+INCLUDE_EMPTY = SETTINGS["include_empty"].default
+
+
+def scores_of(report):
+    """``{topic: (P@5, RR)}`` of the topics a report includes."""
+    return {topic: (p, rr) for topic, p, rr in report.per_topic}
 
 
 def brute_order(pairs):
@@ -55,12 +65,12 @@ def brute_rr(ordered_ids, relevant):
 
 class TestRankCandidates:
     def test_orders_by_score_descending(self):
-        entries = rank_candidates(["a", "b", "c"], [0.1, 0.9, 0.5])
+        entries = rank_candidates(["a", "b", "c"], [0.1, 0.9, 0.5], DEPTH)
         assert [e[0] for e in entries] == ["b", "c", "a"]
         assert [e[1] for e in entries] == [1, 2, 3]
 
     def test_ties_break_by_venue_id(self):
-        entries = rank_candidates(["z9", "a1", "m5"], [0.5, 0.5, 0.5])
+        entries = rank_candidates(["z9", "a1", "m5"], [0.5, 0.5, 0.5], DEPTH)
         assert [e[0] for e in entries] == ["a1", "m5", "z9"]
 
     def test_depth_truncates(self):
@@ -68,48 +78,40 @@ class TestRankCandidates:
         assert len(entries) == 2
         assert entries[-1] == ("b", 2, 5.0)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(VenuerecError):
-            rank_candidates(["a"], [1.0, 2.0])
-
     def test_duplicate_candidate_rejected(self):
         with pytest.raises(VenuerecError):
-            ranked_run("t", {"q1": [("a", 1.0), ("a", 0.5)]})
+            ranked_run("t", {"q1": [("a", 1.0), ("a", 0.5)]}, DEPTH)
 
 
 class TestTopicMetrics:
     def test_two_relevant_in_top_five(self):
         entries = rank_candidates(list("abcdefgh"),
-                                  [8, 7, 6, 5, 4, 3, 2, 1])
-        assert topic_precision_at_k(entries, {"b", "d"}, k=5) == 0.4
+                                  [8, 7, 6, 5, 4, 3, 2, 1], DEPTH)
+        assert topic_precision_at_k(entries, {"b", "d"}) == 0.4
         assert topic_reciprocal_rank(entries, {"b", "d"}) == 0.5
 
     def test_first_relevant_at_rank_three(self):
-        entries = rank_candidates(list("abcde"), [5, 4, 3, 2, 1])
+        entries = rank_candidates(list("abcde"), [5, 4, 3, 2, 1], DEPTH)
         assert topic_reciprocal_rank(entries, {"c"}) == pytest.approx(1 / 3)
 
     def test_denominator_is_always_k(self):
         # Three candidates, two relevant: still divided by five.
-        entries = rank_candidates(["a", "b", "c"], [3, 2, 1])
-        assert topic_precision_at_k(entries, {"a", "c"}, k=5) == 0.4
+        entries = rank_candidates(["a", "b", "c"], [3, 2, 1], DEPTH)
+        assert topic_precision_at_k(entries, {"a", "c"}) == 0.4
 
     def test_no_relevant(self):
-        entries = rank_candidates(["a", "b"], [2, 1])
-        assert topic_precision_at_k(entries, {"z"}, k=5) == 0.0
+        entries = rank_candidates(["a", "b"], [2, 1], DEPTH)
+        assert topic_precision_at_k(entries, {"z"}) == 0.0
         assert topic_reciprocal_rank(entries, {"z"}) == 0.0
 
     def test_tie_admits_lexicographically_smaller_venue(self):
         # b and c tie on score; only five slots and the relevant one is c.
         ids = ["a", "b", "c", "d", "e", "f"]
         scores = [9, 5, 5, 8, 7, 6]
-        entries = rank_candidates(ids, scores)
+        entries = rank_candidates(ids, scores, DEPTH)
         assert [e[0] for e in entries] == ["a", "d", "e", "f", "b", "c"]
-        assert topic_precision_at_k(entries, {"c"}, k=5) == 0.0
-        assert topic_precision_at_k(entries, {"b"}, k=5) == 0.2
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(VenuerecError):
-            topic_precision_at_k((), set(), k=0)
+        assert topic_precision_at_k(entries, {"c"}) == 0.0
+        assert topic_precision_at_k(entries, {"b"}) == 0.2
 
     def test_randomized_against_brute_force(self):
         import random
@@ -121,12 +123,11 @@ class TestTopicMetrics:
             rng.shuffle(ids)
             scores = [rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]) for _ in ids]
             relevant = {v for v in ids if rng.random() < 0.3}
-            entries = rank_candidates(ids, scores)
+            entries = rank_candidates(ids, scores, DEPTH)
             ordered = brute_order(list(zip(ids, scores)))
             assert [e[0] for e in entries] == ordered
-            for k in (1, 3, 5, 10):
-                got = topic_precision_at_k(entries, relevant, k=k)
-                assert got == brute_p_at_k(ordered, relevant, k)
+            assert topic_precision_at_k(entries, relevant) == brute_p_at_k(
+                ordered, relevant, 5)
             assert topic_reciprocal_rank(entries, relevant) == brute_rr(
                 ordered, relevant)
 
@@ -136,7 +137,7 @@ class TestRunFiles:
         return ranked_run("sys1", {
             "q2": [("vA", 1.25), ("vB", 0.5)],
             "q1": [("vC", 0.333333), ("vA", 3.0), ("vZ", -0.25)],
-        })
+        }, DEPTH)
 
     def test_write_format(self, tmp_path):
         path = tmp_path / "run.txt"
@@ -164,9 +165,9 @@ class TestRunFiles:
 
     def test_depth_cap_applies_at_build_time(self):
         pairs = [("v%03d" % i, float(100 - i)) for i in range(80)]
-        run = ranked_run("t", {"q1": pairs})
+        run = ranked_run("t", {"q1": pairs}, DEPTH)
         assert len(run.entries("q1")) == 50
-        deep = ranked_run("t", {"q1": pairs}, depth=None)
+        deep = ranked_run("t", {"q1": pairs}, 100)
         assert len(deep.entries("q1")) == 80
 
     def write_lines(self, tmp_path, lines):
@@ -252,10 +253,10 @@ class TestEvaluateRun:
         run = ranked_run("t", {
             "q1": [("vA", 0.9), ("vB", 0.8), ("vX", 0.7)],
             "q2": [("vX", 0.9), ("vC", 0.8), ("vD", 0.7)],
-        })
-        report = evaluate_run(run, small_qrels())
-        assert report.topic_scores("q1") == (0.2, 1.0)
-        assert report.topic_scores("q2") == (0.4, 0.5)
+        }, DEPTH)
+        report = evaluate_run(run, small_qrels(), CUTOFF, INCLUDE_EMPTY)
+        assert scores_of(report)["q1"] == (0.2, 1.0)
+        assert scores_of(report)["q2"] == (0.4, 0.5)
         assert report.mean_p_at_k == pytest.approx(0.3)
         assert report.mrr == pytest.approx(0.75)
         assert report.excluded == ()
@@ -264,8 +265,8 @@ class TestEvaluateRun:
         run = ranked_run("t", {
             "q1": [("vA", 0.9)],
             "q9": [("vA", 0.9)],
-        })
-        report = evaluate_run(run, small_qrels())
+        }, DEPTH)
+        report = evaluate_run(run, small_qrels(), CUTOFF, INCLUDE_EMPTY)
         assert report.excluded == ("q9",)
         assert report.mean_p_at_k == pytest.approx(0.2)
 
@@ -273,8 +274,8 @@ class TestEvaluateRun:
         run = ranked_run("t", {
             "q1": [("vA", 0.9)],
             "q3": [("vE", 0.9)],
-        })
-        report = evaluate_run(run, small_qrels())
+        }, DEPTH)
+        report = evaluate_run(run, small_qrels(), CUTOFF, INCLUDE_EMPTY)
         assert report.excluded == ("q3",)
         assert len(report.per_topic) == 1
 
@@ -282,26 +283,27 @@ class TestEvaluateRun:
         run = ranked_run("t", {
             "q1": [("vA", 0.9)],
             "q3": [("vE", 0.9)],
-        })
-        report = evaluate_run(run, small_qrels(), include_empty=True)
+        }, DEPTH)
+        report = evaluate_run(run, small_qrels(), CUTOFF, include_empty=True)
         assert report.excluded == ()
-        assert report.topic_scores("q3") == (0.0, 0.0)
+        assert scores_of(report)["q3"] == (0.0, 0.0)
         assert report.mean_p_at_k == pytest.approx(0.1)
 
     def test_cutoff_two_drops_grade_one(self):
-        run = ranked_run("t", {"q2": [("vC", 0.9), ("vD", 0.8)]})
-        report = evaluate_run(run, small_qrels(), cutoff=2)
-        assert report.topic_scores("q2") == (0.2, 1.0)
+        run = ranked_run("t", {"q2": [("vC", 0.9), ("vD", 0.8)]}, DEPTH)
+        report = evaluate_run(run, small_qrels(), cutoff=2,
+                              include_empty=INCLUDE_EMPTY)
+        assert scores_of(report)["q2"] == (0.2, 1.0)
 
     def test_no_overlap_is_an_error(self):
-        run = ranked_run("t", {"q9": [("vA", 0.9)]})
+        run = ranked_run("t", {"q9": [("vA", 0.9)]}, DEPTH)
         with pytest.raises(VenuerecError, match="share no topics"):
-            evaluate_run(run, small_qrels())
+            evaluate_run(run, small_qrels(), CUTOFF, INCLUDE_EMPTY)
 
     def test_report_format(self):
         report = MetricReport(
             per_topic=(("q1", 0.2, 1.0), ("q2", 0.4, 0.5)),
-            mean_p_at_k=0.3, mrr=0.75, excluded=("q9",), k=5, cutoff=1)
+            mean_p_at_k=0.3, mrr=0.75, excluded=("q9",))
         assert format_report(report) == (
             "P5\tq1\t0.200000\n"
             "P5\tq2\t0.400000\n"
@@ -313,8 +315,8 @@ class TestEvaluateRun:
             "# excluded\tq9\n")
 
     def test_write_report(self, tmp_path):
-        run = ranked_run("t", {"q1": [("vA", 0.9)]})
-        report = evaluate_run(run, small_qrels())
+        run = ranked_run("t", {"q1": [("vA", 0.9)]}, DEPTH)
+        report = evaluate_run(run, small_qrels(), CUTOFF, INCLUDE_EMPTY)
         path = tmp_path / "metrics.txt"
         write_report(report, path)
         text = path.read_text()
@@ -339,8 +341,8 @@ class TestEvaluateRun:
             if not any(g >= 1 for g in judgments.values()):
                 judgments[("t00", scored["t00"][0][0])] = 1
             qrels = Qrels(judgments)
-            run = ranked_run("t", scored)
-            report = evaluate_run(run, qrels)
+            run = ranked_run("t", scored, DEPTH)
+            report = evaluate_run(run, qrels, CUTOFF, INCLUDE_EMPTY)
             expected_p = []
             expected_rr = []
             for topic in sorted(scored):
@@ -352,7 +354,7 @@ class TestEvaluateRun:
                 ordered = brute_order(scored[topic])
                 expected_p.append(brute_p_at_k(ordered, rel, 5))
                 expected_rr.append(brute_rr(ordered, rel))
-                assert report.topic_scores(topic) == (
+                assert scores_of(report)[topic] == (
                     expected_p[-1], expected_rr[-1])
             assert report.mean_p_at_k == pytest.approx(
                 sum(expected_p) / len(expected_p), abs=1e-12)

@@ -75,7 +75,7 @@ def make_venue(vid="v1", **stats):
 def one_row(pair, venue, models):
     """The one row extract_all gives `venue` as the pair's one candidate."""
     assert pair.candidates == (venue.id,)
-    table = extract_all([pair], {venue.id: venue}, models)
+    table = extract_all([pair], {venue.id: venue}, models, None)
     return tuple(table.X[0].tolist())
 
 
@@ -202,7 +202,8 @@ class TestExtractTopic:
                  ContextPair("t2", UserProfile("u1", "male", ()), (),
                              ("v0",))]
         table = extract_all(pairs, {"v1": make_venue(),
-                                    "v0": make_venue("v0")}, make_models())
+                                    "v0": make_venue("v0")}, make_models(),
+                            None)
         assert list(zip(table.topic_ids, table.venue_ids)) == [
             ("t1", "v1"), ("t2", "v0")]
 
@@ -236,7 +237,7 @@ class TestOverflowingVector:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(VenuerecError) as exc:
-                extract_all([make_pair()], {"v1": make_venue()}, models)
+                extract_all([make_pair()], {"v1": make_venue()}, models, None)
         assert str(exc.value) == (
             "topic t1: squared norm of %s overflows a float" % name)
 

@@ -5,7 +5,7 @@ import pytest
 
 import reference_kernels
 from venuerec import _kernels
-from venuerec.ltr.mart import fit_tree
+from venuerec.ltr.mart import _presort, fit_tree
 
 
 def leaf_tree_arrays():
@@ -157,7 +157,8 @@ class TestReferenceAgreement:
         for _ in range(10):
             X = rng.normal(size=(60, 5))
             resid = rng.normal(size=60)
-            tree = fit_tree(X, resid, max_leaves=6, min_leaf=2)
+            tree = fit_tree(X, resid, max_leaves=6, min_leaf=2,
+                            order=_presort(X))
             arrays = tree.arrays()
             a = _kernels.apply_tree(*arrays, X)
             b = reference_kernels.apply_tree(*arrays, X)

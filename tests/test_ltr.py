@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference_models import argsort_fit_tree, loop_metric, table_bits, table_of
+from venuerec.cli import SETTINGS
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr import (
@@ -28,6 +29,9 @@ from venuerec.ltr import (
     train_coordinate_ascent,
     train_mart,
 )
+from venuerec.ltr.mart import _presort
+
+CUTOFF = SETTINGS["cutoff"].default
 
 
 def pad(*values):
@@ -43,6 +47,7 @@ def make_rows(plan):
 
 
 NO_ROWS = make_rows({})
+NO_BLOCKS = TopicBlocks(NO_ROWS, CUTOFF)
 
 
 def separable_rows(n_topics=4, n_candidates=8, seed=3):
@@ -155,7 +160,7 @@ class TestTopicBlocks:
                                   pad(rng.random(), rng.random())))
                 plan["t%02d" % t] = cands
             table = make_rows(plan)
-            blocks = TopicBlocks(table)
+            blocks = TopicBlocks(table, CUTOFF)
             scores = np.asarray(
                 [rng.choice([0.0, 0.5, 1.0]) for _ in range(len(table))])
             for metric in ("p5", "mrr"):
@@ -165,25 +170,37 @@ class TestTopicBlocks:
 
     def test_no_relevant_topics_scores_zero(self):
         rows = make_rows({"t1": [("vA", 0, pad(1.0))]})
-        blocks = TopicBlocks(rows)
+        blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(np.ones(1), "p5") == 0.0
 
     def test_unknown_metric(self):
-        blocks = TopicBlocks(make_rows({"t1": [("vA", 1, pad(1.0))]}))
+        blocks = TopicBlocks(make_rows({"t1": [("vA", 1, pad(1.0))]}),
+                             CUTOFF)
         with pytest.raises(VenuerecError, match="unknown metric"):
             blocks.metric(np.ones(1), "ndcg")
+
+    def test_cutoff_sets_the_relevant_grade(self):
+        # v0-v5 rank in id order; only v0 reaches grade 2
+        rows = make_rows({"t1": [("v%d" % c, grade, pad(6.0 - c))
+                                 for c, grade in enumerate((2, 1, 1, 0, 0,
+                                                            0))]})
+        scores = rows.X[:, 0]
+        assert TopicBlocks(rows, 1).metric(scores, "p5") == 3 / 5
+        assert TopicBlocks(rows, 2).metric(scores, "p5") == 1 / 5
+        assert TopicBlocks(rows, 2).metric(scores, "mrr") == 1.0
+        assert TopicBlocks(rows, 3).metric(scores, "p5") == 0.0
 
     def test_tie_break_matches_run_builder(self):
         # Equal scores rank venue ids ascending; vA relevant, vB not.
         rows = make_rows({"t1": [
             ("vA", 1, pad(0.0)), ("vB", 0, pad(0.0)),
         ]})
-        blocks = TopicBlocks(rows)
+        blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(np.zeros(2), "mrr") == 1.0
         rows = make_rows({"t1": [
             ("vA", 0, pad(0.0)), ("vB", 1, pad(0.0)),
         ]})
-        blocks = TopicBlocks(rows)
+        blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(np.zeros(2), "mrr") == 0.5
 
 
@@ -218,60 +235,59 @@ def seven_rows(relevant):
 class TestMetricMatchesTopicLoop:
     """The padded-matrix metric gives the very float of a per-topic loop."""
 
-    @given(case=scored_topics(), k=st.integers(1, 8))
-    @example(case=(NO_ROWS, np.zeros(0)), k=5)
+    @given(case=scored_topics())
+    @example(case=(NO_ROWS, np.zeros(0)))
     @example(case=(make_rows({"t1": [("vA", 0, pad()), ("vB", 0, pad())]}),
-                   np.zeros(2)), k=5)
+                   np.zeros(2)))
     @example(case=(make_rows({
         "t1": [("vA", 0, pad()), ("vB", 1, pad())],
         "t2": [("v%d" % c, int(c == 0), pad()) for c in range(4)]}),
-        np.array([1.0, math.nan, 0.0, 0.0, 0.0, 0.0])), k=5)
+        np.array([1.0, math.nan, 0.0, 0.0, 0.0, 0.0])))
     @example(case=(make_rows({"t1": [("v%d" % c, int(c == 6), pad())
                                      for c in range(7)]}),
-                   np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])), k=5)
+                   np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])))
     # a tie straddling places k and k+1; the later venue is relevant
     @example(case=(seven_rows(relevant=(5,)),
-                   np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 0.0])), k=5)
+                   np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 0.0])))
     # -0.0 and 0.0 on either side of the cut
     @example(case=(seven_rows(relevant=(4, 5)),
-                   np.array([3.0, 2.0, 1.0, 0.5, -0.0, 0.0, -1.0])), k=5)
+                   np.array([3.0, 2.0, 1.0, 0.5, -0.0, 0.0, -1.0])))
     @example(case=(seven_rows(relevant=(4,)),
-                   np.array([3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0])), k=5)
+                   np.array([3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0])))
     # NaN scores rank last, so here two of them fall inside the top k
     @example(case=(seven_rows(relevant=(2, 4)),
                    np.array([math.nan, 1.0, math.nan, 0.5, math.nan, 0.2,
-                             math.nan])), k=5)
+                             math.nan])))
     # a topic narrower than k: alone, and padded next to a wider one
     @example(case=(make_rows({"t1": [("v%d" % c, int(c == 2), pad())
                                      for c in range(3)]}),
-                   np.array([0.3, 0.2, 0.1])), k=5)
+                   np.array([0.3, 0.2, 0.1])))
     @example(case=(make_rows({
         "t1": [("v%d" % c, int(c == 2), pad()) for c in range(3)],
         "t2": [("v%d" % c, int(c == 6), pad()) for c in range(8)]}),
-        np.array([0.3, 0.2, 0.1, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])),
-        k=5)
+        np.array([0.3, 0.2, 0.1, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])))
     # +-inf at the cut: tied across it, and alone at it
     @example(case=(seven_rows(relevant=(5,)),
-                   np.array([math.inf] * 6 + [0.0])), k=5)
+                   np.array([math.inf] * 6 + [0.0])))
     @example(case=(seven_rows(relevant=(6,)),
-                   np.array([1.0, 0.0] + [-math.inf] * 5)), k=5)
+                   np.array([1.0, 0.0] + [-math.inf] * 5)))
     @example(case=(seven_rows(relevant=(4,)),
-                   np.array([math.inf] * 5 + [0.0, -1.0])), k=5)
+                   np.array([math.inf] * 5 + [0.0, -1.0])))
     # for MRR, a row that ties the first relevant one and precedes it
     @example(case=(seven_rows(relevant=(1, 3)),
-                   np.array([1.0, 1.0, 2.0, 0.5, 0.0, -1.0, -2.0])), k=5)
+                   np.array([1.0, 1.0, 2.0, 0.5, 0.0, -1.0, -2.0])))
     @settings(max_examples=300, deadline=None)
-    def test_equals_loop(self, case, k):
+    def test_equals_loop(self, case):
         rows, scores = case
-        blocks = TopicBlocks(rows)
+        blocks = TopicBlocks(rows, CUTOFF)
         for metric in ("p5", "mrr"):
-            assert (blocks.metric(scores, metric, k)
-                    == loop_metric(blocks, scores, metric, k))
+            assert (blocks.metric(scores, metric)
+                    == loop_metric(blocks, scores, metric))
 
     def test_argsort_runs_only_for_a_tie_at_the_cut(self, monkeypatch):
         blocks = TopicBlocks(make_rows({
             "t%d" % t: [("v%d" % c, int(c in (t, 6)), pad())
-                        for c in range(9)] for t in range(3)}))
+                        for c in range(9)] for t in range(3)}), CUTOFF)
         tie_free = np.linspace(1.0, 0.0, len(blocks))
         tied = tie_free.copy()
         tied[4] = tied[5]
@@ -298,7 +314,7 @@ class TestMetricMatchesTopicLoop:
                                    pad())
                                   for c in range(rng.randint(1, 60))]
                     for t in range(rng.randint(20, 120))}
-            blocks = TopicBlocks(make_rows(plan))
+            blocks = TopicBlocks(make_rows(plan), CUTOFF)
             scores = np.asarray([rng.choice([0.0, 0.25, rng.random()])
                                  for _ in range(len(blocks))])
             for metric in ("p5", "mrr"):
@@ -310,9 +326,9 @@ class TestCoordinateAscent:
     def test_separable_signal_reaches_perfect_p5(self):
         rows = separable_rows()
         config = CAConfig(restarts=2, max_sweeps=10, seed=1)
-        model = train_coordinate_ascent(TopicBlocks(rows),
-                                        TopicBlocks(NO_ROWS), config)
-        blocks = TopicBlocks(rows)
+        model = train_coordinate_ascent(TopicBlocks(rows, CUTOFF),
+                                        NO_BLOCKS, config)
+        blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(predict_matrix(model, blocks.X),
                              "p5") == pytest.approx(3 / 5)
         # 3 relevant of 8 candidates: all three must land in the top 5,
@@ -331,10 +347,10 @@ class TestCoordinateAscent:
             plan["t%02d" % t] = cands
         rows = make_rows(plan)
         model = train_coordinate_ascent(
-            TopicBlocks(rows), TopicBlocks(NO_ROWS),
+            TopicBlocks(rows, CUTOFF), NO_BLOCKS,
             CAConfig(restarts=2, max_sweeps=10, seed=1))
         assert model.weights[0] < 0
-        blocks = TopicBlocks(rows)
+        blocks = TopicBlocks(rows, CUTOFF)
         ranked = blocks.metric(predict_matrix(model, blocks.X), "mrr")
         assert ranked == pytest.approx(1.0)
 
@@ -345,23 +361,23 @@ class TestCoordinateAscent:
         })
         with caplog.at_level("WARNING", logger="venuerec.ltr"):
             model = train_coordinate_ascent(
-                TopicBlocks(rows), TopicBlocks(NO_ROWS),
+                TopicBlocks(rows, CUTOFF), NO_BLOCKS,
                 CAConfig(restarts=2, max_sweeps=3, seed=0))
         assert model.weights == tuple([1.0 / N_FEATURES] * N_FEATURES)
         assert any("uniform" in rec.message for rec in caplog.records)
 
     def test_weights_are_l1_normalized(self):
         model = train_coordinate_ascent(
-            TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
+            TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
             CAConfig(restarts=1, max_sweeps=5, seed=0))
         assert sum(abs(w) for w in model.weights) == pytest.approx(1.0)
 
     def test_deterministic_across_runs(self):
         config = CAConfig(restarts=3, max_sweeps=5, seed=42)
-        a = train_coordinate_ascent(TopicBlocks(separable_rows()),
-                                    TopicBlocks(NO_ROWS), config)
-        b = train_coordinate_ascent(TopicBlocks(separable_rows()),
-                                    TopicBlocks(NO_ROWS), config)
+        a = train_coordinate_ascent(TopicBlocks(separable_rows(), CUTOFF),
+                                    NO_BLOCKS, config)
+        b = train_coordinate_ascent(TopicBlocks(separable_rows(), CUTOFF),
+                                    NO_BLOCKS, config)
         assert a == b
 
     def test_config_validation(self):
@@ -379,15 +395,19 @@ class TestCoordinateAscent:
 
     def test_empty_training_rows(self):
         with pytest.raises(VenuerecError, match="no training rows"):
-            train_coordinate_ascent(TopicBlocks(NO_ROWS), TopicBlocks(NO_ROWS),
+            train_coordinate_ascent(NO_BLOCKS, NO_BLOCKS,
                                     CAConfig())
+
+
+def leaves(tree):
+    return sum(1 for f in tree.feature if f < 0)
 
 
 class TestFitTree:
     def test_split_at_midpoint(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = fit_tree(X, y, max_leaves=2)
+        tree = fit_tree(X, y, max_leaves=2, min_leaf=1, order=_presort(X))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 2.5
         left, right = tree.left[0], tree.right[0]
@@ -399,19 +419,20 @@ class TestFitTree:
         # row gains the same; the lower cut must win.
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        tree = fit_tree(X, y, max_leaves=2)
+        tree = fit_tree(X, y, max_leaves=2, min_leaf=1, order=_presort(X))
         assert tree.threshold[0] == 1.5
 
     def test_pure_targets_stay_a_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
-        tree = fit_tree(X, np.full(3, 0.7), max_leaves=4)
+        tree = fit_tree(X, np.full(3, 0.7), max_leaves=4, min_leaf=1,
+                        order=_presort(X))
         assert tree.feature == (-1,)
         assert tree.value[0] == pytest.approx(0.7)
 
     def test_min_leaf_blocks_narrow_splits(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([5.0, 0.0, 0.0, 0.0])
-        tree = fit_tree(X, y, max_leaves=2, min_leaf=2)
+        tree = fit_tree(X, y, max_leaves=2, min_leaf=2, order=_presort(X))
         # The ideal cut isolates row 0 but min_leaf forces 2 + 2.
         assert tree.threshold[0] == 2.5
 
@@ -420,15 +441,17 @@ class TestFitTree:
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
         for budget in (2, 4, 7):
-            assert fit_tree(X, y, max_leaves=budget).n_leaves() <= budget
+            tree = fit_tree(X, y, max_leaves=budget, min_leaf=1,
+                            order=_presort(X))
+            assert leaves(tree) <= budget
 
     def test_best_first_picks_higher_gain_side(self):
         # The right branch is pure after the root split; the one extra
         # leaf must go to the left branch where variance remains.
         X = np.array([[0.0], [0.0], [10.0], [11.0], [20.0], [21.0]])
         y = np.array([0.0, 0.0, 4.0, 4.0, 9.0, 9.0])
-        tree = fit_tree(X, y, max_leaves=3)
-        assert tree.n_leaves() == 3
+        tree = fit_tree(X, y, max_leaves=3, min_leaf=1, order=_presort(X))
+        assert leaves(tree) == 3
         outs = predict_matrix(
             TreeEnsemble(trees=(tree,), shrinkage=1.0, metric="p5", seed=0), X)
         assert list(outs) == [0.0, 0.0, 4.0, 4.0, 9.0, 9.0]
@@ -478,7 +501,7 @@ class TestPresortedSplitSearch:
     @given(tree_problems())
     def test_matches_the_per_node_argsort_oracle(self, problem):
         X, resid, max_leaves, min_leaf, exact = problem
-        tree = fit_tree(X, resid, max_leaves, min_leaf)
+        tree = fit_tree(X, resid, max_leaves, min_leaf, _presort(X))
         oracle = argsort_fit_tree(X, resid, max_leaves, min_leaf)
         assert tree.feature == oracle.feature
         assert tree.threshold == oracle.threshold
@@ -494,8 +517,8 @@ class TestPresortedSplitSearch:
     def test_given_order_matches_own_sort(self, problem):
         X, resid, max_leaves, min_leaf, _ = problem
         order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
-        assert fit_tree(X, resid, max_leaves, min_leaf, order=order) == \
-            fit_tree(X, resid, max_leaves, min_leaf)
+        assert fit_tree(X, resid, max_leaves, min_leaf, order) == \
+            fit_tree(X, resid, max_leaves, min_leaf, _presort(X))
 
 
 class TestMart:
@@ -507,7 +530,7 @@ class TestMart:
         rows = make_rows(plan)
         config = MARTConfig(n_trees=200, shrinkage=0.1, max_leaves=4,
                             patience=0, seed=0)
-        model = train_mart(TopicBlocks(rows), TopicBlocks(NO_ROWS), config)
+        model = train_mart(TopicBlocks(rows, CUTOFF), NO_BLOCKS, config)
         assert len(model.trees) == 200
         rmse = math.sqrt(model.history["train_mse"][-1])
         assert rmse < 0.01
@@ -521,7 +544,7 @@ class TestMart:
                  pad(rng.random(), rng.random(), rng.random()))
                 for c in range(10)]
         rows = make_rows(plan)
-        model = train_mart(TopicBlocks(rows), TopicBlocks(NO_ROWS),
+        model = train_mart(TopicBlocks(rows, CUTOFF), NO_BLOCKS,
                            MARTConfig(n_trees=200, patience=0))
         mse = model.history["train_mse"]
         assert len(mse) == 200
@@ -532,7 +555,8 @@ class TestMart:
         # One candidate per validation topic: the metric cannot move, so
         # the first stage stays the best and patience cuts right there.
         valid = make_rows({"v1": [("vA", 1, pad(0.3))]})
-        model = train_mart(TopicBlocks(rows), TopicBlocks(valid),
+        model = train_mart(TopicBlocks(rows, CUTOFF),
+                           TopicBlocks(valid, CUTOFF),
                            MARTConfig(n_trees=30, patience=1, seed=0))
         assert len(model.trees) == 1
         assert model.history["kept_trees"] == 1
@@ -541,7 +565,8 @@ class TestMart:
     def test_patience_zero_keeps_all_trees(self):
         rows = separable_rows(n_topics=3)
         valid = make_rows({"v1": [("vA", 1, pad(0.3))]})
-        model = train_mart(TopicBlocks(rows), TopicBlocks(valid),
+        model = train_mart(TopicBlocks(rows, CUTOFF),
+                           TopicBlocks(valid, CUTOFF),
                            MARTConfig(n_trees=12, patience=0, seed=0))
         assert len(model.trees) == 12
 
@@ -559,18 +584,19 @@ class TestMart:
 
     def test_deterministic_across_runs(self):
         config = MARTConfig(n_trees=15, patience=0, seed=7)
-        a = train_mart(TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
+        a = train_mart(TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
                        config)
-        b = train_mart(TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
+        b = train_mart(TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
                        config)
         assert a == b
 
     def test_separable_signal_ranks_perfectly(self):
         rows = separable_rows(n_topics=5)
         train, valid = split_train_validation(rows, 0.6, seed=2)
-        model = train_mart(TopicBlocks(train), TopicBlocks(valid),
+        model = train_mart(TopicBlocks(train, CUTOFF),
+                           TopicBlocks(valid, CUTOFF),
                            MARTConfig(n_trees=40, seed=0))
-        blocks = TopicBlocks(rows)
+        blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(predict_matrix(model, blocks.X),
                              "mrr") == pytest.approx(1.0)
 
@@ -640,7 +666,7 @@ class TestModelRoundTripIsBitExact:
         model = TreeEnsemble(trees=tuple(trees), shrinkage=shrinkage,
                              metric="mrr", seed=3)
         path = tmp_path_factory.mktemp("model") / "model.json"
-        save_model(model, path)
+        save_model(model, path, {})
         back, _ = load_model(path)
         assert len(back.trees) == len(model.trees)
         for got, want in zip(back.trees, model.trees):
@@ -657,7 +683,7 @@ class TestModelRoundTripIsBitExact:
     def test_linear_model(self, tmp_path_factory, weights):
         model = LinearModel(weights=tuple(weights), metric="p5", seed=0)
         path = tmp_path_factory.mktemp("model") / "model.json"
-        save_model(model, path)
+        save_model(model, path, {})
         back, _ = load_model(path)
         assert float_bits(back.weights) == float_bits(weights)
 
@@ -665,7 +691,7 @@ class TestModelRoundTripIsBitExact:
 class TestSerialization:
     def test_linear_round_trip_is_exact(self, tmp_path):
         model = train_coordinate_ascent(
-            TopicBlocks(separable_rows()), TopicBlocks(NO_ROWS),
+            TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
             CAConfig(restarts=2, max_sweeps=5, seed=3))
         path = tmp_path / "model.json"
         save_model(model, path, hyperparameters={"restarts": 2})
@@ -677,11 +703,11 @@ class TestSerialization:
                                       predict_matrix(loaded, X))
 
     def test_mart_round_trip_is_exact(self, tmp_path):
-        model = train_mart(TopicBlocks(separable_rows()),
-                           TopicBlocks(NO_ROWS),
+        model = train_mart(TopicBlocks(separable_rows(), CUTOFF),
+                           NO_BLOCKS,
                            MARTConfig(n_trees=10, patience=0, seed=1))
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(model, path, {})
         loaded, hyperparameters = load_model(path)
         assert loaded.trees == model.trees
         assert hyperparameters == {}
@@ -695,8 +721,8 @@ class TestSerialization:
         one = tmp_path / "one.json"
         two = tmp_path / "two.json"
         for path in (one, two):
-            save_model(train_mart(TopicBlocks(separable_rows()),
-                                  TopicBlocks(NO_ROWS), config), path)
+            save_model(train_mart(TopicBlocks(separable_rows(), CUTOFF),
+                                  NO_BLOCKS, config), path, {})
         assert one.read_bytes() == two.read_bytes()
 
     def test_document_shape(self, tmp_path):
@@ -760,7 +786,8 @@ class TestSerialization:
     def test_rejects_hyperparameters_that_are_not_an_object(self, tmp_path):
         doc = self.base_doc()
         doc["hyperparameters"] = [1]
-        with pytest.raises(FormatError, match="must be an object"):
+        with pytest.raises(FormatError,
+                           match="'hyperparameters' must be an object"):
             load_model(self.write_doc(tmp_path, doc))
 
     def test_rejects_empty_weights(self, tmp_path):

@@ -14,6 +14,7 @@ from reference_models import (
     brute_user_vectors,
     brute_venue_vector,
 )
+from venuerec.cli import SETTINGS
 from venuerec.corpus import GENDERS, Comment, ContextSchema, UserProfile, Venue
 from venuerec.embeddings import EmbeddingStore
 from venuerec.errors import VenuerecError
@@ -38,6 +39,12 @@ from venuerec.profiles import (
 )
 
 
+# the user_profile_vectors settings when no config or flag sets them
+DEFAULTS = {key: SETTINGS[key].default
+            for key in ("pos_threshold", "neg_threshold", "shifted_negative")}
+K = SETTINGS["k"].default
+
+
 def make_venue(vid, token_lists):
     return Venue(id=vid, comments=tuple(
         Comment(raw=" ".join(toks), tokens=tuple(toks))
@@ -46,7 +53,7 @@ def make_venue(vid, token_lists):
 
 @pytest.fixture
 def ab_store():
-    return EmbeddingStore.from_pairs([("a", [1.0, 0.0]), ("b", [0.0, 2.0])])
+    return EmbeddingStore(["a", "b"], [[1.0, 0.0], [0.0, 2.0]])
 
 
 class TestVenueVector:
@@ -69,8 +76,8 @@ class TestVenueVector:
 
     def test_additive_over_comment_split(self):
         rng = np.random.default_rng(3)
-        store = EmbeddingStore.from_pairs(
-            [("t%d" % i, rng.normal(size=5)) for i in range(8)])
+        store = EmbeddingStore(["t%d" % i for i in range(8)],
+                               rng.normal(size=(8, 5)))
         all_comments = [["t0", "t3"], ["t5"], ["t1", "t1", "t7"], ["t2"]]
         whole = venue_vector(store, make_venue("v", all_comments)).vector
         part1 = venue_vector(store, make_venue("v", all_comments[:2])).vector
@@ -88,25 +95,27 @@ class TestUserProfileVectors:
         vv = self.make_vv({"A": [1.0, 0.0], "B": [0.0, 1.0]})
         prof = UserProfile("u1", "male", (("A", 4), ("B", 1)))
         got = user_profile_vectors(ab_store, vv, prof, pos_threshold=4,
-                                   neg_threshold=2)
+                                   neg_threshold=2, shifted_negative=False)
         np.testing.assert_array_equal(got.positive, [4.0, 0.0])
         np.testing.assert_array_equal(got.negative, [0.0, 1.0])
 
     def test_empty_profile_zero(self, ab_store):
-        got = user_profile_vectors(ab_store, {}, UserProfile("u", "male", ()))
+        got = user_profile_vectors(ab_store, {}, UserProfile("u", "male", ()),
+                                   **DEFAULTS)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
         np.testing.assert_array_equal(got.negative, [0.0, 0.0])
 
     def test_zero_rating_annihilates_negative(self, ab_store):
         vv = self.make_vv({"A": [5.0, 5.0]})
         prof = UserProfile("u", "male", (("A", 0),))
-        got = user_profile_vectors(ab_store, vv, prof)
+        got = user_profile_vectors(ab_store, vv, prof, **DEFAULTS)
         np.testing.assert_array_equal(got.negative, [0.0, 0.0])
 
     def test_shifted_negative_keeps_zero_rated(self, ab_store):
         vv = self.make_vv({"A": [5.0, 5.0]})
         prof = UserProfile("u", "male", (("A", 0),))
-        got = user_profile_vectors(ab_store, vv, prof, shifted_negative=True)
+        got = user_profile_vectors(ab_store, vv, prof,
+                                   **dict(DEFAULTS, shifted_negative=True))
         np.testing.assert_array_equal(got.negative, [5.0, 5.0])
 
     def test_between_thresholds_contributes_nowhere(self, ab_store):
@@ -114,7 +123,7 @@ class TestUserProfileVectors:
         vv = self.make_vv({"A": [1.0, 1.0]})
         prof = UserProfile("u", "male", (("A", 3),))
         got = user_profile_vectors(ab_store, vv, prof, pos_threshold=4,
-                                   neg_threshold=2)
+                                   neg_threshold=2, shifted_negative=False)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
         np.testing.assert_array_equal(got.negative, [0.0, 0.0])
 
@@ -124,7 +133,7 @@ class TestUserProfileVectors:
         vv = self.make_vv({"A": [1.0, 0.0], "B": [1.0, 0.0],
                            "C": [0.0, 1.0]})
         prof = UserProfile("u", "male", (("A", 4), ("B", 3), ("C", 2)))
-        got = user_profile_vectors(ab_store, vv, prof)
+        got = user_profile_vectors(ab_store, vv, prof, **DEFAULTS)
         np.testing.assert_array_equal(got.positive, [4.0, 0.0])
         np.testing.assert_array_equal(got.negative, [3.0, 2.0])
 
@@ -133,7 +142,7 @@ class TestUserProfileVectors:
         import logging
         prof = UserProfile("u", "male", (("ghost", 4),))
         with caplog.at_level(logging.WARNING, logger="venuerec.profiles"):
-            got = user_profile_vectors(ab_store, {}, prof)
+            got = user_profile_vectors(ab_store, {}, prof, **DEFAULTS)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
         assert not caplog.records
 
@@ -141,7 +150,7 @@ class TestUserProfileVectors:
         prof = UserProfile("u", "male", ())
         with pytest.raises(ValueError):
             user_profile_vectors(ab_store, {}, prof, pos_threshold=2,
-                                 neg_threshold=3)
+                                 neg_threshold=3, shifted_negative=False)
 
 
 TWO_SEASONS = ContextSchema(aspects=(("season", ("spring", "summer")),))
@@ -149,12 +158,11 @@ TWO_SEASONS = ContextSchema(aspects=(("season", ("spring", "summer")),))
 
 class TestContextTerms:
     def test_degenerate_two_dimension_aspect(self):
-        store = EmbeddingStore.from_pairs([
-            ("spring", [1.0, 0.0, 0.0]),
-            ("summer", [0.0, 1.0, 0.0]),
-            ("w", [0.9, -0.9, 0.0]),
-            ("far", [0.0, 0.0, 1.0]),
-        ])
+        store = EmbeddingStore(["spring", "summer", "w", "far"],
+                               [[1.0, 0.0, 0.0],
+                                [0.0, 1.0, 0.0],
+                                [0.9, -0.9, 0.0],
+                                [0.0, 0.0, 1.0]])
         ts = context_terms(store, "season", "spring", k=1,
                            schema=TWO_SEASONS)
         assert ts.terms == ("w",)
@@ -163,10 +171,8 @@ class TestContextTerms:
 
     def test_seeds_never_in_expansion(self):
         rng = np.random.default_rng(9)
-        pairs = [("spring", rng.normal(size=3)),
-                 ("summer", rng.normal(size=3))]
-        pairs += [("c%d" % i, rng.normal(size=3)) for i in range(6)]
-        store = EmbeddingStore.from_pairs(pairs)
+        terms = ["spring", "summer"] + ["c%d" % i for i in range(6)]
+        store = EmbeddingStore(terms, rng.normal(size=(8, 3)))
         ts = context_terms(store, "season", "summer", k=8, schema=TWO_SEASONS)
         assert "spring" not in ts.terms
         assert "summer" not in ts.terms
@@ -176,13 +182,12 @@ class TestContextTerms:
         # vectors is the seed, and both tokens are excluded
         schema = ContextSchema(aspects=(
             ("duration", ("day time", "night time")),))
-        store = EmbeddingStore.from_pairs([
-            ("dai", [1.0, 0.0]),
-            ("night", [-1.0, 0.0]),
-            ("time", [0.0, 1.0]),
-            ("sun", [1.0, 0.0]),
-            ("moon", [-1.0, 0.0]),
-        ])
+        store = EmbeddingStore(["dai", "night", "time", "sun", "moon"],
+                               [[1.0, 0.0],
+                                [-1.0, 0.0],
+                                [0.0, 1.0],
+                                [1.0, 0.0],
+                                [-1.0, 0.0]])
         np.testing.assert_array_equal(seed_vector(store, "day time"),
                                       [0.5, 0.5])
         ts = context_terms(store, "duration", "day time", k=3, schema=schema)
@@ -190,7 +195,7 @@ class TestContextTerms:
         assert ts.terms == ("moon", "sun")
 
     def test_seed_oov_raises_naming_token(self):
-        store = EmbeddingStore.from_pairs([("spring", [1.0, 0.0])])
+        store = EmbeddingStore(["spring"], [[1.0, 0.0]])
         with pytest.raises(VenuerecError, match="'summer'"):
             context_terms(store, "season", "spring", k=1, schema=TWO_SEASONS)
 
@@ -207,36 +212,34 @@ class TestContextTerms:
 
 class TestContextVector:
     def test_two_term_sum(self, ab_store):
-        ts = ContextTermSet("season", "spring", ("a", "b"), 2)
+        ts = ContextTermSet("season", "spring", ("a", "b"))
         got = context_vector(ab_store, ts)
         np.testing.assert_array_equal(got, [1.0, 2.0])
 
     def test_empty_set_zero_vector(self, ab_store):
-        ts = ContextTermSet("season", "spring", (), 2)
+        ts = ContextTermSet("season", "spring", ())
         got = context_vector(ab_store, ts)
         np.testing.assert_array_equal(got, [0.0, 0.0])
 
 
 class TestGender:
     def test_toy_subtraction(self):
-        store = EmbeddingStore.from_pairs([
-            ("male", [1.0, 0.0]),
-            ("femal", [0.0, 1.0]),
-            ("w", [1.0, -1.0]),
-            ("x", [0.3, 0.3]),
-        ])
+        store = EmbeddingStore(["male", "femal", "w", "x"],
+                               [[1.0, 0.0],
+                                [0.0, 1.0],
+                                [1.0, -1.0],
+                                [0.3, 0.3]])
         ts = context_terms(store, "gender", "male", k=1)
         assert ts.terms == ("w",)
         gv = context_vector(store, ts)
         np.testing.assert_array_equal(gv, [1.0, -1.0])
 
     def test_female_uses_opposite_subtraction(self):
-        store = EmbeddingStore.from_pairs([
-            ("male", [1.0, 0.0]),
-            ("femal", [0.0, 1.0]),
-            ("w", [1.0, -1.0]),
-            ("v", [-1.0, 1.0]),
-        ])
+        store = EmbeddingStore(["male", "femal", "w", "v"],
+                               [[1.0, 0.0],
+                                [0.0, 1.0],
+                                [1.0, -1.0],
+                                [-1.0, 1.0]])
         assert context_terms(store, "gender", "male", k=1).terms == ("w",)
         assert context_terms(store, "gender", "female", k=1).terms == ("v",)
 
@@ -247,9 +250,10 @@ class TestGender:
 
 class TestContextVectorsOfTheSynthCorpus:
     def test_fourteen_dimensions_gender_last(self):
-        store = EmbeddingStore.from_pairs(
-            sorted(synthdata.build_vocab().items()))
-        vectors = build_context_vectors(store)
+        vocab = synthdata.build_vocab()
+        terms = sorted(vocab)
+        store = EmbeddingStore(terms, [vocab[t] for t in terms])
+        vectors = build_context_vectors(store, K)
         assert len(vectors) == 14
         assert list(vectors)[-2:] == [("gender", "male"),
                                       ("gender", "female")]
@@ -288,7 +292,8 @@ class TestBruteForceAgreement:
         terms = ["spring", "summer", "male", "femal"]
         terms += ["c%d" % i for i in range(6)]
         vectors = {t: [float(x) for x in rng.normal(size=4)] for t in terms}
-        store = EmbeddingStore.from_pairs(sorted(vectors.items()))
+        store = EmbeddingStore(sorted(terms),
+                               [vectors[t] for t in sorted(terms)])
         return store, vectors
 
     def test_random_fixtures(self):
@@ -310,7 +315,7 @@ class TestBruteForceAgreement:
             from venuerec.profiles import VenueVector
             up = user_profile_vectors(
                 store, {k: VenueVector(k, v) for k, v in venue_vecs.items()},
-                prof)
+                prof, **DEFAULTS)
             bp, bn = brute_user_vectors(
                 {k: list(v) for k, v in venue_vecs.items()}, ratings, 4, 4, 3)
             np.testing.assert_allclose(up.positive, bp, atol=1e-9, rtol=0)
@@ -351,7 +356,7 @@ class TestCaches:
         from venuerec.profiles import VenueVector
         vvs = {"A": VenueVector("A", np.array([1.0, 0.5]))}
         prof = UserProfile("u1", "female", (("A", 4),))
-        ups = {"u1": user_profile_vectors(ab_store, vvs, prof)}
+        ups = {"u1": user_profile_vectors(ab_store, vvs, prof, **DEFAULTS)}
         p = tmp_path / "user_vectors.txt"
         save_user_vectors(ups, p)
         back = load_user_vectors(p)
@@ -361,11 +366,10 @@ class TestCaches:
                                       ups["u1"].negative)
 
     def test_context_vector_round_trip(self, tmp_path):
-        store = EmbeddingStore.from_pairs([
-            ("dai", [1.0, 0.0]), ("night", [-1.0, 0.0]),
-            ("time", [0.0, 1.0]), ("sun", [0.5, 0.5]),
-            ("male", [1.0, 1.0]), ("femal", [-1.0, 1.0]),
-        ])
+        store = EmbeddingStore(
+            ["dai", "night", "time", "sun", "male", "femal"],
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0],
+             [-1.0, 1.0]])
         schema = ContextSchema(aspects=(
             ("duration", ("day time", "night time")),))
         cvs = build_context_vectors(store, k=2, schema=schema)
