@@ -77,6 +77,21 @@ class EmbeddingStore:
             return None
         return self._matrix[i]
 
+    def sum_of(self, terms):
+        """The sum of the stored vectors of `terms`, absent ones skipped,
+        equal bit for bit to adding them one by one to a zero vector."""
+        rows = self._matrix[[i for i in map(self._index.get, terms)
+                             if i is not None]]
+        if self.dimension > 1:
+            # numpy adds rows along axis 0 in order; + 0.0 turns the
+            # -0.0 of an all -0.0 column into the zero start's 0.0
+            return rows.sum(axis=0) + 0.0
+        # but a lone column it adds pairwise
+        total = np.zeros(1)
+        for row in rows:
+            total += row
+        return total
+
 
 class NormOverflowError(VenuerecError, ValueError):
     """A row whose squared norm overflows a float; `row` counts the rows
@@ -101,9 +116,7 @@ def cosine_matrix(A, B):
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("cosine_matrix requires rows of one length")
-    with np.errstate(over="ignore"):
-        squares = np.concatenate([(M[:, None, :] @ M[:, :, None])[:, 0, 0]
-                                  for M in (A, B)])
+    squares = np.concatenate([_squared_norms(A), _squared_norms(B)])
     bad = np.flatnonzero(~np.isfinite(squares))
     if len(bad):
         raise NormOverflowError(int(bad[0]))
@@ -116,7 +129,14 @@ def cosine_matrix(A, B):
     return np.clip(out, -1.0, 1.0)
 
 
-def similar_k(store, query, k, exclude=()):
+def _squared_norms(M):
+    """Each row's squared norm by a one-row matmul, which equals the
+    row's ``np.dot`` bit for bit; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return (M[:, None, :] @ M[:, :, None])[:, 0, 0]
+
+
+def similar_k(store, query, k, exclude):
     """The k store terms most cosine-similar to `query`.
 
     Ordered by score descending, then term ascending.  A zero query has
@@ -177,11 +197,62 @@ def _parse_vector(parts, dim, term, path, lineno):
 
 
 def read_text_vectors(path):
-    """Yield ``(line, term, vector)`` for each term of a text-format file.
+    """Iterate ``(line, term, vector)`` over the terms of a text-format
+    file, in file order.
 
     The vector caches, which hold sums, are read with this alone; only
     load_embeddings also limits the norm.
     """
+    found = _read_well_formed(path)
+    if found is None:
+        return _read_lines(path)
+    return zip(*found)
+
+
+def _read_well_formed(path):
+    """``(lines, terms, matrix)`` of a file as write_text_vectors writes
+    it: each term's line number, the terms in file order and their
+    vectors as rows, parsed by numpy; None for any other file.
+
+    The file must be UTF-8 with a ``count dim`` header, then count
+    lines of a term free of whitespace and dim values, each after one
+    single space, with no term twice and every value finite.  Every
+    other file, and every value ``np.loadtxt`` cannot parse but
+    ``float()`` can (``1_0``, ``١٢``), goes to _read_lines, which
+    gives the same values or names the line at fault.  Counting the
+    spaces matters: ``loadtxt`` with ``usecols`` drops extra columns.
+    The file is streamed twice, never held whole.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                return None
+            count, dim = int(header[0]), int(header[1])
+            if count < 1 or dim < 1:
+                return None
+            terms = []
+            for line in fh:
+                term = line.partition(" ")[0]
+                if line.count(" ") != dim or term.split() != [term]:
+                    return None
+                terms.append(term)
+            if len(terms) != count or len(set(terms)) != count:
+                return None
+            fh.seek(0)
+            matrix = np.loadtxt(fh, dtype=np.float64, delimiter=" ",
+                                usecols=range(1, dim + 1), comments=None,
+                                skiprows=1, ndmin=2)
+    except ValueError:  # a byte that is not UTF-8, a value loadtxt rejects
+        return None
+    if matrix.shape != (count, dim) or not np.all(np.isfinite(matrix)):
+        return None
+    return range(2, count + 2), terms, matrix
+
+
+def _read_lines(path):
+    """Yield ``(line, term, vector)`` for each term of a text-format
+    file, parsed line by line with ``float()``."""
     seen = set()
     declared = None
     dim = None
@@ -238,10 +309,17 @@ def write_text_vectors(entries, path):
 
 
 def _load_text(path):
-    terms, vectors = [], []
     # every cosine takes this norm; float32 binary values cannot overflow it
+    found = _read_well_formed(path)
+    if found is not None:
+        _, terms, matrix = found
+        if np.all(np.isfinite(_squared_norms(matrix))):
+            return EmbeddingStore(terms, matrix)
+    # line by line, so the first line at fault, whether it overflows or
+    # is malformed, is the one named
+    terms, vectors = [], []
     with np.errstate(over="ignore"):
-        for lineno, term, vec in read_text_vectors(path):
+        for lineno, term, vec in _read_lines(path):
             if not np.isfinite(np.dot(vec, vec)):
                 raise FormatError("squared norm of term %r overflows a float"
                                   % term, path=path, line=lineno)

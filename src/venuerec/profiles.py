@@ -72,13 +72,8 @@ def seed_vector(store, dimension):
 
 def venue_vector(store, venue):
     """Sum of embeddings over every token occurrence in the comments."""
-    acc = np.zeros(store.dimension, dtype=np.float64)
-    for comment in venue.comments:
-        for tok in comment.tokens:
-            v = store.vector_of(tok)
-            if v is not None:
-                acc += v
-    return VenueVector(venue_id=venue.id, vector=acc)
+    return VenueVector(venue_id=venue.id, vector=store.sum_of(
+        tok for comment in venue.comments for tok in comment.tokens))
 
 
 def build_venue_vectors(store, venues):
@@ -145,13 +140,10 @@ def context_vector(store, term_set):
     if not term_set.terms:
         log.warning("empty term set for %s/%s; context vector is zero",
                     term_set.aspect, term_set.dimension)
-    acc = np.zeros(store.dimension, dtype=np.float64)
     for term in term_set.terms:
-        v = store.vector_of(term)
-        if v is None:
+        if term not in store:
             raise VenuerecError("term %r vanished from the store" % term)
-        acc += v
-    return acc
+    return store.sum_of(term_set.terms)
 
 
 def build_context_vectors(store, k, schema=DEFAULT_SCHEMA):

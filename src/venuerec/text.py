@@ -7,6 +7,7 @@ length <= 2 are left alone.
 """
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -51,51 +52,37 @@ def preprocess(text, config=DEFAULT_CONFIG):
 # Porter stemmer
 # ---------------------------------------------------------------------------
 
-_VOWELS = frozenset("aeiou")
+# The consonant/vowel pattern of a word: "c" for a consonant, "v" for a
+# vowel, "y" for a y until _pattern settles it.  Any character other
+# than a-z counts as a consonant.
+_CV = {ord(ch): ("v" if ch in "aeiou" else "y" if ch == "y" else "c")
+       for ch in map(chr, range(128))}
 
 
-def _is_cons(word, i):
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_cons(word, i - 1)
-    return True
+def _pattern(word):
+    """The word's consonant/vowel pattern.  A y is a consonant at the
+    start or after a vowel, and a vowel after a consonant.
+
+    A letter's class depends only on the letters before it, so the
+    pattern of ``word[:n]`` is ``_pattern(word)[:n]``: the measure m of
+    the stem ``word[:n]`` is ``_pattern(word).count("vc", 0, n)``, and
+    the stem holds a vowel when ``"v"`` occurs in the first n places.
+    """
+    if word.isascii():
+        cv = word.translate(_CV)
+    else:
+        cv = "".join(_CV.get(ord(ch), "c") for ch in word)
+    i = cv.find("y")
+    while i >= 0:
+        cv = cv[:i] + ("c" if i == 0 or cv[i - 1] == "v" else "v") + cv[i + 1:]
+        i = cv.find("y", i + 1)
+    return cv
 
 
-def _measure(stem):
-    """Number of vowel->consonant transitions, the m of [C](VC)^m[V]."""
-    n = len(stem)
-    i = 0
-    while i < n and _is_cons(stem, i):
-        i += 1
-    m = 0
-    while i < n:
-        while i < n and not _is_cons(stem, i):
-            i += 1
-        if i == n:
-            break
-        m += 1
-        while i < n and _is_cons(stem, i):
-            i += 1
-    return m
-
-
-def _has_vowel(stem):
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_cons(word):
-    return len(word) >= 2 and word[-1] == word[-2] and _is_cons(word, len(word) - 1)
-
-
-def _ends_cvc(word):
-    n = len(word)
-    if n < 3:
-        return False
-    if _is_cons(word, n - 1) and not _is_cons(word, n - 2) and _is_cons(word, n - 3):
-        return word[-1] not in "wxy"
-    return False
+def _ends_cvc(word, cv, n):
+    """Whether ``word[:n]`` ends consonant-vowel-consonant, the last
+    not w, x or y."""
+    return n >= 3 and cv.startswith("cvc", n - 3) and word[n - 1] not in "wxy"
 
 
 # (suffix, replacement) pairs in canonical order; a word is compared against
@@ -124,79 +111,96 @@ _STEP4_SUFFIXES = (
 )
 
 
+def _by_penultimate(rules, suffix_of):
+    """`rules` grouped by the penultimate letter of their suffix, each
+    group in rule order.  A word can only match a suffix that shares
+    its penultimate letter, so scanning the word's group finds the same
+    first match as scanning every rule; Porter's C version switches on
+    a letter of the word the same way."""
+    table = {}
+    for rule in rules:
+        table.setdefault(suffix_of(rule)[-2], []).append(rule)
+    return {letter: tuple(group) for letter, group in table.items()}
+
+
+_STEP2 = _by_penultimate(_STEP2_RULES, operator.itemgetter(0))
+_STEP3 = _by_penultimate(_STEP3_RULES, operator.itemgetter(0))
+_STEP4 = _by_penultimate(_STEP4_SUFFIXES, str)
+
+
 def _step1a(w):
-    if w.endswith("sses"):
-        return w[:-2]
-    if w.endswith("ies"):
+    if not w.endswith("s"):
+        return w
+    if w.endswith(("sses", "ies")):
         return w[:-2]
     if w.endswith("ss"):
         return w
-    if w.endswith("s"):
-        return w[:-1]
-    return w
+    return w[:-1]
 
 
 def _step1b(w):
     if w.endswith("eed"):
-        return w[:-1] if _measure(w[:-3]) > 0 else w
+        return w[:-1] if _pattern(w).count("vc", 0, len(w) - 3) else w
     if w.endswith("ed"):
-        stem = w[:-2]
-        return _step1b_adjust(stem) if _has_vowel(stem) else w
-    if w.endswith("ing"):
-        stem = w[:-3]
-        return _step1b_adjust(stem) if _has_vowel(stem) else w
-    return w
-
-
-def _step1b_adjust(w):
-    if w.endswith(("at", "bl", "iz")):
-        return w + "e"
-    if _ends_double_cons(w) and w[-1] not in "lsz":
-        return w[:-1]
-    if _measure(w) == 1 and _ends_cvc(w):
-        return w + "e"
-    return w
+        n = len(w) - 2
+    elif w.endswith("ing"):
+        n = len(w) - 3
+    else:
+        return w
+    cv = _pattern(w)
+    if cv.find("v", 0, n) < 0:
+        return w
+    stem = w[:n]
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if (n >= 2 and stem[-1] == stem[-2] and cv[n - 1] == "c"
+            and stem[-1] not in "lsz"):
+        return stem[:-1]
+    if cv.count("vc", 0, n) == 1 and _ends_cvc(stem, cv, n):
+        return stem + "e"
+    return stem
 
 
 def _step1c(w):
-    if w.endswith("y") and _has_vowel(w[:-1]):
+    if w.endswith("y") and _pattern(w).find("v", 0, len(w) - 1) >= 0:
         return w[:-1] + "i"
     return w
 
 
-def _apply_rules(w, rules):
-    for suffix, repl in rules:
+def _apply_rules(w, table):
+    for suffix, repl in table.get(w[-2:-1], ()):
         if w.endswith(suffix):
-            stem = w[: len(w) - len(suffix)]
-            if _measure(stem) > 0:
-                return stem + repl
+            n = len(w) - len(suffix)
+            if _pattern(w).count("vc", 0, n) > 0:
+                return w[:n] + repl
             return w
     return w
 
 
 def _step4(w):
-    for suffix in _STEP4_SUFFIXES:
+    for suffix in _STEP4.get(w[-2:-1], ()):
         if w.endswith(suffix):
-            stem = w[: len(w) - len(suffix)]
-            if _measure(stem) <= 1:
+            n = len(w) - len(suffix)
+            if _pattern(w).count("vc", 0, n) <= 1:
                 return w
-            if suffix == "ion" and not stem.endswith(("s", "t")):
+            if suffix == "ion" and not w.endswith(("sion", "tion")):
                 return w
-            return stem
+            return w[:n]
     return w
 
 
 def _step5a(w):
     if w.endswith("e"):
-        stem = w[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
+        n = len(w) - 1
+        cv = _pattern(w)
+        m = cv.count("vc", 0, n)
+        if m > 1 or (m == 1 and not _ends_cvc(w, cv, n)):
+            return w[:n]
     return w
 
 
 def _step5b(w):
-    if w.endswith("ll") and _measure(w) > 1:
+    if w.endswith("ll") and _pattern(w).count("vc") > 1:
         return w[:-1]
     return w
 
@@ -213,8 +217,8 @@ def porter_stem(word):
     w = _step1a(word)
     w = _step1b(w)
     w = _step1c(w)
-    w = _apply_rules(w, _STEP2_RULES)
-    w = _apply_rules(w, _STEP3_RULES)
+    w = _apply_rules(w, _STEP2)
+    w = _apply_rules(w, _STEP3)
     w = _step4(w)
     w = _step5a(w)
     w = _step5b(w)

@@ -238,7 +238,7 @@ def test_a03_nearest_terms_match_exhaustive_scan():
             scores = matrix @ query / (norms * np.linalg.norm(query))
             want = sorted(range(1000),
                           key=lambda i: (-scores[i], terms[i]))[:k]
-            got = [hit.term for hit in similar_k(store, query, k)]
+            got = [hit.term for hit in similar_k(store, query, k, ())]
             assert got == [terms[i] for i in want]
 
 

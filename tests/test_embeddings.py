@@ -1,5 +1,11 @@
 """Embedding store: file formats, cosine, exact top-K search."""
 
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venuerec import embeddings
 from venuerec.embeddings import (
     EmbeddingStore,
     NormOverflowError,
@@ -19,6 +26,8 @@ from venuerec.embeddings import (
 )
 from venuerec.errors import FormatError, VenuerecError
 from writers import save_embeddings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def brute_force_similar(store, query, k, exclude=()):
@@ -157,19 +166,19 @@ class TestSimilarK:
         assert got[0].score == pytest.approx(0.9 / np.sqrt(0.82), abs=1e-12)
 
     def test_k_larger_than_vocab(self, toy_store):
-        got = similar_k(toy_store, [1.0, 0.0], k=5)
+        got = similar_k(toy_store, [1.0, 0.0], k=5, exclude=())
         assert [s.term for s in got] == ["a", "b", "c"]
 
     def test_zero_query_empty(self, toy_store):
-        assert similar_k(toy_store, [0.0, 0.0], k=3) == []
+        assert similar_k(toy_store, [0.0, 0.0], k=3, exclude=()) == []
 
     def test_k_must_be_positive(self, toy_store):
         with pytest.raises(ValueError):
-            similar_k(toy_store, [1.0, 0.0], k=0)
+            similar_k(toy_store, [1.0, 0.0], k=0, exclude=())
 
     def test_query_dimension_checked(self, toy_store):
         with pytest.raises(ValueError):
-            similar_k(toy_store, [1.0, 0.0, 0.0], k=1)
+            similar_k(toy_store, [1.0, 0.0, 0.0], k=1, exclude=())
 
     def test_exact_tie_broken_lexicographically(self):
         store = EmbeddingStore(["zed", "ant", "mid", "off"],
@@ -177,13 +186,13 @@ class TestSimilarK:
                                 [1.0, 0.0],
                                 [2.0, 0.0],
                                 [0.0, 1.0]])
-        got = similar_k(store, [3.0, 0.0], k=4)
+        got = similar_k(store, [3.0, 0.0], k=4, exclude=())
         # ant, mid, zed all score exactly 1.0
         assert [s.term for s in got] == ["ant", "mid", "zed", "off"]
 
     def test_zero_norm_store_row_scores_zero_but_present(self):
         store = EmbeddingStore(["live", "dead"], [[1.0, 0.0], [0.0, 0.0]])
-        got = similar_k(store, [1.0, 0.0], k=2)
+        got = similar_k(store, [1.0, 0.0], k=2, exclude=())
         assert got[0] == SimilarTerm("live", 1.0)
         assert got[1] == SimilarTerm("dead", 0.0)
 
@@ -305,6 +314,197 @@ class TestTextVectorWriter:
                                                 "whitespace"):
             write_text_vectors([("ok", [1.0]), (key, [2.0])], path)
         assert not path.exists()
+
+
+def _outcome(read):
+    """``(line, term, bits)`` of each entry `read` gives, or the text
+    of the FormatError it raises."""
+    try:
+        return [(line, term, vec.tobytes()) for line, term, vec in read()]
+    except FormatError as exc:
+        return str(exc)
+
+
+def _loaded(path):
+    try:
+        store = load_embeddings(path, format="text")
+    except FormatError as exc:
+        return str(exc)
+    return list(store.terms), store._matrix.tobytes()
+
+
+def _loaded_line_by_line(path):
+    """load_embeddings' result by the line parser and a per-row norm
+    check: the first line at fault, malformed or overflowing, is
+    named."""
+    terms, rows = [], []
+    try:
+        with np.errstate(over="ignore"):
+            for line, term, vec in embeddings._read_lines(path):
+                if not np.isfinite(np.dot(vec, vec)):
+                    raise FormatError("squared norm of term %r overflows a "
+                                      "float" % term, path=path, line=line)
+                terms.append(term)
+                rows.append(vec)
+    except FormatError as exc:
+        return str(exc)
+    return terms, np.array(rows).tobytes()
+
+
+# Values float() reads and loadtxt does not (1_0 and the non-ASCII
+# digits), values that are not finite, and one whose square overflows.
+_ODD_VALUES = ["1_0", "\u0661\u0662", "\uff11", "nan", "1e400", "-inf",
+               "1e200"]
+_MUTATIONS = ("extra column", "missing column", "tab", "double space",
+              "crlf", "blank line", "no header", "wrong count",
+              "duplicate term", "odd value", "nbsp in term", "bad byte")
+
+
+def _mutate(lines, mutation, data):
+    """The lines, each a str without its newline and line 0 the header,
+    after one mutation; "crlf" and "bad byte" act on the whole file and
+    are applied by the caller."""
+    body = range(1, len(lines))
+    if mutation == "extra column":
+        i = data.draw(st.sampled_from(body))
+        lines[i] += " 1.5"
+    elif mutation == "missing column":
+        i = data.draw(st.sampled_from(body))
+        lines[i] = lines[i].rpartition(" ")[0]
+    elif mutation in ("tab", "double space"):
+        spaces = [(i, j) for i, line in enumerate(lines)
+                  for j, ch in enumerate(line) if ch == " "]
+        if spaces:
+            i, j = data.draw(st.sampled_from(spaces))
+            lines[i] = "%s%s%s" % (lines[i][:j], "\t" if mutation == "tab"
+                                   else "  ", lines[i][j + 1:])
+    elif mutation == "blank line":
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    elif mutation == "no header":
+        del lines[0]
+    elif mutation == "wrong count":
+        step = data.draw(st.sampled_from([-1, 1]))
+        lines[0] = re.sub(r"^[0-9]+", lambda m: str(int(m[0]) + step),
+                          lines[0])
+    elif mutation == "duplicate term":
+        i, j = data.draw(st.sampled_from(body)), data.draw(
+            st.sampled_from(body))
+        lines[j] = lines[i].partition(" ")[0] + " " + \
+            lines[j].partition(" ")[2]
+    elif mutation == "odd value":
+        i = data.draw(st.sampled_from(body))
+        term, *values = lines[i].split(" ")
+        j = data.draw(st.integers(0, max(0, len(values) - 1)))
+        values[j:j + 1] = [data.draw(st.sampled_from(_ODD_VALUES))]
+        lines[i] = " ".join([term] + values)
+    elif mutation == "nbsp in term":
+        i = data.draw(st.sampled_from(body))
+        j = data.draw(st.integers(0, len(lines[i].partition(" ")[0])))
+        lines[i] = lines[i][:j] + "\xa0" + lines[i][j:]
+    return lines
+
+
+class TestTextVectorReader:
+    """read_text_vectors parses a file as write_text_vectors writes it
+    with numpy, and every other file line by line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_line_parser_on_mutated_files(self, tmp_path_factory,
+                                                     data):
+        dim = data.draw(st.integers(1, 4))
+        keys = data.draw(st.lists(_KEYS, min_size=1, max_size=5,
+                                  unique=True))
+        rows = [data.draw(st.lists(_FLOATS, min_size=dim, max_size=dim))
+                for _ in keys]
+        path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+        write_text_vectors(zip(keys, rows), path)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        mutations = data.draw(st.lists(st.sampled_from(_MUTATIONS),
+                                       max_size=3))
+        for mutation in mutations:
+            if len(lines) > 1:
+                lines = _mutate(lines, mutation, data)
+        end = "\r\n" if "crlf" in mutations else "\n"
+        blob = "".join(line + end for line in lines).encode("utf-8")
+        if "bad byte" in mutations:
+            at = data.draw(st.integers(0, len(blob)))
+            blob = blob[:at] + b"\xff" + blob[at:]
+        path.write_bytes(blob)
+
+        want = _outcome(lambda: embeddings._read_lines(path))
+        assert _outcome(lambda: read_text_vectors(path)) == want
+        assert _loaded(path) == _loaded_line_by_line(path)
+
+    @pytest.mark.parametrize("text", [
+        "2 2\na 1_0 2\nb 3 4\n",
+        "2 2\na \u0661\u0662 2\nb 3 4\n",
+        "2 2\na \uff11 2\nb 3 4\n",
+    ])
+    def test_values_only_float_reads_still_load(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        store = load_embeddings(path, format="text")
+        assert store.vector_of("a").tolist() == [float(text.split()[3]), 2.0]
+
+    @pytest.mark.parametrize("text", ["0 1\na 1\n", "1 0\na", "1 -1\na"])
+    def test_non_positive_header_counts(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="line 1: header counts must "
+                                              "be positive"):
+            list(read_text_vectors(path))
+
+    def test_extra_column_is_not_dropped(self, tmp_path):
+        # loadtxt with usecols would load "b 4 5 6 7" as three values
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\na 1 2 3\nb 4 5 6 7\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3: term 'b' has 4 "
+                                              "components, expected 3"):
+            list(read_text_vectors(path))
+
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError("line parser used for %s" % path)
+        monkeypatch.setattr(embeddings, "_read_lines", refuse)
+
+    def test_written_file_takes_the_fast_path(self, tmp_path, no_line_parser):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(50, 7))
+        rows[3, 2] = -0.0
+        path = tmp_path / "vectors.txt"
+        write_text_vectors([("k%d" % i, row) for i, row in enumerate(rows)],
+                           path)
+        back = list(read_text_vectors(path))
+        assert [(line, key) for line, key, _ in back] == \
+            [(i + 2, "k%d" % i) for i in range(50)]
+        assert np.array([vec for _, _, vec in back]).tobytes() == \
+            rows.tobytes()
+        store = load_embeddings(path, format="text")
+        assert store._matrix.tobytes() == rows.tobytes()
+
+    def test_generated_embeddings_take_the_fast_path(self, tmp_path,
+                                                     no_line_parser):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        shape = dict(bench.WORKLOADS["pipeline-mart"]["shape"], roots=300,
+                     clusters=4, venues=80, users=10, topics=3)
+        subprocess.run([sys.executable,
+                        os.path.join(ROOT, "perfbench", "gen.py"), "pipeline",
+                        os.path.join(ROOT, "src"), str(tmp_path), "1",
+                        json.dumps(shape)], check=True, capture_output=True)
+        path = tmp_path / "embeddings.txt"
+        store = load_embeddings(path, format="text")
+        with open(path, encoding="utf-8") as fh:
+            count, dim = map(int, next(fh).split())
+            want = [line.split() for line in fh]
+        assert (len(store), store.dimension) == (count, dim)
+        assert list(store.terms) == [parts[0] for parts in want]
+        assert store._matrix.tobytes() == np.array(
+            [[float(x) for x in parts[1:]] for parts in want]).tobytes()
 
 
 class TestBinaryFormat:

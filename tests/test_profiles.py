@@ -4,7 +4,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthdata
@@ -83,6 +83,25 @@ class TestVenueVector:
         part1 = venue_vector(store, make_venue("v", all_comments[:2])).vector
         part2 = venue_vector(store, make_venue("v", all_comments[2:])).vector
         np.testing.assert_allclose(part1 + part2, whole, atol=1e-9, rtol=0)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_equals_the_running_sum_bit_for_bit(self, data):
+        # a lone column, which numpy would add pairwise, and wider ones;
+        # signed zeros and magnitudes far apart, where the order of the
+        # additions shows in the last bits
+        dim = data.draw(st.integers(1, 4))
+        terms = ["t%d" % i for i in range(data.draw(st.integers(1, 6)))]
+        value = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                          st.floats(-1e300, 1e300))
+        vectors = {t: data.draw(st.lists(value, min_size=dim, max_size=dim))
+                   for t in terms}
+        store = EmbeddingStore(terms, [vectors[t] for t in terms])
+        tokens = data.draw(st.lists(st.lists(
+            st.sampled_from(terms + ["oov"]), max_size=12), max_size=4))
+        got = venue_vector(store, make_venue("v", tokens)).vector
+        want = np.array(brute_venue_vector(vectors, tokens, dim))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUserProfileVectors:

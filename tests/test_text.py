@@ -6,6 +6,7 @@ reference_porter.py over a generated vocabulary and random strings.
 """
 
 import itertools
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -179,9 +180,50 @@ class TestPorterCrossCheck:
                 mismatches.append(word)
         assert mismatches == []
 
+    # every suffix a rule of steps 1 to 5 tests for
+    RULE_SUFFIXES = """sses ies ss s eed ed ing at bl iz y ational tional
+    enci anci izer bli alli entli eli ousli ization ation ator alism iveness
+    fulness ousness aliti iviti biliti logi icate ative alize iciti ical ful
+    ness al ance ence er ic able ible ant ement ment ent ion sion tion ou ism
+    ate iti ous ive ize e ll""".split()
+
     @settings(max_examples=2000, deadline=None)
-    @given(st.text(alphabet="abcdefghilmnoprstuyz", min_size=1, max_size=12))
+    @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12))
     def test_agreement_on_random_words(self, word):
+        assert porter_stem(word) == reference_stem(word)
+
+    # Any letters, or one or two consonant-vowel-consonant syllables,
+    # the last consonant perhaps doubled: the shapes the measure, *d and
+    # *o conditions test.  The letters those conditions name (l, s, z;
+    # w, x, y) are drawn twice as often as the other consonants.
+    CONSONANT = st.sampled_from("bcdfghjklmnpqrstvwxyz" + "lszwxy")
+    ROOT = st.one_of(
+        st.text(alphabet=string.ascii_lowercase, max_size=8),
+        st.builds(lambda syllables, doubled: syllables + syllables[-1]
+                  * doubled,
+                  st.lists(st.tuples(CONSONANT, st.sampled_from("aeiouy"),
+                                     CONSONANT).map("".join),
+                           min_size=1, max_size=2).map("".join),
+                  st.booleans()))
+
+    def test_agreement_on_syllable_grid(self):
+        # every one-syllable root over the consonants the *d and *o
+        # conditions name, doubled or not, with every rule suffix
+        consonants = "bdlswxyz"
+        mismatches = []
+        for c1, v, c2, doubled, suffix in itertools.product(
+                consonants, "aeiouy", consonants, (False, True),
+                [""] + self.RULE_SUFFIXES):
+            word = c1 + v + c2 * (1 + doubled) + suffix
+            if porter_stem(word) != reference_stem(word):
+                mismatches.append(word)
+        assert mismatches == []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ROOT,
+           st.lists(st.sampled_from(RULE_SUFFIXES), min_size=1, max_size=2))
+    def test_agreement_on_roots_with_rule_suffixes(self, root, suffixes):
+        word = root + "".join(suffixes)
         assert porter_stem(word) == reference_stem(word)
 
 

@@ -10,15 +10,21 @@ its own ``src/``, so a change to the code that writes them shows too:
 
 * the planted corpus of ``tests/synthdata.py`` (run with ``--seed 42``);
 * the ``pipeline-mart`` corpus of ``perfbench/gen.py``, seed 1 (run with
-  ``--seed 1``).
+  ``--seed 1``);
+* a copy of the planted corpus whose ``embeddings.txt`` has no header
+  and separates its columns by tabs, which the text reader cannot take
+  through its numpy path and parses line by line instead.  This tool
+  makes the copy, the same way on both sides.
 
-On each corpus, each side runs:
+On each of the first two corpora, each side runs:
 
 * ``pipeline`` with the MART defaults, with ``--learner ca --normalize``
   and with ``--metric mrr``;
 * ``ablate`` with CA and with MART (the ``ablate-ca`` and
   ``ablate-mart`` settings of ``perfbench/run.py``), both on the
   ``features.txt`` of that side's default ``pipeline``.
+
+On the copy, each side runs ``pipeline`` with the MART defaults.
 
 Every command runs with ``-v`` from its side's own directory and names
 its inputs and ``--out-dir`` by relative paths, so the paths it logs
@@ -46,6 +52,8 @@ ABLATIONS = ("ablate-ca", "ablate-mart")
 INPUTS = (("embeddings", ".txt"), ("venues", ".jsonl"),
           ("profiles", ".jsonl"), ("contexts", ".jsonl"), ("qrels", ".txt"))
 CORPORA = (("gen1", 1), ("synth", 42))
+# (copy, corpus it copies, seed): the headerless, tab-separated copy
+LINE_PARSED = ("synth-tab", "synth", 42)
 IN_DIR = "inputs"
 
 
@@ -85,6 +93,14 @@ def make_inputs(root, side_dir):
     _run([sys.executable, os.path.join(root, "perfbench", "gen.py"),
           "pipeline", src, os.path.join(in_dir, "gen1"), "1",
           json.dumps(workloads["pipeline-mart"]["shape"])], root, src)
+    copy, original, _ = LINE_PARSED
+    shutil.copytree(os.path.join(in_dir, original), os.path.join(in_dir, copy))
+    with open(os.path.join(in_dir, original, "embeddings.txt"),
+              encoding="utf-8") as fh:
+        rows = fh.readlines()[1:]
+    with open(os.path.join(in_dir, copy, "embeddings.txt"), "w",
+              encoding="utf-8") as fh:
+        fh.writelines(row.replace(" ", "\t") for row in rows)
     for name in ABLATIONS:
         with open(os.path.join(in_dir, name + ".cfg"), "w",
                   encoding="utf-8") as fh:
@@ -97,18 +113,23 @@ def commands():
     every path is relative to a side's directory.  Each corpus's
     pipelines come before its ablations, which read the default
     pipeline's features."""
+    def pipeline(corpus, seed, name, flags):
+        argv = ["pipeline", "--seed", str(seed), *flags]
+        for key, ext in INPUTS:
+            argv += ["--" + key, "%s/%s/%s%s" % (IN_DIR, corpus, key, ext)]
+        return "%s/%s" % (corpus, name), argv
+
     out = []
     for corpus, seed in CORPORA:
         for name, flags in PIPELINES:
-            argv = ["pipeline", "--seed", str(seed), *flags]
-            for key, ext in INPUTS:
-                argv += ["--" + key, "%s/%s/%s%s" % (IN_DIR, corpus, key, ext)]
-            out.append(("%s/%s" % (corpus, name), argv))
+            out.append(pipeline(corpus, seed, name, flags))
         for name in ABLATIONS:
             out.append(("%s/%s" % (corpus, name),
                         ["ablate", "--seed", str(seed), "--config",
                          "%s/%s.cfg" % (IN_DIR, name),
                          "--features", "%s/pipeline/features.txt" % corpus]))
+    copy, _, seed = LINE_PARSED
+    out.append(pipeline(copy, seed, *PIPELINES[0]))
     return out
 
 
