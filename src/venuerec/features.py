@@ -6,6 +6,8 @@ Everything downstream (training, serialization, ablation reports)
 refers to features by this order or by the names below.
 """
 
+import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,13 +235,66 @@ def write_features(table, path):
                      % (label, topic_id, features, venue_id))
 
 
+# A row's 13 features as packed doubles, which read_features collects
+# in one bytearray rather than as float objects.
+_PACK_ROW = struct.Struct("%dd" % N_FEATURES).pack
+
+# One row as write_features lays it out, newline included.
+_ROW = re.compile("(-?[0-9]+) qid:(\\S+) "
+                  + "".join("%d:(\\S+) " % i for i in range(1, N_FEATURES + 1))
+                  + "# (\\S+)\n")
+
+
 def read_features(path):
     """The FeatureTable a features file holds.
 
     A bad row, a repeated (topic, venue) pair included, is a FormatError
-    naming its line.
+    naming its line.  A file laid out exactly as write_features writes
+    it, in strict UTF-8, is read by one regular expression a line; at
+    the first line that is not (or a value float() refuses), the whole
+    file is read again by the line parser, which gives the same table
+    or names the bad line.
     """
-    topic_ids, venue_ids, labels, rows, linenos = [], [], [], [], []
+    try:
+        rows = _match_features(path)
+    except ValueError:
+        rows = None
+    if rows is None:
+        rows = _parse_feature_lines(path)
+    topic_ids, venue_ids, labels, values, linenos = rows
+    try:
+        return FeatureTable(topic_ids, venue_ids, labels,
+                            np.frombuffer(values).reshape(-1, N_FEATURES))
+    except FeatureTableError as exc:
+        raise FormatError(str(exc), path=path, line=linenos[exc.row]) \
+            from None
+
+
+def _match_features(path):
+    """The rows of a features file in the layout `_ROW` matches, each
+    line one row; None at the first line that does not match.  A byte
+    that is not UTF-8 raises UnicodeDecodeError, a value float() does
+    not take ValueError."""
+    topic_ids, venue_ids, labels, values = [], [], [], bytearray()
+    match = _ROW.fullmatch
+    with open(path, encoding="utf-8", newline="") as fh:
+        for line in fh:
+            m = match(line)
+            if m is None:
+                return None
+            label, topic_id, *features, venue_id = m.groups()
+            labels.append(int(label))
+            topic_ids.append(topic_id)
+            venue_ids.append(venue_id)
+            values += _PACK_ROW(*map(float, features))
+    return topic_ids, venue_ids, labels, values, range(1, len(labels) + 1)
+
+
+def _parse_feature_lines(path):
+    """The rows of a features file, line by line, with their line
+    numbers; a line that is not a row is a FormatError naming it."""
+    topic_ids, venue_ids, labels, values, linenos = [], [], [], \
+        bytearray(), []
     for lineno, line in numbered_lines(path):
         line = line.strip()
         if not line:
@@ -277,10 +332,6 @@ def read_features(path):
         topic_ids.append(parts[1][4:])
         venue_ids.append(venue_id)
         labels.append(label)
-        rows.append(feats)
+        values += _PACK_ROW(*feats)
         linenos.append(lineno)
-    try:
-        return FeatureTable(topic_ids, venue_ids, labels, rows)
-    except FeatureTableError as exc:
-        raise FormatError(str(exc), path=path, line=linenos[exc.row]) \
-            from None
+    return topic_ids, venue_ids, labels, values, linenos

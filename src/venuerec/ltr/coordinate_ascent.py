@@ -66,6 +66,10 @@ def _ascend(blocks, w, config, deltas):
         swept_gain = False
         for j in range(w.shape[0]):
             col = blocks.X[:, j]
+            # a step along a zero column leaves the scores, and so
+            # `cur`, as they are
+            if not col.any():
+                continue
             best_metric = cur
             best_delta = 0.0
             for delta in deltas:

@@ -53,7 +53,9 @@ class TopicBlocks:
     relevant when its label is at least `cutoff`, and topics without a
     single relevant row are left out of the average, matching the run
     evaluator.  The arrays are read-only, so copies made by
-    `without_feature` can share everything but `X`.
+    `without_feature` can share everything but `X` and the column
+    order MART reads (`column_order`); a copy derives its order from
+    this one's instead of sorting again.
 
     For the metric, the row indices of the included topics sit in one
     (topics × widest topic) matrix; a short topic is padded with the
@@ -89,6 +91,7 @@ class TopicBlocks:
             lo, hi = self.bounds[i]
             self._index[r, :hi - lo] = np.arange(lo, hi)
         self._padded_rel = np.append(self.rel, False)[self._index]
+        self._order = None
         for array in (self.X, self.y, self.rel, self._index,
                       self._padded_rel):
             array.flags.writeable = False
@@ -97,12 +100,34 @@ class TopicBlocks:
         return len(self.y)
 
     def without_feature(self, j):
-        """A copy whose column `j` of `X` is zero; other arrays are shared."""
+        """A copy whose column `j` of `X` is zero; other arrays are shared.
+
+        When this blocks' column order is sorted already, the copy's is
+        that order with row `j` replaced: a stable argsort of a column
+        of zeros is the identity.
+        """
         clone = copy.copy(self)
         clone.X = self.X.copy()
         clone.X[:, j] = 0.0
         clone.X.flags.writeable = False
+        if self._order is not None:
+            clone._order = self._order.copy()
+            clone._order[j] = np.arange(len(self.y))
+            clone._order.flags.writeable = False
         return clone
+
+    def column_order(self):
+        """A stable argsort of each column of `X`, int32, features x rows.
+
+        Sorted on the first call and kept, read-only.
+        """
+        if self._order is None:
+            # a column at a time, so only one column's int64 sort is held
+            self._order = np.empty(self.X.shape[::-1], dtype=np.int32)
+            for j, column in enumerate(self.X.T):
+                self._order[j] = np.argsort(column, kind="stable")
+            self._order.flags.writeable = False
+        return self._order
 
     def metric(self, scores, metric):
         """Mean P@5 or MRR of `scores` over topics with relevant rows.

@@ -86,23 +86,25 @@ def _best_candidate(X, resid, order, min_leaf):
 
     Returns ``(gain, feature, threshold, cut, order)``: the rows
     ``order[feature, :cut]`` go left.  None when no split gains.
+    Features are taken in order; a later one wins only when it gains
+    more than `_EPS` over the best so far.
     """
+    gains, cuts = _kernels.best_split(X, order, resid, min_leaf)
     best = None
-    targets = resid[order]
-    for j in range(order.shape[0]):
-        col = X[order[j], j]
-        gain, pos = _kernels.best_split(col, targets[j], min_leaf)
-        if pos == 0:
-            continue
+    for j in np.flatnonzero(cuts).tolist():
+        gain = float(gains[j])
         if best is None or gain > best[0] + _EPS:
-            threshold = 0.5 * (col[pos - 1] + col[pos])
-            best = (gain, j, float(threshold), pos, order)
-    return best
-
-
-def _presort(X):
-    """One stable argsort of each column of `X`, as int32 features x rows."""
-    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
+            best = (gain, j)
+    if best is None:
+        return None
+    gain, j = best
+    pos = int(cuts[j])
+    below, above = X[order[j, pos - 1], j], X[order[j, pos], j]
+    threshold = 0.5 * (float(below) + float(above))
+    # rounding or overflow can carry the midpoint out of [below, above)
+    if not below <= threshold < above:
+        threshold = float(below)
+    return gain, j, threshold, pos, order
 
 
 def _partition(order, left_rows, n_rows):
@@ -120,11 +122,13 @@ def fit_tree(X, resid, max_leaves, min_leaf, order):
     """Grow one least-squares tree best-first up to `max_leaves` leaves.
 
     `order` holds a stable argsort of each column of `X`, features x
-    rows, as `_presort` gives it; `train_mart` sorts once and passes it
-    to every tree.  A child keeps its parent's per-feature order with
-    the other side's rows filtered out, so no node sorts again, and
-    ties inside a column go by row index.
+    rows, as `TopicBlocks.column_order` gives it; `train_mart` passes
+    the same one to every tree.  A child keeps its parent's per-feature
+    order with the other side's rows filtered out, so no node sorts
+    again, and ties inside a column go by row index.  One search per
+    node covers every feature.
     """
+    X = np.ascontiguousarray(X)
     feature = [-1]
     threshold = [0.0]
     left = [0]
@@ -185,7 +189,7 @@ def train_mart(train, valid, config):
         raise VenuerecError("no training rows")
 
     X, y = train.X, train.y
-    order = _presort(X)
+    order = train.column_order()
     F = np.zeros(len(train))
     Fv = np.zeros(len(valid))
     trees = []

@@ -8,9 +8,11 @@ on plain dicts and python lists (tests assert the package matches these
 within 1e-9 per component), and the ranking metric topic by topic
 (tests assert the package gives the same float).  The normalization
 rescales one row record at a time (tests assert the package gives the
-same bits).  The tree learner sorts every column afresh at every node;
-it shares only the 1-D split kernel, the gain tolerance and the `Tree`
-record with the package.  `extract_features` is the per-row feature
+same bits).  The tree learner sorts every column afresh at every node,
+and searches each column with the one-feature numpy kernel of
+`reference_kernels`; it shares only the gain tolerance and the `Tree`
+record with the package.  `presort` is the column order `fit_tree`
+takes, sorted directly from a matrix.  `extract_features` is the per-row feature
 extraction that the batched `extract_all` replaced, with its scalar
 `cosine`; `rowwise_extract_all` builds the table from it one row at a
 time.  `table_of` and `table_bits` build and compare the package's
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venuerec import _kernels
+from reference_kernels import numpy_best_split
 from venuerec.corpus import DEFAULT_SCHEMA
 from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr.mart import _EPS, Tree
@@ -261,16 +263,25 @@ def _argsort_best_candidate(X, resid, idx, min_leaf):
     for j in range(X.shape[1]):
         col = X[idx, j]
         order = np.argsort(col, kind="stable")
-        gain, pos = _kernels.best_split(col[order], resid[idx][order],
-                                        min_leaf)
+        gain, pos = numpy_best_split(col[order], resid[idx][order],
+                                     min_leaf)
         if pos == 0:
             continue
         if best is None or gain > best[0] + _EPS:
             sorted_idx = idx[order]
-            threshold = 0.5 * (col[order[pos - 1]] + col[order[pos]])
-            best = (gain, j, float(threshold),
-                    sorted_idx[:pos], sorted_idx[pos:])
+            below = float(col[order[pos - 1]])
+            above = float(col[order[pos]])
+            threshold = 0.5 * (below + above)
+            # the threshold must separate the sides: fall back to below
+            if not below <= threshold < above:
+                threshold = below
+            best = (gain, j, threshold, sorted_idx[:pos], sorted_idx[pos:])
     return best
+
+
+def presort(X):
+    """A stable argsort of each column of `X`, int32, features x rows."""
+    return np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
 
 
 def argsort_fit_tree(X, resid, max_leaves=7, min_leaf=1):

@@ -1,6 +1,7 @@
 """Feature extraction values, bounds, the feature table and its file."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from venuerec.corpus import (
     Venue,
     VenueStats,
 )
+from venuerec import features
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import (
     FEATURE_NAMES,
@@ -470,6 +472,92 @@ def shuffled_rows(draw):
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# Ways a written features file can leave the layout the regular
+# expression reads, each applied at one line.
+TOKENS = ("1_0", "+1", "\u0661", "nan", "1e400")
+MUTATIONS = ("tab", "crlf", "blank", "no trailer", "no final newline",
+             "token", "non-utf8", "duplicate")
+
+
+def mutate(lines, kind, at, token, field):
+    """`lines` (bytes, newline kept) with mutation `kind` at line `at`;
+    an empty file gets a blank line."""
+    if not lines:
+        return [b"\n"]
+    lines = list(lines)
+    line = lines[at]
+    if kind == "tab":
+        lines[at] = line.replace(b" ", b"\t", 1)
+    elif kind == "crlf":
+        lines[at] = line.replace(b"\n", b"\r\n")
+    elif kind == "blank":
+        lines.insert(at, b"\n")
+    elif kind == "no trailer":
+        lines[at] = line.partition(b" # ")[0] + b"\n"
+    elif kind == "no final newline":
+        lines[-1] = lines[-1].rstrip(b"\n")
+    elif kind == "token":
+        # field 0 is the label, 1-13 the feature values
+        parts = line.split(b" ")
+        if len(parts) < field + 2:
+            return lines
+        head = b"" if field == 0 else parts[field + 1].split(b":")[0] + b":"
+        parts[0 if field == 0 else field + 1] = head + token.encode()
+        lines[at] = b" ".join(parts)
+    elif kind == "non-utf8":
+        lines[at] = line[:-1] + b"\xff\n"
+    else:
+        lines.insert(at, line)
+    return lines
+
+
+def read_outcome(path):
+    try:
+        return table_bits(read_features(path))
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestFeatureFileFastPath:
+    """The regular-expression reader against the line parser."""
+
+    def test_written_file_never_reaches_the_line_parser(self, tmp_path):
+        table = table_of(TestFeatureFile().rows())
+        p = tmp_path / "features.txt"
+        write_features(table, p)
+        with mock.patch.object(features, "_parse_feature_lines",
+                               side_effect=AssertionError("line parser")):
+            assert table_bits(read_features(p)) == table_bits(table)
+
+    def test_crlf_file_goes_to_the_line_parser(self, tmp_path):
+        table = table_of(TestFeatureFile().rows())
+        p = tmp_path / "features.txt"
+        write_features(table, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        assert table_bits(read_features(p)) == table_bits(table)
+        with mock.patch.object(features, "_parse_feature_lines",
+                               side_effect=AssertionError("line parser")):
+            with pytest.raises(AssertionError, match="line parser"):
+                read_features(p)
+
+    @given(rows=shuffled_rows(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_line_parser(self, tmp_path_factory, rows, data):
+        path = tmp_path_factory.mktemp("mutated") / "features.txt"
+        write_features(table_of(rows), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+            lines = mutate(lines, data.draw(st.sampled_from(MUTATIONS)), at,
+                           data.draw(st.sampled_from(TOKENS)),
+                           data.draw(st.integers(0, N_FEATURES)))
+        path.write_bytes(b"".join(lines))
+        got = read_outcome(path)
+        with mock.patch.object(features, "_match_features",
+                               return_value=None):
+            assert got == read_outcome(path)
 
 
 class TestTableProperties:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_kernels
+from reference_models import presort
 from venuerec import _kernels
-from venuerec.ltr.mart import _presort, fit_tree
+from venuerec.ltr.mart import fit_tree
 
 
 def leaf_tree_arrays():
@@ -51,45 +55,107 @@ class TestCosineScores:
         assert got.tolist() == [1.0, -1.0]
 
 
+def search_column(values, targets, min_leaf):
+    """The per-node search on one ascending column, as ``(gain, cut)``."""
+    order = np.arange(values.shape[0], dtype=np.int32)[None, :]
+    gains, cuts = _kernels.best_split(values[:, None], order, targets,
+                                      min_leaf)
+    return float(gains[0]), int(cuts[0])
+
+
+def column_searches(X, order, targets, min_leaf):
+    """``(gain, cut)`` of each feature, one feature at a time, from the
+    one-feature numpy search."""
+    return [reference_kernels.numpy_best_split(X[rows, j], targets[rows],
+                                               min_leaf)
+            for j, rows in enumerate(order)]
+
+
 class TestBestSplit:
 
     def test_clean_two_block_column(self):
         values = np.array([0.0, 0.0, 1.0, 1.0])
         targets = np.array([1.0, 1.0, 5.0, 5.0])
         # 2/2 split: 4/2 + 100/2 - 144/4
-        assert _kernels.best_split(values, targets, 1) == (16.0, 2)
+        assert search_column(values, targets, 1) == (16.0, 2)
 
     def test_equal_adjacent_values_are_not_cut_points(self):
         values = np.zeros(6)
         targets = np.arange(6.0)
-        assert _kernels.best_split(values, targets, 1) == (0.0, 0)
+        assert search_column(values, targets, 1) == (0.0, 0)
 
     def test_constant_targets_gain_nothing(self):
         values = np.arange(5.0)
         targets = np.full(5, 0.7)
-        gain, pos = _kernels.best_split(values, targets, 1)
+        gain, pos = search_column(values, targets, 1)
         assert pos == 0
         assert gain == 0.0
 
     def test_too_few_rows_for_min_leaf(self):
         values = np.array([0.0, 1.0, 2.0])
         targets = np.array([0.0, 1.0, 2.0])
-        assert _kernels.best_split(values, targets, 2) == (0.0, 0)
+        assert search_column(values, targets, 2) == (0.0, 0)
 
     def test_min_leaf_narrows_the_cut_range(self):
         values = np.arange(4.0)
         targets = np.array([9.0, 0.0, 0.0, 0.0])
         # best cut (pos 1) is forbidden; 2/2 is the only legal one
-        gain, pos = _kernels.best_split(values, targets, 2)
+        gain, pos = search_column(values, targets, 2)
         assert pos == 2
         assert gain == pytest.approx(81.0 / 2 - 81.0 / 4)
 
     def test_equal_gains_take_the_lowest_cut(self):
         values = np.arange(4.0)
         targets = np.array([1.0, 0.0, 0.0, 1.0])
-        gain, pos = _kernels.best_split(values, targets, 1)
+        gain, pos = search_column(values, targets, 1)
         assert pos == 1
         assert gain == pytest.approx(1.0 / 3.0)
+
+    def test_features_are_searched_independently(self):
+        # column 0 is constant, 1 splits 2/2, 2 is tied except its last row
+        X = np.array([[5.0, 0.0, 1.0], [5.0, 0.0, 1.0], [5.0, 1.0, 1.0],
+                      [5.0, 1.0, 2.0]])
+        targets = np.array([1.0, 1.0, 5.0, 5.0])
+        gains, cuts = _kernels.best_split(X, presort(X), targets, 1)
+        assert cuts.tolist() == [0, 2, 3]
+        assert gains.tolist() == [0.0, 16.0, 49.0 / 3.0 + 25.0 - 36.0]
+
+
+@st.composite
+def nodes(draw):
+    """A matrix, its targets, and a node: a subset of the rows in the
+    per-feature order `fit_tree` would hand down, with `min_leaf`.
+
+    Columns are distinct, tied, constant or zero, so some features are
+    constant at the node; targets are integers or arbitrary floats.
+    """
+    n_all = draw(st.integers(1, 60))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("distinct", "tied", "constant", "zero")), min_size=1,
+            max_size=6)):
+        if kind == "distinct":
+            columns.append(draw(hnp.arrays(
+                np.float64, n_all, unique=True,
+                elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+        elif kind == "tied":
+            columns.append(draw(hnp.arrays(
+                np.float64, n_all, elements=st.integers(-2, 2).map(float))))
+        elif kind == "constant":
+            columns.append(np.full(n_all, draw(st.floats(-1e3, 1e3))))
+        else:
+            columns.append(np.zeros(n_all))
+    X = np.column_stack(columns)
+    if draw(st.booleans()):
+        elements = st.integers(-1000, 1000).map(float)
+    else:
+        elements = st.floats(-10.0, 10.0)
+    targets = draw(hnp.arrays(np.float64, n_all, elements=elements))
+    member = np.array(draw(st.lists(st.booleans(), min_size=n_all,
+                                    max_size=n_all)))
+    order = presort(X)
+    node = np.array([rows[member[rows]] for rows in order], dtype=np.int32)
+    return X, node.reshape(X.shape[1], -1), targets, draw(st.integers(1, 4))
 
 
 class TestApplyTree:
@@ -134,12 +200,31 @@ class TestReferenceAgreement:
         rng = np.random.default_rng(12)
         for _ in range(50):
             n = int(rng.integers(2, 40))
-            values = np.sort(rng.integers(0, 6, size=n).astype(np.float64))
+            X = rng.integers(0, 6, size=(n, 3)).astype(np.float64)
             targets = rng.integers(-3, 4, size=n).astype(np.float64)
             min_leaf = int(rng.integers(1, 4))
-            a = _kernels.best_split(values, targets, min_leaf)
-            b = reference_kernels.best_split(values, targets, min_leaf)
-            assert a == b
+            order = presort(X)
+            gains, cuts = _kernels.best_split(X, order, targets, min_leaf)
+            for j, rows in enumerate(order):
+                b = reference_kernels.best_split(X[rows, j], targets[rows],
+                                                 min_leaf)
+                assert (gains[j], cuts[j]) == b
+
+    def test_large_nodes_equal_the_one_feature_search(self):
+        # past _ONE_PART_CELLS the features go through the buffers in
+        # three parts; a zeroed column and ties ride along
+        rng = np.random.default_rng(16)
+        assert 600 * 13 > _kernels._ONE_PART_CELLS
+        for n, min_leaf in ((600, 1), (1500, 3), (2000, 2)):
+            X = rng.normal(size=(n, 13))
+            X[:, 4] = 0.0
+            X[:, 7] = rng.integers(0, 5, size=n)
+            targets = rng.normal(size=n)
+            order = presort(X)
+            gains, cuts = _kernels.best_split(X, order, targets, min_leaf)
+            assert list(zip(gains.tolist(), cuts.tolist())) == \
+                column_searches(X, order, targets, min_leaf)
+            assert cuts[4] == 0
 
     def test_best_split_gains_agree_on_float_targets(self):
         rng = np.random.default_rng(13)
@@ -147,9 +232,17 @@ class TestReferenceAgreement:
             n = int(rng.integers(4, 60))
             values = np.sort(rng.normal(size=n))
             targets = rng.normal(size=n)
-            ga, _pa = _kernels.best_split(values, targets, 1)
+            ga, _pa = search_column(values, targets, 1)
             gb, _pb = reference_kernels.best_split(values, targets, 1)
             assert ga == pytest.approx(gb, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes())
+    def test_each_feature_equals_the_one_feature_search(self, node):
+        X, order, targets, min_leaf = node
+        gains, cuts = _kernels.best_split(X, order, targets, min_leaf)
+        assert list(zip(gains.tolist(), cuts.tolist())) == \
+            column_searches(X, order, targets, min_leaf)
 
     def test_apply_tree_is_bit_exact(self):
         # routing only compares and gathers, so the loop cannot drift
@@ -158,7 +251,7 @@ class TestReferenceAgreement:
             X = rng.normal(size=(60, 5))
             resid = rng.normal(size=60)
             tree = fit_tree(X, resid, max_leaves=6, min_leaf=2,
-                            order=_presort(X))
+                            order=presort(X))
             arrays = tree.arrays()
             a = _kernels.apply_tree(*arrays, X)
             b = reference_kernels.apply_tree(*arrays, X)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_models import argsort_fit_tree, loop_metric, table_bits, table_of
+from reference_models import (
+    argsort_fit_tree,
+    loop_metric,
+    presort,
+    table_bits,
+    table_of,
+)
 from venuerec.cli import SETTINGS
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import N_FEATURES, FeatureTable
@@ -29,7 +36,7 @@ from venuerec.ltr import (
     train_coordinate_ascent,
     train_mart,
 )
-from venuerec.ltr.mart import _presort
+from venuerec.ltr.mart import _tree_outputs
 
 CUTOFF = SETTINGS["cutoff"].default
 
@@ -190,6 +197,26 @@ class TestTopicBlocks:
         assert TopicBlocks(rows, 2).metric(scores, "mrr") == 1.0
         assert TopicBlocks(rows, 3).metric(scores, "p5") == 0.0
 
+    def test_knockout_column_order_is_the_zeroed_sort(self):
+        # small integer features, so every column is full of ties
+        rng = random.Random(5)
+        table = make_rows({
+            "t%d" % t: [("v%02d" % c, rng.choice([0, 1]),
+                         tuple(float(rng.randint(-2, 2))
+                               for _ in range(N_FEATURES)))
+                        for c in range(rng.randint(1, 9))]
+            for t in range(6)})
+        sorted_first = TopicBlocks(table, CUTOFF)
+        assert sorted_first.column_order().tolist() == \
+            presort(table.X).tolist()
+        for j in range(N_FEATURES):
+            zeroed = table.X.copy()
+            zeroed[:, j] = 0.0
+            for blocks in (sorted_first, TopicBlocks(table, CUTOFF)):
+                order = blocks.without_feature(j).column_order()
+                assert order.dtype == np.int32
+                assert order.tolist() == presort(zeroed).tolist()
+
     def test_tie_break_matches_run_builder(self):
         # Equal scores rank venue ids ascending; vA relevant, vB not.
         rows = make_rows({"t1": [
@@ -323,6 +350,20 @@ class TestMetricMatchesTopicLoop:
 
 
 class TestCoordinateAscent:
+    def test_zero_columns_are_not_line_searched(self, monkeypatch):
+        # two live columns; the other 11 are zero
+        blocks = TopicBlocks(separable_rows(), CUTOFF)
+        calls = []
+        metric = TopicBlocks.metric
+        monkeypatch.setattr(TopicBlocks, "metric",
+                            lambda self, scores, name: calls.append(1)
+                            or metric(self, scores, name))
+        config = CAConfig(restarts=1, max_sweeps=1, step_scales=3)
+        train_coordinate_ascent(blocks, NO_BLOCKS, config)
+        # the baseline, the start, 2 columns x 6 steps, and one rescore
+        # after a sweep that gained
+        assert len(calls) - 2 - 2 * 6 in (0, 1)
+
     def test_separable_signal_reaches_perfect_p5(self):
         rows = separable_rows()
         config = CAConfig(restarts=2, max_sweeps=10, seed=1)
@@ -407,7 +448,7 @@ class TestFitTree:
     def test_split_at_midpoint(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = fit_tree(X, y, max_leaves=2, min_leaf=1, order=_presort(X))
+        tree = fit_tree(X, y, max_leaves=2, min_leaf=1, order=presort(X))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 2.5
         left, right = tree.left[0], tree.right[0]
@@ -419,20 +460,40 @@ class TestFitTree:
         # row gains the same; the lower cut must win.
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        tree = fit_tree(X, y, max_leaves=2, min_leaf=1, order=_presort(X))
+        tree = fit_tree(X, y, max_leaves=2, min_leaf=1, order=presort(X))
         assert tree.threshold[0] == 1.5
+
+    @pytest.mark.parametrize("below, above", [
+        (1.0000000000000002, 1.0000000000000004),
+        (1.7e308, 1.75e308),
+        (-1.75e308, -1.7e308),
+        (5e-324, 1e-323),
+    ], ids=["adjacent", "overflow", "negative-overflow", "subnormal"])
+    def test_threshold_separates_the_sides(self, below, above):
+        # the midpoint rounds to `above` or overflows; `below` stands in
+        X = np.array([[below], [above]])
+        y = np.array([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = fit_tree(X, y, max_leaves=2, min_leaf=1,
+                            order=presort(X))
+            routed = _tree_outputs(tree, X)
+        assert tree.threshold[0] == below
+        assert tree.value[tree.left[0]] == 0.0
+        assert tree.value[tree.right[0]] == 1.0
+        assert routed.tolist() == [0.0, 1.0]
 
     def test_pure_targets_stay_a_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
         tree = fit_tree(X, np.full(3, 0.7), max_leaves=4, min_leaf=1,
-                        order=_presort(X))
+                        order=presort(X))
         assert tree.feature == (-1,)
         assert tree.value[0] == pytest.approx(0.7)
 
     def test_min_leaf_blocks_narrow_splits(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([5.0, 0.0, 0.0, 0.0])
-        tree = fit_tree(X, y, max_leaves=2, min_leaf=2, order=_presort(X))
+        tree = fit_tree(X, y, max_leaves=2, min_leaf=2, order=presort(X))
         # The ideal cut isolates row 0 but min_leaf forces 2 + 2.
         assert tree.threshold[0] == 2.5
 
@@ -442,7 +503,7 @@ class TestFitTree:
         y = rng.normal(size=60)
         for budget in (2, 4, 7):
             tree = fit_tree(X, y, max_leaves=budget, min_leaf=1,
-                            order=_presort(X))
+                            order=presort(X))
             assert leaves(tree) <= budget
 
     def test_best_first_picks_higher_gain_side(self):
@@ -450,7 +511,7 @@ class TestFitTree:
         # leaf must go to the left branch where variance remains.
         X = np.array([[0.0], [0.0], [10.0], [11.0], [20.0], [21.0]])
         y = np.array([0.0, 0.0, 4.0, 4.0, 9.0, 9.0])
-        tree = fit_tree(X, y, max_leaves=3, min_leaf=1, order=_presort(X))
+        tree = fit_tree(X, y, max_leaves=3, min_leaf=1, order=presort(X))
         assert leaves(tree) == 3
         outs = predict_matrix(
             TreeEnsemble(trees=(tree,), shrinkage=1.0, metric="p5", seed=0), X)
@@ -501,7 +562,7 @@ class TestPresortedSplitSearch:
     @given(tree_problems())
     def test_matches_the_per_node_argsort_oracle(self, problem):
         X, resid, max_leaves, min_leaf, exact = problem
-        tree = fit_tree(X, resid, max_leaves, min_leaf, _presort(X))
+        tree = fit_tree(X, resid, max_leaves, min_leaf, presort(X))
         oracle = argsort_fit_tree(X, resid, max_leaves, min_leaf)
         assert tree.feature == oracle.feature
         assert tree.threshold == oracle.threshold
@@ -518,7 +579,7 @@ class TestPresortedSplitSearch:
         X, resid, max_leaves, min_leaf, _ = problem
         order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
         assert fit_tree(X, resid, max_leaves, min_leaf, order) == \
-            fit_tree(X, resid, max_leaves, min_leaf, _presort(X))
+            fit_tree(X, resid, max_leaves, min_leaf, presort(X))
 
 
 class TestMart:

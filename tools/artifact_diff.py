@@ -14,7 +14,10 @@ its own ``src/``, so a change to the code that writes them shows too:
 * a copy of the planted corpus whose ``embeddings.txt`` has no header
   and separates its columns by tabs, which the text reader cannot take
   through its numpy path and parses line by line instead.  This tool
-  makes the copy, the same way on both sides.
+  makes the copy, the same way on both sides;
+* the ``ablate-mart`` features file of ``perfbench/gen.py``, seed 1,
+  with CRLF line ends, which the features reader cannot take through
+  its regular expression and parses line by line instead.
 
 On each of the first two corpora, each side runs:
 
@@ -24,7 +27,8 @@ On each of the first two corpora, each side runs:
   ``ablate-mart`` settings of ``perfbench/run.py``), both on the
   ``features.txt`` of that side's default ``pipeline``.
 
-On the copy, each side runs ``pipeline`` with the MART defaults.
+On the copy, each side runs ``pipeline`` with the MART defaults, and
+on the CRLF features file ``ablate`` with the ``ablate-mart`` settings.
 
 Every command runs with ``-v`` from its side's own directory and names
 its inputs and ``--out-dir`` by relative paths, so the paths it logs
@@ -54,6 +58,8 @@ INPUTS = (("embeddings", ".txt"), ("venues", ".jsonl"),
 CORPORA = (("gen1", 1), ("synth", 42))
 # (copy, corpus it copies, seed): the headerless, tab-separated copy
 LINE_PARSED = ("synth-tab", "synth", 42)
+# (name, workload, seed): the CRLF features file and the ablation run on it
+CRLF_FEATURES = ("crlf", "ablate-mart", 1)
 IN_DIR = "inputs"
 
 
@@ -101,6 +107,17 @@ def make_inputs(root, side_dir):
     with open(os.path.join(in_dir, copy, "embeddings.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(row.replace(" ", "\t") for row in rows)
+    name, workload, seed = CRLF_FEATURES
+    crlf_dir = os.path.join(in_dir, name)
+    os.makedirs(crlf_dir)
+    _run([sys.executable, os.path.join(root, "perfbench", "gen.py"),
+          "features", src, crlf_dir, str(seed),
+          json.dumps(workloads[workload]["shape"])], root, src)
+    features = os.path.join(crlf_dir, "features.txt")
+    with open(features, "rb") as fh:
+        data = fh.read()
+    with open(features, "wb") as fh:
+        fh.write(data.replace(b"\n", b"\r\n"))
     for name in ABLATIONS:
         with open(os.path.join(in_dir, name + ".cfg"), "w",
                   encoding="utf-8") as fh:
@@ -130,6 +147,11 @@ def commands():
                          "--features", "%s/pipeline/features.txt" % corpus]))
     copy, _, seed = LINE_PARSED
     out.append(pipeline(copy, seed, *PIPELINES[0]))
+    name, workload, seed = CRLF_FEATURES
+    out.append(("%s/%s" % (name, workload),
+                ["ablate", "--seed", str(seed), "--config",
+                 "%s/%s.cfg" % (IN_DIR, workload),
+                 "--features", "%s/%s/features.txt" % (IN_DIR, name)]))
     return out
 
 
