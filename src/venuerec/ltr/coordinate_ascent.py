@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .._rng import PCG64
 from ..errors import VenuerecError
 from .data import METRICS
 
@@ -127,8 +128,7 @@ def train_coordinate_ascent(train, valid, config):
         if restart == 0:
             w = uniform.copy()
         else:
-            rng = np.random.default_rng([config.seed, restart])
-            w = _normalize(rng.random(nf))
+            w = _normalize(np.array(PCG64([config.seed, restart]).random(nf)))
         train_m = _ascend(train, w, config, deltas)
         if train_m < baseline - _EPS:
             continue

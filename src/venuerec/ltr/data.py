@@ -10,6 +10,7 @@ import copy
 
 import numpy as np
 
+from .._rng import PCG64
 from ..errors import VenuerecError
 from ..features import FeatureTable
 
@@ -19,7 +20,8 @@ METRICS = ("p5", "mrr")
 def split_train_validation(table, fraction, seed):
     """Partition a FeatureTable into train and validation tables by topic.
 
-    The sorted topic list is shuffled with a generator seeded by `seed`;
+    The sorted topic list is shuffled with numpy's default_rng stream
+    seeded by `seed` (`_rng.PCG64`);
     the first ``round(fraction * n)`` topics (clamped so both sides stay
     non-empty) become the training side.  Row order is preserved.
     """
@@ -30,8 +32,7 @@ def split_train_validation(table, fraction, seed):
     if len(topics) < 2:
         raise VenuerecError("need at least 2 topics to split, got %d"
                             % len(topics))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(topics))
+    perm = PCG64(seed).permutation(len(topics))
     n_train = int(round(fraction * len(topics)))
     n_train = min(max(n_train, 1), len(topics) - 1)
     train_topics = {topics[i] for i in perm[:n_train]}

@@ -27,8 +27,12 @@ On each of the first two corpora, each side runs:
   ``ablate-mart`` settings of ``perfbench/run.py``), both on the
   ``features.txt`` of that side's default ``pipeline``.
 
-On the copy, each side runs ``pipeline`` with the MART defaults, and
-on the CRLF features file ``ablate`` with the ``ablate-mart`` settings.
+On the planted corpus, each side also runs ``pipeline --learner ca
+--normalize`` at ``--seed 4294967301``, a seed of two 32-bit words, so
+the seeded split and coordinate ascent's restart draws are compared for
+a seed past one word.  On the copy, each side runs ``pipeline`` with
+the MART defaults, and on the CRLF features file ``ablate`` with the
+``ablate-mart`` settings.
 
 Every command runs with ``-v`` from its side's own directory and names
 its inputs and ``--out-dir`` by relative paths, so the paths it logs
@@ -56,6 +60,8 @@ ABLATIONS = ("ablate-ca", "ablate-mart")
 INPUTS = (("embeddings", ".txt"), ("venues", ".jsonl"),
           ("profiles", ".jsonl"), ("contexts", ".jsonl"), ("qrels", ".txt"))
 CORPORA = (("gen1", 1), ("synth", 42))
+# (corpus, seed): the pipeline-ca-normalize run at a two-word seed
+TWO_WORD_SEED = ("synth", 4294967301)
 # (copy, corpus it copies, seed): the headerless, tab-separated copy
 LINE_PARSED = ("synth-tab", "synth", 42)
 # (name, workload, seed): the CRLF features file and the ablation run on it
@@ -145,6 +151,9 @@ def commands():
                         ["ablate", "--seed", str(seed), "--config",
                          "%s/%s.cfg" % (IN_DIR, name),
                          "--features", "%s/pipeline/features.txt" % corpus]))
+    corpus, seed = TWO_WORD_SEED
+    name, flags = PIPELINES[1]
+    out.append(pipeline(corpus, seed, "%s-seed%d" % (name, seed), flags))
     copy, _, seed = LINE_PARSED
     out.append(pipeline(copy, seed, *PIPELINES[0]))
     name, workload, seed = CRLF_FEATURES
