@@ -1,9 +1,17 @@
 """Feature knockout study.
 
-Retrains the configured ranker once per feature with that column zeroed
-everywhere (train, validation, and scoring), then reports the relative
-change of the ranking metric against the untouched baseline.  Zeroing
-rather than dropping keeps every model the same shape.
+Reports the relative change of the ranking metric, against the
+untouched baseline, when the ranker is trained with one feature column
+zeroed everywhere (train, validation, and scoring).  Zeroing rather
+than dropping keeps every model the same shape.
+
+A MART knockout is retrained only for a feature in the baseline's
+``history["decisive"]``; any other is the baseline, exactly.  The split
+search gives each feature the same gain whichever others are live, so
+zeroing column j only takes j out of each node's choice.  When that
+changes no choice at any node the baseline searched, in any tree it
+fitted, the knockout grows the same trees, stops at the same stage and
+never reads column j.
 """
 
 import dataclasses
@@ -46,6 +54,16 @@ def _fit(train, valid, config):
     return train_mart(train, valid, config)
 
 
+def _knockout(j, train, valid, blocks, config):
+    """The metric of the model trained and scored with column `j` zeroed.
+
+    Its copies of the blocks are freed on return, before the next fit.
+    """
+    model = _fit(train.without_feature(j), valid.without_feature(j), config)
+    zblocks = blocks.without_feature(j)
+    return zblocks.metric(predict_matrix(model, zblocks.X), config.metric)
+
+
 def run_ablation(table, config, split_fraction, cutoff):
     """Train the full model and one knockout per feature column.
 
@@ -58,6 +76,8 @@ def run_ablation(table, config, split_fraction, cutoff):
     because the split and the row order depend only on topic and venue
     ids.  Every variant is scored over all topics of the FeatureTable
     `table`, with the metric averaged the same way the trainers do it.
+    Coordinate ascent trains every knockout, MART only those of the
+    baseline's decisive features.
     """
     if isinstance(config, CAConfig):
         learner = "coordinate_ascent"
@@ -78,12 +98,14 @@ def run_ablation(table, config, split_fraction, cutoff):
         log.warning("baseline %s is zero; knockout deltas are reported as 0",
                     metric)
 
+    refit = (baseline_model.history["decisive"] if learner == "mart"
+             else range(len(FEATURE_NAMES)))
     entries = []
     for j, name in enumerate(FEATURE_NAMES):
-        model = _fit(train.without_feature(j), valid.without_feature(j),
-                     config)
-        zblocks = blocks.without_feature(j)
-        value = zblocks.metric(predict_matrix(model, zblocks.X), metric)
+        if j in refit:
+            value = _knockout(j, train, valid, blocks, config)
+        else:
+            value = baseline
         if baseline > 0.0:
             delta = 100.0 * (value - baseline) / baseline
         else:

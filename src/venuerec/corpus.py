@@ -216,7 +216,9 @@ def _field(obj, key, kind, path, lineno, required=False):
 
 
 def _has_space(text):
-    return any(ch.isspace() for ch in text)
+    """Whether non-empty `text` holds a character that `str.isspace` names;
+    `str.split` splits on exactly those."""
+    return text.split() != [text]
 
 
 def _encodes(text):

@@ -81,23 +81,43 @@ class TreeEnsemble:
             raise VenuerecError("ensemble needs at least one tree")
 
 
-def _best_candidate(X, resid, order, min_leaf):
+def _leaders(gains, features, skip=-1):
+    """The features that lead a node's split choice, in the order they
+    took the lead; the last one is the choice, and none means no split.
+
+    `features` are taken in order, `skip` left out; a later one takes
+    the lead only when it gains more than `_EPS` over the leader.
+    """
+    leaders = []
+    best = None
+    for j in features:
+        if j == skip:
+            continue
+        gain = float(gains[j])
+        if best is None or gain > best + _EPS:
+            best = gain
+            leaders.append(j)
+    return leaders
+
+
+def _best_candidate(X, resid, order, min_leaf, decisive):
     """Best split of a node whose rows are `order`, one sorted row per feature.
 
     Returns ``(gain, feature, threshold, cut, order)``: the rows
     ``order[feature, :cut]`` go left.  None when no split gains.
-    Features are taken in order; a later one wins only when it gains
-    more than `_EPS` over the best so far.
+    Adds to the set `decisive` each feature whose knockout would change
+    the choice.  Only a leader can: the others never moved the lead.
     """
     gains, cuts = _kernels.best_split(X, order, resid, min_leaf)
-    best = None
-    for j in np.flatnonzero(cuts).tolist():
-        gain = float(gains[j])
-        if best is None or gain > best[0] + _EPS:
-            best = (gain, j)
-    if best is None:
+    features = np.flatnonzero(cuts).tolist()
+    leaders = _leaders(gains, features)
+    if not leaders:
         return None
-    gain, j = best
+    j = leaders[-1]
+    for f in leaders:
+        if f not in decisive and _leaders(gains, features, f)[-1:] != [j]:
+            decisive.add(f)
+    gain = float(gains[j])
     pos = int(cuts[j])
     below, above = X[order[j, pos - 1], j], X[order[j, pos], j]
     threshold = 0.5 * (float(below) + float(above))
@@ -118,7 +138,7 @@ def _partition(order, left_rows, n_rows):
             flat.compress(~mask).reshape(n_features, -1))
 
 
-def fit_tree(X, resid, max_leaves, min_leaf, order):
+def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None):
     """Grow one least-squares tree best-first up to `max_leaves` leaves.
 
     `order` holds a stable argsort of each column of `X`, features x
@@ -126,16 +146,20 @@ def fit_tree(X, resid, max_leaves, min_leaf, order):
     the same one to every tree.  A child keeps its parent's per-feature
     order with the other side's rows filtered out, so no node sorts
     again, and ties inside a column go by row index.  One search per
-    node covers every feature.
+    node covers every feature.  The features whose knockout would
+    change the choice at any searched node are added to the set
+    `decisive`.
     """
     X = np.ascontiguousarray(X)
+    if decisive is None:
+        decisive = set()
     feature = [-1]
     threshold = [0.0]
     left = [0]
     right = [0]
     value = [float(resid.mean()) if resid.size else 0.0]
     candidates = {}
-    cand = _best_candidate(X, resid, order, min_leaf)
+    cand = _best_candidate(X, resid, order, min_leaf, decisive)
     if cand is not None:
         candidates[0] = cand
     n_leaves = 1
@@ -162,7 +186,8 @@ def fit_tree(X, resid, max_leaves, min_leaf, order):
         for child, child_order in zip(
                 (left[node], right[node]),
                 _partition(node_order, rows[:pos], X.shape[0])):
-            cand = _best_candidate(X, resid, child_order, min_leaf)
+            cand = _best_candidate(X, resid, child_order, min_leaf,
+                                   decisive)
             if cand is not None:
                 candidates[child] = cand
     return Tree(feature=tuple(feature), threshold=tuple(threshold),
@@ -190,6 +215,7 @@ def train_mart(train, valid, config):
 
     X, y = train.X, train.y
     order = train.column_order()
+    decisive = set()
     F = np.zeros(len(train))
     Fv = np.zeros(len(valid))
     trees = []
@@ -199,7 +225,8 @@ def train_mart(train, valid, config):
     best_stage = 0
     since_best = 0
     for stage in range(1, config.n_trees + 1):
-        tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf, order)
+        tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf, order,
+                        decisive)
         trees.append(tree)
         F += config.shrinkage * _tree_outputs(tree, X)
         if len(valid):
@@ -225,7 +252,8 @@ def train_mart(train, valid, config):
     kept = len(trees) if config.patience == 0 else best_stage
     history = {"train_mse": tuple(train_mse),
                "valid_metric": tuple(valid_metric),
-               "kept_trees": kept}
+               "kept_trees": kept,
+               "decisive": tuple(sorted(decisive))}
     return TreeEnsemble(trees=tuple(trees[:kept]),
                         shrinkage=config.shrinkage,
                         metric=config.metric, seed=config.seed,

@@ -168,20 +168,86 @@ def noisy_rows(n_topics=16, seed=11):
     return table_of(rows)
 
 
+# Small trees: the baseline needs 3 features, so 10 knockouts reuse it.
+_FEW_LEAVES = MARTConfig(n_trees=3, max_leaves=3, patience=0, metric="p5",
+                         seed=1)
+# Early stopping discards trees fitted past the best stage.
+_EARLY_STOP = MARTConfig(n_trees=40, max_leaves=3, patience=3, metric="p5",
+                         seed=4)
+
+
+def rows_of(data, synth_rows):
+    return synth_rows if data == "synth" else noisy_rows()
+
+
+def baseline_history(rows, config):
+    train, valid = split_train_validation(rows, SPLIT, config.seed)
+    return train_mart(TopicBlocks(train, CUTOFF), TopicBlocks(valid, CUTOFF),
+                      config).history
+
+
 class TestKnockoutOnTheMatrix:
-    """Zeroing a column of the built matrices equals rebuilding the rows."""
+    """Zeroing a column of the built matrices equals rebuilding the rows,
+    and a MART knockout outside the baseline's decisive features equals
+    the baseline."""
 
     @pytest.mark.parametrize("config", [
         CAConfig(metric="p5", restarts=2, max_sweeps=3, seed=3),
         CAConfig(metric="mrr", restarts=1, max_sweeps=2, seed=5),
         MARTConfig(n_trees=8, patience=3, metric="p5", seed=3),
         MARTConfig(n_trees=6, patience=0, metric="mrr", seed=5),
-    ], ids=["ca-p5", "ca-mrr", "mart-p5", "mart-mrr"])
+        _FEW_LEAVES,
+        _EARLY_STOP,
+    ], ids=["ca-p5", "ca-mrr", "mart-p5", "mart-mrr", "mart-few-leaves",
+            "mart-early-stop"])
     @pytest.mark.parametrize("data", ["synth", "noisy"])
     def test_matches_rebuilt_rows(self, synth_rows, config, data):
-        rows = synth_rows if data == "synth" else noisy_rows()
+        rows = rows_of(data, synth_rows)
         assert (run_ablation(rows, config, SPLIT, CUTOFF)
                 == rebuilt_ablation(rows, config))
+
+    @pytest.mark.parametrize("data", ["synth", "noisy"])
+    def test_the_configs_cover_reuse_and_early_stopping(self, synth_rows,
+                                                        data):
+        rows = rows_of(data, synth_rows)
+        assert len(baseline_history(rows, _FEW_LEAVES)["decisive"]) == 3
+        history = baseline_history(rows, _EARLY_STOP)
+        assert history["kept_trees"] < len(history["train_mse"])
+
+
+class TestFitCount:
+    """MART refits only the knockouts of the baseline's decisive
+    features; coordinate ascent refits every knockout."""
+
+    def count_fits(self, monkeypatch, name, train):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return train(*args)
+
+        monkeypatch.setattr("venuerec.ablation." + name, counted)
+        return calls
+
+    @pytest.mark.parametrize("config", [_FEW_LEAVES, _EARLY_STOP],
+                             ids=["few-leaves", "early-stop"])
+    @pytest.mark.parametrize("data", ["synth", "noisy"])
+    def test_mart_fits_the_decisive_knockouts(self, monkeypatch, synth_rows,
+                                              config, data):
+        rows = rows_of(data, synth_rows)
+        decisive = baseline_history(rows, config)["decisive"]
+        calls = self.count_fits(monkeypatch, "train_mart", train_mart)
+        run_ablation(rows, config, SPLIT, CUTOFF)
+        assert len(calls) == 1 + len(decisive)
+
+    def test_coordinate_ascent_fits_every_knockout(self, monkeypatch,
+                                                   synth_rows):
+        calls = self.count_fits(monkeypatch, "train_coordinate_ascent",
+                                train_coordinate_ascent)
+        run_ablation(synth_rows, CAConfig(metric="p5", restarts=1,
+                                          max_sweeps=2, seed=5),
+                     SPLIT, CUTOFF)
+        assert len(calls) == 1 + N_FEATURES
 
 
 def test_write_ablation_freezes_the_layout(tmp_path):

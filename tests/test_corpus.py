@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from venuerec.corpus import (
     DEFAULT_SCHEMA,
     ContextSchema,
     Qrels,
+    _has_space,
     load_contexts,
     load_profiles,
     load_qrels,
@@ -383,3 +385,12 @@ class TestIdFields:
         write_text_vectors([(key, [0.0]) for key in keys], d / "keys.txt")
         assert [key for _, key, _ in read_text_vectors(d / "keys.txt")] \
             == keys
+
+
+def test_whitespace_check_agrees_with_isspace_on_every_code_point():
+    """`str.split` splits on exactly the `str.isspace` characters, alone
+    or inside an id."""
+    texts = (text for code in range(sys.maxunicode + 1)
+             for text in (chr(code), "v%c1" % code))
+    assert [text for text in texts
+            if _has_space(text) != any(c.isspace() for c in text)] == []

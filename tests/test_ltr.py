@@ -36,7 +36,8 @@ from venuerec.ltr import (
     train_coordinate_ascent,
     train_mart,
 )
-from venuerec.ltr.mart import _tree_outputs
+from venuerec import _kernels
+from venuerec.ltr.mart import _best_candidate, _leaders, _tree_outputs
 
 CUTOFF = SETTINGS["cutoff"].default
 
@@ -580,6 +581,92 @@ class TestPresortedSplitSearch:
         order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
         assert fit_tree(X, resid, max_leaves, min_leaf, order) == \
             fit_tree(X, resid, max_leaves, min_leaf, presort(X))
+
+
+def choose(monkeypatch, gains):
+    """The split feature and the decisive set of one node whose search
+    gives feature j the gain ``gains[j]``, or no cut when that is None."""
+    k = len(gains)
+    cuts = np.array([0 if g is None else 1 for g in gains], dtype=np.intp)
+    values = np.array([0.0 if g is None else g for g in gains])
+    monkeypatch.setattr(_kernels, "best_split",
+                        lambda X, order, targets, min_leaf: (values, cuts))
+    X = np.array([[0.0] * k, [1.0] * k])
+    decisive = set()
+    cand = _best_candidate(X, np.zeros(2), presort(X), 1, decisive)
+    return (None if cand is None else cand[1]), decisive
+
+
+class TestDecisiveFeatures:
+    """A feature is decisive when knocking it out changes the split
+    choice at some node the fit searched."""
+
+    def test_a_near_tie_chain_makes_an_unchosen_feature_decisive(
+            self, monkeypatch):
+        gains = [1.0, 1.0 + 1.5e-12, 1.0 + 2.2e-12, 1.0 + 3e-12]
+        assert _leaders(gains, [0, 1, 2, 3]) == [0, 1, 3]
+        # without feature 1, feature 2 leads by more than 1e-12 and 3
+        # no longer does
+        assert _leaders(gains, [0, 1, 2, 3], 1) == [0, 2]
+        assert _leaders(gains, [0, 1, 2, 3], 0) == [1, 3]
+        assert choose(monkeypatch, gains) == (3, {1, 3})
+
+    def test_a_nan_gain_holds_the_lead_it_takes(self, monkeypatch):
+        nan = float("nan")
+        # NaN never takes the lead from a number, but once first it
+        # keeps it: knocking out feature 0 hands the choice to the NaN
+        assert choose(monkeypatch, [1.0, nan, 2.0]) == (2, {0, 2})
+        assert choose(monkeypatch, [nan, 2.0, 1.0]) == (0, {0})
+
+    def test_a_node_without_a_candidate_adds_nothing(self, monkeypatch):
+        assert choose(monkeypatch, [None, None, None]) == (None, set())
+        assert choose(monkeypatch, [None, 2.0, None]) == (1, {1})
+
+    def test_constant_columns_give_no_candidate(self):
+        X = np.ones((4, 2))
+        decisive = set()
+        tree = fit_tree(X, np.array([0.0, 1.0, 0.0, 1.0]), max_leaves=4,
+                        min_leaf=1, order=presort(X), decisive=decisive)
+        assert tree.feature == (-1,)
+        assert decisive == set()
+
+    def test_a_split_past_the_kept_prefix_is_decisive(self):
+        # Feature 0 flags the relevant rows, feature 1 the grade-2 one
+        # among them.  The first tree splits on feature 0 and already
+        # ranks every topic perfectly; the second splits on feature 1,
+        # brings no gain in P@5 and is cut away by patience.
+        plan = {}
+        for t in range(3):
+            plan["t%d" % t] = [
+                ("v%d" % c, label, pad(float(label > 0), float(label == 2)))
+                for c, label in enumerate((2, 1, 1, 0, 0, 0, 0, 0))]
+        blocks = TopicBlocks(make_rows(plan), CUTOFF)
+        model = train_mart(blocks, blocks, MARTConfig(
+            n_trees=5, shrinkage=1.0, max_leaves=2, patience=1))
+        assert len(model.history["valid_metric"]) == 2
+        assert [tree.feature[0] for tree in model.trees] == [0]
+        assert model.history["decisive"] == (0, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_knockout_outside_the_set_fits_the_same_trees(self, seed):
+        rng = random.Random(seed)
+        rows = make_rows({"t%d" % t: [
+            ("v%02d" % c, rng.choice([0, 0, 1, 2]),
+             pad(*(round(rng.random(), 1) for _ in range(6))))
+            for c in range(12)] for t in range(6)})
+        train, valid = split_train_validation(rows, 0.6, seed)
+        train, valid = TopicBlocks(train, CUTOFF), TopicBlocks(valid, CUTOFF)
+        config = MARTConfig(n_trees=12, max_leaves=4, patience=3, seed=seed)
+        model = train_mart(train, valid, config)
+        decisive = model.history["decisive"]
+        assert 0 < len(decisive) < 6
+        for j in range(N_FEATURES):
+            if j not in decisive:
+                knocked = train_mart(train.without_feature(j),
+                                     valid.without_feature(j), config)
+                assert knocked == model
+                for key in ("train_mse", "valid_metric", "kept_trees"):
+                    assert knocked.history[key] == model.history[key]
 
 
 class TestMart:
