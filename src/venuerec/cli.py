@@ -5,7 +5,9 @@ caches, extract the feature table, train a ranker, produce and score run
 files, and knock features out one at a time.  `pipeline` chains the
 first five steps over one output directory: it loads the corpus once
 and hands the loaded objects from step to step, so the files it writes
-along the way, model.json included, are outputs only.
+along the way, model.json included, are outputs only.  Only the venue
+and context vectors read the embeddings, so they are built first and
+the store is freed before the profiles, contexts and qrels load.
 
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file, then command line flags.  Whatever wins is
@@ -217,16 +219,11 @@ def _format_value(value):
 
 
 def write_config_used(cfg, out_dir):
-    path = os.path.join(out_dir, "config.used")
-    with open(path, "w", encoding="utf-8") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.used"), "w",
+              encoding="utf-8") as fh:
         for key in sorted(cfg):
             fh.write("%s = %s\n" % (key, _format_value(cfg[key])))
-    return path
-
-
-def _prepare_out_dir(out_dir, cfg):
-    os.makedirs(out_dir, exist_ok=True)
-    write_config_used(cfg, out_dir)
 
 
 def _out(out_dir, name):
@@ -239,26 +236,21 @@ def _out(out_dir, name):
 # wrappers further down load those objects from files.
 # ---------------------------------------------------------------------------
 
-def build_profiles_step(cfg, store, venues, profiles, out_dir):
+def build_profiles_step(cfg, embedded, profiles, out_dir):
     """Write the three vector caches; returns the ModelSet they hold."""
+    terms, dimension, venue_vectors, context_vectors = embedded
     log.info("loaded %d terms, %d venues, %d users",
-             len(store.terms), len(venues), len(profiles))
-
-    venue_vectors = build_venue_vectors(store, venues)
-    user_vectors = {}
-    for profile in profiles:
-        user_vectors[profile.user_id] = user_profile_vectors(
-            store, venue_vectors, profile,
-            pos_threshold=cfg["pos_threshold"],
-            neg_threshold=cfg["neg_threshold"],
-            shifted_negative=cfg["shifted_negative"])
+             terms, len(venue_vectors), len(profiles))
+    user_vectors = {p.user_id: user_profile_vectors(
+        dimension, venue_vectors, p, pos_threshold=cfg["pos_threshold"],
+        neg_threshold=cfg["neg_threshold"],
+        shifted_negative=cfg["shifted_negative"]) for p in profiles}
     dangling = [sum(venue_id not in venue_vectors for venue_id, _ in p.ratings)
                 for p in profiles]
     if any(dangling):
         log.warning("%d ratings by %d users name venues not present in the "
                     "venue corpus (skipped)", sum(dangling),
                     sum(1 for n in dangling if n))
-    context_vectors = build_context_vectors(store, k=cfg["k"])
 
     save_venue_vectors(venue_vectors, _out(out_dir, "venue_vectors.txt"))
     save_user_vectors(user_vectors, _out(out_dir, "user_vectors.txt"))
@@ -473,9 +465,18 @@ def _load_topics(args, venues, profiles):
     return venues_by_id, pairs, qrels
 
 
-def _cmd_build_profiles(cfg, args):
+def _embed_corpus(cfg, args):
+    """The venues, and (term count, dimension, venue vectors, context
+    vectors): all that is read of the store, which dies on return."""
     store = load_embeddings(args.embeddings, format=cfg["embedding_format"])
-    build_profiles_step(cfg, store, load_venues(args.venues),
+    venues = load_venues(args.venues)
+    return venues, (len(store.terms), store.dimension,
+                    build_venue_vectors(store, venues),
+                    build_context_vectors(store, k=cfg["k"]))
+
+
+def _cmd_build_profiles(cfg, args):
+    build_profiles_step(cfg, _embed_corpus(cfg, args)[1],
                         _load_profiles(cfg, args.profiles), args.out_dir)
 
 
@@ -511,16 +512,14 @@ def _cmd_ablate(cfg, args):
 
 
 def _cmd_pipeline(cfg, args):
-    """The five steps on a corpus loaded once, passed on in memory."""
+    """The five steps on a corpus loaded once, passed on in memory; the
+    embedding store, the largest input, is freed before the rest of the
+    corpus loads, so it is not held at the peak RSS."""
     out_dir = args.out_dir
-    store = load_embeddings(args.embeddings, format=cfg["embedding_format"])
-    venues = load_venues(args.venues)
+    venues, embedded = _embed_corpus(cfg, args)
     profiles = _load_profiles(cfg, args.profiles)
     venues_by_id, pairs, qrels = _load_topics(args, venues, profiles)
-    models = build_profiles_step(cfg, store, venues, profiles, out_dir)
-    # the embedding matrix is the largest input and no later step needs
-    # it; held on, it would raise the peak RSS of training
-    del store
+    models = build_profiles_step(cfg, embedded, profiles, out_dir)
     table = extract_step(venues_by_id, pairs, qrels, models, out_dir)
     model = train_step(cfg, table, out_dir)
     run = rank_step(cfg, table, model, _out(out_dir, "model.json"), out_dir)
@@ -546,7 +545,7 @@ def main(argv=None):
                         format="%(levelname)s: %(message)s")
     try:
         cfg = resolve_config(args)
-        _prepare_out_dir(args.out_dir, cfg)
+        write_config_used(cfg, args.out_dir)
         _COMMANDS[args.command](cfg, args)
     except (VenuerecError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

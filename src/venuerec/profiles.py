@@ -81,7 +81,7 @@ def build_venue_vectors(store, venues):
     return {v.id: venue_vector(store, v) for v in venues}
 
 
-def user_profile_vectors(store, venue_vectors, profile, pos_threshold,
+def user_profile_vectors(dimension, venue_vectors, profile, pos_threshold,
                          neg_threshold, shifted_negative):
     """Rating-weighted sums over the user's positive and negative venues.
 
@@ -93,8 +93,8 @@ def user_profile_vectors(store, venue_vectors, profile, pos_threshold,
     """
     if neg_threshold >= pos_threshold:
         raise ValueError("neg_threshold must be below pos_threshold")
-    pos = np.zeros(store.dimension, dtype=np.float64)
-    neg = np.zeros(store.dimension, dtype=np.float64)
+    pos = np.zeros(dimension, dtype=np.float64)
+    neg = np.zeros(dimension, dtype=np.float64)
     for venue_id, rating in profile.ratings:
         vv = venue_vectors.get(venue_id)
         if vv is None:

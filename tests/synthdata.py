@@ -257,7 +257,7 @@ def feature_rows(paths, scale=1.0):
     models = ModelSet(
         venue_vectors=venue_vectors,
         user_profiles={p.user_id: user_profile_vectors(
-            store, venue_vectors, p, cfg["pos_threshold"],
+            store.dimension, venue_vectors, p, cfg["pos_threshold"],
             cfg["neg_threshold"], cfg["shifted_negative"])
             for p in profiles},
         context_vectors=build_context_vectors(store, cfg["k"]))

@@ -179,7 +179,7 @@ def test_a02_vector_equations_match_brute_force():
                                   ratings=ratings)
             impl_vv = {vid: venue_vector(store, v)
                        for vid, v in venues.items()}
-            up = user_profile_vectors(store, impl_vv, profile,
+            up = user_profile_vectors(store.dimension, impl_vv, profile,
                                       default("pos_threshold"),
                                       default("neg_threshold"),
                                       default("shifted_negative"))

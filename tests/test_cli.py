@@ -4,11 +4,13 @@ import argparse
 import json
 import logging
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 import synthdata
+import venuerec.cli
 from venuerec.cli import build_parser, main
 from venuerec.embeddings import EmbeddingStore
 from writers import save_embeddings
@@ -145,6 +147,45 @@ class TestBuildProfiles:
         assert [r.getMessage() for r in caplog.records] == [
             "5 ratings by 3 users name venues not present in the venue "
             "corpus (skipped)"]
+
+
+class TestEmbeddingLifetime:
+    """Only the venue and context vectors read the embedding store, so
+    it is freed before the profiles, contexts and qrels load."""
+
+    @pytest.mark.parametrize("command, loaders", [
+        ("pipeline", ("load_profiles", "load_contexts", "load_qrels")),
+        ("build-profiles", ("load_profiles",)),
+    ])
+    def test_store_is_freed_before_the_later_loads(
+            self, corpus, tmp_path, monkeypatch, command, loaders):
+        matrices = []
+        load_embeddings = venuerec.cli.load_embeddings
+
+        def tracked_load_embeddings(*args, **kwargs):
+            store = load_embeddings(*args, **kwargs)
+            matrices.append(weakref.ref(store._matrix))
+            return store
+        monkeypatch.setattr(venuerec.cli, "load_embeddings",
+                            tracked_load_embeddings)
+        alive_at = {}
+
+        def checked(name, loader):
+            def load(*args, **kwargs):
+                alive_at[name] = [ref() is not None for ref in matrices]
+                return loader(*args, **kwargs)
+            return load
+        for name in loaders:
+            monkeypatch.setattr(venuerec.cli, name,
+                                checked(name, getattr(venuerec.cli, name)))
+        argv = pipeline_argv(corpus, tmp_path)
+        if command == "build-profiles":
+            argv = ["build-profiles", "--out-dir", str(tmp_path),
+                    "--embeddings", corpus["embeddings"],
+                    "--venues", corpus["venues"],
+                    "--profiles", corpus["profiles"]]
+        assert main(argv) == 0
+        assert alive_at == {name: [False] for name in loaders}
 
 
 class TestEval:
@@ -505,6 +546,28 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             "error: %s: line 2: squared norm of term 'b' overflows a float\n"
             % embeddings)
+        assert os.listdir(out) == ["config.used"]
+
+    @pytest.mark.parametrize("kind, broken", [
+        ("profiles", '{"user_id": "u9", "gender": \n'),
+        ("contexts", '{"topic_id": [\n'),
+        ("qrels", "t1 0 v1\n"),
+    ])
+    def test_bad_later_input_exits_2_before_any_cache(
+            self, corpus, tmp_path, capsys, kind, broken):
+        # the vectors are built before these files load, and written
+        # only once every input has loaded
+        with open(corpus[kind], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[1] = broken
+        path = tmp_path / os.path.basename(corpus[kind])
+        path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(pipeline_argv(dict(corpus, **{kind: str(path)}),
+                                  out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: line 2: " % path), err
+        assert err.count("\n") == 1
         assert os.listdir(out) == ["config.used"]
 
     def extract_on_caches(self, corpus, pipeline_dir, out_dir, name, edit):

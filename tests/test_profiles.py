@@ -113,27 +113,28 @@ class TestUserProfileVectors:
     def test_hand_expanded_split(self, ab_store):
         vv = self.make_vv({"A": [1.0, 0.0], "B": [0.0, 1.0]})
         prof = UserProfile("u1", "male", (("A", 4), ("B", 1)))
-        got = user_profile_vectors(ab_store, vv, prof, pos_threshold=4,
-                                   neg_threshold=2, shifted_negative=False)
+        got = user_profile_vectors(ab_store.dimension, vv, prof,
+                                   pos_threshold=4, neg_threshold=2,
+                                   shifted_negative=False)
         np.testing.assert_array_equal(got.positive, [4.0, 0.0])
         np.testing.assert_array_equal(got.negative, [0.0, 1.0])
 
     def test_empty_profile_zero(self, ab_store):
-        got = user_profile_vectors(ab_store, {}, UserProfile("u", "male", ()),
-                                   **DEFAULTS)
+        got = user_profile_vectors(ab_store.dimension, {},
+                                   UserProfile("u", "male", ()), **DEFAULTS)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
         np.testing.assert_array_equal(got.negative, [0.0, 0.0])
 
     def test_zero_rating_annihilates_negative(self, ab_store):
         vv = self.make_vv({"A": [5.0, 5.0]})
         prof = UserProfile("u", "male", (("A", 0),))
-        got = user_profile_vectors(ab_store, vv, prof, **DEFAULTS)
+        got = user_profile_vectors(ab_store.dimension, vv, prof, **DEFAULTS)
         np.testing.assert_array_equal(got.negative, [0.0, 0.0])
 
     def test_shifted_negative_keeps_zero_rated(self, ab_store):
         vv = self.make_vv({"A": [5.0, 5.0]})
         prof = UserProfile("u", "male", (("A", 0),))
-        got = user_profile_vectors(ab_store, vv, prof,
+        got = user_profile_vectors(ab_store.dimension, vv, prof,
                                    **dict(DEFAULTS, shifted_negative=True))
         np.testing.assert_array_equal(got.negative, [5.0, 5.0])
 
@@ -141,8 +142,9 @@ class TestUserProfileVectors:
         # pos>=4, neg<=2 leaves rating 3 in neither profile
         vv = self.make_vv({"A": [1.0, 1.0]})
         prof = UserProfile("u", "male", (("A", 3),))
-        got = user_profile_vectors(ab_store, vv, prof, pos_threshold=4,
-                                   neg_threshold=2, shifted_negative=False)
+        got = user_profile_vectors(ab_store.dimension, vv, prof,
+                                   pos_threshold=4, neg_threshold=2,
+                                   shifted_negative=False)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
         np.testing.assert_array_equal(got.negative, [0.0, 0.0])
 
@@ -152,7 +154,7 @@ class TestUserProfileVectors:
         vv = self.make_vv({"A": [1.0, 0.0], "B": [1.0, 0.0],
                            "C": [0.0, 1.0]})
         prof = UserProfile("u", "male", (("A", 4), ("B", 3), ("C", 2)))
-        got = user_profile_vectors(ab_store, vv, prof, **DEFAULTS)
+        got = user_profile_vectors(ab_store.dimension, vv, prof, **DEFAULTS)
         np.testing.assert_array_equal(got.positive, [4.0, 0.0])
         np.testing.assert_array_equal(got.negative, [3.0, 2.0])
 
@@ -161,15 +163,17 @@ class TestUserProfileVectors:
         import logging
         prof = UserProfile("u", "male", (("ghost", 4),))
         with caplog.at_level(logging.WARNING, logger="venuerec.profiles"):
-            got = user_profile_vectors(ab_store, {}, prof, **DEFAULTS)
+            got = user_profile_vectors(ab_store.dimension, {}, prof,
+                                       **DEFAULTS)
         np.testing.assert_array_equal(got.positive, [0.0, 0.0])
         assert not caplog.records
 
     def test_threshold_order_enforced(self, ab_store):
         prof = UserProfile("u", "male", ())
         with pytest.raises(ValueError):
-            user_profile_vectors(ab_store, {}, prof, pos_threshold=2,
-                                 neg_threshold=3, shifted_negative=False)
+            user_profile_vectors(ab_store.dimension, {}, prof,
+                                 pos_threshold=2, neg_threshold=3,
+                                 shifted_negative=False)
 
 
 TWO_SEASONS = ContextSchema(aspects=(("season", ("spring", "summer")),))
@@ -333,7 +337,8 @@ class TestBruteForceAgreement:
             prof = UserProfile("u", "male", ratings)
             from venuerec.profiles import VenueVector
             up = user_profile_vectors(
-                store, {k: VenueVector(k, v) for k, v in venue_vecs.items()},
+                store.dimension,
+                {k: VenueVector(k, v) for k, v in venue_vecs.items()},
                 prof, **DEFAULTS)
             bp, bn = brute_user_vectors(
                 {k: list(v) for k, v in venue_vecs.items()}, ratings, 4, 4, 3)
@@ -375,7 +380,8 @@ class TestCaches:
         from venuerec.profiles import VenueVector
         vvs = {"A": VenueVector("A", np.array([1.0, 0.5]))}
         prof = UserProfile("u1", "female", (("A", 4),))
-        ups = {"u1": user_profile_vectors(ab_store, vvs, prof, **DEFAULTS)}
+        ups = {"u1": user_profile_vectors(ab_store.dimension, vvs, prof,
+                                          **DEFAULTS)}
         p = tmp_path / "user_vectors.txt"
         save_user_vectors(ups, p)
         back = load_user_vectors(p)

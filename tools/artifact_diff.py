@@ -15,12 +15,17 @@ its own ``src/``, so a change to the code that writes them shows too:
   and separates its columns by tabs, which the text reader cannot take
   through its numpy path and parses line by line instead.  This tool
   makes the copy, the same way on both sides;
+* a copy of the planted corpus whose ``profiles.jsonl`` has its second
+  line cut in half, made the same way, so a command that fails on a bad
+  input is compared too: its exit code, its error line and the files it
+  leaves behind;
 * the ``ablate-mart`` features file of ``perfbench/gen.py``, seed 1,
   with CRLF line ends, which the features reader cannot take through
   its regular expression and parses line by line instead.
 
 On each of the first two corpora, each side runs:
 
+* ``build-profiles``, on its own;
 * ``pipeline`` with the MART defaults, with ``--learner ca --normalize``
   and with ``--metric mrr``;
 * ``ablate`` with CA and with MART (the ``ablate-ca`` and
@@ -30,7 +35,7 @@ On each of the first two corpora, each side runs:
 On the planted corpus, each side also runs ``pipeline --learner ca
 --normalize`` at ``--seed 4294967301``, a seed of two 32-bit words, so
 the seeded split and coordinate ascent's restart draws are compared for
-a seed past one word.  On the copy, each side runs ``pipeline`` with
+a seed past one word.  On each copy, each side runs ``pipeline`` with
 the MART defaults, and on the CRLF features file ``ablate`` with the
 ``ablate-mart`` settings.
 
@@ -64,6 +69,8 @@ CORPORA = (("gen1", 1), ("synth", 42))
 TWO_WORD_SEED = ("synth", 4294967301)
 # (copy, corpus it copies, seed): the headerless, tab-separated copy
 LINE_PARSED = ("synth-tab", "synth", 42)
+# (copy, corpus it copies, seed): the copy with a broken profiles line
+BAD_PROFILES = ("synth-bad-profiles", "synth", 42)
 # (name, workload, seed): the CRLF features file and the ablation run on it
 CRLF_FEATURES = ("crlf", "ablate-mart", 1)
 IN_DIR = "inputs"
@@ -113,6 +120,14 @@ def make_inputs(root, side_dir):
     with open(os.path.join(in_dir, copy, "embeddings.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(row.replace(" ", "\t") for row in rows)
+    copy, original, _ = BAD_PROFILES
+    shutil.copytree(os.path.join(in_dir, original), os.path.join(in_dir, copy))
+    profiles = os.path.join(in_dir, copy, "profiles.jsonl")
+    with open(profiles, encoding="utf-8") as fh:
+        rows = fh.readlines()
+    rows[1] = rows[1][:len(rows[1]) // 2] + "\n"
+    with open(profiles, "w", encoding="utf-8") as fh:
+        fh.writelines(rows)
     name, workload, seed = CRLF_FEATURES
     crlf_dir = os.path.join(in_dir, name)
     os.makedirs(crlf_dir)
@@ -136,16 +151,19 @@ def commands():
     every path is relative to a side's directory.  Each corpus's
     pipelines come before its ablations, which read the default
     pipeline's features."""
-    def pipeline(corpus, seed, name, flags):
-        argv = ["pipeline", "--seed", str(seed), *flags]
-        for key, ext in INPUTS:
+    def on_corpus(corpus, seed, name, flags, command="pipeline",
+                  inputs=INPUTS):
+        argv = [command, "--seed", str(seed), *flags]
+        for key, ext in inputs:
             argv += ["--" + key, "%s/%s/%s%s" % (IN_DIR, corpus, key, ext)]
         return "%s/%s" % (corpus, name), argv
 
     out = []
     for corpus, seed in CORPORA:
+        out.append(on_corpus(corpus, seed, "build-profiles", (),
+                             "build-profiles", INPUTS[:3]))
         for name, flags in PIPELINES:
-            out.append(pipeline(corpus, seed, name, flags))
+            out.append(on_corpus(corpus, seed, name, flags))
         for name in ABLATIONS:
             out.append(("%s/%s" % (corpus, name),
                         ["ablate", "--seed", str(seed), "--config",
@@ -153,9 +171,9 @@ def commands():
                          "--features", "%s/pipeline/features.txt" % corpus]))
     corpus, seed = TWO_WORD_SEED
     name, flags = PIPELINES[1]
-    out.append(pipeline(corpus, seed, "%s-seed%d" % (name, seed), flags))
-    copy, _, seed = LINE_PARSED
-    out.append(pipeline(copy, seed, *PIPELINES[0]))
+    out.append(on_corpus(corpus, seed, "%s-seed%d" % (name, seed), flags))
+    for copy, _, seed in (LINE_PARSED, BAD_PROFILES):
+        out.append(on_corpus(copy, seed, *PIPELINES[0]))
     name, workload, seed = CRLF_FEATURES
     out.append(("%s/%s" % (name, workload),
                 ["ablate", "--seed", str(seed), "--config",
