@@ -361,8 +361,8 @@ def eval_step(cfg, run, qrels, compare, out_dir):
 
 
 def ablate_step(cfg, table, out_dir):
-    report = run_ablation(_table_for_learning(cfg, table),
-                          _learner_config(cfg), cfg["split_fraction"],
+    """Write ablation.tsv for `table`, normalized already if `cfg` asks."""
+    report = run_ablation(table, _learner_config(cfg), cfg["split_fraction"],
                           cfg["cutoff"])
     path = _out(out_dir, "ablation.tsv")
     write_ablation(report, path)
@@ -508,7 +508,10 @@ def _cmd_eval(cfg, args):
 
 
 def _cmd_ablate(cfg, args):
-    ablate_step(cfg, read_features(args.features), args.out_dir)
+    # normalized before the step, so no frame holds the table as read
+    # through the study
+    ablate_step(cfg, _table_for_learning(cfg, read_features(args.features)),
+                args.out_dir)
 
 
 def _cmd_pipeline(cfg, args):

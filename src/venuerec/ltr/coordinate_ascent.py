@@ -1,9 +1,11 @@
 """Coordinate ascent over linear feature weights.
 
 Greedy per-coordinate line search on the training ranking metric, with
-random restarts.  Weights are L1-normalized after every sweep, which
-leaves the ranking (and so the metric) unchanged but keeps magnitudes
-comparable across restarts.
+random restarts.  One `TopicBlocks.metric` call scores every step of a
+coordinate's line search, each step the float its own call would give.
+Weights are L1-normalized after every sweep, which leaves the ranking
+(and so the metric) unchanged but keeps magnitudes comparable across
+restarts.
 """
 
 import dataclasses
@@ -73,8 +75,8 @@ def _ascend(blocks, w, config, deltas):
                 continue
             best_metric = cur
             best_delta = 0.0
-            for delta in deltas:
-                m = blocks.metric(scores + delta * col, config.metric)
+            line = blocks.metric(scores, config.metric, col, deltas)
+            for delta, m in zip(deltas, line):
                 if m > best_metric + _EPS:
                     best_metric = m
                     best_delta = delta

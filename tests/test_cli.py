@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import synthdata
+import venuerec.ablation
 import venuerec.cli
 from venuerec.cli import build_parser, main
 from venuerec.embeddings import EmbeddingStore
@@ -401,6 +402,30 @@ class TestAblateCommand:
         assert "# baseline\tp5\t1.000000\n" in table
         assert "uv_pos\t-40.000000\n" in table
         assert "cv_season\t-10.000000\n" in table
+
+    def test_table_as_read_is_freed_before_the_first_fit(
+            self, pipeline_dir, tmp_path, monkeypatch):
+        # with normalize on, only the normalized table is learned from
+        matrices = []
+        read_features = venuerec.cli.read_features
+
+        def tracked_read_features(*args, **kwargs):
+            table = read_features(*args, **kwargs)
+            matrices.append(weakref.ref(table.X))
+            return table
+        monkeypatch.setattr(venuerec.cli, "read_features",
+                            tracked_read_features)
+        alive_at_fit = []
+        fit = venuerec.ablation._fit
+
+        def checked_fit(*args, **kwargs):
+            alive_at_fit.append([ref() is not None for ref in matrices])
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(venuerec.ablation, "_fit", checked_fit)
+        assert main(["ablate", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--learner", "ca", "--normalize",
+                     "--features", str(pipeline_dir / "features.txt")]) == 0
+        assert alive_at_fit[0] == [False]
 
     @pytest.mark.parametrize("cutoff, p5", [(1, "0.600000"),
                                             (2, "0.200000")])

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from venuerec.ltr import (
     train_mart,
 )
 from venuerec import _kernels
+from venuerec.ltr import coordinate_ascent
+from venuerec.ltr import data as ltr_data
 from venuerec.ltr.mart import _best_candidate, _leaders, _tree_outputs
 
 CUTOFF = SETTINGS["cutoff"].default
@@ -260,50 +263,61 @@ def seven_rows(relevant):
                              for c in range(7)]})
 
 
+# Score vectors that put ties, signed zeros, NaN and infinities at the
+# cut, and topics narrower than k, with no topic to include or several.
+METRIC_CASES = (
+    (NO_ROWS, np.zeros(0)),
+    (make_rows({"t1": [("vA", 0, pad()), ("vB", 0, pad())]}), np.zeros(2)),
+    (make_rows({
+        "t1": [("vA", 0, pad()), ("vB", 1, pad())],
+        "t2": [("v%d" % c, int(c == 0), pad()) for c in range(4)]}),
+     np.array([1.0, math.nan, 0.0, 0.0, 0.0, 0.0])),
+    (make_rows({"t1": [("v%d" % c, int(c == 6), pad()) for c in range(7)]}),
+     np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])),
+    # a tie straddling places k and k+1; the later venue is relevant
+    (seven_rows(relevant=(5,)),
+     np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 0.0])),
+    # -0.0 and 0.0 on either side of the cut
+    (seven_rows(relevant=(4, 5)),
+     np.array([3.0, 2.0, 1.0, 0.5, -0.0, 0.0, -1.0])),
+    (seven_rows(relevant=(4,)),
+     np.array([3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0])),
+    # NaN scores rank last, so here two of them fall inside the top k
+    (seven_rows(relevant=(2, 4)),
+     np.array([math.nan, 1.0, math.nan, 0.5, math.nan, 0.2, math.nan])),
+    # a topic narrower than k: alone, and padded next to a wider one
+    (make_rows({"t1": [("v%d" % c, int(c == 2), pad()) for c in range(3)]}),
+     np.array([0.3, 0.2, 0.1])),
+    (make_rows({
+        "t1": [("v%d" % c, int(c == 2), pad()) for c in range(3)],
+        "t2": [("v%d" % c, int(c == 6), pad()) for c in range(8)]}),
+     np.array([0.3, 0.2, 0.1, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])),
+    # +-inf at the cut: tied across it, and alone at it
+    (seven_rows(relevant=(5,)), np.array([math.inf] * 6 + [0.0])),
+    (seven_rows(relevant=(6,)), np.array([1.0, 0.0] + [-math.inf] * 5)),
+    (seven_rows(relevant=(4,)), np.array([math.inf] * 5 + [0.0, -1.0])),
+    # for MRR, a row that ties the first relevant one and precedes it
+    (seven_rows(relevant=(1, 3)),
+     np.array([1.0, 1.0, 2.0, 0.5, 0.0, -1.0, -2.0])),
+)
+
+
+def with_cases(*lines):
+    """Each of METRIC_CASES as an example `case` of a test, paired with
+    each of `lines` as its `line` when any are given."""
+    def decorate(test):
+        for case in METRIC_CASES:
+            for fixed in [{"line": line} for line in lines] or [{}]:
+                test = example(case=case, **fixed)(test)
+        return test
+    return decorate
+
+
 class TestMetricMatchesTopicLoop:
     """The padded-matrix metric gives the very float of a per-topic loop."""
 
     @given(case=scored_topics())
-    @example(case=(NO_ROWS, np.zeros(0)))
-    @example(case=(make_rows({"t1": [("vA", 0, pad()), ("vB", 0, pad())]}),
-                   np.zeros(2)))
-    @example(case=(make_rows({
-        "t1": [("vA", 0, pad()), ("vB", 1, pad())],
-        "t2": [("v%d" % c, int(c == 0), pad()) for c in range(4)]}),
-        np.array([1.0, math.nan, 0.0, 0.0, 0.0, 0.0])))
-    @example(case=(make_rows({"t1": [("v%d" % c, int(c == 6), pad())
-                                     for c in range(7)]}),
-                   np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0])))
-    # a tie straddling places k and k+1; the later venue is relevant
-    @example(case=(seven_rows(relevant=(5,)),
-                   np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 0.0])))
-    # -0.0 and 0.0 on either side of the cut
-    @example(case=(seven_rows(relevant=(4, 5)),
-                   np.array([3.0, 2.0, 1.0, 0.5, -0.0, 0.0, -1.0])))
-    @example(case=(seven_rows(relevant=(4,)),
-                   np.array([3.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1.0])))
-    # NaN scores rank last, so here two of them fall inside the top k
-    @example(case=(seven_rows(relevant=(2, 4)),
-                   np.array([math.nan, 1.0, math.nan, 0.5, math.nan, 0.2,
-                             math.nan])))
-    # a topic narrower than k: alone, and padded next to a wider one
-    @example(case=(make_rows({"t1": [("v%d" % c, int(c == 2), pad())
-                                     for c in range(3)]}),
-                   np.array([0.3, 0.2, 0.1])))
-    @example(case=(make_rows({
-        "t1": [("v%d" % c, int(c == 2), pad()) for c in range(3)],
-        "t2": [("v%d" % c, int(c == 6), pad()) for c in range(8)]}),
-        np.array([0.3, 0.2, 0.1, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])))
-    # +-inf at the cut: tied across it, and alone at it
-    @example(case=(seven_rows(relevant=(5,)),
-                   np.array([math.inf] * 6 + [0.0])))
-    @example(case=(seven_rows(relevant=(6,)),
-                   np.array([1.0, 0.0] + [-math.inf] * 5)))
-    @example(case=(seven_rows(relevant=(4,)),
-                   np.array([math.inf] * 5 + [0.0, -1.0])))
-    # for MRR, a row that ties the first relevant one and precedes it
-    @example(case=(seven_rows(relevant=(1, 3)),
-                   np.array([1.0, 1.0, 2.0, 0.5, 0.0, -1.0, -2.0])))
+    @with_cases()
     @settings(max_examples=300, deadline=None)
     def test_equals_loop(self, case):
         rows, scores = case
@@ -331,8 +345,13 @@ class TestMetricMatchesTopicLoop:
         monkeypatch.setattr(np, "argsort", argsort)
         for metric in ("p5", "mrr"):
             assert blocks.metric(tie_free, metric) == want[metric]
+            # steps that scale the scores keep their order
+            assert (blocks.metric(tie_free, metric, tie_free, (0.5, -0.5))
+                    == [want[metric]] * 2)
         with pytest.raises(ArgsortCalled):
             blocks.metric(tied, "p5")
+        with pytest.raises(ArgsortCalled):
+            blocks.metric(tied, "p5", np.zeros(len(tied)), (1.0,))
 
     def test_many_topics_add_in_topic_order(self):
         # Enough topics that a pairwise sum would round differently.
@@ -350,20 +369,112 @@ class TestMetricMatchesTopicLoop:
                         == loop_metric(blocks, scores, metric))
 
 
+# steps of both signs, as coordinate ascent takes them, and any others
+STEPS = st.one_of(st.sampled_from([0.05, -0.05, 0.4, -0.4, 1.6, -1.6]),
+                  st.floats(-1e6, 1e6))
+
+
+@st.composite
+def lines(draw):
+    """A line search: a column pattern repeated over the rows, its steps,
+    and the keys one block of steps may hold (`_LINE_CELLS`)."""
+    pattern = draw(st.lists(SCORES, min_size=1, max_size=60))
+    steps = draw(st.lists(STEPS, min_size=1, max_size=13))
+    return pattern, steps, draw(st.integers(1, 2000))
+
+
+class TestLineSearch:
+    """One call scores every step of a line search, each the very float
+    of a call per step and of a per-topic loop."""
+
+    @given(case=scored_topics(), line=lines())
+    # a zero column keeps each case's ties at every step; blocks of 1-2
+    # steps leave a short last block
+    @with_cases(((0.0,), (0.05, -0.05, 0.1, -0.1, 0.2), 15),
+                ((1.0, -0.5, 0.0, 2.0), (0.05, -0.05, 0.4, -0.4, 1.6), 7))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_call_per_step(self, case, line):
+        rows, scores = case
+        pattern, steps, cells = line
+        col = np.resize(np.asarray(pattern, dtype=np.float64), len(scores))
+        blocks = TopicBlocks(rows, CUTOFF)
+        with (np.errstate(all="ignore"),
+              mock.patch.object(ltr_data, "_LINE_CELLS", cells)):
+            for metric in ("p5", "mrr"):
+                per_step = [blocks.metric(scores + d * col, metric)
+                            for d in steps]
+                assert (repr(blocks.metric(scores, metric, col, steps))
+                        == repr(per_step))
+                assert repr(per_step) == repr(
+                    [float(loop_metric(blocks, scores + d * col, metric))
+                     for d in steps])
+
+
+def per_step_ascend(blocks, w, config, deltas):
+    """`coordinate_ascent._ascend` with one `metric` call per step."""
+    scores = blocks.X @ w
+    cur = blocks.metric(scores, config.metric)
+    for _ in range(config.max_sweeps):
+        swept_gain = False
+        for j in range(w.shape[0]):
+            col = blocks.X[:, j]
+            if not col.any():
+                continue
+            best_metric = cur
+            best_delta = 0.0
+            for delta in deltas:
+                m = blocks.metric(scores + delta * col, config.metric)
+                if m > best_metric + coordinate_ascent._EPS:
+                    best_metric = m
+                    best_delta = delta
+            if best_delta != 0.0:
+                w[j] += best_delta
+                scores += best_delta * col
+                cur = best_metric
+                swept_gain = True
+        if not swept_gain:
+            break
+        w[:] = coordinate_ascent._normalize(w)
+        scores = blocks.X @ w
+        cur = blocks.metric(scores, config.metric)
+    return cur
+
+
 class TestCoordinateAscent:
+    @pytest.mark.parametrize("metric", ["p5", "mrr"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_one_metric_call_per_step(self, monkeypatch, metric,
+                                             seed):
+        # ragged topics, and columns with ties, zeros and noise
+        rng = random.Random(seed)
+        plan = {"t%02d" % t: [
+            ("v%02d" % c, rng.choice([0, 0, 0, 1, 2]),
+             pad(*(rng.choice([0.0, 0.5, 1.0, rng.random()])
+                   for _ in range(4))))
+            for c in range(rng.randint(3, 40))] for t in range(12)}
+        train, valid = (TopicBlocks(side, CUTOFF) for side in
+                        split_train_validation(make_rows(plan), 0.67, seed))
+        config = CAConfig(metric=metric, restarts=3, max_sweeps=4, seed=seed)
+        model = train_coordinate_ascent(train, valid, config)
+        monkeypatch.setattr(coordinate_ascent, "_ascend", per_step_ascend)
+        assert repr(train_coordinate_ascent(train, valid, config)) == repr(
+            model)
+
     def test_zero_columns_are_not_line_searched(self, monkeypatch):
         # two live columns; the other 11 are zero
         blocks = TopicBlocks(separable_rows(), CUTOFF)
-        calls = []
+        scored = []
         metric = TopicBlocks.metric
-        monkeypatch.setattr(TopicBlocks, "metric",
-                            lambda self, scores, name: calls.append(1)
-                            or metric(self, scores, name))
+
+        def counted(self, scores, name, col=None, steps=None):
+            scored.append(1 if steps is None else len(steps))
+            return metric(self, scores, name, col, steps)
+        monkeypatch.setattr(TopicBlocks, "metric", counted)
         config = CAConfig(restarts=1, max_sweeps=1, step_scales=3)
         train_coordinate_ascent(blocks, NO_BLOCKS, config)
         # the baseline, the start, 2 columns x 6 steps, and one rescore
         # after a sweep that gained
-        assert len(calls) - 2 - 2 * 6 in (0, 1)
+        assert sum(scored) - 2 - 2 * 6 in (0, 1)
 
     def test_separable_signal_reaches_perfect_p5(self):
         rows = separable_rows()

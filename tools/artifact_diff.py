@@ -26,8 +26,9 @@ its own ``src/``, so a change to the code that writes them shows too:
 On each of the first two corpora, each side runs:
 
 * ``build-profiles``, on its own;
-* ``pipeline`` with the MART defaults, with ``--learner ca --normalize``
-  and with ``--metric mrr``;
+* ``pipeline`` with the MART defaults, with ``--learner ca --normalize``,
+  with ``--metric mrr`` and with ``--learner ca --normalize --metric
+  mrr``, so coordinate ascent's line search runs on both metrics;
 * ``ablate`` with CA and with MART (the ``ablate-ca`` and
   ``ablate-mart`` settings of ``perfbench/run.py``), both on the
   ``features.txt`` of that side's default ``pipeline``.
@@ -60,7 +61,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PIPELINES = (("pipeline", ()),
              ("pipeline-ca-normalize", ("--learner", "ca", "--normalize")),
-             ("pipeline-mrr", ("--metric", "mrr")))
+             ("pipeline-mrr", ("--metric", "mrr")),
+             ("pipeline-ca-normalize-mrr",
+              ("--learner", "ca", "--normalize", "--metric", "mrr")))
 ABLATIONS = ("ablate-ca", "ablate-mart")
 INPUTS = (("embeddings", ".txt"), ("venues", ".jsonl"),
           ("profiles", ".jsonl"), ("contexts", ".jsonl"), ("qrels", ".txt"))
