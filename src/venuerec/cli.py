@@ -517,7 +517,8 @@ def _cmd_ablate(cfg, args):
 def _cmd_pipeline(cfg, args):
     """The five steps on a corpus loaded once, passed on in memory; the
     embedding store, the largest input, is freed before the rest of the
-    corpus loads, so it is not held at the peak RSS."""
+    corpus loads.  The peak RSS falls in build_context_vectors, with the
+    store and the venues alive."""
     out_dir = args.out_dir
     venues, embedded = _embed_corpus(cfg, args)
     profiles = _load_profiles(cfg, args.profiles)

@@ -5,6 +5,10 @@ whitespace-separated four-column judgment format.  Loaders validate
 hard (duplicate ids, illegal values, wrong types all raise with a line
 number) but treat dangling venue references as warnings: a candidate
 pointing at an unknown venue is kept, it just scores zero later.
+
+A loaded venue keeps its id, its statistics and the stemmed tokens of
+each comment.  Its name and the raw comment text are checked, then
+dropped: nothing downstream reads them.
 """
 
 import json
@@ -58,7 +62,7 @@ class ContextSchema:
 DEFAULT_SCHEMA = ContextSchema()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VenueStats:
     """Raw LBSN statistics; None marks a value missing at the source."""
 
@@ -70,16 +74,14 @@ class VenueStats:
     unique_users: int = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comment:
-    raw: str
-    tokens: tuple
+    tokens: tuple  # stemmed; the raw text is not kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Venue:
     id: str
-    name: str = ""
     stats: VenueStats = field(default_factory=VenueStats)
     comments: tuple = ()
 
@@ -277,11 +279,9 @@ def load_venues(path):
             if not isinstance(raw, str):
                 raise FormatError("field 'comments' must hold strings",
                                   path=path, line=lineno)
-            comments.append(Comment(raw=raw,
-                                    tokens=tuple(preprocess(raw))))
-        venues.append(Venue(id=vid,
-                            name=_field(obj, "name", str, path, lineno) or "",
-                            stats=stats, comments=tuple(comments)))
+            comments.append(Comment(tokens=tuple(preprocess(raw))))
+        _field(obj, "name", str, path, lineno)  # checked, not kept
+        venues.append(Venue(id=vid, stats=stats, comments=tuple(comments)))
     if not venues:
         raise FormatError("no venue records", path=path)
     return venues

@@ -24,9 +24,13 @@ class SimilarTerm(NamedTuple):
 
 
 class EmbeddingStore:
-    """Immutable term -> vector map with a fixed dimension."""
+    """Immutable term -> vector map with a fixed dimension.
 
-    __slots__ = ("_terms", "_index", "_matrix", "_norms", "_lex_rank")
+    Every value must be finite.  A row's squared norm may still
+    overflow: its norm is then inf and its cosines 0 or NaN.
+    """
+
+    __slots__ = ("_terms", "_index", "_matrix", "_norms")
 
     def __init__(self, terms, matrix):
         terms = tuple(terms)
@@ -35,7 +39,10 @@ class EmbeddingStore:
             raise ValueError("matrix shape does not match term count")
         if matrix.shape[1] < 1:
             raise ValueError("dimension must be positive")
-        if not np.all(np.isfinite(matrix)):
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        # a NaN or an infinite value makes its row's norm NaN or inf, so
+        # only a store with such a norm needs the whole-matrix check
+        if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(matrix)):
             raise ValueError("vectors must be finite")
         index = {}
         for i, term in enumerate(terms):
@@ -48,13 +55,7 @@ class EmbeddingStore:
         self._index = index
         matrix.setflags(write=False)
         self._matrix = matrix
-        self._norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        # rank of each row in lexicographic term order, so a stable sort
-        # on (-score, rank) reproduces the documented tie-break
-        rank = np.empty(len(terms), dtype=np.int64)
-        rank[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(
-            len(terms))
-        self._lex_rank = rank
+        self._norms = norms
 
     @property
     def dimension(self):
@@ -139,8 +140,11 @@ def _squared_norms(M):
 def similar_k(store, query, k, exclude):
     """The k store terms most cosine-similar to `query`.
 
-    Ordered by score descending, then term ascending.  A zero query has
-    no direction, so the result is empty by definition.
+    Ordered by score descending, then term ascending; a NaN score, from
+    a dot that overflows, ranks last.  A zero query has no direction, so
+    the result is empty by definition.  A partition finds the score
+    ``k + len(exclude)`` ranks down, and only the rows scoring at least
+    that much are sorted: they hold the k best terms not excluded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -153,17 +157,17 @@ def similar_k(store, query, k, exclude):
     if np.linalg.norm(query) == 0.0 or len(store) == 0:
         return []
     scores = cosine_scores(store._matrix, store._norms, query)
-    order = np.lexsort((store._lex_rank, -scores))
     exclude = set(exclude)
-    out = []
-    for i in order:
-        term = store._terms[i]
-        if term in exclude:
-            continue
-        out.append(SimilarTerm(term, float(scores[i])))
-        if len(out) == k:
-            break
-    return out
+    # cosines are clipped to [-1, 1], so 2.0 puts a NaN after them all
+    keys = np.nan_to_num(-scores, copy=False, nan=2.0)
+    top = k + len(exclude)
+    cut = np.partition(keys, top - 1)[top - 1] if top < len(keys) else 2.0
+    rows = np.flatnonzero(keys <= cut)
+    ranked = sorted(zip(keys[rows].tolist(),
+                        map(store._terms.__getitem__, rows),
+                        scores[rows].tolist()))
+    return [SimilarTerm(term, score) for _, term, score in ranked
+            if term not in exclude][:k]
 
 
 # ---------------------------------------------------------------------------

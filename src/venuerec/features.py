@@ -219,6 +219,12 @@ def normalize_per_topic(table):
 # Feature file I/O
 # ---------------------------------------------------------------------------
 
+# One row's line: label, topic, the features numbered from 1, venue.
+_ROW_FORMAT = ("%d qid:%s "
+               + "".join("%d:%%r " % i for i in range(1, N_FEATURES + 1))
+               + "# %s\n")
+
+
 def write_features(table, path):
     """Write a FeatureTable, one line a row in table order.
 
@@ -229,10 +235,7 @@ def write_features(table, path):
         for topic_id, venue_id, label, row in zip(
                 table.topic_ids, table.venue_ids, table.labels.tolist(),
                 table.X.tolist()):
-            features = " ".join("%d:%r" % (i, x)
-                                for i, x in enumerate(row, start=1))
-            fh.write("%d qid:%s %s # %s\n"
-                     % (label, topic_id, features, venue_id))
+            fh.write(_ROW_FORMAT % (label, topic_id, *row, venue_id))
 
 
 # A row's 13 features as packed doubles, which read_features collects

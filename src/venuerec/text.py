@@ -34,15 +34,16 @@ def tokenize(text):
 def preprocess(text, config=DEFAULT_CONFIG):
     """Full pipeline: tokenize, drop digits and stopwords, stem, re-filter.
 
-    The second stopword pass keeps the invariant that no output token is
-    a stopword even when stemming collapses a word onto one.
+    The second pass keeps the invariant that no output token is a
+    stopword or all digits even when stemming collapses a word onto one,
+    as it does "00s" onto "00".
     """
     out = []
     for tok in tokenize(text):
         if tok.isdigit() or tok in config.stopwords:
             continue
         tok = porter_stem(tok)
-        if tok in config.stopwords:
+        if tok.isdigit() or tok in config.stopwords:
             continue
         out.append(tok)
     return out

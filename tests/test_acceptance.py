@@ -162,8 +162,8 @@ def test_a02_vector_equations_match_brute_force():
                                             size=int(rng.integers(1, 7))))
                         for _ in range(int(rng.integers(1, 4)))]
                 venues[vid] = Venue(
-                    id=vid, name=vid, stats=stats,
-                    comments=tuple(Comment(raw, tuple(preprocess(raw)))
+                    id=vid, stats=stats,
+                    comments=tuple(Comment(tuple(preprocess(raw)))
                                    for raw in raws))
                 acc = [0.0, 0.0, 0.0, 0.0]
                 for raw in raws:

@@ -93,6 +93,15 @@ class TestLoadVenues:
         with pytest.raises(FormatError, match="line 2"):
             load_venues(p)
 
+    def test_name_is_checked_though_not_kept(self, tmp_path):
+        p = tmp_path / "v.jsonl"
+        write_jsonl(p, [{"id": "v1", "name": "Cafe"},
+                        {"id": "v2", "name": 7}])
+        with pytest.raises(FormatError, match="line 2: field 'name' must "
+                                              "be a string") as err:
+            load_venues(p)
+        assert (err.value.path, err.value.line) == (p, 2)
+
     def test_bool_rejected_for_count(self, tmp_path):
         p = tmp_path / "v.jsonl"
         write_jsonl(p, [{"id": "v1", "checkins": True}])
@@ -305,8 +314,13 @@ class TestSchema:
 class TestRoundTrips:
     def test_venues(self, tmp_path, venue_file):
         venues = load_venues(venue_file)
+        # a venue keeps only its stemmed tokens; the raw texts to write
+        # back come from the file
+        with open(venue_file, encoding="utf-8") as fh:
+            texts = {obj["id"]: obj["comments"]
+                     for obj in map(json.loads, fh)}
         out = tmp_path / "again.jsonl"
-        save_venues(venues, out)
+        save_venues(venues, texts, out)
         assert load_venues(out) == venues
 
     def test_profiles(self, tmp_path, profile_file):

@@ -25,6 +25,7 @@ from venuerec.embeddings import (
     write_text_vectors,
 )
 from venuerec.errors import FormatError, VenuerecError
+from reference_models import brute_cosine, brute_similar_k
 from writers import save_embeddings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -94,6 +95,21 @@ class TestStoreBasics:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             EmbeddingStore(["a"], [[float("nan")]])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 1), (2, 0)])
+    def test_non_finite_value_anywhere_rejected(self, value, cell):
+        matrix = np.ones((3, 2))
+        matrix[1] = [1e200, 1e200]  # a finite row whose norm overflows
+        matrix[cell] = value
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            EmbeddingStore(["a", "b", "c"], matrix)
+
+    def test_finite_rows_whose_squared_norm_overflows_accepted(self):
+        store = EmbeddingStore(["a", "b"], [[1e200, 1e200], [1.0, 0.0]])
+        assert store.vector_of("a").tolist() == [1e200, 1e200]
+        assert len(store) == 2
 
 
 class TestCosine:
@@ -196,6 +212,25 @@ class TestSimilarK:
         assert got[0] == SimilarTerm("live", 1.0)
         assert got[1] == SimilarTerm("dead", 0.0)
 
+    def test_tie_at_the_cut_broken_lexicographically(self):
+        # four rows tie at 1.0; the k-th best falls inside the tie
+        store = EmbeddingStore(["z", "y", "x", "w", "off"],
+                               [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0],
+                                [4.0, -0.0], [0.0, 1.0]])
+        got = similar_k(store, [1.0, 0.0], k=2, exclude={"w"})
+        assert got == [SimilarTerm("x", 1.0), SimilarTerm("y", 1.0)]
+
+    def test_overflowing_dot_scores_nan_and_ranks_last(self):
+        store = EmbeddingStore(["b", "a", "c", "d"],
+                               [[1e200, 1e200], [1e200, 1e200],
+                                [1.0, 0.0], [0.0, -1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = similar_k(store, [1e200, 1e200], k=4, exclude=())
+            top = similar_k(store, [1e200, 1e200], k=1, exclude=("c",))
+        assert [(s.term, repr(s.score)) for s in got] == [
+            ("c", "0.0"), ("d", "-0.0"), ("a", "nan"), ("b", "nan")]
+        assert top == [SimilarTerm("d", -0.0)]
+
     def test_matches_brute_force_on_random_store(self):
         rng = np.random.default_rng(41)
         terms = ["t%03d" % i for i in range(200)]
@@ -213,6 +248,45 @@ class TestSimilarK:
             np.testing.assert_allclose([s.score for s in got],
                                        [s.score for s in want],
                                        atol=1e-12, rtol=0)
+
+
+# Components whose products and sums are exact small integers, so the
+# kernel and the pure-Python oracle compute the very same cosines, and
+# colinear, duplicate and zero rows tie exactly.
+_SMALL = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def _searches(draw):
+    """``(vectors, query, k, exclude)``: a term -> vector dict and one
+    similar_k call on it."""
+    dim = draw(st.integers(1, 3))
+    rows = st.lists(_SMALL, min_size=dim, max_size=dim)
+    terms = draw(st.lists(st.text("abcd", min_size=1, max_size=2),
+                          min_size=1, max_size=14, unique=True))
+    vectors = {t: draw(rows) for t in terms}
+    query = draw(rows.filter(any))
+    k = draw(st.integers(1, len(terms) + 2))
+    # the best rows excluded, then a few others, some not in the store
+    ranked = brute_similar_k(vectors, query, len(terms), ())
+    exclude = set(ranked[:draw(st.integers(0, len(terms)))])
+    exclude |= draw(st.sets(st.sampled_from(terms + ["zz", "a-"]),
+                            max_size=3))
+    return vectors, query, k, exclude
+
+
+class TestSimilarKOracle:
+    """similar_k against reference_models.brute_similar_k."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(search=_searches())
+    def test_equals_the_brute_force_ranking(self, search):
+        vectors, query, k, exclude = search
+        store = EmbeddingStore(list(vectors), list(vectors.values()))
+        got = similar_k(store, query, k, exclude)
+        want = brute_similar_k(vectors, query, k, exclude)
+        assert [(s.term, repr(s.score)) for s in got] == [
+            (t, repr(brute_cosine(vectors[t], query))) for t in want]
 
 
 class TestTextFormat:

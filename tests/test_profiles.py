@@ -47,8 +47,7 @@ K = SETTINGS["k"].default
 
 def make_venue(vid, token_lists):
     return Venue(id=vid, comments=tuple(
-        Comment(raw=" ".join(toks), tokens=tuple(toks))
-        for toks in token_lists))
+        Comment(tokens=tuple(toks)) for toks in token_lists))
 
 
 @pytest.fixture

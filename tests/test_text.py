@@ -249,6 +249,10 @@ class TestPreprocess:
     def test_digit_tokens_dropped(self):
         assert preprocess("room 101 checkin") == ["room", "checkin"]
 
+    def test_tokens_that_stem_to_digits_dropped(self):
+        # "00s" stems to "00"; the post-stem filter must catch it
+        assert preprocess("the 00s 90s music") == ["music"]
+
     def test_empty(self):
         assert preprocess("") == []
 

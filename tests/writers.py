@@ -9,16 +9,18 @@ import json
 from venuerec.embeddings import write_text_vectors
 
 
-def save_venues(venues, path):
+def save_venues(venues, texts, path):
+    """Write `venues` with the raw comment texts that `texts` maps each
+    venue id to; a loaded venue keeps only the stemmed tokens."""
     with open(path, "w", encoding="utf-8") as fh:
         for v in venues:
-            obj = {"id": v.id, "name": v.name}
+            obj = {"id": v.id}
             for key in ("checkins", "likes", "comment_count", "photos",
                         "rating_avg", "unique_users"):
                 value = getattr(v.stats, key)
                 if value is not None:
                     obj[key] = value
-            obj["comments"] = [c.raw for c in v.comments]
+            obj["comments"] = list(texts[v.id])
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 

@@ -25,7 +25,9 @@ its own ``src/``, so a change to the code that writes them shows too:
 
 On each of the first two corpora, each side runs:
 
-* ``build-profiles``, on its own;
+* ``build-profiles``, on its own, at the default ``--k``, at ``--k 1``
+  and at ``--k 100000``, more than either corpus has terms, so context
+  expansion ranks every row;
 * ``pipeline`` with the MART defaults, with ``--learner ca --normalize``,
   with ``--metric mrr`` and with ``--learner ca --normalize --metric
   mrr``, so coordinate ascent's line search runs on both metrics;
@@ -68,6 +70,8 @@ ABLATIONS = ("ablate-ca", "ablate-mart")
 INPUTS = (("embeddings", ".txt"), ("venues", ".jsonl"),
           ("profiles", ".jsonl"), ("contexts", ".jsonl"), ("qrels", ".txt"))
 CORPORA = (("gen1", 1), ("synth", 42))
+# the --k values build-profiles also runs at, besides the default
+BUILD_PROFILES_K = (1, 100000)
 # (corpus, seed): the pipeline-ca-normalize run at a two-word seed
 TWO_WORD_SEED = ("synth", 4294967301)
 # (copy, corpus it copies, seed): the headerless, tab-separated copy
@@ -165,6 +169,10 @@ def commands():
     for corpus, seed in CORPORA:
         out.append(on_corpus(corpus, seed, "build-profiles", (),
                              "build-profiles", INPUTS[:3]))
+        for k in BUILD_PROFILES_K:
+            out.append(on_corpus(corpus, seed, "build-profiles-k%d" % k,
+                                 ("--k", str(k)), "build-profiles",
+                                 INPUTS[:3]))
         for name, flags in PIPELINES:
             out.append(on_corpus(corpus, seed, name, flags))
         for name in ABLATIONS:
