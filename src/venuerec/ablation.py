@@ -1,9 +1,12 @@
-"""Feature knockout study.
+"""Training, and the feature knockout study.
 
-Reports the relative change of the ranking metric, against the
-untouched baseline, when the ranker is trained with one feature column
-zeroed everywhere (train, validation, and scoring).  Zeroing rather
-than dropping keeps every model the same shape.
+`fit` is the one training procedure: `train`, `pipeline` and the
+study's baseline all call it, and every fit looks its trainer up in
+this module, where `perfbench/traced.py` times it.  The study reports
+the relative change of the ranking metric, against the untouched
+baseline, when the ranker is trained with one feature column zeroed
+everywhere (train, validation, and scoring).  Zeroing rather than
+dropping keeps every model the same shape.
 
 A MART knockout is retrained only for a feature in the baseline's
 ``history["decisive"]``; any other is the baseline, exactly.  The split
@@ -54,6 +57,17 @@ def _fit(train, valid, config):
     return train_mart(train, valid, config)
 
 
+def fit(table, config, split_fraction, cutoff):
+    """Train the learner `config` picks on `table`'s topics, split by
+    `config.seed`, with rows labelled `cutoff` or more relevant; returns
+    the model and the train and validation TopicBlocks."""
+    train_table, valid_table = split_train_validation(table, split_fraction,
+                                                      config.seed)
+    train = TopicBlocks(train_table, cutoff)
+    valid = TopicBlocks(valid_table, cutoff)
+    return _fit(train, valid, config), train, valid
+
+
 def _knockout(j, train, valid, blocks, config):
     """The metric of the model trained and scored with column `j` zeroed.
 
@@ -70,14 +84,15 @@ def run_ablation(table, config, split_fraction, cutoff):
     `config` is a CAConfig or a MARTConfig; it picks the learner, and
     its metric and seed drive training, the validation split and the
     scoring alike.  Rows with a label of at least `cutoff` are the
-    relevant ones, as in the run evaluator.  The train, validation and
-    all-rows TopicBlocks are built once; each knockout trains and scores
-    on copies of them with one column of `X` zeroed, which is exact
-    because the split and the row order depend only on topic and venue
-    ids.  Every variant is scored over all topics of the FeatureTable
-    `table`, with the metric averaged the same way the trainers do it.
-    Coordinate ascent trains every knockout, MART only those of the
-    baseline's decisive features.
+    relevant ones, as in the run evaluator.  The baseline comes from
+    `fit`; its train and validation TopicBlocks and the all-rows ones
+    are built once, and each knockout trains and scores on copies of
+    them with one column of `X` zeroed, which is exact because the
+    split and the row order depend only on topic and venue ids.  Every
+    variant is scored over all topics of the FeatureTable `table`, with
+    the metric averaged the same way the trainers do it.  Coordinate
+    ascent trains every knockout, MART only those of the baseline's
+    decisive features.
     """
     if isinstance(config, CAConfig):
         learner = "coordinate_ascent"
@@ -86,13 +101,8 @@ def run_ablation(table, config, split_fraction, cutoff):
     else:
         raise VenuerecError("unknown learner %r" % (config,))
     metric, seed = config.metric, config.seed
-    train_table, valid_table = split_train_validation(table, split_fraction,
-                                                      seed)
-    train = TopicBlocks(train_table, cutoff)
-    valid = TopicBlocks(valid_table, cutoff)
+    baseline_model, train, valid = fit(table, config, split_fraction, cutoff)
     blocks = TopicBlocks(table, cutoff)
-
-    baseline_model = _fit(train, valid, config)
     baseline = blocks.metric(predict_matrix(baseline_model, blocks.X), metric)
     if baseline == 0.0:
         log.warning("baseline %s is zero; knockout deltas are reported as 0",

@@ -8,6 +8,9 @@ and hands the loaded objects from step to step, so the files it writes
 along the way, model.json included, are outputs only.  Only the venue
 and context vectors read the embeddings, so they are built first and
 the store is freed before the profiles, contexts and qrels load.
+`COMMANDS` declares each subcommand once.  A step takes the feature
+table it learns from or scores, which its command scales per topic once
+when `normalize` asks; training is `ablation.fit`, as for `ablate`.
 
 Settings resolve in three layers: built-in defaults, then a flat
 ``key = value`` config file, then command line flags.  Whatever wins is
@@ -26,7 +29,7 @@ import typing
 import numpy as np
 
 from . import __version__
-from .ablation import run_ablation, write_ablation
+from .ablation import fit, run_ablation, write_ablation
 from .corpus import (
     load_contexts,
     load_profiles,
@@ -45,17 +48,7 @@ from .evaluation import (
     write_run,
 )
 from .features import ModelSet, extract_all, normalize_per_topic, read_features, write_features
-from .ltr import (
-    CAConfig,
-    MARTConfig,
-    TopicBlocks,
-    load_model,
-    predict_matrix,
-    save_model,
-    split_train_validation,
-    train_coordinate_ascent,
-    train_mart,
-)
+from .ltr import CAConfig, MARTConfig, load_model, predict_matrix, save_model
 from .ltr.data import METRICS
 from .profiles import (
     build_context_vectors,
@@ -121,10 +114,12 @@ SETTINGS = {
     "include_empty": Setting(False),
 }
 # The learner keys: each field of CAConfig and MARTConfig not above,
-# checked by building its dataclass with just that field.
+# checked by building its dataclass with that field and the defaults of
+# metric and seed.
 SETTINGS.update(
-    (field.name, Setting(field.default, check=lambda key, value, cls=cls:
-                         cls(**{key: value})))
+    (field.name, Setting(field.default, check=lambda key, value, cls=cls: cls(
+        metric=SETTINGS["metric"].default, seed=SETTINGS["seed"].default,
+        **{key: value})))
     for cls in (CAConfig, MARTConfig) for field in dataclasses.fields(cls)
     if field.name not in SETTINGS)
 
@@ -226,10 +221,6 @@ def write_config_used(cfg, out_dir):
             fh.write("%s = %s\n" % (key, _format_value(cfg[key])))
 
 
-def _out(out_dir, name):
-    return os.path.join(out_dir, name)
-
-
 # ---------------------------------------------------------------------------
 # Steps, shared between individual subcommands and `pipeline`.  A step
 # computes from loaded objects and writes its artifact; the _cmd_*
@@ -252,10 +243,11 @@ def build_profiles_step(cfg, embedded, profiles, out_dir):
                     "venue corpus (skipped)", sum(dangling),
                     sum(1 for n in dangling if n))
 
-    save_venue_vectors(venue_vectors, _out(out_dir, "venue_vectors.txt"))
-    save_user_vectors(user_vectors, _out(out_dir, "user_vectors.txt"))
+    save_venue_vectors(venue_vectors,
+                       os.path.join(out_dir, "venue_vectors.txt"))
+    save_user_vectors(user_vectors, os.path.join(out_dir, "user_vectors.txt"))
     save_context_vectors(context_vectors,
-                         _out(out_dir, "context_vectors.txt"))
+                         os.path.join(out_dir, "context_vectors.txt"))
     log.info("profile caches written to %s", out_dir)
     # write_text_vectors prints every float with repr, so the caches
     # load back to exactly these values
@@ -264,7 +256,7 @@ def build_profiles_step(cfg, embedded, profiles, out_dir):
 
 def extract_step(venues_by_id, pairs, qrels, models, out_dir):
     """Write features.txt; returns the FeatureTable it holds."""
-    path = _out(out_dir, "features.txt")
+    path = os.path.join(out_dir, "features.txt")
     table = extract_all(pairs, venues_by_id, models, qrels)
     write_features(table, path)
     log.info("%d feature rows over %d topics written to %s",
@@ -284,17 +276,10 @@ def _learner_config(cfg):
 
 
 def train_step(cfg, table, out_dir):
-    """Write model.json; returns the model it holds."""
-    train_table, valid_table = split_train_validation(
-        _table_for_learning(cfg, table), cfg["split_fraction"], cfg["seed"])
-    train = TopicBlocks(train_table, cfg["cutoff"])
-    valid = TopicBlocks(valid_table, cfg["cutoff"])
+    """Write model.json, learned from `table`; returns the model."""
     config = _learner_config(cfg)
-    if isinstance(config, CAConfig):
-        model = train_coordinate_ascent(train, valid, config)
-    else:
-        model = train_mart(train, valid, config)
-    path = _out(out_dir, "model.json")
+    model = fit(table, config, cfg["split_fraction"], cfg["cutoff"])[0]
+    path = os.path.join(out_dir, "model.json")
     hyperparameters = dict(dataclasses.asdict(config), **{
         key: cfg[key] for key in ("learner", "normalize", "split_fraction",
                                   "k", "pos_threshold", "neg_threshold",
@@ -306,10 +291,9 @@ def train_step(cfg, table, out_dir):
 
 
 def rank_step(cfg, table, model, model_path, out_dir):
-    """Write run.txt; returns the RankedRun it holds.  Errors in scoring
-    name `model_path`, the file `model` is stored in."""
+    """Write run.txt for `table`; returns the RankedRun it holds.  Errors
+    in scoring name `model_path`, the file `model` is stored in."""
     if cfg["normalize"]:
-        table = normalize_per_topic(table)
         log.info("per-topic normalization applied before scoring")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -328,7 +312,7 @@ def rank_step(cfg, table, model, model_path, out_dir):
                                                scores[start:stop]))
               for start, stop in table.bounds}
     run = ranked_run(cfg["run_tag"], scored, depth=cfg["depth"])
-    path = _out(out_dir, "run.txt")
+    path = os.path.join(out_dir, "run.txt")
     write_run(run, path)
     log.info("run over %d topics written to %s", len(scored), path)
     return run
@@ -338,7 +322,7 @@ def eval_step(cfg, run, qrels, compare, out_dir):
     """Score `run`; `compare`, a second run or None, adds a t-test."""
     report = evaluate_run(run, qrels, cutoff=cfg["cutoff"],
                           include_empty=cfg["include_empty"])
-    path = _out(out_dir, "metrics.txt")
+    path = os.path.join(out_dir, "metrics.txt")
     write_report(report, path)
     if compare is not None:
         other = evaluate_run(compare, qrels,
@@ -364,7 +348,7 @@ def ablate_step(cfg, table, out_dir):
     """Write ablation.tsv for `table`, normalized already if `cfg` asks."""
     report = run_ablation(table, _learner_config(cfg), cfg["split_fraction"],
                           cfg["cutoff"])
-    path = _out(out_dir, "ablation.tsv")
+    path = os.path.join(out_dir, "ablation.tsv")
     write_ablation(report, path)
     log.info("ablation written to %s", path)
 
@@ -399,48 +383,12 @@ def build_parser():
                         help="-v for progress, -vv for debug")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-profiles", parents=[common],
-                       help="build venue, user and context vector caches")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--venues", required=True)
-    p.add_argument("--profiles", required=True)
-
-    p = sub.add_parser("extract", parents=[common],
-                       help="extract feature rows from the cached vectors")
-    p.add_argument("--venues", required=True)
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--contexts", required=True)
-    p.add_argument("--qrels", help="labels for the rows (optional)")
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train a ranker on a feature file")
-    p.add_argument("--features", required=True)
-
-    p = sub.add_parser("rank", parents=[common],
-                       help="score a feature file into a run file")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a run file against qrels")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--compare",
-                   help="second run file for a paired significance test")
-
-    p = sub.add_parser("ablate", parents=[common],
-                       help="retrain with each feature zeroed out")
-    p.add_argument("--features", required=True)
-
-    p = sub.add_parser("pipeline", parents=[common],
-                       help="build, extract, train, rank and eval in one go")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--venues", required=True)
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--contexts", required=True)
-    p.add_argument("--qrels", required=True)
-
+    for name, (_, text, required, optional) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for key in required:
+            p.add_argument("--" + key, required=True)
+        for key, text in optional.items():
+            p.add_argument("--" + key, help=text)
     return parser
 
 
@@ -451,9 +399,10 @@ def _load_profiles(cfg, path):
 
 def _load_models(out_dir):
     """The ModelSet held by the vector caches in `out_dir`."""
-    return ModelSet(load_venue_vectors(_out(out_dir, "venue_vectors.txt")),
-                    load_user_vectors(_out(out_dir, "user_vectors.txt")),
-                    load_context_vectors(_out(out_dir, "context_vectors.txt")))
+    return ModelSet(
+        load_venue_vectors(os.path.join(out_dir, "venue_vectors.txt")),
+        load_user_vectors(os.path.join(out_dir, "user_vectors.txt")),
+        load_context_vectors(os.path.join(out_dir, "context_vectors.txt")))
 
 
 def _load_topics(args, venues, profiles):
@@ -488,15 +437,16 @@ def _cmd_extract(cfg, args):
 
 
 def _cmd_train(cfg, args):
-    train_step(cfg, read_features(args.features), args.out_dir)
+    train_step(cfg, _table_for_learning(cfg, read_features(args.features)),
+               args.out_dir)
 
 
 def _cmd_rank(cfg, args):
     table = read_features(args.features)
     model, hyperparameters = load_model(args.model)
     # the model remembers whether it was trained on scaled features
-    normalize = hyperparameters.get("normalize", cfg["normalize"])
-    rank_step(dict(cfg, normalize=normalize), table, model, args.model,
+    cfg["normalize"] = hyperparameters.get("normalize", cfg["normalize"])
+    rank_step(cfg, _table_for_learning(cfg, table), model, args.model,
               args.out_dir)
 
 
@@ -524,20 +474,35 @@ def _cmd_pipeline(cfg, args):
     profiles = _load_profiles(cfg, args.profiles)
     venues_by_id, pairs, qrels = _load_topics(args, venues, profiles)
     models = build_profiles_step(cfg, embedded, profiles, out_dir)
-    table = extract_step(venues_by_id, pairs, qrels, models, out_dir)
+    table = _table_for_learning(
+        cfg, extract_step(venues_by_id, pairs, qrels, models, out_dir))
     model = train_step(cfg, table, out_dir)
-    run = rank_step(cfg, table, model, _out(out_dir, "model.json"), out_dir)
+    run = rank_step(cfg, table, model, os.path.join(out_dir, "model.json"),
+                    out_dir)
     eval_step(cfg, run, qrels, None, out_dir)
 
 
-_COMMANDS = {
-    "build-profiles": _cmd_build_profiles,
-    "extract": _cmd_extract,
-    "train": _cmd_train,
-    "rank": _cmd_rank,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "pipeline": _cmd_pipeline,
+# name: (runner, help line, required input files, optional input files
+# with their help lines)
+COMMANDS = {
+    "build-profiles": (_cmd_build_profiles,
+                       "build venue, user and context vector caches",
+                       ("embeddings", "venues", "profiles"), {}),
+    "extract": (_cmd_extract, "extract feature rows from the cached vectors",
+                ("venues", "profiles", "contexts"),
+                {"qrels": "labels for the rows (optional)"}),
+    "train": (_cmd_train, "train a ranker on a feature file", ("features",),
+              {}),
+    "rank": (_cmd_rank, "score a feature file into a run file",
+             ("features", "model"), {}),
+    "eval": (_cmd_eval, "score a run file against qrels", ("run", "qrels"),
+             {"compare": "second run file for a paired significance test"}),
+    "ablate": (_cmd_ablate, "retrain with each feature zeroed out",
+               ("features",), {}),
+    "pipeline": (_cmd_pipeline,
+                 "build, extract, train, rank and eval in one go",
+                 ("embeddings", "venues", "profiles", "contexts", "qrels"),
+                 {}),
 }
 
 
@@ -550,7 +515,7 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         write_config_used(cfg, args.out_dir)
-        _COMMANDS[args.command](cfg, args)
+        COMMANDS[args.command][0](cfg, args)
     except (VenuerecError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

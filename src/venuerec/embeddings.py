@@ -154,8 +154,14 @@ def similar_k(store, query, k, exclude):
                          % (query.shape, store.dimension))
     if not np.all(np.isfinite(query)):
         raise ValueError("query must be finite")
-    if np.linalg.norm(query) == 0.0 or len(store) == 0:
+    with np.errstate(over="ignore"):
+        squared = query @ query
+    if squared == 0.0 or len(store) == 0:
         return []
+    if squared == np.inf and np.isfinite(store._norms).all():
+        # a power of two scales exactly and changes no cosine; a row whose
+        # own squared norm overflows (never in a loaded store) keeps its NaN
+        query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
     scores = cosine_scores(store._matrix, store._norms, query)
     exclude = set(exclude)
     # cosines are clipped to [-1, 1], so 2.0 puts a NaN after them all

@@ -23,14 +23,14 @@ log = logging.getLogger(__name__)
 _EPS = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class CAConfig:
-    metric: str = "p5"
+    metric: str
     restarts: int = 5
     max_sweeps: int = 25
     step_base: float = 0.05
     step_scales: int = 10
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         if self.metric not in METRICS:

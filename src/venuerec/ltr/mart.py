@@ -20,15 +20,15 @@ log = logging.getLogger(__name__)
 _EPS = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class MARTConfig:
     n_trees: int = 100
     shrinkage: float = 0.1
     max_leaves: int = 7
     min_leaf: int = 1
     patience: int = 20      # 0 disables early stopping and keeps every tree
-    metric: str = "p5"
-    seed: int = 0
+    metric: str
+    seed: int
 
     def __post_init__(self):
         if self.n_trees < 1:

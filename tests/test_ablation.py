@@ -81,7 +81,7 @@ class TestKnockoutClosedForms:
                           for t in range(3) for v in range(3)])
         with caplog.at_level(logging.WARNING, logger="venuerec.ablation"):
             report = run_ablation(table, MARTConfig(
-                n_trees=2, patience=0, seed=0), SPLIT, CUTOFF)
+                n_trees=2, patience=0, seed=0, metric="p5"), SPLIT, CUTOFF)
         assert report.baseline == 0.0
         assert all(e.delta_percent == 0.0 for e in report.entries)
         assert any("baseline p5 is zero" in r.message for r in caplog.records)
@@ -101,7 +101,8 @@ class TestSyntheticCorpus:
     """The generated corpus reproduces its exported closed forms."""
 
     def test_deltas_match_the_planted_design(self, synth_rows):
-        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED),
+        report = run_ablation(synth_rows,
+                              MARTConfig(seed=synthdata.SEED, metric="p5"),
                               SPLIT, CUTOFF)
         assert report.baseline == synthdata.FULL_P5
         by_name = {e.feature: e for e in report.entries}
@@ -116,7 +117,8 @@ class TestSyntheticCorpus:
             assert by_name[name].delta_percent == 0.0
 
     def test_taste_knockout_is_the_single_largest_drop(self, synth_rows):
-        report = run_ablation(synth_rows, MARTConfig(seed=synthdata.SEED),
+        report = run_ablation(synth_rows,
+                              MARTConfig(seed=synthdata.SEED, metric="p5"),
                               SPLIT, CUTOFF)
         worst = min(report.entries, key=lambda e: e.delta_percent)
         assert worst.feature == "uv_pos"

@@ -250,7 +250,7 @@ def test_a04_cosine_features_are_scale_invariant(corpus, tmp_path):
     train, valid = split_train_validation(base, default("split_fraction"),
                                           default("seed"))
     model = train_mart(TopicBlocks(train, CUTOFF), TopicBlocks(valid, CUTOFF),
-                       MARTConfig(n_trees=20, patience=5, seed=0))
+                       MARTConfig(n_trees=20, patience=5, seed=0, metric="p5"))
 
     def run_bytes(table, name):
         scored = {}
@@ -366,7 +366,8 @@ def test_a07_coordinate_ascent_learns_the_separating_feature():
                 X.append(feats)
         table = FeatureTable(topics, venues, labels, X)
         model = train_coordinate_ascent(TopicBlocks(table, CUTOFF),
-                                        NO_BLOCKS, CAConfig(seed=0))
+                                        NO_BLOCKS,
+                                        CAConfig(seed=0, metric="p5"))
         blocks = TopicBlocks(table, CUTOFF)
         weights = np.array(model.weights)
         assert blocks.metric(blocks.X @ weights, "p5") == 1.0
@@ -387,7 +388,8 @@ def test_a08_mart_training_error_shrinks_monotonically():
             X.append(rng.normal(size=N_FEATURES))
         table = FeatureTable(["t%d" % (i // 10) for i in range(40)],
                              ["v%02d" % i for i in range(40)], labels, X)
-        config = MARTConfig(n_trees=200, patience=0, max_leaves=4, seed=0)
+        config = MARTConfig(n_trees=200, patience=0, max_leaves=4, seed=0,
+                            metric="p5")
         model = train_mart(TopicBlocks(table, CUTOFF), NO_BLOCKS, config)
         mse = model.history["train_mse"]
         assert len(mse) == 200

@@ -14,6 +14,7 @@ import venuerec.ablation
 import venuerec.cli
 from venuerec.cli import build_parser, main
 from venuerec.embeddings import EmbeddingStore
+from venuerec.ltr import load_model, save_model
 from writers import save_embeddings
 
 ARTIFACTS = ("config.used", "venue_vectors.txt", "user_vectors.txt",
@@ -450,6 +451,77 @@ class TestAblateCommand:
             encoding="utf-8").splitlines()
         assert lines[0] == "# baseline\tp5\t%s" % p5
         assert all(line.endswith("\t0.000000") for line in lines[2:])
+
+
+class TestOneTableOneFit:
+    """Each command scales its feature table at most once, and trains
+    through the one `ablation.fit`."""
+
+    @pytest.fixture
+    def scalings(self, monkeypatch):
+        calls = []
+        normalize = venuerec.cli.normalize_per_topic
+
+        def counted(table):
+            calls.append(table)
+            return normalize(table)
+        monkeypatch.setattr(venuerec.cli, "normalize_per_topic", counted)
+        return calls
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The models `ablation.fit` returns, wherever it is looked up."""
+        models = []
+        fit = venuerec.ablation.fit
+
+        def recorded(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            models.append(result[0])
+            return result
+        for module in (venuerec.cli, venuerec.ablation):
+            monkeypatch.setattr(module, "fit", recorded)
+        return models
+
+    @pytest.mark.parametrize("command", ["pipeline", "train", "ablate"])
+    def test_normalize_scales_once(self, corpus, pipeline_dir, tmp_path,
+                                   scalings, command):
+        assert main(command_argv(command, corpus, pipeline_dir, tmp_path,
+                                 "--learner", "ca", "--normalize")) == 0
+        assert len(scalings) == 1
+
+    def test_rank_scales_once_for_a_normalized_model(self, pipeline_dir,
+                                                      tmp_path, scalings):
+        features = str(pipeline_dir / "features.txt")
+        assert main(["train", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--normalize", "--features", features]) == 0
+        del scalings[:]
+        # no --normalize: the model asks for it
+        assert main(["rank", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--features", features,
+                     "--model", str(tmp_path / "model.json")]) == 0
+        assert len(scalings) == 1
+
+    @pytest.mark.parametrize("command", ["pipeline", "train", "ablate"])
+    def test_each_command_fits_once(self, corpus, pipeline_dir, tmp_path,
+                                    fits, command):
+        assert main(command_argv(command, corpus, pipeline_dir,
+                                 tmp_path)) == 0
+        assert len(fits) == 1
+
+    @pytest.mark.parametrize("flags", [("--learner", "ca", "--normalize"),
+                                       ()], ids=["ca", "mart"])
+    def test_ablate_baseline_is_the_trained_model(self, pipeline_dir,
+                                                  tmp_path, fits, flags):
+        argv = ["--out-dir", str(tmp_path), "--seed", "42", *flags,
+                "--features", str(pipeline_dir / "features.txt")]
+        assert main(["train", *argv]) == 0
+        assert main(["ablate", *argv]) == 0
+        trained, baseline = fits
+        _, hyperparameters = load_model(str(tmp_path / "model.json"))
+        save_model(baseline, str(tmp_path / "baseline.json"),
+                   hyperparameters=hyperparameters)
+        assert (tmp_path / "baseline.json").read_bytes() == \
+            (tmp_path / "model.json").read_bytes()
 
 
 def rewrite_jsonl(src, dst, change):

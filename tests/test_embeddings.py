@@ -231,6 +231,25 @@ class TestSimilarK:
             ("c", "0.0"), ("d", "-0.0"), ("a", "nan"), ("b", "nan")]
         assert top == [SimilarTerm("d", -0.0)]
 
+    def test_query_whose_squared_norm_overflows_is_scaled(self):
+        # 4e308 overflows; every row's squared norm is finite, as in a
+        # loaded store, and no RuntimeWarning is raised
+        store = EmbeddingStore(["a", "b"], [[1e154, 0.0], [0.0, 1.0]])
+        assert similar_k(store, [2e154, 0.0], k=2, exclude=()) == [
+            SimilarTerm("a", 1.0), SimilarTerm("b", 0.0)]
+
+    def test_scaling_a_query_by_a_power_of_two_changes_no_cosine(self):
+        rng = np.random.default_rng(43)
+        terms = ["t%02d" % i for i in range(40)]
+        store = EmbeddingStore(terms, rng.normal(size=(40, 5)) * 1e153)
+        for _ in range(10):
+            query = rng.normal(size=5) * 1e155
+            with np.errstate(over="ignore"):
+                assert query @ query == np.inf
+            assert (similar_k(store, query, k=40, exclude=())
+                    == similar_k(store, query * 2.0 ** -520, k=40,
+                                 exclude=()))
+
     def test_matches_brute_force_on_random_store(self):
         rng = np.random.default_rng(41)
         terms = ["t%03d" % i for i in range(200)]

@@ -470,7 +470,8 @@ class TestCoordinateAscent:
             scored.append(1 if steps is None else len(steps))
             return metric(self, scores, name, col, steps)
         monkeypatch.setattr(TopicBlocks, "metric", counted)
-        config = CAConfig(restarts=1, max_sweeps=1, step_scales=3)
+        config = CAConfig(restarts=1, max_sweeps=1, step_scales=3,
+                          metric="p5", seed=0)
         train_coordinate_ascent(blocks, NO_BLOCKS, config)
         # the baseline, the start, 2 columns x 6 steps, and one rescore
         # after a sweep that gained
@@ -478,7 +479,7 @@ class TestCoordinateAscent:
 
     def test_separable_signal_reaches_perfect_p5(self):
         rows = separable_rows()
-        config = CAConfig(restarts=2, max_sweeps=10, seed=1)
+        config = CAConfig(restarts=2, max_sweeps=10, seed=1, metric="p5")
         model = train_coordinate_ascent(TopicBlocks(rows, CUTOFF),
                                         NO_BLOCKS, config)
         blocks = TopicBlocks(rows, CUTOFF)
@@ -501,7 +502,7 @@ class TestCoordinateAscent:
         rows = make_rows(plan)
         model = train_coordinate_ascent(
             TopicBlocks(rows, CUTOFF), NO_BLOCKS,
-            CAConfig(restarts=2, max_sweeps=10, seed=1))
+            CAConfig(restarts=2, max_sweeps=10, seed=1, metric="p5"))
         assert model.weights[0] < 0
         blocks = TopicBlocks(rows, CUTOFF)
         ranked = blocks.metric(predict_matrix(model, blocks.X), "mrr")
@@ -515,18 +516,18 @@ class TestCoordinateAscent:
         with caplog.at_level("WARNING", logger="venuerec.ltr"):
             model = train_coordinate_ascent(
                 TopicBlocks(rows, CUTOFF), NO_BLOCKS,
-                CAConfig(restarts=2, max_sweeps=3, seed=0))
+                CAConfig(restarts=2, max_sweeps=3, seed=0, metric="p5"))
         assert model.weights == tuple([1.0 / N_FEATURES] * N_FEATURES)
         assert any("uniform" in rec.message for rec in caplog.records)
 
     def test_weights_are_l1_normalized(self):
         model = train_coordinate_ascent(
             TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
-            CAConfig(restarts=1, max_sweeps=5, seed=0))
+            CAConfig(restarts=1, max_sweeps=5, seed=0, metric="p5"))
         assert sum(abs(w) for w in model.weights) == pytest.approx(1.0)
 
     def test_deterministic_across_runs(self):
-        config = CAConfig(restarts=3, max_sweeps=5, seed=42)
+        config = CAConfig(restarts=3, max_sweeps=5, seed=42, metric="p5")
         a = train_coordinate_ascent(TopicBlocks(separable_rows(), CUTOFF),
                                     NO_BLOCKS, config)
         b = train_coordinate_ascent(TopicBlocks(separable_rows(), CUTOFF),
@@ -535,21 +536,21 @@ class TestCoordinateAscent:
 
     def test_config_validation(self):
         with pytest.raises(VenuerecError):
-            CAConfig(metric="map")
+            CAConfig(metric="map", seed=0)
         with pytest.raises(VenuerecError):
-            CAConfig(restarts=0)
+            CAConfig(restarts=0, metric="p5", seed=0)
         with pytest.raises(VenuerecError):
-            CAConfig(step_base=0.0)
+            CAConfig(step_base=0.0, metric="p5", seed=0)
 
     @pytest.mark.parametrize("step_base", [math.inf, math.nan, -1.0])
     def test_step_base_must_be_finite_and_positive(self, step_base):
         with pytest.raises(VenuerecError, match="step_base must be positive"):
-            CAConfig(step_base=step_base)
+            CAConfig(step_base=step_base, metric="p5", seed=0)
 
     def test_empty_training_rows(self):
         with pytest.raises(VenuerecError, match="no training rows"):
             train_coordinate_ascent(NO_BLOCKS, NO_BLOCKS,
-                                    CAConfig())
+                                    CAConfig(metric="p5", seed=0))
 
 
 def leaves(tree):
@@ -753,7 +754,8 @@ class TestDecisiveFeatures:
                 for c, label in enumerate((2, 1, 1, 0, 0, 0, 0, 0))]
         blocks = TopicBlocks(make_rows(plan), CUTOFF)
         model = train_mart(blocks, blocks, MARTConfig(
-            n_trees=5, shrinkage=1.0, max_leaves=2, patience=1))
+            n_trees=5, shrinkage=1.0, max_leaves=2, patience=1, metric="p5",
+            seed=0))
         assert len(model.history["valid_metric"]) == 2
         assert [tree.feature[0] for tree in model.trees] == [0]
         assert model.history["decisive"] == (0, 1)
@@ -767,7 +769,8 @@ class TestDecisiveFeatures:
             for c in range(12)] for t in range(6)})
         train, valid = split_train_validation(rows, 0.6, seed)
         train, valid = TopicBlocks(train, CUTOFF), TopicBlocks(valid, CUTOFF)
-        config = MARTConfig(n_trees=12, max_leaves=4, patience=3, seed=seed)
+        config = MARTConfig(n_trees=12, max_leaves=4, patience=3, seed=seed,
+                            metric="p5")
         model = train_mart(train, valid, config)
         decisive = model.history["decisive"]
         assert 0 < len(decisive) < 6
@@ -788,7 +791,7 @@ class TestMart:
                            zip(X[:, 0], [0, 0, 1, 1, 2, 2, 3, 3]))]}
         rows = make_rows(plan)
         config = MARTConfig(n_trees=200, shrinkage=0.1, max_leaves=4,
-                            patience=0, seed=0)
+                            patience=0, seed=0, metric="p5")
         model = train_mart(TopicBlocks(rows, CUTOFF), NO_BLOCKS, config)
         assert len(model.trees) == 200
         rmse = math.sqrt(model.history["train_mse"][-1])
@@ -804,7 +807,8 @@ class TestMart:
                 for c in range(10)]
         rows = make_rows(plan)
         model = train_mart(TopicBlocks(rows, CUTOFF), NO_BLOCKS,
-                           MARTConfig(n_trees=200, patience=0))
+                           MARTConfig(n_trees=200, patience=0, metric="p5",
+                                      seed=0))
         mse = model.history["train_mse"]
         assert len(mse) == 200
         assert all(b <= a + 1e-12 for a, b in zip(mse, mse[1:]))
@@ -816,7 +820,8 @@ class TestMart:
         valid = make_rows({"v1": [("vA", 1, pad(0.3))]})
         model = train_mart(TopicBlocks(rows, CUTOFF),
                            TopicBlocks(valid, CUTOFF),
-                           MARTConfig(n_trees=30, patience=1, seed=0))
+                           MARTConfig(n_trees=30, patience=1, seed=0,
+                                      metric="p5"))
         assert len(model.trees) == 1
         assert model.history["kept_trees"] == 1
         assert len(model.history["valid_metric"]) == 2
@@ -826,23 +831,24 @@ class TestMart:
         valid = make_rows({"v1": [("vA", 1, pad(0.3))]})
         model = train_mart(TopicBlocks(rows, CUTOFF),
                            TopicBlocks(valid, CUTOFF),
-                           MARTConfig(n_trees=12, patience=0, seed=0))
+                           MARTConfig(n_trees=12, patience=0, seed=0,
+                                      metric="p5"))
         assert len(model.trees) == 12
 
     def test_zero_trees_rejected(self):
         with pytest.raises(VenuerecError, match="n_trees"):
-            MARTConfig(n_trees=0)
+            MARTConfig(n_trees=0, metric="p5", seed=0)
 
     def test_config_validation(self):
         with pytest.raises(VenuerecError):
-            MARTConfig(shrinkage=0.0)
+            MARTConfig(shrinkage=0.0, metric="p5", seed=0)
         with pytest.raises(VenuerecError):
-            MARTConfig(max_leaves=1)
+            MARTConfig(max_leaves=1, metric="p5", seed=0)
         with pytest.raises(VenuerecError):
-            MARTConfig(patience=-1)
+            MARTConfig(patience=-1, metric="p5", seed=0)
 
     def test_deterministic_across_runs(self):
-        config = MARTConfig(n_trees=15, patience=0, seed=7)
+        config = MARTConfig(n_trees=15, patience=0, seed=7, metric="p5")
         a = train_mart(TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
                        config)
         b = train_mart(TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
@@ -854,7 +860,7 @@ class TestMart:
         train, valid = split_train_validation(rows, 0.6, seed=2)
         model = train_mart(TopicBlocks(train, CUTOFF),
                            TopicBlocks(valid, CUTOFF),
-                           MARTConfig(n_trees=40, seed=0))
+                           MARTConfig(n_trees=40, seed=0, metric="p5"))
         blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(predict_matrix(model, blocks.X),
                              "mrr") == pytest.approx(1.0)
@@ -951,7 +957,7 @@ class TestSerialization:
     def test_linear_round_trip_is_exact(self, tmp_path):
         model = train_coordinate_ascent(
             TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS,
-            CAConfig(restarts=2, max_sweeps=5, seed=3))
+            CAConfig(restarts=2, max_sweeps=5, seed=3, metric="p5"))
         path = tmp_path / "model.json"
         save_model(model, path, hyperparameters={"restarts": 2})
         loaded, hyperparameters = load_model(path)
@@ -964,7 +970,8 @@ class TestSerialization:
     def test_mart_round_trip_is_exact(self, tmp_path):
         model = train_mart(TopicBlocks(separable_rows(), CUTOFF),
                            NO_BLOCKS,
-                           MARTConfig(n_trees=10, patience=0, seed=1))
+                           MARTConfig(n_trees=10, patience=0, seed=1,
+                                      metric="p5"))
         path = tmp_path / "model.json"
         save_model(model, path, {})
         loaded, hyperparameters = load_model(path)
@@ -976,7 +983,7 @@ class TestSerialization:
                                       predict_matrix(loaded, X))
 
     def test_serialized_bytes_are_deterministic(self, tmp_path):
-        config = MARTConfig(n_trees=8, patience=0, seed=5)
+        config = MARTConfig(n_trees=8, patience=0, seed=5, metric="p5")
         one = tmp_path / "one.json"
         two = tmp_path / "two.json"
         for path in (one, two):

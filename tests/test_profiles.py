@@ -216,6 +216,21 @@ class TestContextTerms:
         # query = (0.5,0.5) - (-0.5,0.5) = (1,0): sun 1.0, moon -1.0
         assert ts.terms == ("moon", "sun")
 
+    def test_seeds_whose_difference_overflows_rank_by_true_cosine(self):
+        # the query spring - summer = (2.4e154, 0) has a squared norm
+        # past the largest float, though every row's is finite
+        store = EmbeddingStore(["spring", "summer", "warm", "cold", "mild"],
+                               [[1.2e154, 0.0],
+                                [-1.2e154, 0.0],
+                                [1.0, 0.1],
+                                [-1.0, 0.1],
+                                [0.0, 1.0]])
+        # cosines against (1, 0): warm 0.995, mild 0.0, cold -0.995
+        for k, terms in ((1, ("warm",)), (2, ("mild", "warm"))):
+            ts = context_terms(store, "season", "spring", k=k,
+                               schema=TWO_SEASONS)
+            assert ts.terms == terms
+
     def test_seed_oov_raises_naming_token(self):
         store = EmbeddingStore(["spring"], [[1.0, 0.0]])
         with pytest.raises(VenuerecError, match="'summer'"):

@@ -38,16 +38,20 @@ On each of the first two corpora, each side runs:
 On the planted corpus, each side also runs ``pipeline --learner ca
 --normalize`` at ``--seed 4294967301``, a seed of two 32-bit words, so
 the seeded split and coordinate ascent's restart draws are compared for
-a seed past one word.  On each copy, each side runs ``pipeline`` with
-the MART defaults, and on the CRLF features file ``ablate`` with the
-``ablate-mart`` settings.
+a seed past one word.  It also runs the standalone steps in a chain,
+once with the MART defaults and once with ``--learner ca --normalize``:
+``build-profiles``, then ``extract`` on the caches it wrote, ``train``
+and ``rank`` on that ``features.txt``, and ``eval --compare`` against
+the run of the default ``pipeline``, all in one out-dir.  On each copy,
+each side runs ``pipeline`` with the MART defaults, and on the CRLF
+features file ``ablate`` with the ``ablate-mart`` settings.
 
 Every command runs with ``-v`` from its side's own directory and names
 its inputs and ``--out-dir`` by relative paths, so the paths it logs
-agree.  The inputs, each command's exit code, stdout and stderr and
-every file in its out-dir must be byte-identical.  For each file that
-differs, the first differing line and byte are printed, and the exit
-code is 1; 0 means all identical.
+agree.  The inputs, each command's exit code, stdout and stderr (a
+chain's under one label per step) and every file in its out-dir must be
+byte-identical.  For each file that differs, the first differing line
+and byte are printed, and the exit code is 1; 0 means all identical.
 """
 
 import argparse
@@ -74,6 +78,10 @@ CORPORA = (("gen1", 1), ("synth", 42))
 BUILD_PROFILES_K = (1, 100000)
 # (corpus, seed): the pipeline-ca-normalize run at a two-word seed
 TWO_WORD_SEED = ("synth", 4294967301)
+# (corpus, seed): the standalone steps, chained once per learner setting
+CHAINED = ("synth", 42)
+CHAINS = (("steps", ()),
+          ("steps-ca-normalize", ("--learner", "ca", "--normalize")))
 # (copy, corpus it copies, seed): the headerless, tab-separated copy
 LINE_PARSED = ("synth-tab", "synth", 42)
 # (copy, corpus it copies, seed): the copy with a broken profiles line
@@ -154,16 +162,23 @@ def make_inputs(root, side_dir):
 
 
 def commands():
-    """``(label, argv)`` for the whole matrix; labels are out dirs and
-    every path is relative to a side's directory.  Each corpus's
-    pipelines come before its ablations, which read the default
-    pipeline's features."""
+    """``(label, out dir, argv)`` for the whole matrix; every path is
+    relative to a side's directory.  A label is its command's out dir,
+    and in a chain the out dir and the step.  Each corpus's pipelines
+    come before its ablations and chains, which read the default
+    pipeline's outputs."""
     def on_corpus(corpus, seed, name, flags, command="pipeline",
                   inputs=INPUTS):
         argv = [command, "--seed", str(seed), *flags]
         for key, ext in inputs:
             argv += ["--" + key, "%s/%s/%s%s" % (IN_DIR, corpus, key, ext)]
-        return "%s/%s" % (corpus, name), argv
+        label = "%s/%s" % (corpus, name)
+        return label, label, argv
+
+    def ablate(label, seed, config, features):
+        return label, label, ["ablate", "--seed", str(seed), "--config",
+                              "%s/%s.cfg" % (IN_DIR, config),
+                              "--features", features]
 
     out = []
     for corpus, seed in CORPORA:
@@ -176,29 +191,39 @@ def commands():
         for name, flags in PIPELINES:
             out.append(on_corpus(corpus, seed, name, flags))
         for name in ABLATIONS:
-            out.append(("%s/%s" % (corpus, name),
-                        ["ablate", "--seed", str(seed), "--config",
-                         "%s/%s.cfg" % (IN_DIR, name),
-                         "--features", "%s/pipeline/features.txt" % corpus]))
+            out.append(ablate("%s/%s" % (corpus, name), seed, name,
+                              "%s/pipeline/features.txt" % corpus))
     corpus, seed = TWO_WORD_SEED
     name, flags = PIPELINES[1]
     out.append(on_corpus(corpus, seed, "%s-seed%d" % (name, seed), flags))
+    corpus, seed = CHAINED
+    for name, flags in CHAINS:
+        steps = "%s/%s" % (corpus, name)
+        for command, inputs, files in (
+                ("build-profiles", INPUTS[:3], ()),
+                ("extract", INPUTS[1:], ()),
+                ("train", (), ("--features", steps + "/features.txt")),
+                ("rank", (), ("--features", steps + "/features.txt",
+                              "--model", steps + "/model.json")),
+                ("eval", INPUTS[4:], ("--run", steps + "/run.txt",
+                                      "--compare",
+                                      corpus + "/pipeline/run.txt"))):
+            argv = on_corpus(corpus, seed, name, flags, command, inputs)[2]
+            out.append(("%s.%s" % (steps, command), steps, [*argv, *files]))
     for copy, _, seed in (LINE_PARSED, BAD_PROFILES):
         out.append(on_corpus(copy, seed, *PIPELINES[0]))
     name, workload, seed = CRLF_FEATURES
-    out.append(("%s/%s" % (name, workload),
-                ["ablate", "--seed", str(seed), "--config",
-                 "%s/%s.cfg" % (IN_DIR, workload),
-                 "--features", "%s/%s/features.txt" % (IN_DIR, name)]))
+    out.append(ablate("%s/%s" % (name, workload), seed, workload,
+                      "%s/%s/features.txt" % (IN_DIR, name)))
     return out
 
 
-def run_side(side_dir, src, label, argv):
-    """Run one command; its outputs land in ``side_dir/label``."""
-    out_dir = os.path.join(side_dir, label)
-    os.makedirs(out_dir)
+def run_side(side_dir, src, label, out_dir, argv):
+    """Run one command with its outputs in ``side_dir/out_dir``; its exit
+    code, stdout and stderr land next to them, named after ``label``."""
+    os.makedirs(os.path.join(side_dir, out_dir), exist_ok=True)
     proc = subprocess.run(
-        [sys.executable, "-m", "venuerec", *argv, "-v", "--out-dir", label],
+        [sys.executable, "-m", "venuerec", *argv, "-v", "--out-dir", out_dir],
         cwd=side_dir, env=_env(src), capture_output=True)
     for kind, data in (("exit_code", b"%d\n" % proc.returncode),
                        ("stdout", proc.stdout), ("stderr", proc.stderr)):
@@ -272,9 +297,9 @@ def main(argv=None):
         for side, root in (("base", worktree), ("head", ROOT)):
             side_dir = os.path.join(work, side)
             make_inputs(root, side_dir)
-            for label, command in matrix:
+            for label, out_dir, command in matrix:
                 code = run_side(side_dir, os.path.join(root, "src"), label,
-                                command)
+                                out_dir, command)
                 print("%s %s: exit %d" % (side, label, code), flush=True)
         differ = compare(os.path.join(work, "base"), os.path.join(work, "head"))
     finally:
