@@ -17,8 +17,6 @@ def cosine_scores(matrix, norms, query):
     """
     qnorm = np.sqrt(query @ query)
     out = np.zeros(matrix.shape[0])
-    if qnorm == 0.0:
-        return out
     denom = norms * qnorm
     nz = denom > 0.0
     out[nz] = (matrix @ query)[nz] / denom[nz]

@@ -20,11 +20,9 @@ never reads column j.
 import dataclasses
 import logging
 
-from .errors import VenuerecError
 from .features import FEATURE_NAMES
 from .ltr import (
     CAConfig,
-    MARTConfig,
     TopicBlocks,
     predict_matrix,
     split_train_validation,
@@ -94,12 +92,7 @@ def run_ablation(table, config, split_fraction, cutoff):
     ascent trains every knockout, MART only those of the baseline's
     decisive features.
     """
-    if isinstance(config, CAConfig):
-        learner = "coordinate_ascent"
-    elif isinstance(config, MARTConfig):
-        learner = "mart"
-    else:
-        raise VenuerecError("unknown learner %r" % (config,))
+    learner = "coordinate_ascent" if isinstance(config, CAConfig) else "mart"
     metric, seed = config.metric, config.seed
     baseline_model, train, valid = fit(table, config, split_fraction, cutoff)
     blocks = TopicBlocks(table, cutoff)

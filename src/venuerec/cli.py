@@ -319,11 +319,12 @@ def rank_step(cfg, table, model, model_path, out_dir):
 
 
 def eval_step(cfg, run, qrels, compare, out_dir):
-    """Score `run`; `compare`, a second run or None, adds a t-test."""
+    """Score `run`; `compare`, a second run or None, adds a t-test.  Both
+    runs are scored and paired before metrics.txt is written, so a
+    comparison that fails leaves no report."""
     report = evaluate_run(run, qrels, cutoff=cfg["cutoff"],
                           include_empty=cfg["include_empty"])
-    path = os.path.join(out_dir, "metrics.txt")
-    write_report(report, path)
+    result = None
     if compare is not None:
         other = evaluate_run(compare, qrels,
                              cutoff=cfg["cutoff"],
@@ -336,6 +337,9 @@ def eval_step(cfg, run, qrels, compare, out_dir):
                 "need at least 2 shared topics to compare runs")
         result = paired_t_test([mine[t] for t in shared],
                                [theirs[t] for t in shared])
+    path = os.path.join(out_dir, "metrics.txt")
+    write_report(report, path)
+    if result is not None:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("# ttest\tP5\tt\t%.6f\tp\t%.6f\tn\t%d\n"
                      % (result.t_statistic, result.p_value, result.n))

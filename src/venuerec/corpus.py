@@ -108,13 +108,12 @@ class ContextPair:
 
 
 class Qrels:
-    """Graded judgments keyed by (topic_id, venue_id), indexed by topic."""
+    """Graded judgments keyed by (topic_id, venue_id), indexed by topic;
+    every grade is non-negative, as load_qrels checks."""
 
     def __init__(self, judgments):
         self._by_topic = {}
         for (topic, venue), grade in dict(judgments).items():
-            if grade < 0:
-                raise ValueError("negative grade for (%s, %s)" % (topic, venue))
             self._by_topic.setdefault(topic, {})[venue] = grade
 
     def grade(self, topic_id, venue_id):
@@ -160,9 +159,10 @@ def decode_json(text, path, line=None):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        # a record's own position is always line 1, so only a document
-        # shows it
-        reason = exc.msg if line else str(exc)
+        # a record's own position is always line 1, so a record shows
+        # only its column
+        reason = ("%s: column %d" % (exc.msg, exc.colno) if line
+                  else str(exc))
     except RecursionError:
         reason = "nested too deeply"
     except ValueError as exc:
@@ -183,6 +183,7 @@ def _records(path):
 
 
 def _field(obj, key, kind, path, lineno, required=False):
+    """`obj[key]` checked as a `kind`: int, float, str or list."""
     if key not in obj or obj[key] is None:
         if required:
             raise FormatError("missing field %r" % key, path=path, line=lineno)
@@ -214,7 +215,6 @@ def _field(obj, key, kind, path, lineno, required=False):
             raise FormatError("field %r must be a list" % key, path=path,
                               line=lineno)
         return value
-    raise AssertionError(kind)
 
 
 def _has_space(text):
@@ -326,8 +326,9 @@ def load_profiles(path, rating_scale):
     return profiles
 
 
-def load_contexts(path, users, venues, schema=DEFAULT_SCHEMA):
-    """Load context topics; `users` maps user_id -> UserProfile.
+def load_contexts(path, users, venues):
+    """Load context topics over DEFAULT_SCHEMA's aspects; `users` maps
+    user_id -> UserProfile.
 
     Candidates missing from `venues` (known venue ids, or anything
     supporting `in`) are dangling: they are warned about and kept.
@@ -350,16 +351,16 @@ def load_contexts(path, users, venues, schema=DEFAULT_SCHEMA):
             raise FormatError("field 'context' must be an object", path=path,
                               line=lineno)
         bound = []
-        for aspect in schema.aspect_names():
+        for aspect in DEFAULT_SCHEMA.aspect_names():
             if aspect not in raw_context:
                 continue
-            dim = schema.normalize_dimension(raw_context[aspect])
-            if not schema.is_legal(aspect, dim):
+            dim = DEFAULT_SCHEMA.normalize_dimension(raw_context[aspect])
+            if not DEFAULT_SCHEMA.is_legal(aspect, dim):
                 raise FormatError(
                     "dimension %r is not legal for aspect %r"
                     % (dim, aspect), path=path, line=lineno)
             bound.append((aspect, dim))
-        unknown = set(raw_context) - set(schema.aspect_names())
+        unknown = set(raw_context) - set(DEFAULT_SCHEMA.aspect_names())
         if unknown:
             raise FormatError("unknown aspect %r" % sorted(unknown)[0],
                               path=path, line=lineno)

@@ -138,7 +138,7 @@ def _squared_norms(M):
 
 
 def similar_k(store, query, k, exclude):
-    """The k store terms most cosine-similar to `query`.
+    """The k store terms most cosine-similar to `query`; `k` >= 1.
 
     Ordered by score descending, then term ascending; a NaN score, from
     a dot that overflows, ranks last.  A zero query has no direction, so
@@ -146,8 +146,6 @@ def similar_k(store, query, k, exclude):
     ``k + len(exclude)`` ranks down, and only the rows scoring at least
     that much are sorted: they hold the k best terms not excluded.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1 or query.shape[0] != store.dimension:
         raise ValueError("query length %r != store dimension %d"
@@ -183,11 +181,7 @@ def similar_k(store, query, k, exclude):
 def load_embeddings(path, format):
     """The EmbeddingStore of the `format` ("text" or "binary") file at
     `path`."""
-    if format == "text":
-        return _load_text(path)
-    if format == "binary":
-        return _load_binary(path)
-    raise ValueError("unknown embedding format %r" % format)
+    return _load_text(path) if format == "text" else _load_binary(path)
 
 
 def _parse_vector(parts, dim, term, path, lineno):

@@ -45,13 +45,12 @@ class RankedRun:
 
 
 def ranked_run(tag, scored, depth):
-    """Build a RankedRun from ``{topic: [(venue_id, score), ...]}``."""
+    """Build a RankedRun from ``{topic: [(venue_id, score), ...]}``; a
+    topic's venue ids are unique, as FeatureTable rows are."""
     topics = {}
     for topic_id in sorted(scored):
         pairs = scored[topic_id]
         ids = [v for v, _ in pairs]
-        if len(set(ids)) != len(ids):
-            raise VenuerecError("duplicate candidate in topic %s" % topic_id)
         vals = [s for _, s in pairs]
         topics[topic_id] = rank_candidates(ids, vals, depth=depth)
     return RankedRun(tag=tag, topics=topics)
@@ -206,7 +205,8 @@ class TTestResult:
 
 
 def paired_t_test(a, b):
-    """Two-sided paired t-test on matched score lists.
+    """Two-sided paired t-test on matched score lists of at least 2
+    pairs, which `cli.eval_step` pairs by topic.
 
     A zero-variance difference vector degenerates: the statistic is 0
     (p = 1) when the mean difference is zero, otherwise signed infinity
@@ -214,11 +214,7 @@ def paired_t_test(a, b):
     """
     a = list(a)
     b = list(b)
-    if len(a) != len(b):
-        raise VenuerecError("paired t-test needs equal-length samples")
     n = len(a)
-    if n < 2:
-        raise VenuerecError("paired t-test needs at least 2 pairs")
     diffs = [float(x) - float(y) for x, y in zip(a, b)]
     mean = sum(diffs) / n
     ss = sum((d - mean) ** 2 for d in diffs)

@@ -27,24 +27,20 @@ __all__ = [
 
 
 def predict_matrix(model, X):
-    """Score every row of a feature matrix under either model kind."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise VenuerecError("expected a 2-d feature matrix")
+    """Score every row of the 2-D float64 matrix `X`, as FeatureTable
+    and TopicBlocks hold it, under either model kind."""
     if isinstance(model, LinearModel):
         w = np.asarray(model.weights)
         if X.shape[1] != w.shape[0]:
             raise VenuerecError("matrix has %d features, model has %d"
                                 % (X.shape[1], w.shape[0]))
         return X @ w
-    if isinstance(model, TreeEnsemble):
-        width = 1 + max(max(tree.feature) for tree in model.trees)
-        if X.shape[1] < width:
-            raise VenuerecError("matrix has %d features, model needs %d"
-                                % (X.shape[1], width))
-        out = np.zeros(X.shape[0])
-        for tree in model.trees:
-            out += model.shrinkage * _tree_outputs(tree, X)
-        return out
-    raise VenuerecError("cannot score with %r" % type(model).__name__)
+    width = 1 + max(max(tree.feature) for tree in model.trees)
+    if X.shape[1] < width:
+        raise VenuerecError("matrix has %d features, model needs %d"
+                            % (X.shape[1], width))
+    out = np.zeros(X.shape[0])
+    for tree in model.trees:
+        out += model.shrinkage * _tree_outputs(tree, X)
+    return out
 

@@ -105,16 +105,15 @@ def _better(valid_m, train_m, best):
 def train_coordinate_ascent(train, valid, config):
     """Fit a LinearModel on `train`, pick the restart by `valid`.
 
-    Both are TopicBlocks; when `valid` is empty the training metric
-    stands in for the validation one.  Restart 0 starts from uniform
+    Both are TopicBlocks, `train` never empty (split_train_validation
+    keeps a topic on each side); when `valid` is empty the training
+    metric stands in for the validation one.  Restart 0 starts from uniform
     weights; later restarts draw random positive starts from a
     generator seeded by (seed, restart).  Only restarts that at least
     match the uniform baseline on the training metric are eligible;
     among those the best validation metric wins, ties going to the
     higher training metric and then the earlier restart.
     """
-    if not len(train):
-        raise VenuerecError("no training rows")
     nf = train.X.shape[1]
     deltas = []
     for i in range(config.step_scales):

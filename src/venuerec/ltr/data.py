@@ -27,11 +27,9 @@ def split_train_validation(table, fraction, seed):
     The sorted topic list is shuffled with numpy's default_rng stream
     seeded by `seed` (`_rng.PCG64`);
     the first ``round(fraction * n)`` topics (clamped so both sides stay
-    non-empty) become the training side.  Row order is preserved.
+    non-empty) become the training side, for a `fraction` in (0, 1), as
+    ``cli.SETTINGS`` checks it.  Row order is preserved.
     """
-    if not 0.0 < fraction < 1.0:
-        raise VenuerecError("split fraction must be in (0, 1), got %r"
-                            % (fraction,))
     topics = [table.topic_ids[start] for start, _ in table.bounds]
     if len(topics) < 2:
         raise VenuerecError("need at least 2 topics to split, got %d"
@@ -141,7 +139,8 @@ class TopicBlocks:
         return self._order
 
     def metric(self, scores, metric, col=None, steps=None):
-        """Mean P@5 or MRR of `scores` over topics with relevant rows.
+        """Mean P@5 or MRR of `scores` over topics with relevant rows;
+        `metric` is one of METRICS.
 
         Given a column `col` and a sequence of `steps`, it returns the
         list of the metric of ``scores + d * col`` for each step d in
@@ -149,8 +148,6 @@ class TopicBlocks:
         values are added in topic order, so the mean is the same float
         a loop over the topics gives.
         """
-        if metric not in METRICS:
-            raise VenuerecError("unknown metric %r" % (metric,))
         if not self.included:
             value = 0.0
         elif metric == "p5" and self._index.shape[1] <= 5:

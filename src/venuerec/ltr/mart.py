@@ -195,14 +195,12 @@ def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None):
 
 
 def _tree_outputs(tree, X):
-    if X.shape[0] == 0:
-        return np.zeros(0)
     f, t, l, r, v = tree.arrays()
     return _kernels.apply_tree(f, t, l, r, v, np.ascontiguousarray(X))
 
 
 def train_mart(train, valid, config):
-    """Boost `config.n_trees` stages on the `train` TopicBlocks.
+    """Boost `config.n_trees` stages on the non-empty `train` TopicBlocks.
 
     After each stage the validation ranking metric is computed on the
     accumulated model; when `patience` consecutive stages bring no
@@ -210,9 +208,6 @@ def train_mart(train, valid, config):
     scoring prefix (ties to the shorter one).  When the `valid`
     TopicBlocks is empty the training metric stands in.
     """
-    if not len(train):
-        raise VenuerecError("no training rows")
-
     X, y = train.X, train.y
     order = train.column_order()
     decisive = set()

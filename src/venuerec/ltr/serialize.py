@@ -48,7 +48,7 @@ def save_model(model, path, hyperparameters):
     if isinstance(model, LinearModel):
         doc["learner"] = "coordinate_ascent"
         doc["weights"] = list(model.weights)
-    elif isinstance(model, TreeEnsemble):
+    else:
         doc["learner"] = "mart"
         doc["shrinkage"] = model.shrinkage
         doc["trees"] = [{
@@ -58,8 +58,6 @@ def save_model(model, path, hyperparameters):
             "right": list(t.right),
             "value": list(t.value),
         } for t in model.trees]
-    else:
-        raise FormatError("cannot serialize %r" % type(model).__name__)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -89,10 +89,9 @@ def user_profile_vectors(dimension, venue_vectors, profile, pos_threshold,
     zero-rated venues still register; off, the weighting is literal (a
     rating of 0 annihilates its venue).  Ratings of
     venues missing from `venue_vectors` are skipped; the caller warns
-    about them once for all users.
+    about them once for all users.  `neg_threshold` is below
+    `pos_threshold`, as the config rule in `cli.resolve_config` holds.
     """
-    if neg_threshold >= pos_threshold:
-        raise ValueError("neg_threshold must be below pos_threshold")
     pos = np.zeros(dimension, dtype=np.float64)
     neg = np.zeros(dimension, dtype=np.float64)
     for venue_id, rating in profile.ratings:
@@ -117,15 +116,12 @@ def context_terms(store, aspect, dimension, k, schema=DEFAULT_SCHEMA):
     vector from the dimension's own.
 
     `aspect` is one of the schema's, or ``gender`` with the dimensions
-    in GENDERS.  Every seed token of the aspect is excluded from the
-    search.
+    in GENDERS, and `dimension` one of its dimensions, as
+    build_context_vectors iterates them; `k` is at least 1, as
+    ``cli.SETTINGS`` checks.  Every seed token of the aspect is excluded
+    from the search.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     dims = _dimensions(schema, aspect)
-    if dimension not in dims:
-        raise ValueError("dimension %r is not legal for aspect %r"
-                         % (dimension, aspect))
     seeds = {d: seed_vector(store, d) for d in dims}
     exclude = {tok for d in dims for tok in seed_tokens(d)}
     found = {hit.term for d in dims if d != dimension
@@ -136,13 +132,11 @@ def context_terms(store, aspect, dimension, k, schema=DEFAULT_SCHEMA):
 
 
 def context_vector(store, term_set):
-    """Unit-weight sum of the expansion terms' vectors."""
+    """Unit-weight sum of the expansion terms' vectors; similar_k found
+    every term in `store`."""
     if not term_set.terms:
         log.warning("empty term set for %s/%s; context vector is zero",
                     term_set.aspect, term_set.dimension)
-    for term in term_set.terms:
-        if term not in store:
-            raise VenuerecError("term %r vanished from the store" % term)
     return store.sum_of(term_set.terms)
 
 

@@ -9,7 +9,6 @@ import synthdata
 from reference_models import table_of
 from venuerec.ablation import AblationReport, AblationEntry, run_ablation, write_ablation
 from venuerec.cli import SETTINGS
-from venuerec.errors import VenuerecError
 from venuerec.features import FEATURE_NAMES, N_FEATURES, FeatureTable
 from venuerec.ltr import (
     CAConfig,
@@ -85,10 +84,6 @@ class TestKnockoutClosedForms:
         assert report.baseline == 0.0
         assert all(e.delta_percent == 0.0 for e in report.entries)
         assert any("baseline p5 is zero" in r.message for r in caplog.records)
-
-    def test_unknown_learner_rejected(self):
-        with pytest.raises(VenuerecError, match="unknown learner"):
-            run_ablation(taste_rows(), "boosting", SPLIT, CUTOFF)
 
 
 @pytest.fixture(scope="module")

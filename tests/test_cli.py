@@ -218,6 +218,27 @@ class TestEval:
         assert code == 2
         assert "error: run and qrels share no topics" in capsys.readouterr().err
 
+    # both runs are scored and paired before metrics.txt is written
+    @pytest.mark.parametrize("lines, message", [
+        (lambda run: run[:1], "need at least 2 shared topics to compare runs"),
+        (lambda run: ["qX Q0 v1 1 1.000000 tag\n"],
+         "run and qrels share no topics"),
+    ], ids=["one-shared-topic", "no-judged-topic"])
+    def test_failed_compare_writes_no_report(self, corpus, pipeline_dir,
+                                             tmp_path, capsys, lines,
+                                             message):
+        run = (pipeline_dir / "run.txt").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        compare = tmp_path / "compare.txt"
+        compare.write_text("".join(lines(run)), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["eval", "--out-dir", str(out),
+                     "--run", str(pipeline_dir / "run.txt"),
+                     "--qrels", corpus["qrels"], "--compare", str(compare)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert [p.name for p in out.iterdir()] == ["config.used"]
+
 
 class TestConfig:
 
@@ -338,6 +359,35 @@ class TestConfig:
         assert capsys.readouterr().err == "error: %s: line %d: %s\n" % (
             cfg, text.count("\n") + 1, message)
         assert list(out.iterdir()) == []
+
+    # A rule over two keys holds on the settings the three layers give
+    # together.  rating_min and rating_max have no flags.
+    @pytest.mark.parametrize("text, flags, message", [
+        pytest.param("pos_threshold = 3\nneg_threshold = 3", (),
+                     "neg_threshold must be below pos_threshold",
+                     id="thresholds-file"),
+        pytest.param("", ("--pos-threshold", "2", "--neg-threshold", "2"),
+                     "neg_threshold must be below pos_threshold",
+                     id="thresholds-flags"),
+        pytest.param("neg_threshold = 1", ("--pos-threshold", "1"),
+                     "neg_threshold must be below pos_threshold",
+                     id="thresholds-file-and-flag"),
+        pytest.param("rating_min = 4", (),
+                     "rating_min must be below rating_max",
+                     id="ratings-file"),
+        pytest.param("rating_min = 2\nrating_max = 1", (),
+                     "rating_min must be below rating_max",
+                     id="ratings-file-both"),
+    ])
+    def test_cross_key_rule_exits_2_before_any_output(
+            self, corpus, tmp_path, capsys, text, flags, message):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(pipeline_argv(corpus, out, "--config", str(cfg), *flags))
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("via", ["flag", "file"])

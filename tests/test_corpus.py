@@ -138,6 +138,21 @@ class TestLoadProfiles:
         with pytest.raises(FormatError, match="gender"):
             load_profiles(p, RATING_SCALE)
 
+    # json's position in a record is always line 1, so only its column
+    # is kept: the record's line is already in the prefix
+    @pytest.mark.parametrize("record, reason", [
+        ('{"user_id": "u1\n', "Invalid control character at: column 16"),
+        ('{oops\n', "Expecting property name enclosed in double quotes: "
+                    "column 2"),
+    ], ids=["control-character", "property-name"])
+    def test_bad_json_names_its_column(self, tmp_path, record, reason):
+        p = tmp_path / "p.jsonl"
+        p.write_text('{"user_id": "u0", "gender": "male"}\n' + record,
+                     encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_profiles(p, RATING_SCALE)
+        assert str(err.value) == "%s: line 2: bad JSON (%s)" % (p, reason)
+
     def test_rating_outside_scale(self, tmp_path):
         p = tmp_path / "p.jsonl"
         write_jsonl(p, [{"user_id": "u1", "gender": "male",

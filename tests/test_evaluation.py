@@ -78,10 +78,6 @@ class TestRankCandidates:
         assert len(entries) == 2
         assert entries[-1] == ("b", 2, 5.0)
 
-    def test_duplicate_candidate_rejected(self):
-        with pytest.raises(VenuerecError):
-            ranked_run("t", {"q1": [("a", 1.0), ("a", 0.5)]}, DEPTH)
-
 
 class TestTopicMetrics:
     def test_two_relevant_in_top_five(self):
@@ -392,12 +388,6 @@ class TestPairedTTest:
         rev = paired_t_test(b, a)
         assert fwd.t_statistic == -rev.t_statistic
         assert fwd.p_value == rev.p_value
-
-    def test_rejects_mismatched_or_short_input(self):
-        with pytest.raises(VenuerecError):
-            paired_t_test([1.0], [1.0, 2.0])
-        with pytest.raises(VenuerecError):
-            paired_t_test([1.0], [2.0])
 
     def test_against_scipy(self):
         stats = pytest.importorskip("scipy.stats")

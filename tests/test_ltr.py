@@ -128,11 +128,6 @@ class TestSplit:
         with pytest.raises(VenuerecError, match="at least 2 topics"):
             split_train_validation(self.rows(1), 0.5, seed=0)
 
-    def test_bad_fraction(self):
-        for fraction in (0.0, 1.0, -0.2, 3.0):
-            with pytest.raises(VenuerecError, match="fraction"):
-                split_train_validation(self.rows(4), fraction, seed=0)
-
 
 def brute_metric(table, scores, metric, k=5):
     """Mean metric over topics with a relevant row, by repeated max."""
@@ -183,12 +178,6 @@ class TestTopicBlocks:
         rows = make_rows({"t1": [("vA", 0, pad(1.0))]})
         blocks = TopicBlocks(rows, CUTOFF)
         assert blocks.metric(np.ones(1), "p5") == 0.0
-
-    def test_unknown_metric(self):
-        blocks = TopicBlocks(make_rows({"t1": [("vA", 1, pad(1.0))]}),
-                             CUTOFF)
-        with pytest.raises(VenuerecError, match="unknown metric"):
-            blocks.metric(np.ones(1), "ndcg")
 
     def test_cutoff_sets_the_relevant_grade(self):
         # v0-v5 rank in id order; only v0 reaches grade 2
@@ -547,11 +536,6 @@ class TestCoordinateAscent:
         with pytest.raises(VenuerecError, match="step_base must be positive"):
             CAConfig(step_base=step_base, metric="p5", seed=0)
 
-    def test_empty_training_rows(self):
-        with pytest.raises(VenuerecError, match="no training rows"):
-            train_coordinate_ascent(NO_BLOCKS, NO_BLOCKS,
-                                    CAConfig(metric="p5", seed=0))
-
 
 def leaves(tree):
     return sum(1 for f in tree.feature if f < 0)
@@ -889,6 +873,13 @@ class TestPredict:
 
     def test_empty_rows(self):
         model = LinearModel(weights=(1.0,) * N_FEATURES, metric="p5", seed=0)
+        assert predict_matrix(model, NO_ROWS.X).shape == (0,)
+
+    def test_empty_rows_under_trees(self):
+        tree = Tree(feature=(0, -1, -1), threshold=(0.5, 0.0, 0.0),
+                    left=(1, 0, 0), right=(2, 0, 0), value=(0.0, 1.0, 2.0))
+        model = TreeEnsemble(trees=(tree,), shrinkage=0.1, metric="p5",
+                             seed=0)
         assert predict_matrix(model, NO_ROWS.X).shape == (0,)
 
 
