@@ -24,42 +24,14 @@ log = logging.getLogger(__name__)
 
 GENDERS = ("male", "female")
 
-# aspect -> legal dimensions, in canonical order
-_DEFAULT_ASPECTS = (
-    ("duration", ("day time", "night time", "weekend")),
-    ("season", ("spring", "summer", "autumn", "winter")),
-    ("group", ("alone", "friends", "family")),
-    ("type", ("business", "holiday")),
-)
-
-
-@dataclass(frozen=True)
-class ContextSchema:
-    """Which contextual dimensions are legal for which aspect."""
-
-    aspects: tuple = _DEFAULT_ASPECTS
-
-    def aspect_names(self):
-        return tuple(name for name, _ in self.aspects)
-
-    def dimensions(self, aspect):
-        for name, dims in self.aspects:
-            if name == aspect:
-                return dims
-        raise KeyError(aspect)
-
-    def is_legal(self, aspect, dimension):
-        for name, dims in self.aspects:
-            if name == aspect:
-                return dimension in dims
-        return False
-
-    @staticmethod
-    def normalize_dimension(value):
-        return " ".join(str(value).strip().lower().replace("_", " ").split())
-
-
-DEFAULT_SCHEMA = ContextSchema()
+# the TREC contextual aspects, each with its legal dimensions, in
+# canonical order
+ASPECTS = {
+    "duration": ("day time", "night time", "weekend"),
+    "season": ("spring", "summer", "autumn", "winter"),
+    "group": ("alone", "friends", "family"),
+    "type": ("business", "holiday"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +69,7 @@ class UserProfile:
 class ContextPair:
     topic_id: str
     user: UserProfile
-    context: tuple = ()  # (aspect, dimension) pairs, aspect order canonical
+    context: tuple = ()  # (aspect, dimension) pairs in ASPECTS order
     candidates: tuple = ()
 
     def dimension_of(self, aspect):
@@ -327,7 +299,7 @@ def load_profiles(path, rating_scale):
 
 
 def load_contexts(path, users, venues):
-    """Load context topics over DEFAULT_SCHEMA's aspects; `users` maps
+    """Load context topics over the aspects in ASPECTS; `users` maps
     user_id -> UserProfile.
 
     Candidates missing from `venues` (known venue ids, or anything
@@ -346,21 +318,24 @@ def load_contexts(path, users, venues):
         if user_id not in users:
             raise FormatError("unknown user id %r" % user_id, path=path,
                               line=lineno)
-        raw_context = obj.get("context") or {}
-        if not isinstance(raw_context, dict):
+        raw_context = obj.get("context")
+        if raw_context is None:
+            raw_context = {}
+        elif not isinstance(raw_context, dict):
             raise FormatError("field 'context' must be an object", path=path,
                               line=lineno)
         bound = []
-        for aspect in DEFAULT_SCHEMA.aspect_names():
+        for aspect, dims in ASPECTS.items():
             if aspect not in raw_context:
                 continue
-            dim = DEFAULT_SCHEMA.normalize_dimension(raw_context[aspect])
-            if not DEFAULT_SCHEMA.is_legal(aspect, dim):
+            dim = " ".join(
+                str(raw_context[aspect]).lower().replace("_", " ").split())
+            if dim not in dims:
                 raise FormatError(
                     "dimension %r is not legal for aspect %r"
                     % (dim, aspect), path=path, line=lineno)
             bound.append((aspect, dim))
-        unknown = set(raw_context) - set(DEFAULT_SCHEMA.aspect_names())
+        unknown = set(raw_context) - set(ASPECTS)
         if unknown:
             raise FormatError("unknown aspect %r" % sorted(unknown)[0],
                               path=path, line=lineno)

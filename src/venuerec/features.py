@@ -1,9 +1,10 @@
 """The 13 ranking features and the SVMlight-style interchange file.
 
 Feature order is fixed: six venue statistics, the two user-taste
-cosines, one context cosine per aspect, and the gender cosine.
-Everything downstream (training, serialization, ablation reports)
-refers to features by this order or by the names below.
+cosines, one context cosine per aspect of ``corpus.ASPECTS``, and the
+gender cosine.  Everything downstream (training, serialization,
+ablation reports) refers to features by this order or by the names
+below.
 """
 
 import re
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_SCHEMA, numbered_lines
+from .corpus import ASPECTS, numbered_lines
 from .embeddings import NormOverflowError, cosine_matrix
 from .errors import FormatError, VenuerecError
 
@@ -151,8 +152,7 @@ def _topic_block(pair, venues, models):
     profile = models.user_profiles.get(user.user_id)
     tastes = ([profile.positive, profile.negative] if profile is not None
               else [zero, zero])
-    keys = [(aspect, pair.dimension_of(aspect))
-            for aspect in DEFAULT_SCHEMA.aspect_names()]
+    keys = [(aspect, pair.dimension_of(aspect)) for aspect in ASPECTS]
     keys.append(("gender", user.gender))
     B = np.array(tastes + [models.context_vectors.get(key, zero)
                            for key in keys])

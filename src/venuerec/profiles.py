@@ -7,8 +7,9 @@ they rated at or above the positive threshold, resp. at or below the
 negative one.  A contextual dimension's vector sums the embeddings of
 the terms found by subtracting each sibling dimension's seed vector
 from its own and taking the top-K most similar vocabulary terms.
-Gender is built as one more aspect, ``gender``, whose two dimensions
-are the names in GENDERS.
+The aspects and their dimensions are those of ASPECTS; gender is built
+as one more aspect, ``gender``, whose two dimensions are the names in
+GENDERS.
 """
 
 import logging
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_SCHEMA, GENDERS
+from .corpus import ASPECTS, GENDERS
 from .embeddings import read_text_vectors, similar_k, write_text_vectors
 from .errors import FormatError, VenuerecError
 from .text import PreprocessConfig, preprocess
@@ -27,6 +28,9 @@ log = logging.getLogger(__name__)
 # removal: several dimension words ("alone", "us"-like) are classic
 # stopwords and must survive to act as seeds
 _SEED_CONFIG = PreprocessConfig(stopwords=frozenset())
+
+# every aspect a context vector is built for, gender last
+_CONTEXT_ASPECTS = {**ASPECTS, "gender": GENDERS}
 
 
 @dataclass(frozen=True)
@@ -40,13 +44,6 @@ class UserVenueProfile:
     user_id: str
     positive: np.ndarray
     negative: np.ndarray
-
-
-@dataclass(frozen=True)
-class ContextTermSet:
-    aspect: str
-    dimension: str
-    terms: tuple  # sorted, deduplicated
 
 
 def seed_tokens(dimension):
@@ -107,46 +104,34 @@ def user_profile_vectors(dimension, venue_vectors, profile, pos_threshold,
                             negative=neg)
 
 
-def _dimensions(schema, aspect):
-    return GENDERS if aspect == "gender" else schema.dimensions(aspect)
+def context_terms(store, dims, k):
+    """``{dimension: sorted terms}`` over an aspect's sibling dimensions
+    `dims`: each dimension's terms are the union of the top-k terms over
+    subtracting each sibling's seed vector from its own.
 
-
-def context_terms(store, aspect, dimension, k, schema=DEFAULT_SCHEMA):
-    """Union of the top-k terms over subtracting each sibling's seed
-    vector from the dimension's own.
-
-    `aspect` is one of the schema's, or ``gender`` with the dimensions
-    in GENDERS, and `dimension` one of its dimensions, as
-    build_context_vectors iterates them; `k` is at least 1, as
-    ``cli.SETTINGS`` checks.  Every seed token of the aspect is excluded
-    from the search.
+    Every seed token of the aspect is excluded from the search; `k` is
+    at least 1, as ``cli.SETTINGS`` checks.
     """
-    dims = _dimensions(schema, aspect)
     seeds = {d: seed_vector(store, d) for d in dims}
     exclude = {tok for d in dims for tok in seed_tokens(d)}
-    found = {hit.term for d in dims if d != dimension
-             for hit in similar_k(store, seeds[dimension] - seeds[d], k,
-                                  exclude)}
-    return ContextTermSet(aspect=aspect, dimension=dimension,
-                          terms=tuple(sorted(found)))
+    return {d: tuple(sorted({hit.term for other in dims if other != d
+                             for hit in similar_k(
+                                 store, seeds[d] - seeds[other], k,
+                                 exclude)}))
+            for d in dims}
 
 
-def context_vector(store, term_set):
-    """Unit-weight sum of the expansion terms' vectors; similar_k found
-    every term in `store`."""
-    if not term_set.terms:
-        log.warning("empty term set for %s/%s; context vector is zero",
-                    term_set.aspect, term_set.dimension)
-    return store.sum_of(term_set.terms)
-
-
-def build_context_vectors(store, k, schema=DEFAULT_SCHEMA):
-    """``{(aspect, dimension): vector}`` over the schema's aspects, then
-    over ``gender``."""
-    return {(aspect, dim): context_vector(
-                store, context_terms(store, aspect, dim, k, schema))
-            for aspect in schema.aspect_names() + ("gender",)
-            for dim in _dimensions(schema, aspect)}
+def build_context_vectors(store, k):
+    """``{(aspect, dimension): vector}`` over ASPECTS, then ``gender``;
+    each vector is the unit-weight sum of the dimension's terms."""
+    out = {}
+    for aspect, dims in _CONTEXT_ASPECTS.items():
+        for dim, terms in context_terms(store, dims, k).items():
+            if not terms:
+                log.warning("empty term set for %s/%s; context vector is "
+                            "zero", aspect, dim)
+            out[(aspect, dim)] = store.sum_of(terms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +182,14 @@ def save_context_vectors(context_vectors, path):
 
 
 def load_context_vectors(path):
+    """``{(aspect, dimension): vector}``; every key names an aspect of
+    ASPECTS or ``gender``, and one of its dimensions."""
     out = {}
     for lineno, key, vec in read_text_vectors(path):
         aspect, _, rest = key.partition("/")
-        if not rest:
+        dim = rest.replace("_", " ")
+        if dim not in _CONTEXT_ASPECTS.get(aspect, ()):
             raise FormatError("bad context vector key %r" % key, path=path,
                               line=lineno)
-        if aspect == "gender" and rest not in GENDERS:
-            raise FormatError("bad gender key %r" % key, path=path,
-                              line=lineno)
-        out[(aspect, rest.replace("_", " "))] = vec
+        out[(aspect, dim)] = vec
     return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from reference_kernels import numpy_best_split
-from venuerec.corpus import DEFAULT_SCHEMA
+from venuerec.corpus import ASPECTS
 from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr.mart import _EPS, Tree
 
@@ -150,7 +150,7 @@ def extract_features(pair, venue, models):
         row.append(cosine(w2v, profile.positive))
         row.append(cosine(w2v, profile.negative))
 
-    for aspect in DEFAULT_SCHEMA.aspect_names():
+    for aspect in ASPECTS:
         dim = pair.dimension_of(aspect)
         cv = models.context_vectors.get((aspect, dim)) if dim else None
         if w2v is None or cv is None:

@@ -2,7 +2,7 @@
 
 Everything lives on an orthonormal token basis so every downstream
 quantity has a closed form.  Axes 0-11 carry the twelve context
-dimensions in schema order, axes 12-13 the two genders, axes 14-15 a
+dimensions in ASPECTS order, axes 12-13 the two genders, axes 14-15 a
 liked and a disliked taste direction, and axis 16 is inert padding.
 Ten content terms share each axis exactly, so seed subtraction pulls
 in whole clusters and every aspect vector comes out as an exact
@@ -34,7 +34,7 @@ import numpy as np
 
 from venuerec.cli import SETTINGS
 from venuerec.corpus import (
-    DEFAULT_SCHEMA,
+    ASPECTS,
     GENDERS,
     load_contexts,
     load_profiles,
@@ -79,8 +79,8 @@ NO_ASPECT_P5 = 0.9
 def _dimension_axes():
     axes = {}
     axis = 0
-    for aspect in DEFAULT_SCHEMA.aspect_names():
-        for dim in DEFAULT_SCHEMA.dimensions(aspect):
+    for aspect, dims in ASPECTS.items():
+        for dim in dims:
             axes[(aspect, dim)] = axis
             axis += 1
     return axes
@@ -135,9 +135,9 @@ def decoy_ids(t):
 
 def salient_context(t):
     """(aspect, dimension, sibling dimension) for topic t."""
-    aspects = DEFAULT_SCHEMA.aspect_names()
+    aspects = list(ASPECTS)
     aspect = aspects[t % len(aspects)]
-    dims = DEFAULT_SCHEMA.dimensions(aspect)
+    dims = ASPECTS[aspect]
     i = (t // len(aspects)) % len(dims)
     return aspect, dims[i], dims[(i + 1) % len(dims)]
 

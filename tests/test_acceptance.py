@@ -16,7 +16,14 @@ import pytest
 
 import synthdata
 from venuerec.cli import SETTINGS, main
-from venuerec.corpus import Comment, ContextSchema, UserProfile, Venue, VenueStats
+from venuerec.corpus import (
+    ASPECTS,
+    GENDERS,
+    Comment,
+    UserProfile,
+    Venue,
+    VenueStats,
+)
 from venuerec.embeddings import EmbeddingStore, load_embeddings
 from venuerec.evaluation import evaluate_run, paired_t_test, ranked_run, write_run
 from venuerec.features import N_FEATURES, FeatureTable
@@ -30,8 +37,8 @@ from venuerec.ltr import (
     train_mart,
 )
 from venuerec.profiles import (
+    build_context_vectors,
     context_terms,
-    context_vector,
     user_profile_vectors,
     venue_vector,
 )
@@ -123,14 +130,30 @@ def brute_cos(a, b):
     return num / (na * nb)
 
 
-def brute_expand(vocab, dims, seed_of, target, k):
-    exclude = {seed_of[d] for d in dims}
-    tvec = vocab[seed_of[target]]
+# the frozen seed tokens of every dimension
+SEED_TOKENS = {
+    "day time": ("dai", "time"), "night time": ("night", "time"),
+    "weekend": ("weekend",), "spring": ("spring",), "summer": ("summer",),
+    "autumn": ("autumn",), "winter": ("winter",), "alone": ("alon",),
+    "friends": ("friend",), "family": ("famili",), "business": ("busi",),
+    "holiday": ("holidai",), "male": ("male",), "female": ("femal",),
+}
+
+
+def brute_seed(vocab, dim):
+    toks = SEED_TOKENS[dim]
+    return [sum(vocab[t][i] for t in toks) / len(toks)
+            for i in range(len(vocab[toks[0]]))]
+
+
+def brute_expand(vocab, dims, target, k):
+    exclude = {tok for d in dims for tok in SEED_TOKENS[d]}
+    tvec = brute_seed(vocab, target)
     found = set()
     for d in dims:
         if d == target:
             continue
-        query = [a - b for a, b in zip(tvec, vocab[seed_of[d]])]
+        query = [a - b for a, b in zip(tvec, brute_seed(vocab, d))]
         if not any(query):
             continue
         ranked = sorted((t for t in vocab if t not in exclude),
@@ -142,10 +165,9 @@ def brute_expand(vocab, dims, seed_of, target, k):
 def test_a02_vector_equations_match_brute_force():
     """Venue, taste, context and gender vectors vs independent oracles."""
     with budget(5):
-        terms = ("sun", "moon", "red", "blue", "male", "femal",
-                 "alpha", "beta", "gamma", "delta")
-        schema = ContextSchema(aspects=(("mood", ("sun", "moon")),
-                                        ("hue", ("red", "blue"))))
+        terms = tuple(sorted({tok for toks in SEED_TOKENS.values()
+                              for tok in toks})) + (
+            "alpha", "beta", "gamma", "delta")
         stats = VenueStats(None, None, None, None, None, None)
         rng = np.random.default_rng(202)
         for _ in range(200):
@@ -193,30 +215,17 @@ def test_a02_vector_equations_match_brute_force():
             assert up.positive == pytest.approx(pos, abs=1e-9)
             assert up.negative == pytest.approx(neg, abs=1e-9)
 
-            for aspect, dims in (("mood", ("sun", "moon")),
-                                 ("hue", ("red", "blue"))):
+            vectors = build_context_vectors(store, k)
+            for aspect, dims in {**ASPECTS, "gender": GENDERS}.items():
+                got = context_terms(store, dims, k)
                 for dim in dims:
-                    ts = context_terms(store, aspect, dim, k, schema)
-                    want = brute_expand(vocab, dims, {d: d for d in dims},
-                                        dim, k)
-                    assert ts.terms == want
-                    cv = context_vector(store, ts)
+                    want = brute_expand(vocab, dims, dim, k)
+                    assert got[dim] == want
                     acc = [0.0] * 4
                     for t in want:
                         acc = [a + b for a, b in zip(acc, vocab[t])]
-                    assert cv == pytest.approx(acc, abs=1e-9)
-
-            seed_of = {"male": "male", "female": "femal"}
-            for gender in ("male", "female"):
-                want = brute_expand(vocab, ("male", "female"), seed_of,
-                                    gender, k)
-                ts = context_terms(store, "gender", gender, k)
-                assert ts.terms == want
-                gv = context_vector(store, ts)
-                acc = [0.0] * 4
-                for t in want:
-                    acc = [a + b for a, b in zip(acc, vocab[t])]
-                assert gv == pytest.approx(acc, abs=1e-9)
+                    assert vectors[(aspect, dim)] == pytest.approx(
+                        acc, abs=1e-9)
 
 
 # -- 3 ----------------------------------------------------------------------

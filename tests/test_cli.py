@@ -738,8 +738,10 @@ class TestBadInputs:
     @pytest.mark.parametrize("name, key, message", [
         ("user_vectors.txt", "u00/up", "bad user vector key 'u00/up'"),
         ("context_vectors.txt", "gender/other",
-         "bad gender key 'gender/other'"),
-    ], ids=["user", "gender"])
+         "bad context vector key 'gender/other'"),
+        ("context_vectors.txt", "season/monday",
+         "bad context vector key 'season/monday'"),
+    ], ids=["user", "gender", "context"])
     def test_bad_cache_key_names_its_line(self, corpus, pipeline_dir,
                                           tmp_path, capsys, name, key,
                                           message):

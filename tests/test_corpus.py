@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from venuerec.cli import SETTINGS
 from venuerec.corpus import (
-    DEFAULT_SCHEMA,
-    ContextSchema,
-    Qrels,
+    ASPECTS,
     _has_space,
     load_contexts,
     load_profiles,
@@ -223,6 +221,27 @@ class TestLoadContexts:
         with pytest.raises(FormatError, match="unknown aspect 'weather'"):
             self.load(p, profile_file)
 
+    @pytest.mark.parametrize("context", [[], 0, False, "", "x", [1]])
+    def test_non_object_context_rejected(self, tmp_path, profile_file,
+                                         context):
+        # falsy values included: only an absent or null field means no
+        # context
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [{"topic_id": "t1", "user_id": "u1",
+                         "candidates": ["v1"], "context": context}])
+        with pytest.raises(FormatError,
+                           match="line 1: field 'context' must be an object"):
+            self.load(p, profile_file)
+
+    @pytest.mark.parametrize("record", [{}, {"context": None}],
+                             ids=["absent", "null"])
+    def test_absent_or_null_context_is_empty(self, tmp_path, profile_file,
+                                             record):
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [dict(record, topic_id="t1", user_id="u1",
+                             candidates=["v1"])])
+        assert self.load(p, profile_file)[0].context == ()
+
     def test_underscore_dimension_normalized(self, tmp_path, profile_file):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"topic_id": "t1", "user_id": "u1",
@@ -305,25 +324,12 @@ class TestQrels:
 
 class TestSchema:
     def test_default_aspects(self):
-        assert DEFAULT_SCHEMA.aspect_names() == (
-            "duration", "season", "group", "type")
-        assert DEFAULT_SCHEMA.dimensions("duration") == (
-            "day time", "night time", "weekend")
-        assert DEFAULT_SCHEMA.dimensions("season") == (
-            "spring", "summer", "autumn", "winter")
-        assert DEFAULT_SCHEMA.dimensions("group") == (
-            "alone", "friends", "family")
-        assert DEFAULT_SCHEMA.dimensions("type") == ("business", "holiday")
-
-    def test_is_legal(self):
-        assert DEFAULT_SCHEMA.is_legal("season", "winter")
-        assert not DEFAULT_SCHEMA.is_legal("season", "monday")
-        assert not DEFAULT_SCHEMA.is_legal("weather", "rainy")
-
-    def test_custom_schema(self):
-        schema = ContextSchema(aspects=(("mood", ("calm", "busy")),))
-        assert schema.is_legal("mood", "busy")
-        assert not schema.is_legal("season", "summer")
+        assert list(ASPECTS.items()) == [
+            ("duration", ("day time", "night time", "weekend")),
+            ("season", ("spring", "summer", "autumn", "winter")),
+            ("group", ("alone", "friends", "family")),
+            ("type", ("business", "holiday")),
+        ]
 
 
 class TestRoundTrips:

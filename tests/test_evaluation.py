@@ -11,7 +11,6 @@ from venuerec.corpus import Qrels
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.evaluation import (
     MetricReport,
-    RankedRun,
     evaluate_run,
     format_report,
     load_run,

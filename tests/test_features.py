@@ -18,9 +18,8 @@ from reference_models import (
 )
 
 from venuerec.corpus import (
-    DEFAULT_SCHEMA,
+    ASPECTS,
     GENDERS,
-    Comment,
     ContextPair,
     Qrels,
     UserProfile,
@@ -87,6 +86,9 @@ class TestExtractFeatures:
             "checkins", "likes", "comment_count", "photos", "rating_avg",
             "unique_users", "uv_pos", "uv_neg", "cv_duration", "cv_season",
             "cv_group", "cv_type", "gv")
+
+    def test_context_columns_follow_the_aspect_table(self):
+        assert FEATURE_NAMES[8:12] == tuple("cv_" + a for a in ASPECTS)
 
     def test_toy_chain_uv_pos_is_one(self):
         row = one_row(make_pair(), make_venue(), make_models())
@@ -618,9 +620,9 @@ STATS = st.builds(
                     "unique_users")},
     rating_avg=st.none() | st.just(-0.0) | st.floats(0.0, 10.0))
 VENUES = ["v%d" % i for i in range(8)]
-CONTEXT_KEYS = [(aspect, dim) for aspect in DEFAULT_SCHEMA.aspect_names()
-                for dim in DEFAULT_SCHEMA.dimensions(aspect)] + [
-                    ("gender", g) for g in GENDERS]
+CONTEXT_KEYS = [(aspect, dim)
+                for aspect, dims in {**ASPECTS, "gender": GENDERS}.items()
+                for dim in dims]
 
 
 @st.composite
@@ -653,8 +655,8 @@ def extraction_inputs(draw):
         user = UserProfile(draw(st.sampled_from(["u0", "u1", "u2"])),
                            draw(st.sampled_from(GENDERS)))
         context = tuple(
-            (aspect, draw(st.sampled_from(DEFAULT_SCHEMA.dimensions(aspect))))
-            for aspect in DEFAULT_SCHEMA.aspect_names() if draw(st.booleans()))
+            (aspect, draw(st.sampled_from(dims)))
+            for aspect, dims in ASPECTS.items() if draw(st.booleans()))
         candidates = draw(st.lists(st.sampled_from(VENUES + ["g0", "g1"]),
                                    unique=True, max_size=8))
         pairs.append(ContextPair("t%d" % t, user, context, tuple(candidates)))

@@ -15,17 +15,15 @@ from reference_models import (
     brute_venue_vector,
 )
 from venuerec.cli import SETTINGS
-from venuerec.corpus import GENDERS, Comment, ContextSchema, UserProfile, Venue
-from venuerec.embeddings import EmbeddingStore
-from venuerec.errors import VenuerecError
+from venuerec.corpus import ASPECTS, GENDERS, Comment, UserProfile, Venue
+from venuerec.embeddings import EmbeddingStore, write_text_vectors
+from venuerec.errors import FormatError, VenuerecError
 from venuerec.profiles import (
-    ContextTermSet,
     UserVenueProfile,
     VenueVector,
     build_context_vectors,
     build_venue_vectors,
     context_terms,
-    context_vector,
     load_context_vectors,
     load_user_vectors,
     load_venue_vectors,
@@ -168,7 +166,22 @@ class TestUserProfileVectors:
         assert not caplog.records
 
 
-TWO_SEASONS = ContextSchema(aspects=(("season", ("spring", "summer")),))
+TWO_SEASONS = ("spring", "summer")
+
+# every (aspect, dimension) key of a context vector cache, gender last
+CONTEXT_KEYS = [(aspect, dim)
+                for aspect, dims in {**ASPECTS, "gender": GENDERS}.items()
+                for dim in dims]
+
+
+def with_zero_seeds(terms, rows):
+    """A store of `terms` plus every other seed token as a zero vector,
+    so that build_context_vectors runs; a zero seed finds no terms."""
+    seeds = sorted({tok for _, dim in CONTEXT_KEYS
+                    for tok in seed_tokens(dim)} - set(terms))
+    rows = [list(row) for row in rows]
+    return EmbeddingStore(list(terms) + seeds,
+                          rows + [[0.0] * len(rows[0])] * len(seeds))
 
 
 class TestContextTerms:
@@ -178,25 +191,21 @@ class TestContextTerms:
                                 [0.0, 1.0, 0.0],
                                 [0.9, -0.9, 0.0],
                                 [0.0, 0.0, 1.0]])
-        ts = context_terms(store, "season", "spring", k=1,
-                           schema=TWO_SEASONS)
-        assert ts.terms == ("w",)
-        assert ts.aspect == "season"
-        assert ts.dimension == "spring"
+        # one key per sibling dimension, in their order
+        assert list(context_terms(store, TWO_SEASONS, k=1).items()) == [
+            ("spring", ("w",)), ("summer", ("far",))]
 
     def test_seeds_never_in_expansion(self):
         rng = np.random.default_rng(9)
         terms = ["spring", "summer"] + ["c%d" % i for i in range(6)]
         store = EmbeddingStore(terms, rng.normal(size=(8, 3)))
-        ts = context_terms(store, "season", "summer", k=8, schema=TWO_SEASONS)
-        assert "spring" not in ts.terms
-        assert "summer" not in ts.terms
+        got = context_terms(store, TWO_SEASONS, k=8)["summer"]
+        assert "spring" not in got
+        assert "summer" not in got
 
     def test_multiword_seed_mean_and_exclusion(self):
         # "day time" seeds through tokens dai+time; the mean of the two
         # vectors is the seed, and both tokens are excluded
-        schema = ContextSchema(aspects=(
-            ("duration", ("day time", "night time")),))
         store = EmbeddingStore(["dai", "night", "time", "sun", "moon"],
                                [[1.0, 0.0],
                                 [-1.0, 0.0],
@@ -205,9 +214,9 @@ class TestContextTerms:
                                 [-1.0, 0.0]])
         np.testing.assert_array_equal(seed_vector(store, "day time"),
                                       [0.5, 0.5])
-        ts = context_terms(store, "duration", "day time", k=3, schema=schema)
+        got = context_terms(store, ("day time", "night time"), k=3)
         # query = (0.5,0.5) - (-0.5,0.5) = (1,0): sun 1.0, moon -1.0
-        assert ts.terms == ("moon", "sun")
+        assert got["day time"] == ("moon", "sun")
 
     def test_seeds_whose_difference_overflows_rank_by_true_cosine(self):
         # the query spring - summer = (2.4e154, 0) has a squared norm
@@ -220,38 +229,23 @@ class TestContextTerms:
                                 [0.0, 1.0]])
         # cosines against (1, 0): warm 0.995, mild 0.0, cold -0.995
         for k, terms in ((1, ("warm",)), (2, ("mild", "warm"))):
-            ts = context_terms(store, "season", "spring", k=k,
-                               schema=TWO_SEASONS)
-            assert ts.terms == terms
+            assert context_terms(store, TWO_SEASONS, k=k)["spring"] == terms
 
     def test_seed_oov_raises_naming_token(self):
         store = EmbeddingStore(["spring"], [[1.0, 0.0]])
         with pytest.raises(VenuerecError, match="'summer'"):
-            context_terms(store, "season", "spring", k=1, schema=TWO_SEASONS)
-
-
-class TestContextVector:
-    def test_two_term_sum(self, ab_store):
-        ts = ContextTermSet("season", "spring", ("a", "b"))
-        got = context_vector(ab_store, ts)
-        np.testing.assert_array_equal(got, [1.0, 2.0])
-
-    def test_empty_set_zero_vector(self, ab_store):
-        ts = ContextTermSet("season", "spring", ())
-        got = context_vector(ab_store, ts)
-        np.testing.assert_array_equal(got, [0.0, 0.0])
+            context_terms(store, TWO_SEASONS, k=1)
 
 
 class TestGender:
     def test_toy_subtraction(self):
-        store = EmbeddingStore(["male", "femal", "w", "x"],
-                               [[1.0, 0.0],
-                                [0.0, 1.0],
-                                [1.0, -1.0],
-                                [0.3, 0.3]])
-        ts = context_terms(store, "gender", "male", k=1)
-        assert ts.terms == ("w",)
-        gv = context_vector(store, ts)
+        store = with_zero_seeds(["male", "femal", "w", "x"],
+                                [[1.0, 0.0],
+                                 [0.0, 1.0],
+                                 [1.0, -1.0],
+                                 [0.3, 0.3]])
+        assert context_terms(store, GENDERS, k=1)["male"] == ("w",)
+        gv = build_context_vectors(store, k=1)[("gender", "male")]
         np.testing.assert_array_equal(gv, [1.0, -1.0])
 
     def test_female_uses_opposite_subtraction(self):
@@ -260,17 +254,20 @@ class TestGender:
                                 [0.0, 1.0],
                                 [1.0, -1.0],
                                 [-1.0, 1.0]])
-        assert context_terms(store, "gender", "male", k=1).terms == ("w",)
-        assert context_terms(store, "gender", "female", k=1).terms == ("v",)
+        assert context_terms(store, GENDERS, k=1) == {"male": ("w",),
+                                                      "female": ("v",)}
+
+
+def synth_vocab_store(**overrides):
+    vocab = dict(synthdata.build_vocab(), **overrides)
+    terms = sorted(vocab)
+    return EmbeddingStore(terms, [vocab[t] for t in terms])
 
 
 class TestContextVectorsOfTheSynthCorpus:
     def test_fourteen_dimensions_gender_last(self):
-        vocab = synthdata.build_vocab()
-        terms = sorted(vocab)
-        store = EmbeddingStore(terms, [vocab[t] for t in terms])
-        vectors = build_context_vectors(store, K)
-        assert len(vectors) == 14
+        vectors = build_context_vectors(synth_vocab_store(), K)
+        assert list(vectors) == CONTEXT_KEYS
         assert list(vectors)[-2:] == [("gender", "male"),
                                       ("gender", "female")]
         # each gender's expansion is the 10-term cluster on its own axis
@@ -278,6 +275,21 @@ class TestContextVectorsOfTheSynthCorpus:
             want = np.zeros(synthdata.DIMENSION)
             want[axis] = 10.0
             np.testing.assert_array_equal(vectors[("gender", gender)], want)
+
+    def test_empty_term_sets_give_zero_vectors_and_warn(self, caplog):
+        # male and femal are equal, so each gender's query is zero and
+        # finds no terms
+        import logging
+        vocab = synthdata.build_vocab()
+        store = synth_vocab_store(femal=vocab["male"])
+        with caplog.at_level(logging.WARNING, logger="venuerec.profiles"):
+            vectors = build_context_vectors(store, K)
+        for gender in GENDERS:
+            np.testing.assert_array_equal(vectors[("gender", gender)],
+                                          np.zeros(synthdata.DIMENSION))
+        assert [r.getMessage() for r in caplog.records] == [
+            "empty term set for gender/%s; context vector is zero" % g
+            for g in GENDERS]
 
 
 class TestSeedTokens:
@@ -305,7 +317,8 @@ class TestSeedTokens:
 
 class TestBruteForceAgreement:
     def fixture(self, rng):
-        terms = ["spring", "summer", "male", "femal"]
+        terms = sorted({tok for _, dim in CONTEXT_KEYS
+                        for tok in seed_tokens(dim)})
         terms += ["c%d" % i for i in range(6)]
         vectors = {t: [float(x) for x in rng.normal(size=4)] for t in terms}
         store = EmbeddingStore(sorted(terms),
@@ -339,23 +352,25 @@ class TestBruteForceAgreement:
             np.testing.assert_allclose(up.negative, bn, atol=1e-9, rtol=0)
 
             k = int(rng.integers(1, 5))
-            ts = context_terms(store, "season", "spring", k=k,
-                               schema=TWO_SEASONS)
+            terms = context_terms(store, TWO_SEASONS, k=k)["spring"]
             want_terms = brute_context_terms(
                 vectors, [("spring", ["spring"]), ("summer", ["summer"])],
                 "spring", k)
-            assert list(ts.terms) == want_terms
+            assert list(terms) == want_terms
 
-            cv = context_vector(store, ts)
+            cvs = build_context_vectors(store, k)
+            want_terms = brute_context_terms(
+                vectors, [(d, list(seed_tokens(d)))
+                          for d in ASPECTS["season"]], "spring", k)
             np.testing.assert_allclose(
-                cv, brute_term_sum(vectors, ts.terms, 4),
-                atol=1e-9, rtol=0)
+                cvs[("season", "spring")],
+                brute_term_sum(vectors, want_terms, 4), atol=1e-9, rtol=0)
 
-            gts = context_terms(store, "gender", "male", k=k)
+            gterms = context_terms(store, GENDERS, k=k)["male"]
             want_g = brute_context_terms(
                 vectors, [("male", ["male"]), ("female", ["femal"])],
                 "male", k)
-            assert list(gts.terms) == want_g
+            assert list(gterms) == want_g
 
 
 class TestCaches:
@@ -384,21 +399,26 @@ class TestCaches:
                                       ups["u1"].negative)
 
     def test_context_vector_round_trip(self, tmp_path):
-        store = EmbeddingStore(
-            ["dai", "night", "time", "sun", "male", "femal"],
-            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0],
-             [-1.0, 1.0]])
-        schema = ContextSchema(aspects=(
-            ("duration", ("day time", "night time")),))
-        cvs = build_context_vectors(store, k=2, schema=schema)
+        cvs = build_context_vectors(synth_vocab_store(), k=2)
         p = tmp_path / "context_vectors.txt"
         save_context_vectors(cvs, p)
         back = load_context_vectors(p)
-        assert list(back) == [("duration", "day time"),
-                              ("duration", "night time"),
-                              ("gender", "female"), ("gender", "male")]
+        # keys come back sorted, "day_time" as "day time"
+        assert list(back) == sorted(CONTEXT_KEYS)
         for key, vec in cvs.items():
             np.testing.assert_array_equal(back[key], vec)
+
+    @pytest.mark.parametrize("key", [
+        "weather/rainy", "season/monday", "gender/other", "season",
+        "season/", "gender/femal", "duration/day__time"])
+    def test_context_key_outside_the_table_rejected(self, tmp_path, key):
+        p = tmp_path / "context_vectors.txt"
+        write_text_vectors([("season/spring", np.ones(2)),
+                            (key, np.ones(2))], p)
+        # line 1 is the header
+        with pytest.raises(FormatError,
+                           match="line 3: bad context vector key %r" % key):
+            load_context_vectors(p)
 
     def test_cache_determinism(self, tmp_path, ab_store):
         vv = build_venue_vectors(ab_store, [make_venue("v1", [["a"]])])
@@ -422,7 +442,6 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 _IDS = st.text(alphabet=string.ascii_letters + string.digits + "-./",
                min_size=1, max_size=8)
-_WORDS = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=5)
 
 
 @st.composite
@@ -469,10 +488,7 @@ class TestCacheRoundTripIsBitExact:
             assert same_bits(back[user_id].positive, up.positive)
             assert same_bits(back[user_id].negative, up.negative)
 
-    @given(table=vector_tables(st.one_of(
-        st.tuples(_WORDS.filter(lambda w: w != "gender"),
-                  st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)),
-        st.sampled_from(GENDERS).map(lambda g: ("gender", g)))))
+    @given(table=vector_tables(st.sampled_from(CONTEXT_KEYS), size=14))
     def test_context_and_gender_vectors(self, tmp_path_factory, table):
         # a dimension's spaces are stored as '_' in the cache key
         path = tmp_path_factory.mktemp("cache") / "context_vectors.txt"

@@ -1,4 +1,6 @@
-"""Every function, class and method under src/venuerec is used by the program.
+"""Every function, class and method under src/venuerec is used by the
+program, and no module under src/, tests/ or tools/ imports a name it
+never reads.
 
 A name counts as used when code under src/ or perfbench/ refers to it
 outside its own definition.  The site strings of perfbench/traced.py,
@@ -15,6 +17,10 @@ SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "venuerec", "**",
                                         "*.py"), recursive=True))
 USERS = SOURCES + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 TRACER = os.path.join(ROOT, "perfbench", "traced.py")
+IMPORTERS = sorted(
+    path for part in ("src", "tests", "tools")
+    for path in glob.glob(os.path.join(ROOT, part, "**", "*.py"),
+                          recursive=True))
 
 
 def _parse(path):
@@ -67,3 +73,42 @@ def test_every_definition_is_referenced_outside_itself():
 def test_the_scan_sees_the_package():
     names = {name for _, name, _, _ in definitions()}
     assert {"main", "load_venues", "TopicBlocks", "metric"} <= names
+
+
+def unused_imports(path):
+    """``(line, name)`` of each name `path` imports and never reads; a
+    name listed in the module's ``__all__`` counts as read."""
+    tree = _parse(path)
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name)
+                        and target.id == "__all__"
+                        for target in node.targets)):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = ["%s:%d %s" % (os.path.relpath(path, ROOT), line, name)
+              for path in IMPORTERS for line, name in unused_imports(path)]
+    assert not unused, "imported but never read: %s" % ", ".join(unused)
+
+
+def test_the_import_scan_sees_an_unused_name(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import os\nimport os.path as osp\n"
+                    "from sys import argv, path as sys_path\n"
+                    "__all__ = ['argv']\nprint(osp)\n", encoding="utf-8")
+    assert unused_imports(str(path)) == [(1, "os"), (3, "sys_path")]
+    assert len(IMPORTERS) > 20
