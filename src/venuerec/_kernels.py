@@ -29,7 +29,7 @@ def cosine_scores(matrix, norms, query):
 _ONE_PART_CELLS = 4096
 
 
-def best_split(X, order, targets, min_leaf):
+def best_split(X, order, targets, min_leaf, skip=None):
     """Best least-squares split of one tree node on each feature.
 
     `X` is the C-contiguous rows x features matrix and `targets` holds
@@ -39,7 +39,8 @@ def best_split(X, order, targets, min_leaf):
     ``cuts[j] == 0`` means feature ``j`` has no split with positive
     gain.  Candidate cuts lie between distinct adjacent values only;
     among equal gains the lowest cut wins.  A feature constant at the
-    node has no cut and is skipped.
+    node has no cut and is skipped, and so is the feature `skip`, as if
+    its column were constant.
 
     Each feature's gains come from the same operations in the same
     order as a search of that feature alone, so they are the same
@@ -55,8 +56,10 @@ def best_split(X, order, targets, min_leaf):
         return gains, cuts
     features = np.arange(k)
     # a feature is constant at the node when its extreme values agree
-    live = np.flatnonzero(X[order[:, 0], features]
-                          != X[order[:, -1], features])
+    varies = X[order[:, 0], features] != X[order[:, -1], features]
+    if skip is not None:
+        varies[skip] = False
+    live = np.flatnonzero(varies)
     if not live.size:
         return gains, cuts
     left_ns = np.arange(1, n + 1, dtype=np.float64)

@@ -4,14 +4,18 @@
 study's baseline all call it, and every fit looks its trainer up in
 this module, where `perfbench/traced.py` times it.  The study reports
 the relative change of the ranking metric, against the untouched
-baseline, when the ranker is trained with one feature column zeroed
-everywhere (train, validation, and scoring).  Zeroing rather than
-dropping keeps every model the same shape.
+baseline, when the ranker is trained with one feature left out of its
+search.  A knockout fits on the baseline's own matrices with the
+trainer's `skip` set to the feature: MART never splits on it, and
+coordinate ascent never steps along it and gives it weight 0.  Its
+model keeps every feature's slot, and gives the metric that one
+trained and scored with the column zeroed everywhere gives, with no
+copy of a matrix.
 
 A MART knockout is retrained only for a feature in the baseline's
 ``history["decisive"]``; any other is the baseline, exactly.  The split
 search gives each feature the same gain whichever others are live, so
-zeroing column j only takes j out of each node's choice.  When that
+skipping feature j only takes j out of each node's choice.  When that
 changes no choice at any node the baseline searched, in any tree it
 fitted, the knockout grows the same trees, stops at the same stage and
 never reads column j.
@@ -49,10 +53,10 @@ class AblationReport:
     entries: tuple
 
 
-def _fit(train, valid, config):
+def _fit(train, valid, config, skip=None):
     if isinstance(config, CAConfig):
-        return train_coordinate_ascent(train, valid, config)
-    return train_mart(train, valid, config)
+        return train_coordinate_ascent(train, valid, config, skip)
+    return train_mart(train, valid, config, skip)
 
 
 def fit(table, config, split_fraction, cutoff):
@@ -67,13 +71,9 @@ def fit(table, config, split_fraction, cutoff):
 
 
 def _knockout(j, train, valid, blocks, config):
-    """The metric of the model trained and scored with column `j` zeroed.
-
-    Its copies of the blocks are freed on return, before the next fit.
-    """
-    model = _fit(train.without_feature(j), valid.without_feature(j), config)
-    zblocks = blocks.without_feature(j)
-    return zblocks.metric(predict_matrix(model, zblocks.X), config.metric)
+    """The metric on `blocks` of the model trained without feature `j`."""
+    model = _fit(train, valid, config, skip=j)
+    return blocks.metric(predict_matrix(model, blocks.X), config.metric)
 
 
 def run_ablation(table, config, split_fraction, cutoff):
@@ -84,13 +84,11 @@ def run_ablation(table, config, split_fraction, cutoff):
     scoring alike.  Rows with a label of at least `cutoff` are the
     relevant ones, as in the run evaluator.  The baseline comes from
     `fit`; its train and validation TopicBlocks and the all-rows ones
-    are built once, and each knockout trains and scores on copies of
-    them with one column of `X` zeroed, which is exact because the
-    split and the row order depend only on topic and venue ids.  Every
-    variant is scored over all topics of the FeatureTable `table`, with
-    the metric averaged the same way the trainers do it.  Coordinate
-    ascent trains every knockout, MART only those of the baseline's
-    decisive features.
+    are built once, and each knockout trains and scores on them too,
+    with its feature left out.  Every variant is scored over all topics
+    of the FeatureTable `table`, with the metric averaged the same way
+    the trainers do it.  Coordinate ascent trains every knockout, MART
+    only those of the baseline's decisive features.
     """
     learner = "coordinate_ascent" if isinstance(config, CAConfig) else "mart"
     metric, seed = config.metric, config.seed

@@ -218,10 +218,12 @@ def _read_well_formed(path):
     it: each term's line number, the terms in file order and their
     vectors as rows, parsed by numpy; None for any other file.
 
-    The file must be UTF-8 with a ``count dim`` header, then count
-    lines of a term free of whitespace and dim values, each after one
-    single space, with no term twice and every value finite.  Every
-    other file, and every value ``np.loadtxt`` cannot parse but
+    The file must be UTF-8: lines of a term free of whitespace and dim
+    values, each after one single space, with no term twice and every
+    value finite.  A first line that is a ``count dim`` header by
+    _read_lines' rule (`_header`) declares both; any other first line
+    is a term's, as in the headerless layout GloVe ships, and sets dim.
+    Every other file, and every value ``np.loadtxt`` cannot parse but
     ``float()`` can (``1_0``, ``١٢``), goes to _read_lines, which
     gives the same values or names the line at fault.  Counting the
     spaces matters: ``loadtxt`` with ``usecols`` drops extra columns.
@@ -229,11 +231,15 @@ def _read_well_formed(path):
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                return None
-            count, dim = int(header[0]), int(header[1])
-            if count < 1 or dim < 1:
+            first = fh.readline()
+            declared = _header(first.split())
+            if declared is None:
+                # the first line is a term's, read again below
+                count, dim = None, first.count(" ")
+                fh.seek(0)
+            else:
+                count, dim = declared
+            if (count is not None and count < 1) or dim < 1:
                 return None
             terms = []
             for line in fh:
@@ -241,17 +247,31 @@ def _read_well_formed(path):
                 if line.count(" ") != dim or term.split() != [term]:
                     return None
                 terms.append(term)
+            if count is None:
+                count = len(terms)
             if len(terms) != count or len(set(terms)) != count:
                 return None
             fh.seek(0)
+            first_term_line = 1 if declared is None else 2
             matrix = np.loadtxt(fh, dtype=np.float64, delimiter=" ",
                                 usecols=range(1, dim + 1), comments=None,
-                                skiprows=1, ndmin=2)
+                                skiprows=first_term_line - 1, ndmin=2)
     except ValueError:  # a byte that is not UTF-8, a value loadtxt rejects
         return None
     if matrix.shape != (count, dim) or not np.all(np.isfinite(matrix)):
         return None
-    return range(2, count + 2), terms, matrix
+    return range(first_term_line, first_term_line + count), terms, matrix
+
+
+def _header(parts):
+    """The ``(count, dim)`` a first line split into `parts` declares: two
+    tokens that both parse as int.  None for any other line."""
+    if len(parts) != 2:
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        return None
 
 
 def _read_lines(path):
@@ -264,11 +284,8 @@ def _read_lines(path):
         parts = line.split()
         if not parts:
             continue
-        if lineno == 1 and len(parts) == 2:
-            try:
-                declared = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                declared = None
+        if lineno == 1:
+            declared = _header(parts)
             if declared is not None:
                 if declared[0] < 1 or declared[1] < 1:
                     raise FormatError(

@@ -122,7 +122,8 @@ class ModelSet:
 
     venue_vectors: dict
     user_profiles: dict          # user_id -> UserVenueProfile
-    # (aspect, dimension) -> vector; gender is the aspect "gender"
+    # (aspect, dimension) -> vector for every dimension of ASPECTS and
+    # of the aspect "gender", as load_context_vectors checks
     context_vectors: dict
 
 
@@ -154,8 +155,10 @@ def _topic_block(pair, venues, models):
               else [zero, zero])
     keys = [(aspect, pair.dimension_of(aspect)) for aspect in ASPECTS]
     keys.append(("gender", user.gender))
-    B = np.array(tastes + [models.context_vectors.get(key, zero)
-                           for key in keys])
+    # an aspect the topic leaves unbound scores 0
+    B = np.array(tastes + [zero if dim is None
+                           else models.context_vectors[(aspect, dim)]
+                           for aspect, dim in keys])
     try:
         block[:, len(_STAT_FIELDS):] = cosine_matrix(A, B)
     except NormOverflowError as exc:

@@ -61,9 +61,22 @@ def _normalize(w):
     return np.full(w.shape[0], 1.0 / w.shape[0])
 
 
-def _ascend(blocks, w, config, deltas):
-    """Optimize one start vector in place; returns its final train metric."""
-    scores = blocks.X @ w
+def _masked(w, skip):
+    """`w` with weight `skip` zeroed, as scores are made from it."""
+    if skip is None:
+        return w
+    w = w.copy()
+    w[skip] = 0.0
+    return w
+
+
+def _ascend(blocks, w, config, deltas, skip):
+    """Optimize one start vector in place; returns its final train metric.
+
+    Feature `skip` is never searched and scores with weight 0, while its
+    weight in `w` keeps its start value through each normalization.
+    """
+    scores = blocks.X @ _masked(w, skip)
     cur = blocks.metric(scores, config.metric)
     for _ in range(config.max_sweeps):
         swept_gain = False
@@ -71,7 +84,7 @@ def _ascend(blocks, w, config, deltas):
             col = blocks.X[:, j]
             # a step along a zero column leaves the scores, and so
             # `cur`, as they are
-            if not col.any():
+            if j == skip or not col.any():
                 continue
             best_metric = cur
             best_delta = 0.0
@@ -88,7 +101,7 @@ def _ascend(blocks, w, config, deltas):
         if not swept_gain:
             break
         w[:] = _normalize(w)
-        scores = blocks.X @ w
+        scores = blocks.X @ _masked(w, skip)
         cur = blocks.metric(scores, config.metric)
     return cur
 
@@ -102,7 +115,7 @@ def _better(valid_m, train_m, best):
     return train_m > best[1] + _EPS
 
 
-def train_coordinate_ascent(train, valid, config):
+def train_coordinate_ascent(train, valid, config, skip=None):
     """Fit a LinearModel on `train`, pick the restart by `valid`.
 
     Both are TopicBlocks, `train` never empty (split_train_validation
@@ -112,7 +125,8 @@ def train_coordinate_ascent(train, valid, config):
     generator seeded by (seed, restart).  Only restarts that at least
     match the uniform baseline on the training metric are eligible;
     among those the best validation metric wins, ties going to the
-    higher training metric and then the earlier restart.
+    higher training metric and then the earlier restart.  Feature
+    `skip` is left out of the search, and its weight is 0.
     """
     nf = train.X.shape[1]
     deltas = []
@@ -122,7 +136,7 @@ def train_coordinate_ascent(train, valid, config):
         deltas.append(-step)
 
     uniform = np.full(nf, 1.0 / nf)
-    baseline = train.metric(train.X @ uniform, config.metric)
+    baseline = train.metric(train.X @ _masked(uniform, skip), config.metric)
 
     best = None
     for restart in range(config.restarts):
@@ -130,11 +144,11 @@ def train_coordinate_ascent(train, valid, config):
             w = uniform.copy()
         else:
             w = _normalize(np.array(PCG64([config.seed, restart]).random(nf)))
-        train_m = _ascend(train, w, config, deltas)
+        train_m = _ascend(train, w, config, deltas, skip)
         if train_m < baseline - _EPS:
             continue
         if len(valid):
-            valid_m = valid.metric(valid.X @ w, config.metric)
+            valid_m = valid.metric(valid.X @ _masked(w, skip), config.metric)
         else:
             valid_m = train_m
         if best is None or _better(valid_m, train_m, best):
@@ -144,5 +158,5 @@ def train_coordinate_ascent(train, valid, config):
     if train_m <= baseline + _EPS and np.allclose(w, uniform):
         log.warning("training metric never improved over the uniform "
                     "baseline; returning uniform weights")
-    return LinearModel(weights=tuple(float(x) for x in w),
+    return LinearModel(weights=tuple(float(x) for x in _masked(w, skip)),
                        metric=config.metric, seed=config.seed)

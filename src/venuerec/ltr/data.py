@@ -6,8 +6,6 @@ yields the same tie handling as the run builder: score descending,
 venue id ascending.
 """
 
-import copy
-
 import numpy as np
 
 from .._rng import PCG64
@@ -56,10 +54,9 @@ class TopicBlocks:
     a line search along a column of `X`.  A row is relevant when its
     label is at least `cutoff`, and topics without a single relevant
     row are left out of the average, matching the run evaluator.  The
-    arrays are read-only, so copies made by `without_feature` can share
-    everything but `X` and the column order MART reads
-    (`column_order`); a copy derives its order from this one's instead
-    of sorting again.
+    arrays are read-only, and the column order MART reads
+    (`column_order`) is sorted once, so the baseline and every knockout
+    of the feature study train on the same blocks.
 
     For the metric, the row indices of the included topics sit in one
     (topics × widest topic) matrix, and those of their relevant rows in
@@ -80,7 +77,7 @@ class TopicBlocks:
     of the topic alone.
 
     A line search stacks the keys of a few steps into one block, made
-    by the first line search and shared with the copies, and decides
+    by the first line search and reused by the later ones, and decides
     them all with the same sort and counts as a single score vector; a
     step whose cut is unsure takes the argsort alone.
     """
@@ -107,23 +104,6 @@ class TopicBlocks:
 
     def __len__(self):
         return len(self.y)
-
-    def without_feature(self, j):
-        """A copy whose column `j` of `X` is zero; other arrays are shared.
-
-        When this blocks' column order is sorted already, the copy's is
-        that order with row `j` replaced: a stable argsort of a column
-        of zeros is the identity.
-        """
-        clone = copy.copy(self)
-        clone.X = self.X.copy()
-        clone.X[:, j] = 0.0
-        clone.X.flags.writeable = False
-        if self._order is not None:
-            clone._order = self._order.copy()
-            clone._order[j] = np.arange(len(self.y))
-            clone._order.flags.writeable = False
-        return clone
 
     def column_order(self):
         """A stable argsort of each column of `X`, int32, features x rows.
@@ -170,7 +150,7 @@ class TopicBlocks:
         dirs = np.zeros(len(keys))
         np.negative(col, out=dirs[:-1])
         if not self._buffers:
-            # made by the first line search, and shared with the copies
+            # made by the first line search, and reused by the later ones
             n = max(1, _LINE_CELLS // self._index.size)
             self._buffers += [np.empty((n,) + index.shape)
                               for index in (self._index, self._rel_index)]

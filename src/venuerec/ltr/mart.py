@@ -100,15 +100,16 @@ def _leaders(gains, features, skip=-1):
     return leaders
 
 
-def _best_candidate(X, resid, order, min_leaf, decisive):
+def _best_candidate(X, resid, order, min_leaf, decisive, skip):
     """Best split of a node whose rows are `order`, one sorted row per feature.
 
     Returns ``(gain, feature, threshold, cut, order)``: the rows
     ``order[feature, :cut]`` go left.  None when no split gains.
     Adds to the set `decisive` each feature whose knockout would change
     the choice.  Only a leader can: the others never moved the lead.
+    Feature `skip` takes no part.
     """
-    gains, cuts = _kernels.best_split(X, order, resid, min_leaf)
+    gains, cuts = _kernels.best_split(X, order, resid, min_leaf, skip)
     features = np.flatnonzero(cuts).tolist()
     leaders = _leaders(gains, features)
     if not leaders:
@@ -138,7 +139,8 @@ def _partition(order, left_rows, n_rows):
             flat.compress(~mask).reshape(n_features, -1))
 
 
-def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None):
+def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None,
+             skip=None):
     """Grow one least-squares tree best-first up to `max_leaves` leaves.
 
     `order` holds a stable argsort of each column of `X`, features x
@@ -146,9 +148,9 @@ def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None):
     the same one to every tree.  A child keeps its parent's per-feature
     order with the other side's rows filtered out, so no node sorts
     again, and ties inside a column go by row index.  One search per
-    node covers every feature.  The features whose knockout would
-    change the choice at any searched node are added to the set
-    `decisive`.
+    node covers every feature but `skip`, the one a knockout leaves
+    out.  The features whose knockout would change the choice at any
+    searched node are added to the set `decisive`.
     """
     X = np.ascontiguousarray(X)
     if decisive is None:
@@ -159,7 +161,7 @@ def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None):
     right = [0]
     value = [float(resid.mean()) if resid.size else 0.0]
     candidates = {}
-    cand = _best_candidate(X, resid, order, min_leaf, decisive)
+    cand = _best_candidate(X, resid, order, min_leaf, decisive, skip)
     if cand is not None:
         candidates[0] = cand
     n_leaves = 1
@@ -187,7 +189,7 @@ def fit_tree(X, resid, max_leaves, min_leaf, order, decisive=None):
                 (left[node], right[node]),
                 _partition(node_order, rows[:pos], X.shape[0])):
             cand = _best_candidate(X, resid, child_order, min_leaf,
-                                   decisive)
+                                   decisive, skip)
             if cand is not None:
                 candidates[child] = cand
     return Tree(feature=tuple(feature), threshold=tuple(threshold),
@@ -199,14 +201,15 @@ def _tree_outputs(tree, X):
     return _kernels.apply_tree(f, t, l, r, v, np.ascontiguousarray(X))
 
 
-def train_mart(train, valid, config):
+def train_mart(train, valid, config, skip=None):
     """Boost `config.n_trees` stages on the non-empty `train` TopicBlocks.
 
     After each stage the validation ranking metric is computed on the
     accumulated model; when `patience` consecutive stages bring no
     improvement the loop stops and the ensemble is cut back to the best
     scoring prefix (ties to the shorter one).  When the `valid`
-    TopicBlocks is empty the training metric stands in.
+    TopicBlocks is empty the training metric stands in.  No tree splits
+    on feature `skip`.
     """
     X, y = train.X, train.y
     order = train.column_order()
@@ -221,7 +224,7 @@ def train_mart(train, valid, config):
     since_best = 0
     for stage in range(1, config.n_trees + 1):
         tree = fit_tree(X, y - F, config.max_leaves, config.min_leaf, order,
-                        decisive)
+                        decisive, skip)
         trees.append(tree)
         F += config.shrinkage * _tree_outputs(tree, X)
         if len(valid):

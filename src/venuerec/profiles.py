@@ -183,7 +183,8 @@ def save_context_vectors(context_vectors, path):
 
 def load_context_vectors(path):
     """``{(aspect, dimension): vector}``; every key names an aspect of
-    ASPECTS or ``gender``, and one of its dimensions."""
+    ASPECTS or ``gender``, and one of its dimensions, and every such
+    pair has a key."""
     out = {}
     for lineno, key, vec in read_text_vectors(path):
         aspect, _, rest = key.partition("/")
@@ -192,4 +193,10 @@ def load_context_vectors(path):
             raise FormatError("bad context vector key %r" % key, path=path,
                               line=lineno)
         out[(aspect, dim)] = vec
+    for aspect, dims in _CONTEXT_ASPECTS.items():
+        for dim in dims:
+            if (aspect, dim) not in out:
+                raise FormatError("no context vector for key '%s/%s'"
+                                  % (aspect, dim.replace(" ", "_")),
+                                  path=path)
     return out

@@ -16,7 +16,10 @@ takes, sorted directly from a matrix.  `extract_features` is the per-row feature
 extraction that the batched `extract_all` replaced, with its scalar
 `cosine`; `rowwise_extract_all` builds the table from it one row at a
 time.  `table_of` and `table_bits` build and compare the package's
-FeatureTable for the tests.
+FeatureTable for the tests.  `zeroed` copies a FeatureTable with one
+feature column zero and `fit_and_score` splits, fits and scores one: a
+knockout as the study once ran it, which tests assert the trainers'
+`skip` matches.
 """
 
 import math
@@ -27,6 +30,7 @@ import numpy as np
 from reference_kernels import numpy_best_split
 from venuerec.corpus import ASPECTS
 from venuerec.features import N_FEATURES, FeatureTable
+from venuerec.ltr import TopicBlocks, predict_matrix, split_train_validation
 from venuerec.ltr.mart import _EPS, Tree
 
 _STAT_FIELDS = ("checkins", "likes", "comment_count", "photos", "rating_avg",
@@ -207,6 +211,22 @@ def table_bits(table):
     """What a FeatureTable holds, as a value that compares bit for bit."""
     return (table.topic_ids, table.venue_ids, table.labels.tolist(),
             table.bounds, table.X.tobytes())
+
+
+def zeroed(table, j):
+    """A copy of the FeatureTable `table` whose feature column `j` is zero."""
+    X = table.X.copy()
+    X[:, j] = 0.0
+    return FeatureTable(table.topic_ids, table.venue_ids, table.labels, X)
+
+
+def fit_and_score(table, train, config, split_fraction, cutoff):
+    """Split `table` by `config.seed`, fit the split with the trainer
+    `train` and score all of `table`; returns the model and the metric."""
+    fit, valid = split_train_validation(table, split_fraction, config.seed)
+    model = train(TopicBlocks(fit, cutoff), TopicBlocks(valid, cutoff), config)
+    blocks = TopicBlocks(table, cutoff)
+    return model, blocks.metric(predict_matrix(model, blocks.X), config.metric)
 
 
 def rowwise_normalize(rows, columns=range(6)):

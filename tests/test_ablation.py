@@ -6,15 +6,15 @@ import random
 import pytest
 
 import synthdata
-from reference_models import table_of
+from reference_models import fit_and_score, table_of, zeroed
+from venuerec import ablation
 from venuerec.ablation import AblationReport, AblationEntry, run_ablation, write_ablation
 from venuerec.cli import SETTINGS
-from venuerec.features import FEATURE_NAMES, N_FEATURES, FeatureTable
+from venuerec.features import FEATURE_NAMES, N_FEATURES
 from venuerec.ltr import (
     CAConfig,
     MARTConfig,
     TopicBlocks,
-    predict_matrix,
     split_train_validation,
     train_coordinate_ascent,
     train_mart,
@@ -122,28 +122,24 @@ class TestSyntheticCorpus:
         assert worst.delta_percent < runner_up
 
 
+def trainer(config):
+    if isinstance(config, CAConfig):
+        return train_coordinate_ascent, "coordinate_ascent"
+    return train_mart, "mart"
+
+
 def rebuilt_ablation(table, config):
     """The knockout study from rebuilt tables: every knockout zeroes the
     column in a fresh FeatureTable, splits it and retrains on it."""
-    if isinstance(config, CAConfig):
-        train, learner = train_coordinate_ascent, "coordinate_ascent"
-    else:
-        train, learner = train_mart, "mart"
+    train, learner = trainer(config)
 
     def score(table):
-        fit, valid = split_train_validation(table, SPLIT, config.seed)
-        model = train(TopicBlocks(fit, CUTOFF), TopicBlocks(valid, CUTOFF),
-                      config)
-        blocks = TopicBlocks(table, CUTOFF)
-        return blocks.metric(predict_matrix(model, blocks.X), config.metric)
+        return fit_and_score(table, train, config, SPLIT, CUTOFF)[1]
 
     baseline = score(table)
     entries = []
     for j, name in enumerate(FEATURE_NAMES):
-        value = score(FeatureTable(
-            table.topic_ids, table.venue_ids, table.labels.tolist(),
-            [[0.0 if i == j else f for i, f in enumerate(row)]
-             for row in table.X.tolist()]))
+        value = score(zeroed(table, j))
         delta = 100.0 * (value - baseline) / baseline if baseline else 0.0
         entries.append(AblationEntry(name, value, delta))
     return AblationReport(baseline=baseline, metric=config.metric,
@@ -210,6 +206,39 @@ class TestKnockoutOnTheMatrix:
         assert len(baseline_history(rows, _FEW_LEAVES)["decisive"]) == 3
         history = baseline_history(rows, _EARLY_STOP)
         assert history["kept_trees"] < len(history["train_mse"])
+
+
+class TestKnockoutSkipsTheFeature:
+    """A knockout fitted on the baseline's blocks with its feature
+    skipped equals a fit and score on copies with the column zeroed."""
+
+    @pytest.mark.parametrize("config", [
+        CAConfig(metric="p5", restarts=2, max_sweeps=3, seed=3),
+        CAConfig(metric="mrr", restarts=1, max_sweeps=2, seed=5),
+        MARTConfig(n_trees=8, patience=3, metric="p5", seed=3),
+        _EARLY_STOP,
+    ], ids=["ca-p5", "ca-mrr", "mart-p5", "mart-early-stop"])
+    @pytest.mark.parametrize("data", ["synth", "noisy"])
+    def test_every_knockout_equals_the_zeroed_copy(self, synth_rows, config,
+                                                   data):
+        rows = rows_of(data, synth_rows)
+        train, learner = trainer(config)
+        _, fit, valid = ablation.fit(rows, config, SPLIT, CUTOFF)
+        blocks = TopicBlocks(rows, CUTOFF)
+        for j in range(N_FEATURES):
+            model, value = fit_and_score(zeroed(rows, j), train, config,
+                                         SPLIT, CUTOFF)
+            assert repr(ablation._knockout(j, fit, valid, blocks, config)) \
+                == repr(value)
+            skipped = train(fit, valid, config, j)
+            if learner == "mart":
+                assert skipped.trees == model.trees
+                assert skipped.history == model.history
+                assert all(j not in tree.feature for tree in skipped.trees)
+            else:
+                assert skipped.weights[j] == 0.0
+                assert (skipped.weights[:j] + skipped.weights[j + 1:]
+                        == model.weights[:j] + model.weights[j + 1:])
 
 
 class TestFitCount:

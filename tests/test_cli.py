@@ -752,6 +752,26 @@ class TestBadInputs:
         assert capsys.readouterr().err == "error: %s: line 3: %s\n" % (
             path, message)
 
+    def test_context_cache_missing_a_key_exits_2(self, corpus, pipeline_dir,
+                                                 tmp_path, capsys):
+        # cut down to season/spring, the cache would give the features
+        # of every other key as zeros
+        def one_key(i, line):
+            if i == 1:
+                return "1 %s\n" % line.split()[1]
+            return line if line.startswith("season/spring ") else ""
+
+        out = tmp_path / "out"
+        code, path = self.extract_on_caches(corpus, pipeline_dir, out,
+                                            "context_vectors.txt", one_key)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s: no context vector for key 'duration/day_time'\n"
+            % path)
+        assert sorted(os.listdir(out)) == [
+            "config.used", "context_vectors.txt", "user_vectors.txt",
+            "venue_vectors.txt"]
+
     def test_overflowing_venue_vector_exits_2(self, corpus, pipeline_dir,
                                               tmp_path, capsys):
         first = json.loads(open(corpus["contexts"], encoding="utf-8")

@@ -573,6 +573,24 @@ class TestTextVectorReader:
         store = load_embeddings(path, format="text")
         assert store._matrix.tobytes() == rows.tobytes()
 
+    def test_headerless_copy_takes_the_fast_path(self, tmp_path,
+                                                 no_line_parser):
+        # the layout GloVe ships: no header, one space before each value
+        rng = np.random.default_rng(9)
+        store = EmbeddingStore(["k%d" % i for i in range(50)],
+                               rng.normal(size=(50, 7)))
+        path = tmp_path / "store.txt"
+        save_embeddings(store, path, format="text")
+        headerless = tmp_path / "headerless.txt"
+        headerless.write_text(path.read_text(encoding="utf-8")
+                              .split("\n", 1)[1], encoding="utf-8")
+        assert [(line, key) for line, key, _ in
+                read_text_vectors(headerless)] == \
+            [(i + 1, "k%d" % i) for i in range(50)]
+        back = load_embeddings(headerless, format="text")
+        assert back.terms == store.terms
+        assert back._matrix.tobytes() == store._matrix.tobytes()
+
     def test_generated_embeddings_take_the_fast_path(self, tmp_path,
                                                      no_line_parser):
         spec = importlib.util.spec_from_file_location(

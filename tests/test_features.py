@@ -629,8 +629,9 @@ CONTEXT_KEYS = [(aspect, dim)
 def extraction_inputs(draw):
     """Pairs, venues by id, models and qrels, with every gap extract_all
     fills with zeros: dangling candidates, venues without a vector or
-    with a zero one, users without a profile, unbound aspects and absent
-    context and gender vectors."""
+    with a zero one, users without a profile, unbound aspects and zero
+    context and gender vectors.  Every context and gender vector is
+    present, as load_context_vectors requires."""
     dim = draw(st.integers(1, 300))
     rows = len(VENUES) + 4 + len(CONTEXT_KEYS)
     M = draw(hnp.arrays(np.float64, (rows, dim), elements=COMPONENTS))
@@ -646,8 +647,6 @@ def extraction_inputs(draw):
     for uid in draw(st.sets(st.sampled_from(["u0", "u1"]))):
         del user_profiles[uid]
     context_vectors = {key: next(vectors) for key in CONTEXT_KEYS}
-    for key in draw(st.sets(st.sampled_from(CONTEXT_KEYS))):
-        del context_vectors[key]
     models = ModelSet(venue_vectors, user_profiles, context_vectors)
 
     pairs = []

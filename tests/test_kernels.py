@@ -226,6 +226,24 @@ class TestReferenceAgreement:
                 column_searches(X, order, targets, min_leaf)
             assert cuts[4] == 0
 
+    def test_a_skipped_feature_searches_as_a_zero_column(self):
+        # in one part and in three: the skipped feature has no cut, and
+        # each other one the gain and cut it has beside a zero column
+        rng = np.random.default_rng(17)
+        for n in (40, 600):
+            X = rng.normal(size=(n, 13))
+            X[:, 7] = rng.integers(0, 5, size=n)
+            targets = rng.normal(size=n)
+            for j in (0, 7, 12):
+                Z = X.copy()
+                Z[:, j] = 0.0
+                gains, cuts = _kernels.best_split(X, presort(X), targets, 1,
+                                                  skip=j)
+                zgains, zcuts = _kernels.best_split(Z, presort(Z), targets, 1)
+                assert gains.tolist() == zgains.tolist()
+                assert cuts.tolist() == zcuts.tolist()
+                assert cuts[j] == 0
+
     def test_best_split_gains_agree_on_float_targets(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

@@ -18,6 +18,7 @@ from reference_models import (
     presort,
     table_bits,
     table_of,
+    zeroed,
 )
 from venuerec.cli import SETTINGS
 from venuerec.errors import FormatError, VenuerecError
@@ -189,26 +190,6 @@ class TestTopicBlocks:
         assert TopicBlocks(rows, 2).metric(scores, "p5") == 1 / 5
         assert TopicBlocks(rows, 2).metric(scores, "mrr") == 1.0
         assert TopicBlocks(rows, 3).metric(scores, "p5") == 0.0
-
-    def test_knockout_column_order_is_the_zeroed_sort(self):
-        # small integer features, so every column is full of ties
-        rng = random.Random(5)
-        table = make_rows({
-            "t%d" % t: [("v%02d" % c, rng.choice([0, 1]),
-                         tuple(float(rng.randint(-2, 2))
-                               for _ in range(N_FEATURES)))
-                        for c in range(rng.randint(1, 9))]
-            for t in range(6)})
-        sorted_first = TopicBlocks(table, CUTOFF)
-        assert sorted_first.column_order().tolist() == \
-            presort(table.X).tolist()
-        for j in range(N_FEATURES):
-            zeroed = table.X.copy()
-            zeroed[:, j] = 0.0
-            for blocks in (sorted_first, TopicBlocks(table, CUTOFF)):
-                order = blocks.without_feature(j).column_order()
-                assert order.dtype == np.int32
-                assert order.tolist() == presort(zeroed).tolist()
 
     def test_tie_break_matches_run_builder(self):
         # Equal scores rank venue ids ascending; vA relevant, vB not.
@@ -399,15 +380,15 @@ class TestLineSearch:
                      for d in steps])
 
 
-def per_step_ascend(blocks, w, config, deltas):
+def per_step_ascend(blocks, w, config, deltas, skip):
     """`coordinate_ascent._ascend` with one `metric` call per step."""
-    scores = blocks.X @ w
+    scores = blocks.X @ coordinate_ascent._masked(w, skip)
     cur = blocks.metric(scores, config.metric)
     for _ in range(config.max_sweeps):
         swept_gain = False
         for j in range(w.shape[0]):
             col = blocks.X[:, j]
-            if not col.any():
+            if j == skip or not col.any():
                 continue
             best_metric = cur
             best_delta = 0.0
@@ -424,7 +405,7 @@ def per_step_ascend(blocks, w, config, deltas):
         if not swept_gain:
             break
         w[:] = coordinate_ascent._normalize(w)
-        scores = blocks.X @ w
+        scores = blocks.X @ coordinate_ascent._masked(w, skip)
         cur = blocks.metric(scores, config.metric)
     return cur
 
@@ -619,9 +600,9 @@ class TestFitTree:
 def tree_problems(draw):
     """Feature matrix, residuals and sizes for one fit_tree call.
 
-    Each column is tie-free, constant, zeroed (as `without_feature`
-    leaves it) or drawn from a few small integers, so full of ties.
-    Residuals are integer-valued or arbitrary floats.
+    Each column is tie-free, constant, zero or drawn from a few small
+    integers, so full of ties.  Residuals are integer-valued or
+    arbitrary floats.
     """
     n = draw(st.integers(1, 200))
     kinds = draw(st.lists(st.sampled_from(("distinct", "constant", "zero",
@@ -671,6 +652,21 @@ class TestPresortedSplitSearch:
             assert tree.value == oracle.value
 
     @settings(max_examples=100, deadline=None)
+    @given(tree_problems(), st.integers(0, 5))
+    def test_a_skipped_feature_fits_as_a_zero_column(self, problem, j):
+        X, resid, max_leaves, min_leaf, _ = problem
+        j %= X.shape[1]
+        Z = X.copy()
+        Z[:, j] = 0.0
+        decisive, zero_decisive = set(), set()
+        tree = fit_tree(X, resid, max_leaves, min_leaf, presort(X), decisive,
+                        skip=j)
+        assert tree == fit_tree(Z, resid, max_leaves, min_leaf, presort(Z),
+                                zero_decisive)
+        assert j not in tree.feature
+        assert decisive == zero_decisive
+
+    @settings(max_examples=100, deadline=None)
     @given(tree_problems())
     def test_given_order_matches_own_sort(self, problem):
         X, resid, max_leaves, min_leaf, _ = problem
@@ -686,10 +682,11 @@ def choose(monkeypatch, gains):
     cuts = np.array([0 if g is None else 1 for g in gains], dtype=np.intp)
     values = np.array([0.0 if g is None else g for g in gains])
     monkeypatch.setattr(_kernels, "best_split",
-                        lambda X, order, targets, min_leaf: (values, cuts))
+                        lambda X, order, targets, min_leaf, skip:
+                        (values, cuts))
     X = np.array([[0.0] * k, [1.0] * k])
     decisive = set()
-    cand = _best_candidate(X, np.zeros(2), presort(X), 1, decisive)
+    cand = _best_candidate(X, np.zeros(2), presort(X), 1, decisive, None)
     return (None if cand is None else cand[1]), decisive
 
 
@@ -751,8 +748,8 @@ class TestDecisiveFeatures:
             ("v%02d" % c, rng.choice([0, 0, 1, 2]),
              pad(*(round(rng.random(), 1) for _ in range(6))))
             for c in range(12)] for t in range(6)})
-        train, valid = split_train_validation(rows, 0.6, seed)
-        train, valid = TopicBlocks(train, CUTOFF), TopicBlocks(valid, CUTOFF)
+        sides = split_train_validation(rows, 0.6, seed)
+        train, valid = (TopicBlocks(side, CUTOFF) for side in sides)
         config = MARTConfig(n_trees=12, max_leaves=4, patience=3, seed=seed,
                             metric="p5")
         model = train_mart(train, valid, config)
@@ -760,8 +757,8 @@ class TestDecisiveFeatures:
         assert 0 < len(decisive) < 6
         for j in range(N_FEATURES):
             if j not in decisive:
-                knocked = train_mart(train.without_feature(j),
-                                     valid.without_feature(j), config)
+                knocked = train_mart(*(TopicBlocks(zeroed(side, j), CUTOFF)
+                                       for side in sides), config)
                 assert knocked == model
                 for key in ("train_mse", "valid_metric", "kept_trees"):
                     assert knocked.history[key] == model.history[key]

@@ -420,6 +420,16 @@ class TestCaches:
                            match="line 3: bad context vector key %r" % key):
             load_context_vectors(p)
 
+    def test_missing_context_key_rejected(self, tmp_path):
+        p = tmp_path / "context_vectors.txt"
+        write_text_vectors([("%s/%s" % (aspect, dim.replace(" ", "_")),
+                             np.ones(2)) for aspect, dim in CONTEXT_KEYS
+                            if dim != "weekend"], p)
+        with pytest.raises(FormatError) as exc:
+            load_context_vectors(p)
+        assert str(exc.value) == (
+            "%s: no context vector for key 'duration/weekend'" % p)
+
     def test_cache_determinism(self, tmp_path, ab_store):
         vv = build_venue_vectors(ab_store, [make_venue("v1", [["a"]])])
         p1 = tmp_path / "one.txt"
@@ -445,10 +455,12 @@ _IDS = st.text(alphabet=string.ascii_letters + string.digits + "-./",
 
 
 @st.composite
-def vector_tables(draw, keys, size=5):
-    """``{key: float64 vector}`` with 1 to `size` keys of one length."""
+def vector_tables(draw, keys, size=5, min_size=1):
+    """``{key: float64 vector}`` with `min_size` to `size` keys of one
+    length."""
     dim = draw(st.integers(1, 4))
-    ids = draw(st.lists(keys, min_size=1, max_size=size, unique=True))
+    ids = draw(st.lists(keys, min_size=min_size, max_size=size,
+                        unique=True))
     return {key: np.array(draw(st.lists(_FLOATS, min_size=dim,
                                         max_size=dim)), dtype=np.float64)
             for key in ids}
@@ -488,7 +500,8 @@ class TestCacheRoundTripIsBitExact:
             assert same_bits(back[user_id].positive, up.positive)
             assert same_bits(back[user_id].negative, up.negative)
 
-    @given(table=vector_tables(st.sampled_from(CONTEXT_KEYS), size=14))
+    @given(table=vector_tables(st.sampled_from(CONTEXT_KEYS), size=14,
+                               min_size=14))
     def test_context_and_gender_vectors(self, tmp_path_factory, table):
         # a dimension's spaces are stored as '_' in the cache key
         path = tmp_path_factory.mktemp("cache") / "context_vectors.txt"
