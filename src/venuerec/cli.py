@@ -97,7 +97,7 @@ SETTINGS = {
     "rating_min": Setting(0),
     "rating_max": Setting(4),
     "depth": Setting(50, check=_rule(lambda v: v >= 1, "must be >= 1")),
-    "cutoff": Setting(1),
+    "cutoff": Setting(1, check=_rule(lambda v: v >= 1, "must be >= 1")),
     "split_fraction": Setting(0.67, check=_rule(lambda v: 0.0 < v < 1.0,
                                                 "must be in (0, 1)")),
     "learner": Setting("mart", ("ca", "mart"),
@@ -448,8 +448,10 @@ def _cmd_train(cfg, args):
 def _cmd_rank(cfg, args):
     table = read_features(args.features)
     model, hyperparameters = load_model(args.model)
-    # the model remembers whether it was trained on scaled features
+    # the model remembers whether it was trained on scaled features, and
+    # config.used records what is applied
     cfg["normalize"] = hyperparameters.get("normalize", cfg["normalize"])
+    write_config_used(cfg, args.out_dir)
     rank_step(cfg, _table_for_learning(cfg, table), model, args.model,
               args.out_dir)
 

@@ -14,7 +14,6 @@ import math
 
 from .corpus import numbered_lines
 from .errors import FormatError, VenuerecError
-from .stats import student_t_two_sided_p
 
 
 def rank_candidates(venue_ids, scores, depth):
@@ -194,6 +193,29 @@ def format_report(report):
 def write_report(report, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
+
+
+def student_t_two_sided_p(t, df):
+    """P(|T| >= |t|) for a Student-t variable with an integer `df` >= 1
+    degrees of freedom, by the finite series of Abramowitz & Stegun
+    26.7.3 (odd df) and 26.7.4 (even df)."""
+    theta = math.atan(abs(t) / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    odd = df % 2
+    # the series sums df // 2 terms in cos^(2k), k = 0, 1, ...; term k
+    # is term k - 1 times cos^2 (2k - 1) / (2k) for even df and
+    # cos^2 (2k) / (2k + 1) for odd df
+    term = 1.0
+    total = 0.0
+    for k in range(df // 2):
+        total += term
+        term *= cos * cos * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        inside = 2.0 / math.pi * (theta + sin * cos * total)
+    else:
+        inside = sin * total
+    # rounding can lift the sum past 1 in the far tail
+    return max(0.0, 1.0 - inside)
 
 
 @dataclasses.dataclass(frozen=True)

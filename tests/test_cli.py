@@ -309,6 +309,7 @@ class TestConfig:
         ("pipeline", "seed = -1", "seed must be >= 0, got -1"),
         ("pipeline", "k = 0", "k must be >= 1, got 0"),
         ("pipeline", "depth = 0", "depth must be >= 1, got 0"),
+        ("ablate", "cutoff = 0", "cutoff must be >= 1, got 0"),
         ("pipeline", "split_fraction = 0",
          "split_fraction must be in (0, 1), got 0.0"),
         ("pipeline", "split_fraction = 1",
@@ -442,6 +443,24 @@ class TestTrainRankHandshake:
                      "--normalize", "--features", features,
                      "--model", str(tmp_path / "model.json")]) == 0
         assert (tmp_path / "run.txt").read_bytes() == plain
+
+    # the model's normalize wins over the flag, and config.used says so
+    @pytest.mark.parametrize("train_flags, rank_flags, recorded", [
+        (("--normalize",), (), "normalize = true"),
+        ((), ("--normalize",), "normalize = false"),
+    ], ids=["model-true-no-flag", "model-false-with-flag"])
+    def test_config_used_records_the_models_normalize(
+            self, pipeline_dir, tmp_path, train_flags, rank_flags, recorded):
+        features = str(pipeline_dir / "features.txt")
+        assert main(["train", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--learner", "ca", *train_flags,
+                     "--features", features]) == 0
+        assert main(["rank", "--out-dir", str(tmp_path), "--seed", "42",
+                     *rank_flags, "--features", features,
+                     "--model", str(tmp_path / "model.json")]) == 0
+        lines = (tmp_path / "config.used").read_text(
+            encoding="utf-8").splitlines()
+        assert recorded in lines
 
 
 class TestAblateCommand:

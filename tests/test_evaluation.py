@@ -1,9 +1,10 @@
-"""Run round trips, metric arithmetic, and the paired t-test."""
+"""Run round trips, metric arithmetic, the paired t-test and its
+Student-t tail."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from venuerec.cli import SETTINGS
@@ -17,6 +18,7 @@ from venuerec.evaluation import (
     paired_t_test,
     rank_candidates,
     ranked_run,
+    student_t_two_sided_p,
     topic_precision_at_k,
     topic_reciprocal_rank,
     write_report,
@@ -411,3 +413,68 @@ class TestPairedTTest:
         b = [0.0] * len(a)
         res = paired_t_test(a, b)
         assert 0.0 <= res.p_value <= 1.0
+
+
+class TestStudentT:
+    def test_zero_statistic(self):
+        assert student_t_two_sided_p(0.0, 5) == 1.0
+
+    def test_infinite_statistic(self):
+        assert student_t_two_sided_p(math.inf, 5) == 0.0
+        assert student_t_two_sided_p(-math.inf, 5) == 0.0
+
+    def test_df_one_closed_form(self):
+        # Two-sided tail of the Cauchy distribution.
+        for t in (0.3, 1.0, 2.5, 12.706):
+            expected = 1.0 - 2.0 * math.atan(t) / math.pi
+            assert student_t_two_sided_p(t, 1) == pytest.approx(expected, abs=1e-12)
+
+    def test_df_two_closed_form(self):
+        # p = 1 - |t| / sqrt(2 + t^2) for two degrees of freedom.
+        for t in (0.5, 1.0, 2.0, 3.4641016151377544):
+            expected = 1.0 - t / math.sqrt(2.0 + t * t)
+            assert student_t_two_sided_p(t, 2) == pytest.approx(expected, abs=1e-12)
+
+    def test_mean_difference_one_two_three(self):
+        # Differences [1, 2, 3]: t = 2 * sqrt(3), p = 1 - sqrt(6/7).
+        t = 2.0 * math.sqrt(3.0)
+        p = student_t_two_sided_p(t, 2)
+        assert p == pytest.approx(1.0 - math.sqrt(6.0 / 7.0), abs=1e-12)
+        assert p == pytest.approx(0.0741799002274486, abs=1e-12)
+
+    def test_classic_quantiles(self):
+        # 97.5th percentiles: two-sided p of 0.05 at these statistics.
+        for df, t in ((1, 12.7062), (2, 4.30265), (5, 2.57058),
+                      (10, 2.22814), (30, 2.04227)):
+            assert student_t_two_sided_p(t, df) == pytest.approx(0.05, abs=1e-4)
+
+    def test_sign_symmetry_exact(self):
+        for t in (0.25, 1.75, 9.0):
+            for df in (1, 2, 7, 40):
+                assert (student_t_two_sided_p(t, df)
+                        == student_t_two_sided_p(-t, df))
+
+    @given(t=st.floats(-50.0, 50.0), df=st.integers(1, 200))
+    @example(t=1.2112534811111896e-08, df=1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_sf(self, t, df):
+        if df == 1:
+            # The exact Cauchy tail: scipy's t.sf is off by up to 4.7e-9
+            # for |t| < 1e-7 at one degree of freedom.
+            want = 1.0 - 2.0 * math.atan(abs(t)) / math.pi
+        else:
+            stats = pytest.importorskip("scipy.stats")
+            want = 2.0 * float(stats.t.sf(abs(t), df))
+        assert abs(student_t_two_sided_p(t, df) - want) <= 1e-10
+
+    # The series loops over df // 2 terms, so large df is its own case.
+    @pytest.mark.parametrize("df", [500, 5000, 20000])
+    @pytest.mark.parametrize("t", [0.01, 1.96, 40.0])
+    def test_matches_scipy_sf_at_large_df(self, t, df):
+        stats = pytest.importorskip("scipy.stats")
+        want = 2.0 * float(stats.t.sf(t, df))
+        assert abs(student_t_two_sided_p(t, df) - want) <= 1e-10
+
+    def test_decreasing_in_magnitude(self):
+        ps = [student_t_two_sided_p(t / 10.0, 6) for t in range(0, 80)]
+        assert all(hi >= lo for hi, lo in zip(ps, ps[1:]))

@@ -44,10 +44,12 @@ once with the MART defaults and once with ``--learner ca --normalize``:
 and ``rank`` on that ``features.txt``, and ``eval --compare`` against
 the run of the default ``pipeline``, all in one out-dir.  On the
 ``perfbench/gen.py`` corpus, each side runs ``eval`` on the run of
-``pipeline --learner ca --normalize`` with ``--compare`` against the
-default ``pipeline``'s run.  Their per-topic P@5 differ, so the t-test
-runs through ``venuerec.stats``; the chains' compared runs have equal
-P@5 per topic, which gives t = 0 and p = 1 without it.  On each copy,
+``pipeline --learner ca --normalize`` and on the run of ``pipeline
+--metric mrr``, each with ``--compare`` against the default
+``pipeline``'s run.  Their per-topic P@5 differ, so each gives its own
+t statistic, and its p-value comes from the Student-t series of
+``evaluation.paired_t_test``; the chains' compared runs have equal P@5
+per topic, which gives t = 0 and p = 1 without it.  On each copy,
 each side runs ``pipeline`` with the MART defaults, and on the CRLF
 features file ``ablate`` with the ``ablate-mart`` settings.
 
@@ -104,7 +106,8 @@ BAD_PROFILES = ("synth-bad-profiles", "synth", 42)
 # (name, workload, seed): the CRLF features file and the ablation run on it
 CRLF_FEATURES = ("crlf", "ablate-mart", 1)
 # (corpus, run, compared run): eval --compare of two of its pipelines
-COMPARED = ("gen1", "pipeline-ca-normalize", "pipeline")
+COMPARED = (("gen1", "pipeline-ca-normalize", "pipeline"),
+            ("gen1", "pipeline-mrr", "pipeline"))
 IN_DIR = "inputs"
 
 
@@ -210,11 +213,12 @@ def commands():
         for name in ABLATIONS:
             out.append(ablate("%s/%s" % (corpus, name), seed, name,
                               "%s/pipeline/features.txt" % corpus))
-    corpus, run, other = COMPARED
-    out.append(on_corpus(
-        corpus, dict(CORPORA)[corpus], "eval-compare",
-        ("--run", "%s/%s/run.txt" % (corpus, run),
-         "--compare", "%s/%s/run.txt" % (corpus, other)), "eval", INPUTS[4:]))
+    for corpus, run, other in COMPARED:
+        out.append(on_corpus(
+            corpus, dict(CORPORA)[corpus], "eval-compare-" + run,
+            ("--run", "%s/%s/run.txt" % (corpus, run),
+             "--compare", "%s/%s/run.txt" % (corpus, other)), "eval",
+            INPUTS[4:]))
     corpus, seed = TWO_WORD_SEED
     name, flags = PIPELINES[1]
     out.append(on_corpus(corpus, seed, "%s-seed%d" % (name, seed), flags))
