@@ -20,6 +20,7 @@ outputs alone.
 
 import argparse
 import dataclasses
+import importlib
 import logging
 import math
 import os
@@ -30,37 +31,56 @@ import numpy as np
 
 from . import __version__
 from .ablation import fit, run_ablation, write_ablation
-from .corpus import (
-    load_contexts,
-    load_profiles,
-    load_qrels,
-    load_venues,
-    numbered_lines,
-)
-from .embeddings import load_embeddings
-from .errors import ConfigError, FormatError, VenuerecError
-from .evaluation import (
-    evaluate_run,
-    load_run,
-    paired_t_test,
-    ranked_run,
-    write_report,
-    write_run,
-)
-from .features import ModelSet, extract_all, normalize_per_topic, read_features, write_features
-from .ltr import CAConfig, MARTConfig, load_model, predict_matrix, save_model
+from .errors import ConfigError, FormatError, VenuerecError, numbered_lines
+from .features import normalize_per_topic, read_features, write_features
+from .ltr import CAConfig, MARTConfig, predict_matrix
 from .ltr.data import METRICS
-from .profiles import (
-    build_context_vectors,
-    build_venue_vectors,
-    load_context_vectors,
-    load_user_vectors,
-    load_venue_vectors,
-    save_context_vectors,
-    save_user_vectors,
-    save_venue_vectors,
-    user_profile_vectors,
-)
+
+
+def _deferred(module, name):
+    """A stand-in for `name` of the submodule `module` that imports the
+    module on its first call and forwards every call to it."""
+    target = None
+
+    def forward(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(module, __package__),
+                             name)
+        return target(*args, **kwargs)
+
+    return forward
+
+
+# The layers `ablate` never runs: the loaders and the text, embedding,
+# profile, evaluation and model-file modules, of which `train` runs only
+# the last.  Each name is a module global that the code below calls
+# through, so a command loads only the layers it runs, and rebinding a
+# name here (as perfbench/traced.py does to time it) sees every call.
+load_venues = _deferred(".corpus", "load_venues")
+load_profiles = _deferred(".corpus", "load_profiles")
+load_contexts = _deferred(".corpus", "load_contexts")
+load_qrels = _deferred(".corpus", "load_qrels")
+load_embeddings = _deferred(".embeddings", "load_embeddings")
+build_venue_vectors = _deferred(".profiles", "build_venue_vectors")
+build_context_vectors = _deferred(".profiles", "build_context_vectors")
+user_profile_vectors = _deferred(".profiles", "user_profile_vectors")
+save_venue_vectors = _deferred(".profiles", "save_venue_vectors")
+save_user_vectors = _deferred(".profiles", "save_user_vectors")
+save_context_vectors = _deferred(".profiles", "save_context_vectors")
+load_venue_vectors = _deferred(".profiles", "load_venue_vectors")
+load_user_vectors = _deferred(".profiles", "load_user_vectors")
+load_context_vectors = _deferred(".profiles", "load_context_vectors")
+ModelSet = _deferred(".profiles", "ModelSet")
+extract_all = _deferred(".profiles", "extract_all")
+save_model = _deferred(".ltr.serialize", "save_model")
+load_model = _deferred(".ltr.serialize", "load_model")
+ranked_run = _deferred(".evaluation", "ranked_run")
+write_run = _deferred(".evaluation", "write_run")
+load_run = _deferred(".evaluation", "load_run")
+evaluate_run = _deferred(".evaluation", "evaluate_run")
+paired_t_test = _deferred(".evaluation", "paired_t_test")
+write_report = _deferred(".evaluation", "write_report")
 
 log = logging.getLogger(__name__)
 
@@ -202,6 +222,11 @@ def resolve_config(args):
         raise ConfigError("neg_threshold must be below pos_threshold")
     if cfg["rating_min"] >= cfg["rating_max"]:
         raise ConfigError("rating_min must be below rating_max")
+    # the learner's rules over two of its keys
+    try:
+        _learner_config(cfg)
+    except VenuerecError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -11,13 +11,11 @@ each comment.  Its name and the raw comment text are checked, then
 dropped: nothing downstream reads them.
 """
 
-import json
 import logging
-import re
 import sys
 from dataclasses import dataclass, field, fields
 
-from .errors import FormatError
+from .errors import FormatError, decode_json, numbered_lines
 from .text import preprocess
 
 log = logging.getLogger(__name__)
@@ -104,43 +102,6 @@ class Qrels:
 
     def __eq__(self, other):
         return isinstance(other, Qrels) and self._by_topic == other._by_topic
-
-
-# what the surrogateescape handler turns undecodable bytes into
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
-def numbered_lines(path):
-    """``(lineno, line)`` pairs of a UTF-8 text file, 1-based.
-
-    Bytes that are not UTF-8 raise a FormatError naming the line they
-    are on, instead of a UnicodeDecodeError from somewhere in the file.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if _UNDECODABLE.search(line):
-                raise FormatError("not valid UTF-8", path=path, line=lineno)
-            yield lineno, line
-
-
-def decode_json(text, path, line=None):
-    """The JSON value in `text` from `path` (a JSONL record: at `line`).
-
-    Bad JSON, nesting past the recursion limit and an integer past the
-    digit limit raise a FormatError naming the path and line."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        # a record's own position is always line 1, so a record shows
-        # only its column
-        reason = ("%s: column %d" % (exc.msg, exc.colno) if line
-                  else str(exc))
-    except RecursionError:
-        reason = "nested too deeply"
-    except ValueError as exc:
-        reason = str(exc)
-    raise FormatError(("bad JSON (%s)" if line else "not valid JSON: %s")
-                      % reason, path=path, line=line)
 
 
 def _records(path):

@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import cosine_scores
-from .corpus import numbered_lines
-from .errors import FormatError, VenuerecError
+from .errors import FormatError, VenuerecError, numbered_lines
 
 
 class SimilarTerm(NamedTuple):

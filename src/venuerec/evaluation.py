@@ -12,8 +12,7 @@ back to exactly the values a second write would produce.
 import dataclasses
 import math
 
-from .corpus import numbered_lines
-from .errors import FormatError, VenuerecError
+from .errors import FormatError, VenuerecError, numbered_lines
 
 
 def rank_candidates(venue_ids, scores, depth):

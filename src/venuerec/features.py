@@ -4,18 +4,17 @@ Feature order is fixed: six venue statistics, the two user-taste
 cosines, one context cosine per aspect of ``corpus.ASPECTS``, and the
 gender cosine.  Everything downstream (training, serialization,
 ablation reports) refers to features by this order or by the names
-below.
+below.  ``profiles.extract_all`` computes them; this module holds the
+table, its file format and the per-topic scaling, and imports nothing
+of the text, corpus or embedding modules.
 """
 
 import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ASPECTS, numbered_lines
-from .embeddings import NormOverflowError, cosine_matrix
-from .errors import FormatError, VenuerecError
+from .errors import FormatError, VenuerecError, numbered_lines
 
 FEATURE_NAMES = (
     "checkins", "likes", "comment_count", "photos", "rating_avg",
@@ -25,7 +24,7 @@ FEATURE_NAMES = (
 
 N_FEATURES = len(FEATURE_NAMES)
 
-_STAT_FIELDS = FEATURE_NAMES[:6]
+STAT_FIELDS = FEATURE_NAMES[:6]
 
 
 class FeatureTableError(VenuerecError, ValueError):
@@ -116,81 +115,6 @@ class FeatureTable:
         return len(self.topic_ids)
 
 
-@dataclass(frozen=True)
-class ModelSet:
-    """Everything extract_all needs, keyed for lookup."""
-
-    venue_vectors: dict
-    user_profiles: dict          # user_id -> UserVenueProfile
-    # (aspect, dimension) -> vector for every dimension of ASPECTS and
-    # of the aspect "gender", as load_context_vectors checks
-    context_vectors: dict
-
-
-def _topic_block(pair, venues, models):
-    """The 13 features of each candidate venue; None marks a dangling one.
-
-    Degenerate inputs give zeros, not errors: a missing statistic is 0,
-    and a zero row stands in for an absent vector, so its cosines are 0.
-    A vector whose squared norm overflows a float is an error naming
-    the topic and the vector.
-    """
-    block = np.zeros((len(venues), N_FEATURES))
-    for row, venue in zip(block, venues):
-        for j, name in enumerate(_STAT_FIELDS):
-            value = getattr(venue.stats, name) if venue is not None else None
-            if value is not None:
-                row[j] = float(value)
-    found = [models.venue_vectors.get(venue.id) if venue is not None
-             else None for venue in venues]
-    known = [vv.vector for vv in found if vv is not None]
-    if not known:
-        return block
-    zero = np.zeros(len(known[0]))
-    A = np.array([vv.vector if vv is not None else zero for vv in found])
-    # the user's two tastes, one context vector per aspect, the gender
-    user = pair.user
-    profile = models.user_profiles.get(user.user_id)
-    tastes = ([profile.positive, profile.negative] if profile is not None
-              else [zero, zero])
-    keys = [(aspect, pair.dimension_of(aspect)) for aspect in ASPECTS]
-    keys.append(("gender", user.gender))
-    # an aspect the topic leaves unbound scores 0
-    B = np.array(tastes + [zero if dim is None
-                           else models.context_vectors[(aspect, dim)]
-                           for aspect, dim in keys])
-    try:
-        block[:, len(_STAT_FIELDS):] = cosine_matrix(A, B)
-    except NormOverflowError as exc:
-        others = ["user vector '%s/%s'" % (user.user_id, side)
-                  for side in ("pos", "neg")]
-        others += ["context vector %r" % (key,) for key in keys]
-        name = ("venue vector %r" % found[exc.row].venue_id
-                if exc.row < len(found) else others[exc.row - len(found)])
-        raise VenuerecError("topic %s: squared norm of %s overflows a float"
-                            % (pair.topic_id, name)) from None
-    return block
-
-
-def extract_all(pairs, venues_by_id, models, qrels):
-    """The FeatureTable of every candidate of every pair.
-
-    A dangling candidate, one missing from `venues_by_id`, keeps its id
-    and label and is ranked on zero features.  With `qrels` None, every
-    label is 0.
-    """
-    topic_ids, venue_ids, labels, blocks = [], [], [], []
-    for pair in pairs:
-        topic_ids += [pair.topic_id] * len(pair.candidates)
-        venue_ids += pair.candidates
-        labels += [qrels.grade(pair.topic_id, v) if qrels is not None else 0
-                   for v in pair.candidates]
-        blocks.append(_topic_block(
-            pair, [venues_by_id.get(v) for v in pair.candidates], models))
-    return FeatureTable(topic_ids, venue_ids, labels,
-                        np.concatenate(blocks) if blocks else ())
-
-
 def normalize_per_topic(table):
     """Min-max scale the six venue statistics within each topic.
 
@@ -200,7 +124,7 @@ def normalize_per_topic(table):
     """
     X = table.X.copy()
     for start, stop in table.bounds:
-        for c in range(len(_STAT_FIELDS)):
+        for c in range(len(STAT_FIELDS)):
             col = X[start:stop, c]
             lo = col.min()
             with np.errstate(over="ignore"):

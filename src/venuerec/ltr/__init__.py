@@ -1,4 +1,8 @@
-"""Learning-to-rank: linear coordinate ascent and boosted trees."""
+"""Learning-to-rank: linear coordinate ascent and boosted trees.
+
+Model files are `venuerec.ltr.serialize`, which the package does not
+import, so a command that never reads or writes one never loads it.
+"""
 
 import numpy as np
 
@@ -7,7 +11,6 @@ from .coordinate_ascent import CAConfig, LinearModel, train_coordinate_ascent
 from .data import TopicBlocks, split_train_validation
 from .mart import MARTConfig, Tree, TreeEnsemble, fit_tree, train_mart
 from .mart import _tree_outputs
-from .serialize import load_model, save_model
 
 __all__ = [
     "CAConfig",
@@ -17,9 +20,7 @@ __all__ = [
     "Tree",
     "TreeEnsemble",
     "fit_tree",
-    "load_model",
     "predict_matrix",
-    "save_model",
     "split_train_validation",
     "train_coordinate_ascent",
     "train_mart",

@@ -41,6 +41,13 @@ class CAConfig:
                                     % (name, getattr(self, name)))
         if not 0.0 < self.step_base < math.inf:
             raise VenuerecError("step_base must be positive and finite")
+        try:
+            math.ldexp(self.step_base, self.step_scales - 1)
+        except OverflowError:
+            raise VenuerecError(
+                "step_base %r and step_scales %d make the largest step, "
+                "step_base * 2**(step_scales - 1), overflow a float"
+                % (self.step_base, self.step_scales)) from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,7 +78,9 @@ def _masked(w, skip):
 
 
 def _ascend(blocks, w, config, deltas, skip):
-    """Optimize one start vector in place; returns its final train metric.
+    """Optimize one start vector in place; returns its final train
+    metric, or -inf when a sweep leaves weights whose L1 norm is not
+    finite.
 
     Feature `skip` is never searched and scores with weight 0, while its
     weight in `w` keeps its start value through each normalization.
@@ -100,6 +109,10 @@ def _ascend(blocks, w, config, deltas, skip):
                 swept_gain = True
         if not swept_gain:
             break
+        if not np.abs(w).sum() < math.inf:
+            # a step overflowed the weights or their L1 norm; such a
+            # restart is never eligible
+            return -math.inf
         w[:] = _normalize(w)
         scores = blocks.X @ _masked(w, skip)
         cur = blocks.metric(scores, config.metric)
@@ -125,13 +138,15 @@ def train_coordinate_ascent(train, valid, config, skip=None):
     generator seeded by (seed, restart).  Only restarts that at least
     match the uniform baseline on the training metric are eligible;
     among those the best validation metric wins, ties going to the
-    higher training metric and then the earlier restart.  Feature
-    `skip` is left out of the search, and its weight is 0.
+    higher training metric and then the earlier restart.  A restart
+    whose weights overflow is not eligible, and with no eligible
+    restart the model is the uniform weights.  Feature `skip` is left
+    out of the search, and its weight is 0.
     """
     nf = train.X.shape[1]
     deltas = []
     for i in range(config.step_scales):
-        step = config.step_base * 2.0 ** i
+        step = math.ldexp(config.step_base, i)
         deltas.append(step)
         deltas.append(-step)
 
@@ -144,7 +159,10 @@ def train_coordinate_ascent(train, valid, config, skip=None):
             w = uniform.copy()
         else:
             w = _normalize(np.array(PCG64([config.seed, restart]).random(nf)))
-        train_m = _ascend(train, w, config, deltas, skip)
+        # steps near the float limit overflow the scores; a restart
+        # whose weights overflow with them is not eligible
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_m = _ascend(train, w, config, deltas, skip)
         if train_m < baseline - _EPS:
             continue
         if len(valid):
@@ -154,7 +172,7 @@ def train_coordinate_ascent(train, valid, config, skip=None):
         if best is None or _better(valid_m, train_m, best):
             best = (valid_m, train_m, w)
 
-    valid_m, train_m, w = best
+    _, train_m, w = best or (None, baseline, uniform)
     if train_m <= baseline + _EPS and np.allclose(w, uniform):
         log.warning("training metric never improved over the uniform "
                     "baseline; returning uniform weights")

@@ -7,8 +7,7 @@ so retraining with the same seed rewrites the file byte for byte.
 import json
 import math
 
-from ..corpus import decode_json, numbered_lines
-from ..errors import FormatError
+from ..errors import FormatError, decode_json, numbered_lines
 from .coordinate_ascent import LinearModel
 from .mart import Tree, TreeEnsemble
 

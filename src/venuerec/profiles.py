@@ -9,7 +9,10 @@ the terms found by subtracting each sibling dimension's seed vector
 from its own and taking the top-K most similar vocabulary terms.
 The aspects and their dimensions are those of ASPECTS; gender is built
 as one more aspect, ``gender``, whose two dimensions are the names in
-GENDERS.
+GENDERS.  `extract_all` turns the vectors into the feature table: the
+venue statistics and the cosines of a venue's vector with the user's
+tastes and the topic's context vectors, in the order of
+``features.FEATURE_NAMES``.
 """
 
 import logging
@@ -18,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ASPECTS, GENDERS
-from .embeddings import read_text_vectors, similar_k, write_text_vectors
+from .embeddings import (
+    NormOverflowError,
+    cosine_matrix,
+    read_text_vectors,
+    similar_k,
+    write_text_vectors,
+)
 from .errors import FormatError, VenuerecError
+from .features import N_FEATURES, STAT_FIELDS, FeatureTable
 from .text import PreprocessConfig, preprocess
 
 log = logging.getLogger(__name__)
@@ -132,6 +142,85 @@ def build_context_vectors(store, k):
                             "zero", aspect, dim)
             out[(aspect, dim)] = store.sum_of(terms)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Feature extraction from the vectors
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModelSet:
+    """Everything extract_all needs, keyed for lookup."""
+
+    venue_vectors: dict
+    user_profiles: dict          # user_id -> UserVenueProfile
+    # (aspect, dimension) -> vector for every dimension of ASPECTS and
+    # of the aspect "gender", as load_context_vectors checks
+    context_vectors: dict
+
+
+def _topic_block(pair, venues, models):
+    """The 13 features of each candidate venue; None marks a dangling one.
+
+    Degenerate inputs give zeros, not errors: a missing statistic is 0,
+    and a zero row stands in for an absent vector, so its cosines are 0.
+    A vector whose squared norm overflows a float is an error naming
+    the topic and the vector.
+    """
+    block = np.zeros((len(venues), N_FEATURES))
+    for row, venue in zip(block, venues):
+        for j, name in enumerate(STAT_FIELDS):
+            value = getattr(venue.stats, name) if venue is not None else None
+            if value is not None:
+                row[j] = float(value)
+    found = [models.venue_vectors.get(venue.id) if venue is not None
+             else None for venue in venues]
+    known = [vv.vector for vv in found if vv is not None]
+    if not known:
+        return block
+    zero = np.zeros(len(known[0]))
+    A = np.array([vv.vector if vv is not None else zero for vv in found])
+    # the user's two tastes, one context vector per aspect, the gender
+    user = pair.user
+    profile = models.user_profiles.get(user.user_id)
+    tastes = ([profile.positive, profile.negative] if profile is not None
+              else [zero, zero])
+    keys = [(aspect, pair.dimension_of(aspect)) for aspect in ASPECTS]
+    keys.append(("gender", user.gender))
+    # an aspect the topic leaves unbound scores 0
+    B = np.array(tastes + [zero if dim is None
+                           else models.context_vectors[(aspect, dim)]
+                           for aspect, dim in keys])
+    try:
+        block[:, len(STAT_FIELDS):] = cosine_matrix(A, B)
+    except NormOverflowError as exc:
+        others = ["user vector '%s/%s'" % (user.user_id, side)
+                  for side in ("pos", "neg")]
+        others += ["context vector %r" % (key,) for key in keys]
+        name = ("venue vector %r" % found[exc.row].venue_id
+                if exc.row < len(found) else others[exc.row - len(found)])
+        raise VenuerecError("topic %s: squared norm of %s overflows a float"
+                            % (pair.topic_id, name)) from None
+    return block
+
+
+def extract_all(pairs, venues_by_id, models, qrels):
+    """The FeatureTable of every candidate of every pair.
+
+    A dangling candidate, one missing from `venues_by_id`, keeps its id
+    and label and is ranked on zero features.  With `qrels` None, every
+    label is 0.
+    """
+    topic_ids, venue_ids, labels, blocks = [], [], [], []
+    for pair in pairs:
+        topic_ids += [pair.topic_id] * len(pair.candidates)
+        venue_ids += pair.candidates
+        labels += [qrels.grade(pair.topic_id, v) if qrels is not None else 0
+                   for v in pair.candidates]
+        blocks.append(_topic_block(
+            pair, [venues_by_id.get(v) for v in pair.candidates], models))
+    return FeatureTable(topic_ids, venue_ids, labels,
+                        np.concatenate(blocks) if blocks else ())
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,11 @@ from venuerec.corpus import (
     load_venues,
 )
 from venuerec.embeddings import EmbeddingStore, load_embeddings
-from venuerec.features import ModelSet, extract_all
 from venuerec.profiles import (
+    ModelSet,
     build_context_vectors,
     build_venue_vectors,
+    extract_all,
     seed_tokens,
     user_profile_vectors,
 )

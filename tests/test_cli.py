@@ -1,6 +1,7 @@
 """Command line front end, driven in-process through main()."""
 
 import argparse
+import importlib.util
 import json
 import logging
 import os
@@ -8,14 +9,19 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthdata
 import venuerec.ablation
 import venuerec.cli
-from venuerec.cli import build_parser, main
+from venuerec.cli import build_parser, main, resolve_config
 from venuerec.embeddings import EmbeddingStore
-from venuerec.ltr import load_model, save_model
+from venuerec.errors import ConfigError
+from venuerec.ltr.serialize import load_model, save_model
 from writers import save_embeddings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ARTIFACTS = ("config.used", "venue_vectors.txt", "user_vectors.txt",
              "context_vectors.txt", "features.txt", "model.json", "run.txt",
@@ -51,6 +57,20 @@ def with_feature_1(line, token):
     """A features.txt line with its first feature value set to `token`."""
     head, _, rest = line.partition(" 1:")
     return "%s 1:%s%s" % (head, token, rest[rest.index(" "):])
+
+
+@pytest.fixture(scope="module")
+def ragged_features(tmp_path_factory):
+    """The features file of the benchmark's `ablate-ca` inputs, seed 1:
+    100 topics of 10 to 60 candidates."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = str(tmp_path_factory.mktemp("ragged") / "features.txt")
+    gen.write_features(path, 1, {"topics": 100, "sizes": [10, 60],
+                                 "relevant_share": 0.2, "empty_share": 0.05})
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +260,64 @@ class TestEval:
         assert [p.name for p in out.iterdir()] == ["config.used"]
 
 
+# coordinate ascent's rule over step_base and step_scales
+_LADDER = ("step_base %r and step_scales %d make the largest step, "
+           "step_base * 2**(step_scales - 1), overflow a float")
+
+# A config every command takes, and what the fuzz below splices into it.
+_VALID_CONFIG = (b"seed = 3\nk = 5\nlearner = ca\nmetric = mrr\n"
+                 b"step_base = 0.05\nstep_scales = 10\nsplit_fraction = 0.5\n"
+                 b"normalize = true\nrun_tag = tag  # comment\n")
+_SPLICES = (b"nan", b"1e400", b"inf", b"\xff", b"\\udc80", b"\xed\xb2\x80",
+            b"9" * 5000, b"\xef\xbb\xbf", b"\t", b"\r", b"{}")
+
+
+@st.composite
+def mutated_configs(draw):
+    """`_VALID_CONFIG` after one to three byte flips, truncations,
+    duplicated or deleted lines, or splices."""
+    data = _VALID_CONFIG
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "truncate", "duplicate",
+                                     "delete", "splice")))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip" and data:
+            at = min(at, len(data) - 1)
+            flipped = data[at] ^ 1 << draw(st.integers(0, 7))
+            data = data[:at] + bytes([flipped]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind in ("duplicate", "delete") and data:
+            lines = data.splitlines(keepends=True)
+            i = min(at, len(lines) - 1)
+            lines[i:i + 1] = [lines[i]] * (2 if kind == "duplicate" else 0)
+            data = b"".join(lines)
+        elif kind == "splice":
+            data = data[:at] + draw(st.sampled_from(_SPLICES)) + data[at:]
+    return data
+
+
 class TestConfig:
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "settings.cfg"
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=mutated_configs())
+    @example(data=_VALID_CONFIG)
+    @example(data=b"learner = ca\nstep_scales = 1100\n")
+    def test_mutated_config_resolves_or_raises_config_error(
+            self, config_path, data):
+        config_path.write_bytes(data)
+        args = build_parser().parse_args(
+            ["train", "--features", "features.txt",
+             "--config", str(config_path)])
+        try:
+            cfg = resolve_config(args)
+        except ConfigError:
+            return
+        assert set(cfg) == set(venuerec.cli.SETTINGS)
 
     def test_flags_beat_file_beats_defaults(self, corpus, pipeline_dir,
                                             tmp_path):
@@ -346,6 +423,11 @@ class TestConfig:
          "config key 'seed' already set on line 1"),
         ("ablate", "k = 3\n# same value\nk = 3",
          "config key 'k' already set on line 1"),
+        ("train", "learner = ca\nstep_scales = 1100", _LADDER % (0.05, 1100)),
+        ("ablate", "learner = ca\nstep_scales = 1100",
+         _LADDER % (0.05, 1100)),
+        ("train", "learner = mart\nstep_base = 1e306",
+         _LADDER % (1e306, 10)),
     ])
     def test_rule_breach_in_file_exits_2_before_any_output(
             self, corpus, pipeline_dir, tmp_path, capsys, command, text,
@@ -379,6 +461,11 @@ class TestConfig:
         pytest.param("rating_min = 2\nrating_max = 1", (),
                      "rating_min must be below rating_max",
                      id="ratings-file-both"),
+        pytest.param("learner = ca\nstep_base = 1e305\nstep_scales = 100",
+                     (), _LADDER % (1e305, 100), id="ca-steps-file"),
+        pytest.param("step_base = 1e305\nstep_scales = 100",
+                     ("--learner", "ca"), _LADDER % (1e305, 100),
+                     id="ca-steps-file-and-flag"),
     ])
     def test_cross_key_rule_exits_2_before_any_output(
             self, corpus, tmp_path, capsys, text, flags, message):
@@ -998,6 +1085,31 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             "error: %s: line 2: config key 'step_base' must be finite, "
             "got %r\n" % (cfg, raw))
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_steps_near_the_float_limit_give_a_finite_model(
+            self, ragged_features, tmp_path, seed):
+        # With the default ladder a step_base of 1e308 breaks the config
+        # rule and 3e305 passes it.  Under seed 7 its steps overflow the
+        # weights, so the one restart is not eligible and the model is
+        # the uniform weights; under seed 1 the restart fits.
+        def run(command, step_base, out):
+            cfg = tmp_path / "settings.cfg"
+            cfg.write_text("learner = ca\nstep_base = %s\nrestarts = 1\n"
+                           "max_sweeps = 1\n" % step_base, encoding="utf-8")
+            return main([command, "--out-dir", str(out), "--config",
+                         str(cfg), "--seed", seed,
+                         "--features", ragged_features])
+        for command in ("train", "ablate"):
+            assert run(command, "1e308", tmp_path / "refused") == 2
+            assert not (tmp_path / "refused").exists()
+            assert run(command, "3e305", tmp_path / command) == 0
+        model = tmp_path / "train" / "model.json"
+        weights = json.loads(model.read_text(encoding="utf-8"))["weights"]
+        assert np.all(np.isfinite(weights))
+        assert main(["rank", "--out-dir", str(tmp_path / "rank"),
+                     "--features", ragged_features,
+                     "--model", str(model)]) == 0
 
     @pytest.mark.parametrize("field, value, message", [
         ("feature", 99, "matrix has 13 features, model needs 100"),

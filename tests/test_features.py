@@ -31,13 +31,16 @@ from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import (
     FEATURE_NAMES,
     N_FEATURES,
-    ModelSet,
-    extract_all,
     normalize_per_topic,
     read_features,
     write_features,
 )
-from venuerec.profiles import UserVenueProfile, VenueVector
+from venuerec.profiles import (
+    ModelSet,
+    UserVenueProfile,
+    VenueVector,
+    extract_all,
+)
 
 SQRT_HALF = 0.7071067811865475
 

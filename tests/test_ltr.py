@@ -31,9 +31,7 @@ from venuerec.ltr import (
     Tree,
     TreeEnsemble,
     fit_tree,
-    load_model,
     predict_matrix,
-    save_model,
     split_train_validation,
     train_coordinate_ascent,
     train_mart,
@@ -42,6 +40,7 @@ from venuerec import _kernels
 from venuerec.ltr import coordinate_ascent
 from venuerec.ltr import data as ltr_data
 from venuerec.ltr.mart import _best_candidate, _leaders, _tree_outputs
+from venuerec.ltr.serialize import load_model, save_model
 
 CUTOFF = SETTINGS["cutoff"].default
 
@@ -516,6 +515,40 @@ class TestCoordinateAscent:
     def test_step_base_must_be_finite_and_positive(self, step_base):
         with pytest.raises(VenuerecError, match="step_base must be positive"):
             CAConfig(step_base=step_base, metric="p5", seed=0)
+
+    @pytest.mark.parametrize("step_base, step_scales", [
+        (0.05, 1100), (1e308, 2), (5e-324, 2099), (0.05, 10 ** 30)])
+    def test_largest_step_must_be_finite(self, step_base, step_scales):
+        with pytest.raises(VenuerecError, match="largest step"):
+            CAConfig(step_base=step_base, step_scales=step_scales,
+                     metric="p5", seed=0)
+
+    @pytest.mark.parametrize("step_base, step_scales", [
+        (1e308, 1), (1e-300, 1100), (5e-324, 2098)])
+    def test_largest_step_may_reach_the_float_limit(self, step_base,
+                                                     step_scales):
+        CAConfig(step_base=step_base, step_scales=step_scales, metric="p5",
+                 seed=0)
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_weights_that_overflow_give_uniform_with_warning(self, caplog,
+                                                             restarts):
+        # feature 0 marks the relevant venues of topics 0-1, feature 1
+        # those of topics 2-3, and feature 2 puts the others first under
+        # uniform weights: a step of 1e308 along each of 0 and 1 gains,
+        # and their L1 norm overflows
+        rows = make_rows({"t%d" % t: [
+            ("v%d" % c, int(c < 3),
+             pad(float(c < 3 and t < 2), float(c < 3 and t >= 2),
+                 0.0 if c < 3 else 2.0))
+            for c in range(8)] for t in range(4)})
+        config = CAConfig(step_base=1e308, step_scales=1, restarts=restarts,
+                          max_sweeps=1, metric="p5", seed=0)
+        with caplog.at_level("WARNING", logger="venuerec.ltr"):
+            model = train_coordinate_ascent(TopicBlocks(rows, CUTOFF),
+                                            NO_BLOCKS, config)
+        assert model.weights == tuple([1.0 / N_FEATURES] * N_FEATURES)
+        assert any("uniform" in rec.message for rec in caplog.records)
 
 
 def leaves(tree):
