@@ -60,7 +60,7 @@ def _deferred(module, name):
 load_venues = _deferred(".corpus", "load_venues")
 load_profiles = _deferred(".corpus", "load_profiles")
 load_contexts = _deferred(".corpus", "load_contexts")
-load_qrels = _deferred(".corpus", "load_qrels")
+load_qrels = _deferred(".evaluation", "load_qrels")
 load_embeddings = _deferred(".embeddings", "load_embeddings")
 build_venue_vectors = _deferred(".profiles", "build_venue_vectors")
 build_context_vectors = _deferred(".profiles", "build_context_vectors")
@@ -88,7 +88,7 @@ log = logging.getLogger(__name__)
 class Setting(typing.NamedTuple):
     """One config key; the default's type is the key's type.
 
-    `check(key, value)` raises VenuerecError when the value breaks the
+    `check(key, value)` raises ConfigError when the value breaks the
     key's own rule.  A key with `help` also gets a flag.
     """
 
@@ -105,10 +105,13 @@ def _rule(test, text):
     return check
 
 
+def _at_least(low):
+    return _rule(lambda v: v >= low, "must be >= %d" % low)
+
+
 SETTINGS = {
-    "seed": Setting(0, check=_rule(lambda v: v >= 0, "must be >= 0"),
-                    help="RNG seed"),
-    "k": Setting(10, check=_rule(lambda v: v >= 1, "must be >= 1"),
+    "seed": Setting(0, check=_at_least(0), help="RNG seed"),
+    "k": Setting(10, check=_at_least(1),
                  help="expansion terms per seed subtraction"),
     "pos_threshold": Setting(4, help="minimum rating that counts as "
                                      "positive"),
@@ -116,8 +119,8 @@ SETTINGS = {
                                      "negative"),
     "rating_min": Setting(0),
     "rating_max": Setting(4),
-    "depth": Setting(50, check=_rule(lambda v: v >= 1, "must be >= 1")),
-    "cutoff": Setting(1, check=_rule(lambda v: v >= 1, "must be >= 1")),
+    "depth": Setting(50, check=_at_least(1)),
+    "cutoff": Setting(1, check=_at_least(1)),
     "split_fraction": Setting(0.67, check=_rule(lambda v: 0.0 < v < 1.0,
                                                 "must be in (0, 1)")),
     "learner": Setting("mart", ("ca", "mart"),
@@ -132,16 +135,20 @@ SETTINGS = {
                          help="min-max scale count features per topic"),
     "shifted_negative": Setting(False),
     "include_empty": Setting(False),
+    # the learners' keys, each defaulting to its CAConfig or MARTConfig
+    # field
+    "restarts": Setting(CAConfig.restarts, check=_at_least(1)),
+    "max_sweeps": Setting(CAConfig.max_sweeps, check=_at_least(1)),
+    "step_base": Setting(CAConfig.step_base,
+                         check=_rule(lambda v: v > 0.0, "must be positive")),
+    "step_scales": Setting(CAConfig.step_scales, check=_at_least(1)),
+    "n_trees": Setting(MARTConfig.n_trees, check=_at_least(1)),
+    "shrinkage": Setting(MARTConfig.shrinkage, check=_rule(
+        lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+    "max_leaves": Setting(MARTConfig.max_leaves, check=_at_least(2)),
+    "min_leaf": Setting(MARTConfig.min_leaf, check=_at_least(1)),
+    "patience": Setting(MARTConfig.patience, check=_at_least(0)),
 }
-# The learner keys: each field of CAConfig and MARTConfig not above,
-# checked by building its dataclass with that field and the defaults of
-# metric and seed.
-SETTINGS.update(
-    (field.name, Setting(field.default, check=lambda key, value, cls=cls: cls(
-        metric=SETTINGS["metric"].default, seed=SETTINGS["seed"].default,
-        **{key: value})))
-    for cls in (CAConfig, MARTConfig) for field in dataclasses.fields(cls)
-    if field.name not in SETTINGS)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
@@ -153,10 +160,7 @@ def _check(key, value):
         raise ConfigError("config key %r must be one of %s, got %r"
                           % (key, "/".join(setting.choices), value))
     if setting.check is not None:
-        try:
-            setting.check(key, value)
-        except VenuerecError as exc:
-            raise ConfigError(str(exc)) from None
+        setting.check(key, value)
 
 
 def _coerce(key, raw):
@@ -222,11 +226,14 @@ def resolve_config(args):
         raise ConfigError("neg_threshold must be below pos_threshold")
     if cfg["rating_min"] >= cfg["rating_max"]:
         raise ConfigError("rating_min must be below rating_max")
-    # the learner's rules over two of its keys
+    # coordinate ascent's largest step, whichever learner is chosen
     try:
-        _learner_config(cfg)
-    except VenuerecError as exc:
-        raise ConfigError(str(exc)) from None
+        math.ldexp(cfg["step_base"], cfg["step_scales"] - 1)
+    except OverflowError:
+        raise ConfigError(
+            "step_base %r and step_scales %d make the largest step, "
+            "step_base * 2**(step_scales - 1), overflow a float"
+            % (cfg["step_base"], cfg["step_scales"])) from None
     return cfg
 
 
@@ -315,16 +322,12 @@ def train_step(cfg, table, out_dir):
     return model
 
 
-def rank_step(cfg, table, model, model_path, out_dir):
-    """Write run.txt for `table`; returns the RankedRun it holds.  Errors
-    in scoring name `model_path`, the file `model` is stored in."""
+def rank_step(cfg, table, model, out_dir):
+    """Write run.txt for `table`; returns the RankedRun it holds."""
     if cfg["normalize"]:
         log.info("per-topic normalization applied before scoring")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = predict_matrix(model, table.X)
-    except VenuerecError as exc:
-        raise FormatError(str(exc), path=model_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = predict_matrix(model, table.X)
     # a run holds finite scores only; load_run refuses any other
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
@@ -426,12 +429,36 @@ def _load_profiles(cfg, path):
         path, rating_scale=(cfg["rating_min"], cfg["rating_max"]))
 
 
-def _load_models(out_dir):
-    """The ModelSet held by the vector caches in `out_dir`."""
-    return ModelSet(
-        load_venue_vectors(os.path.join(out_dir, "venue_vectors.txt")),
-        load_user_vectors(os.path.join(out_dir, "user_vectors.txt")),
-        load_context_vectors(os.path.join(out_dir, "context_vectors.txt")))
+def _load_models(out_dir, venues_by_id, pairs):
+    """The ModelSet held by the vector caches in `out_dir`.  The three
+    caches share venue_vectors.txt's dimension, and hold a vector for
+    every candidate in `venues_by_id` and every topic's user."""
+    venue_path, user_path, context_path = (
+        os.path.join(out_dir, name) for name in
+        ("venue_vectors.txt", "user_vectors.txt", "context_vectors.txt"))
+    models = ModelSet(load_venue_vectors(venue_path),
+                      load_user_vectors(user_path),
+                      load_context_vectors(context_path))
+    dimension = next((len(vv.vector) for vv in models.venue_vectors.values()),
+                     None)
+    for path, vectors in (
+            (user_path, [up.positive for up in models.user_profiles.values()]),
+            (context_path, list(models.context_vectors.values()))):
+        if vectors and dimension not in (None, len(vectors[0])):
+            raise FormatError("dimension %d differs from venue_vectors.txt's "
+                              "%d" % (len(vectors[0]), dimension), path=path)
+    for pair in pairs:
+        missing = [v for v in pair.candidates
+                   if v in venues_by_id and v not in models.venue_vectors]
+        if missing:
+            raise FormatError("no vector for venue %r, a candidate of topic "
+                              "%s" % (missing[0], pair.topic_id),
+                              path=venue_path)
+        if pair.user.user_id not in models.user_profiles:
+            raise FormatError("no vectors for user %r of topic %s"
+                              % (pair.user.user_id, pair.topic_id),
+                              path=user_path)
+    return models
 
 
 def _load_topics(args, venues, profiles):
@@ -461,8 +488,8 @@ def _cmd_build_profiles(cfg, args):
 def _cmd_extract(cfg, args):
     venues_by_id, pairs, qrels = _load_topics(
         args, load_venues(args.venues), _load_profiles(cfg, args.profiles))
-    extract_step(venues_by_id, pairs, qrels, _load_models(args.out_dir),
-                 args.out_dir)
+    extract_step(venues_by_id, pairs, qrels,
+                 _load_models(args.out_dir, venues_by_id, pairs), args.out_dir)
 
 
 def _cmd_train(cfg, args):
@@ -477,8 +504,7 @@ def _cmd_rank(cfg, args):
     # config.used records what is applied
     cfg["normalize"] = hyperparameters.get("normalize", cfg["normalize"])
     write_config_used(cfg, args.out_dir)
-    rank_step(cfg, _table_for_learning(cfg, table), model, args.model,
-              args.out_dir)
+    rank_step(cfg, _table_for_learning(cfg, table), model, args.out_dir)
 
 
 def _cmd_eval(cfg, args):
@@ -508,8 +534,7 @@ def _cmd_pipeline(cfg, args):
     table = _table_for_learning(
         cfg, extract_step(venues_by_id, pairs, qrels, models, out_dir))
     model = train_step(cfg, table, out_dir)
-    run = rank_step(cfg, table, model, os.path.join(out_dir, "model.json"),
-                    out_dir)
+    run = rank_step(cfg, table, model, out_dir)
     eval_step(cfg, run, qrels, None, out_dir)
 
 

@@ -1,10 +1,9 @@
-"""Corpus ingestion: venues, user profiles, context topics, relevance judgments.
+"""Corpus ingestion: venues, user profiles and context topics.
 
-All record files are JSON Lines except qrels, which use the classic
-whitespace-separated four-column judgment format.  Loaders validate
-hard (duplicate ids, illegal values, wrong types all raise with a line
-number) but treat dangling venue references as warnings: a candidate
-pointing at an unknown venue is kept, it just scores zero later.
+All record files are JSON Lines.  Loaders validate hard (duplicate
+ids, illegal values, wrong types all raise with a line number) but
+treat dangling venue references as warnings: a candidate pointing at
+an unknown venue is kept, it just scores zero later.
 
 A loaded venue keeps its id, its statistics and the stemmed tokens of
 each comment.  Its name and the raw comment text are checked, then
@@ -75,33 +74,6 @@ class ContextPair:
             if name == aspect:
                 return dim
         return None
-
-
-class Qrels:
-    """Graded judgments keyed by (topic_id, venue_id), indexed by topic;
-    every grade is non-negative, as load_qrels checks."""
-
-    def __init__(self, judgments):
-        self._by_topic = {}
-        for (topic, venue), grade in dict(judgments).items():
-            self._by_topic.setdefault(topic, {})[venue] = grade
-
-    def grade(self, topic_id, venue_id):
-        """The grade of the pair; 0 when it is not judged."""
-        return self._by_topic.get(topic_id, {}).get(venue_id, 0)
-
-    def topics(self):
-        return sorted(self._by_topic)
-
-    def relevant_venues(self, topic_id, cutoff):
-        return {v for v, g in self._by_topic.get(topic_id, {}).items()
-                if g >= cutoff}
-
-    def __len__(self):
-        return sum(len(grades) for grades in self._by_topic.values())
-
-    def __eq__(self, other):
-        return isinstance(other, Qrels) and self._by_topic == other._by_topic
 
 
 def _records(path):
@@ -326,32 +298,3 @@ def load_contexts(path, users, venues):
         log.warning("%d candidate venue ids not present in the venue corpus "
                     "(kept; they will score zero)", dangling)
     return pairs
-
-
-def load_qrels(path):
-    judgments = {}
-    for lineno, line in numbered_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise FormatError("expected 4 columns, got %d" % len(parts),
-                              path=path, line=lineno)
-        topic_id, _unused, venue_id, grade_s = parts
-        try:
-            grade = int(grade_s)
-        except ValueError:
-            raise FormatError("grade %r is not an integer" % grade_s,
-                              path=path, line=lineno) from None
-        if grade < 0:
-            raise FormatError("grade must be >= 0", path=path, line=lineno)
-        if grade >= 2 ** 63:
-            # feature tables hold labels as 64-bit integers
-            raise FormatError("grade must fit in 64 bits", path=path,
-                              line=lineno)
-        key = (topic_id, venue_id)
-        if key in judgments:
-            raise FormatError("duplicate judgment for (%s, %s)" % key,
-                              path=path, line=lineno)
-        judgments[key] = grade
-    return Qrels(judgments)

@@ -6,7 +6,6 @@ import, so a command that never reads or writes one never loads it.
 
 import numpy as np
 
-from ..errors import VenuerecError
 from .coordinate_ascent import CAConfig, LinearModel, train_coordinate_ascent
 from .data import TopicBlocks, split_train_validation
 from .mart import MARTConfig, Tree, TreeEnsemble, fit_tree, train_mart
@@ -29,17 +28,10 @@ __all__ = [
 
 def predict_matrix(model, X):
     """Score every row of the 2-D float64 matrix `X`, as FeatureTable
-    and TopicBlocks hold it, under either model kind."""
+    and TopicBlocks hold it, under either model kind.  The model fits
+    the columns of `X`, as its trainer or load_model makes it."""
     if isinstance(model, LinearModel):
-        w = np.asarray(model.weights)
-        if X.shape[1] != w.shape[0]:
-            raise VenuerecError("matrix has %d features, model has %d"
-                                % (X.shape[1], w.shape[0]))
-        return X @ w
-    width = 1 + max(max(tree.feature) for tree in model.trees)
-    if X.shape[1] < width:
-        raise VenuerecError("matrix has %d features, model needs %d"
-                            % (X.shape[1], width))
+        return X @ np.asarray(model.weights)
     out = np.zeros(X.shape[0])
     for tree in model.trees:
         out += model.shrinkage * _tree_outputs(tree, X)

@@ -15,8 +15,6 @@ import math
 import numpy as np
 
 from .._rng import PCG64
-from ..errors import VenuerecError
-from .data import METRICS
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +23,10 @@ _EPS = 1e-12
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class CAConfig:
+    """Coordinate ascent's settings, checked where they enter
+    (`cli.SETTINGS` and `cli.resolve_config`): the largest step,
+    ``step_base * 2**(step_scales - 1)``, is a finite float."""
+
     metric: str
     restarts: int = 5
     max_sweeps: int = 25
@@ -32,33 +34,12 @@ class CAConfig:
     step_scales: int = 10
     seed: int
 
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise VenuerecError("unknown metric %r" % (self.metric,))
-        for name in ("restarts", "max_sweeps", "step_scales"):
-            if getattr(self, name) < 1:
-                raise VenuerecError("%s must be >= 1, got %d"
-                                    % (name, getattr(self, name)))
-        if not 0.0 < self.step_base < math.inf:
-            raise VenuerecError("step_base must be positive and finite")
-        try:
-            math.ldexp(self.step_base, self.step_scales - 1)
-        except OverflowError:
-            raise VenuerecError(
-                "step_base %r and step_scales %d make the largest step, "
-                "step_base * 2**(step_scales - 1), overflow a float"
-                % (self.step_base, self.step_scales)) from None
-
 
 @dataclasses.dataclass(frozen=True)
 class LinearModel:
     weights: tuple
     metric: str
     seed: int
-
-    def __post_init__(self):
-        if not self.weights:
-            raise VenuerecError("linear model needs at least one weight")
 
 
 def _normalize(w):

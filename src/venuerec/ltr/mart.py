@@ -12,8 +12,6 @@ import logging
 import numpy as np
 
 from .. import _kernels
-from ..errors import VenuerecError
-from .data import METRICS
 
 log = logging.getLogger(__name__)
 
@@ -22,6 +20,8 @@ _EPS = 1e-12
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class MARTConfig:
+    """MART's settings, checked where they enter (`cli.SETTINGS`)."""
+
     n_trees: int = 100
     shrinkage: float = 0.1
     max_leaves: int = 7
@@ -29,21 +29,6 @@ class MARTConfig:
     patience: int = 20      # 0 disables early stopping and keeps every tree
     metric: str
     seed: int
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise VenuerecError("n_trees must be >= 1, got %d" % self.n_trees)
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise VenuerecError("shrinkage must be in (0, 1], got %r"
-                                % (self.shrinkage,))
-        if self.max_leaves < 2:
-            raise VenuerecError("max_leaves must be >= 2")
-        if self.min_leaf < 1:
-            raise VenuerecError("min_leaf must be >= 1")
-        if self.patience < 0:
-            raise VenuerecError("patience must be >= 0")
-        if self.metric not in METRICS:
-            raise VenuerecError("unknown metric %r" % (self.metric,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,10 +60,6 @@ class TreeEnsemble:
     metric: str
     seed: int
     history: dict = dataclasses.field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.trees:
-            raise VenuerecError("ensemble needs at least one tree")
 
 
 def _leaders(gains, features, skip=-1):

@@ -8,6 +8,7 @@ import json
 import math
 
 from ..errors import FormatError, decode_json, numbered_lines
+from ..features import N_FEATURES
 from .coordinate_ascent import LinearModel
 from .mart import Tree, TreeEnsemble
 
@@ -81,6 +82,10 @@ def _check_tree(node, i, path):
     for node, (f, lo, hi) in enumerate(zip(feature, left, right)):
         if f < 0:
             continue
+        if f >= N_FEATURES:
+            raise FormatError("tree %d node %d splits on feature %d, past "
+                              "the %d columns of a feature row"
+                              % (i, node, f, N_FEATURES), path=path)
         if not (0 <= lo < n and 0 <= hi < n):
             raise FormatError("tree %d child index out of range" % i,
                               path=path)
@@ -98,7 +103,8 @@ def _check_tree(node, i, path):
 
 
 def load_model(path):
-    """The model stored at `path` and its hyperparameters block, a dict;
+    """The model stored at `path` and its hyperparameters block, a dict.
+    The model fits the `N_FEATURES` columns of a feature row, and
     `normalize` in that block must be a JSON boolean."""
     doc = decode_json("".join(line for _, line in numbered_lines(path)),
                       path)
@@ -129,8 +135,9 @@ def _model(doc, path):
         if "weights" not in doc:
             raise FormatError("linear model without weights", path=path)
         weights = _finite_floats(doc["weights"], "weights", path)
-        if not weights:
-            raise FormatError("weights are empty", path=path)
+        if len(weights) != N_FEATURES:
+            raise FormatError("%d weights for the %d columns of a feature row"
+                              % (len(weights), N_FEATURES), path=path)
         return LinearModel(weights=weights, metric=metric, seed=seed)
     if learner == "mart":
         trees = doc.get("trees")

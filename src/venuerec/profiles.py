@@ -152,7 +152,7 @@ def build_context_vectors(store, k):
 class ModelSet:
     """Everything extract_all needs, keyed for lookup."""
 
-    venue_vectors: dict
+    venue_vectors: dict          # venue_id -> VenueVector
     user_profiles: dict          # user_id -> UserVenueProfile
     # (aspect, dimension) -> vector for every dimension of ASPECTS and
     # of the aspect "gender", as load_context_vectors checks
@@ -162,10 +162,12 @@ class ModelSet:
 def _topic_block(pair, venues, models):
     """The 13 features of each candidate venue; None marks a dangling one.
 
-    Degenerate inputs give zeros, not errors: a missing statistic is 0,
-    and a zero row stands in for an absent vector, so its cosines are 0.
-    A vector whose squared norm overflows a float is an error naming
-    the topic and the vector.
+    `models` holds a vector for every venue that is not None and for
+    the pair's user, as extract_all takes it.  Degenerate inputs give
+    zeros, not errors: a missing statistic is 0, and a zero row stands
+    in for a dangling venue's vector, so its cosines are 0.  A vector
+    whose squared norm overflows a float is an error naming the topic
+    and the vector.
     """
     block = np.zeros((len(venues), N_FEATURES))
     for row, venue in zip(block, venues):
@@ -173,8 +175,8 @@ def _topic_block(pair, venues, models):
             value = getattr(venue.stats, name) if venue is not None else None
             if value is not None:
                 row[j] = float(value)
-    found = [models.venue_vectors.get(venue.id) if venue is not None
-             else None for venue in venues]
+    found = [models.venue_vectors[venue.id] if venue is not None else None
+             for venue in venues]
     known = [vv.vector for vv in found if vv is not None]
     if not known:
         return block
@@ -182,9 +184,8 @@ def _topic_block(pair, venues, models):
     A = np.array([vv.vector if vv is not None else zero for vv in found])
     # the user's two tastes, one context vector per aspect, the gender
     user = pair.user
-    profile = models.user_profiles.get(user.user_id)
-    tastes = ([profile.positive, profile.negative] if profile is not None
-              else [zero, zero])
+    profile = models.user_profiles[user.user_id]
+    tastes = [profile.positive, profile.negative]
     keys = [(aspect, pair.dimension_of(aspect)) for aspect in ASPECTS]
     keys.append(("gender", user.gender))
     # an aspect the topic leaves unbound scores 0
@@ -207,9 +208,11 @@ def _topic_block(pair, venues, models):
 def extract_all(pairs, venues_by_id, models, qrels):
     """The FeatureTable of every candidate of every pair.
 
-    A dangling candidate, one missing from `venues_by_id`, keeps its id
-    and label and is ranked on zero features.  With `qrels` None, every
-    label is 0.
+    `models` holds a vector for every candidate in `venues_by_id` and
+    for every pair's user: `pipeline` builds them so, and
+    `cli._load_models` checks the caches.  A dangling candidate, one
+    missing from `venues_by_id`, keeps its id and label and is ranked
+    on zero features.  With `qrels` None, every label is 0.
     """
     topic_ids, venue_ids, labels, blocks = [], [], [], []
     for pair in pairs:

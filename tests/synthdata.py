@@ -38,10 +38,10 @@ from venuerec.corpus import (
     GENDERS,
     load_contexts,
     load_profiles,
-    load_qrels,
     load_venues,
 )
 from venuerec.embeddings import EmbeddingStore, load_embeddings
+from venuerec.evaluation import load_qrels
 from venuerec.profiles import (
     ModelSet,
     build_context_vectors,

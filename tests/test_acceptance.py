@@ -299,7 +299,7 @@ def brute_eval(scored, relevant):
 def test_a05_metrics_match_hand_computation():
     """P@5 and MRR agree exactly with a brute evaluator on 50 fixtures."""
     with budget(5):
-        from venuerec.corpus import Qrels
+        from venuerec.evaluation import Qrels
         rng = np.random.default_rng(505)
         for case in range(50):
             scored = {}

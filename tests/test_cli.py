@@ -297,6 +297,57 @@ def mutated_configs(draw):
     return data
 
 
+# Every key's own rule holds whichever learner is chosen, and fails
+# before any input is read or any output written.  A learner key is set
+# under the other learner to show it.  The last line of each text
+# breaks the rule; every key with a rule or a list of choices has a
+# case here, as test_every_rule_has_a_breach_case checks.
+_BREACHES = [
+    ("pipeline", "seed = -1", "seed must be >= 0, got -1"),
+    ("pipeline", "k = 0", "k must be >= 1, got 0"),
+    ("pipeline", "depth = 0", "depth must be >= 1, got 0"),
+    ("ablate", "cutoff = 0", "cutoff must be >= 1, got 0"),
+    ("pipeline", "split_fraction = 0",
+     "split_fraction must be in (0, 1), got 0.0"),
+    ("pipeline", "split_fraction = 1",
+     "split_fraction must be in (0, 1), got 1.0"),
+    ("pipeline", "learner = svm",
+     "config key 'learner' must be one of ca/mart, got 'svm'"),
+    ("pipeline", "metric = map",
+     "config key 'metric' must be one of p5/mrr, got 'map'"),
+    ("pipeline", "embedding_format = csv",
+     "config key 'embedding_format' must be one of text/binary, "
+     "got 'csv'"),
+    ("pipeline", "run_tag = a b",
+     "run_tag must be non-empty with no whitespace, got 'a b'"),
+    ("rank", "run_tag =",
+     "run_tag must be non-empty with no whitespace, got ''"),
+    ("rank", "run_tag = a\tb",
+     "run_tag must be non-empty with no whitespace, got 'a\\tb'"),
+    ("pipeline", "learner = mart\nrestarts = 0",
+     "restarts must be >= 1, got 0"),
+    ("train", "learner = mart\nmax_sweeps = 0",
+     "max_sweeps must be >= 1, got 0"),
+    ("train", "learner = mart\nstep_scales = 0",
+     "step_scales must be >= 1, got 0"),
+    ("train", "learner = mart\nstep_base = 0",
+     "step_base must be positive, got 0.0"),
+    ("train", "learner = ca\nstep_base = -1",
+     "step_base must be positive, got -1.0"),
+    ("pipeline", "learner = ca\nn_trees = 0",
+     "n_trees must be >= 1, got 0"),
+    ("ablate", "learner = ca\nshrinkage = 1.5",
+     "shrinkage must be in (0, 1], got 1.5"),
+    ("pipeline", "max_leaves = 1", "max_leaves must be >= 2, got 1"),
+    ("ablate", "learner = ca\nmin_leaf = 0", "min_leaf must be >= 1, got 0"),
+    ("train", "learner = ca\npatience = -1", "patience must be >= 0, got -1"),
+    ("pipeline", "seed = 1\nseed = 2",
+     "config key 'seed' already set on line 1"),
+    ("ablate", "k = 3\n# same value\nk = 3",
+     "config key 'k' already set on line 1"),
+]
+
+
 class TestConfig:
 
     @pytest.fixture(scope="class")
@@ -379,56 +430,7 @@ class TestConfig:
             "shrinkage = 0.1", "split_fraction = 0.67", "step_base = 0.05",
             "step_scales = 10"]
 
-    # Every key's own rule holds whichever learner is chosen, and fails
-    # before any input is read or any output written.  A learner key is
-    # set under the other learner to show it.
-    @pytest.mark.parametrize("command, text, message", [
-        ("pipeline", "seed = -1", "seed must be >= 0, got -1"),
-        ("pipeline", "k = 0", "k must be >= 1, got 0"),
-        ("pipeline", "depth = 0", "depth must be >= 1, got 0"),
-        ("ablate", "cutoff = 0", "cutoff must be >= 1, got 0"),
-        ("pipeline", "split_fraction = 0",
-         "split_fraction must be in (0, 1), got 0.0"),
-        ("pipeline", "split_fraction = 1",
-         "split_fraction must be in (0, 1), got 1.0"),
-        ("pipeline", "learner = svm",
-         "config key 'learner' must be one of ca/mart, got 'svm'"),
-        ("pipeline", "metric = map",
-         "config key 'metric' must be one of p5/mrr, got 'map'"),
-        ("pipeline", "embedding_format = csv",
-         "config key 'embedding_format' must be one of text/binary, "
-         "got 'csv'"),
-        ("pipeline", "run_tag = a b",
-         "run_tag must be non-empty with no whitespace, got 'a b'"),
-        ("rank", "run_tag =",
-         "run_tag must be non-empty with no whitespace, got ''"),
-        ("rank", "run_tag = a\tb",
-         "run_tag must be non-empty with no whitespace, got 'a\\tb'"),
-        ("pipeline", "learner = mart\nrestarts = 0",
-         "restarts must be >= 1, got 0"),
-        ("train", "learner = mart\nmax_sweeps = 0",
-         "max_sweeps must be >= 1, got 0"),
-        ("train", "learner = mart\nstep_scales = 0",
-         "step_scales must be >= 1, got 0"),
-        ("train", "learner = mart\nstep_base = 0",
-         "step_base must be positive and finite"),
-        ("pipeline", "learner = ca\nn_trees = 0",
-         "n_trees must be >= 1, got 0"),
-        ("ablate", "learner = ca\nshrinkage = 1.5",
-         "shrinkage must be in (0, 1], got 1.5"),
-        ("pipeline", "max_leaves = 1", "max_leaves must be >= 2"),
-        ("ablate", "learner = ca\nmin_leaf = 0", "min_leaf must be >= 1"),
-        ("train", "learner = ca\npatience = -1", "patience must be >= 0"),
-        ("pipeline", "seed = 1\nseed = 2",
-         "config key 'seed' already set on line 1"),
-        ("ablate", "k = 3\n# same value\nk = 3",
-         "config key 'k' already set on line 1"),
-        ("train", "learner = ca\nstep_scales = 1100", _LADDER % (0.05, 1100)),
-        ("ablate", "learner = ca\nstep_scales = 1100",
-         _LADDER % (0.05, 1100)),
-        ("train", "learner = mart\nstep_base = 1e306",
-         _LADDER % (1e306, 10)),
-    ])
+    @pytest.mark.parametrize("command, text, message", _BREACHES)
     def test_rule_breach_in_file_exits_2_before_any_output(
             self, corpus, pipeline_dir, tmp_path, capsys, command, text,
             message):
@@ -442,6 +444,17 @@ class TestConfig:
         assert capsys.readouterr().err == "error: %s: line %d: %s\n" % (
             cfg, text.count("\n") + 1, message)
         assert list(out.iterdir()) == []
+
+    def test_every_rule_has_a_breach_case(self):
+        ruled = {key for key, setting in venuerec.cli.SETTINGS.items()
+                 if setting.check or setting.choices}
+        breached = set()
+        for _, text, message in _BREACHES:
+            key = text.splitlines()[-1].partition("=")[0].strip()
+            if message.startswith((key + " must ",
+                                   "config key %r must " % key)):
+                breached.add(key)
+        assert sorted(ruled - breached) == []
 
     # A rule over two keys holds on the settings the three layers give
     # together.  rating_min and rating_max have no flags.
@@ -466,6 +479,20 @@ class TestConfig:
         pytest.param("step_base = 1e305\nstep_scales = 100",
                      ("--learner", "ca"), _LADDER % (1e305, 100),
                      id="ca-steps-file-and-flag"),
+        # the ladder is checked whichever learner is chosen
+        pytest.param("step_scales = 1100", (), _LADDER % (0.05, 1100),
+                     id="steps-default-learner"),
+        pytest.param("learner = ca\nstep_scales = 1100", (),
+                     _LADDER % (0.05, 1100), id="ca-steps-default-base"),
+        pytest.param("learner = mart\nstep_base = 1e306", (),
+                     _LADDER % (1e306, 10), id="mart-steps-default-scales"),
+        pytest.param("learner = ca\nstep_base = 1e308\nstep_scales = 2", (),
+                     _LADDER % (1e308, 2), id="ca-steps-past-the-limit"),
+        pytest.param("learner = ca\nstep_base = 5e-324\nstep_scales = 2099",
+                     (), _LADDER % (5e-324, 2099),
+                     id="ca-steps-from-the-least-float"),
+        pytest.param("learner = ca\nstep_scales = %d" % 10 ** 30, (),
+                     _LADDER % (0.05, 10 ** 30), id="ca-steps-huge-count"),
     ])
     def test_cross_key_rule_exits_2_before_any_output(
             self, corpus, tmp_path, capsys, text, flags, message):
@@ -476,6 +503,33 @@ class TestConfig:
         assert code == 2
         assert capsys.readouterr().err == "error: %s\n" % message
         assert not out.exists()
+
+    # the largest step may be the largest float, and the ladder may
+    # start at the least one
+    @pytest.mark.parametrize("step_base, step_scales", [
+        (1e308, 1), (1e-300, 1100), (5e-324, 2098)])
+    def test_largest_step_may_reach_the_float_limit(self, config_path,
+                                                     step_base, step_scales):
+        config_path.write_text("learner = ca\nstep_base = %r\n"
+                               "step_scales = %d\n" % (step_base, step_scales),
+                               encoding="utf-8")
+        cfg = resolve_config(build_parser().parse_args(
+            ["train", "--features", "features.txt",
+             "--config", str(config_path)]))
+        assert (cfg["step_base"], cfg["step_scales"]) == (step_base,
+                                                          step_scales)
+
+    def test_step_pair_is_checked_as_the_file_sets_it(
+            self, pipeline_dir, tmp_path):
+        # checked against step_scales' default of 10, the step_base
+        # line alone would overflow: 1e307 * 2**9
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("learner = ca\nstep_base = 1e307\nstep_scales = 1\n",
+                       encoding="utf-8")
+        assert main(["train", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(cfg),
+                     "--features", str(pipeline_dir / "features.txt")]) == 0
+        assert (tmp_path / "out" / "model.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("via", ["flag", "file"])
@@ -878,6 +932,36 @@ class TestBadInputs:
             "config.used", "context_vectors.txt", "user_vectors.txt",
             "venue_vectors.txt"]
 
+    # Each cache holds what a pipeline run writes: one dimension, a
+    # vector for every venue and user.  Caches that do not fit each
+    # other or the corpus stop extract before features.txt is written.
+    @pytest.mark.parametrize("name, edit, message", [
+        ("user_vectors.txt",
+         lambda i, line: ("40 16\n" if i == 1
+                          else line.rsplit(" ", 1)[0] + "\n"),
+         "dimension 16 differs from venue_vectors.txt's 17"),
+        ("venue_vectors.txt",
+         lambda i, line: ("123 17\n" if i == 1
+                          else line if i <= 124 else ""),
+         "no vector for venue 'v09r3', a candidate of topic t09"),
+        ("user_vectors.txt",
+         lambda i, line: ("38 17\n" if i == 1
+                          else "" if line.startswith("u00/") else line),
+         "no vectors for user 'u00' of topic t00"),
+    ], ids=["dimension", "venue", "user"])
+    def test_caches_that_do_not_fit_exit_2(self, corpus, pipeline_dir,
+                                           tmp_path, capsys, name, edit,
+                                           message):
+        out = tmp_path / "out"
+        code, path = self.extract_on_caches(corpus, pipeline_dir, out, name,
+                                            edit)
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (path,
+                                                               message)
+        assert sorted(os.listdir(out)) == [
+            "config.used", "context_vectors.txt", "user_vectors.txt",
+            "venue_vectors.txt"]
+
     def test_overflowing_venue_vector_exits_2(self, corpus, pipeline_dir,
                                               tmp_path, capsys):
         first = json.loads(open(corpus["contexts"], encoding="utf-8")
@@ -1112,7 +1196,8 @@ class TestBadInputs:
                      "--model", str(model)]) == 0
 
     @pytest.mark.parametrize("field, value, message", [
-        ("feature", 99, "matrix has 13 features, model needs 100"),
+        ("feature", 99, "tree 0 node 0 splits on feature 99, past the 13 "
+                        "columns of a feature row"),
         ("shrinkage", float("nan"), "shrinkage must be in (0, 1], got nan"),
     ])
     def test_bad_tree_model_exits_2(self, pipeline_dir, tmp_path, capsys,

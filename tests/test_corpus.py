@@ -14,11 +14,11 @@ from venuerec.corpus import (
     _has_space,
     load_contexts,
     load_profiles,
-    load_qrels,
     load_venues,
 )
 from venuerec.embeddings import read_text_vectors, write_text_vectors
 from venuerec.errors import FormatError, VenuerecError
+from venuerec.evaluation import load_qrels
 from writers import save_contexts, save_profiles, save_qrels, save_venues
 
 RATING_SCALE = (SETTINGS["rating_min"].default, SETTINGS["rating_max"].default)

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from venuerec.cli import SETTINGS
-from venuerec.corpus import Qrels
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.evaluation import (
     MetricReport,
+    Qrels,
     evaluate_run,
     format_report,
     load_run,

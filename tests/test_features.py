@@ -21,13 +21,13 @@ from venuerec.corpus import (
     ASPECTS,
     GENDERS,
     ContextPair,
-    Qrels,
     UserProfile,
     Venue,
     VenueStats,
 )
 from venuerec import features
 from venuerec.errors import FormatError, VenuerecError
+from venuerec.evaluation import Qrels
 from venuerec.features import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -129,10 +129,6 @@ class TestExtractFeatures:
         row = one_row(make_pair(), make_venue(), make_models())
         assert row[12] == pytest.approx(SQRT_HALF, abs=1e-12)
 
-    def test_unknown_user_profile_yields_zero_uv(self):
-        pair = make_pair(user=UserProfile("ghost", "male", ()))
-        row = one_row(pair, make_venue(), make_models())
-        assert row[6] == 0.0
         assert row[7] == 0.0
 
     def test_label_from_qrels(self):
@@ -631,10 +627,12 @@ CONTEXT_KEYS = [(aspect, dim)
 @st.composite
 def extraction_inputs(draw):
     """Pairs, venues by id, models and qrels, with every gap extract_all
-    fills with zeros: dangling candidates, venues without a vector or
-    with a zero one, users without a profile, unbound aspects and zero
-    context and gender vectors.  Every context and gender vector is
-    present, as load_context_vectors requires."""
+    fills with zeros: dangling candidates, zero venue and user vectors,
+    unbound aspects and zero context and gender vectors.  Every venue
+    by id and every pair's user has a vector, as cli._load_models
+    requires, and every context and gender vector is present, as
+    load_context_vectors requires; a vector of a venue absent from
+    venues by id may be missing."""
     dim = draw(st.integers(1, 300))
     rows = len(VENUES) + 4 + len(CONTEXT_KEYS)
     M = draw(hnp.arrays(np.float64, (rows, dim), elements=COMPONENTS))
@@ -643,18 +641,16 @@ def extraction_inputs(draw):
     venues_by_id = {vid: Venue(id=vid, stats=draw(STATS))
                     for vid in draw(st.sets(st.sampled_from(VENUES)))}
     venue_vectors = {vid: VenueVector(vid, next(vectors)) for vid in VENUES}
-    for vid in draw(st.sets(st.sampled_from(VENUES))):
+    for vid in draw(st.sets(st.sampled_from(VENUES))) - set(venues_by_id):
         del venue_vectors[vid]
     user_profiles = {uid: UserVenueProfile(uid, next(vectors), next(vectors))
                      for uid in ("u0", "u1")}
-    for uid in draw(st.sets(st.sampled_from(["u0", "u1"]))):
-        del user_profiles[uid]
     context_vectors = {key: next(vectors) for key in CONTEXT_KEYS}
     models = ModelSet(venue_vectors, user_profiles, context_vectors)
 
     pairs = []
     for t in range(draw(st.integers(0, 4))):
-        user = UserProfile(draw(st.sampled_from(["u0", "u1", "u2"])),
+        user = UserProfile(draw(st.sampled_from(["u0", "u1"])),
                            draw(st.sampled_from(GENDERS)))
         context = tuple(
             (aspect, draw(st.sampled_from(dims)))

@@ -4,6 +4,7 @@ tracer still finds every name it times.
 `train` and `ablate` learn from a features file alone, so they load
 neither the text, corpus, embedding and profile half of the package
 nor the evaluation module; `ablate` writes no model file either.
+`eval` loads the evaluation module alone, qrels included.
 `cli` reaches those layers through names that import their module on
 the first call, and `perfbench/traced.py` rebinds those names: the
 last tests check that it still binds every site and that a wrapped
@@ -14,6 +15,7 @@ this test's own process has loaded every module.
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -56,30 +58,74 @@ def _every_module():
     return sorted(names)
 
 
+_CACHES = ("venue_vectors.txt", "user_vectors.txt", "context_vectors.txt")
+
+
 @pytest.fixture(scope="module")
-def commands(tmp_path_factory):
-    """The argv of each probed command, without its --out-dir."""
-    corpus = synthdata.write_corpus(tmp_path_factory.mktemp("corpus"))
-    pipeline = ["pipeline", "--seed", "42"]
-    for key in ("embeddings", "venues", "profiles", "contexts", "qrels"):
-        pipeline += ["--" + key, corpus[key]]
+def corpus(tmp_path_factory):
+    return synthdata.write_corpus(tmp_path_factory.mktemp("corpus"))
+
+
+def _inputs(corpus, *keys):
+    return [arg for key in keys for arg in ("--" + key, corpus[key])]
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
-    assert main(pipeline + ["--out-dir", str(out)]) == 0
-    features = ["--seed", "42", "--features", str(out / "features.txt")]
-    return {"pipeline": pipeline,
+    assert main(["pipeline", "--seed", "42", "--out-dir", str(out),
+                 *_inputs(corpus, "embeddings", "venues", "profiles",
+                          "contexts", "qrels")]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def commands(corpus, pipeline_out):
+    """The argv of each probed command, without its --out-dir; extract
+    reads the caches `pipeline_out` holds from its --out-dir."""
+    features = ["--seed", "42",
+                "--features", str(pipeline_out / "features.txt")]
+    return {"pipeline": ["pipeline", "--seed", "42",
+                         *_inputs(corpus, "embeddings", "venues", "profiles",
+                                  "contexts", "qrels")],
             "train": ["train", *features],
             "ablate-ca": ["ablate", *features, "--learner", "ca"],
-            "ablate-mart": ["ablate", *features, "--learner", "mart"]}
+            "ablate-mart": ["ablate", *features, "--learner", "mart"],
+            "rank": ["rank", *features,
+                     "--model", str(pipeline_out / "model.json")],
+            "eval": ["eval", "--run", str(pipeline_out / "run.txt"),
+                     *_inputs(corpus, "qrels")],
+            "build-profiles": ["build-profiles",
+                               *_inputs(corpus, "embeddings", "venues",
+                                        "profiles")],
+            "extract": ["extract", *_inputs(corpus, "venues", "profiles",
+                                            "contexts", "qrels")]}
 
 
+# the text half: what reads the corpus and builds the vectors
+_TEXT = ["venuerec._stopwords", "venuerec.corpus", "venuerec.embeddings",
+         "venuerec.profiles", "venuerec.text"]
+
+
+# the rows of README's table of what each command loads
 @pytest.mark.parametrize("command, loaded", [
     ("ablate-ca", _LEARNING),
     ("ablate-mart", _LEARNING),
     ("train", sorted(_LEARNING + ["venuerec.ltr.serialize"])),
     ("pipeline", _every_module()),
+    ("rank", sorted(_LEARNING + ["venuerec.evaluation",
+                                 "venuerec.ltr.serialize"])),
+    ("eval", sorted(_LEARNING + ["venuerec.evaluation"])),
+    ("build-profiles", sorted(_LEARNING + _TEXT)),
+    # the qrels loader is evaluation's
+    ("extract", sorted(_LEARNING + _TEXT + ["venuerec.evaluation"])),
 ])
-def test_each_command_loads_only_the_layers_it_runs(commands, tmp_path,
-                                                    command, loaded):
+def test_each_command_loads_only_the_layers_it_runs(commands, pipeline_out,
+                                                    tmp_path, command,
+                                                    loaded):
+    if command == "extract":
+        for name in _CACHES:
+            shutil.copy(pipeline_out / name, tmp_path)
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *commands[command],
          "--out-dir", str(tmp_path)],

@@ -20,7 +20,7 @@ from reference_models import (
     table_of,
     zeroed,
 )
-from venuerec.cli import SETTINGS
+from venuerec.cli import SETTINGS, parse_config_file
 from venuerec.errors import FormatError, VenuerecError
 from venuerec.features import N_FEATURES, FeatureTable
 from venuerec.ltr import (
@@ -503,32 +503,27 @@ class TestCoordinateAscent:
                                     NO_BLOCKS, config)
         assert a == b
 
-    def test_config_validation(self):
-        with pytest.raises(VenuerecError):
-            CAConfig(metric="map", seed=0)
-        with pytest.raises(VenuerecError):
-            CAConfig(restarts=0, metric="p5", seed=0)
-        with pytest.raises(VenuerecError):
-            CAConfig(step_base=0.0, metric="p5", seed=0)
-
+    # CAConfig takes checked values: the rule is met where step_base
+    # enters, as a config file line
     @pytest.mark.parametrize("step_base", [math.inf, math.nan, -1.0])
-    def test_step_base_must_be_finite_and_positive(self, step_base):
-        with pytest.raises(VenuerecError, match="step_base must be positive"):
-            CAConfig(step_base=step_base, metric="p5", seed=0)
+    def test_step_base_must_be_finite_and_positive(self, tmp_path,
+                                                   step_base):
+        path = tmp_path / "venuerec.conf"
+        path.write_text("learner = ca\nstep_base = %r\n" % step_base)
+        with pytest.raises(VenuerecError, match="line 2: .*step_base"):
+            parse_config_file(str(path))
 
-    @pytest.mark.parametrize("step_base, step_scales", [
-        (0.05, 1100), (1e308, 2), (5e-324, 2099), (0.05, 10 ** 30)])
-    def test_largest_step_must_be_finite(self, step_base, step_scales):
-        with pytest.raises(VenuerecError, match="largest step"):
-            CAConfig(step_base=step_base, step_scales=step_scales,
-                     metric="p5", seed=0)
-
+    # the edges of what cli.resolve_config accepts: a largest step near
+    # the largest float, and ladders from the least floats
     @pytest.mark.parametrize("step_base, step_scales", [
         (1e308, 1), (1e-300, 1100), (5e-324, 2098)])
     def test_largest_step_may_reach_the_float_limit(self, step_base,
                                                      step_scales):
-        CAConfig(step_base=step_base, step_scales=step_scales, metric="p5",
-                 seed=0)
+        config = CAConfig(step_base=step_base, step_scales=step_scales,
+                          restarts=1, max_sweeps=1, metric="p5", seed=0)
+        model = train_coordinate_ascent(
+            TopicBlocks(separable_rows(), CUTOFF), NO_BLOCKS, config)
+        assert all(math.isfinite(w) for w in model.weights)
 
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_weights_that_overflow_give_uniform_with_warning(self, caplog,
@@ -849,17 +844,14 @@ class TestMart:
                                       metric="p5"))
         assert len(model.trees) == 12
 
-    def test_zero_trees_rejected(self):
-        with pytest.raises(VenuerecError, match="n_trees"):
-            MARTConfig(n_trees=0, metric="p5", seed=0)
-
-    def test_config_validation(self):
-        with pytest.raises(VenuerecError):
-            MARTConfig(shrinkage=0.0, metric="p5", seed=0)
-        with pytest.raises(VenuerecError):
-            MARTConfig(max_leaves=1, metric="p5", seed=0)
-        with pytest.raises(VenuerecError):
-            MARTConfig(patience=-1, metric="p5", seed=0)
+    def test_zero_trees_rejected(self, tmp_path):
+        # MARTConfig takes checked values: the rule is met where n_trees
+        # enters, as a config file line
+        path = tmp_path / "venuerec.conf"
+        path.write_text("learner = mart\nn_trees = 0\n")
+        with pytest.raises(VenuerecError, match="line 2: n_trees must be "
+                                                ">= 1, got 0"):
+            parse_config_file(str(path))
 
     def test_deterministic_across_runs(self):
         config = MARTConfig(n_trees=15, patience=0, seed=7, metric="p5")
@@ -895,11 +887,6 @@ class TestPredict:
                              seed=0)
         out = predict_matrix(model, np.zeros((4, N_FEATURES)))
         assert list(out) == [0.5, 0.5, 0.5, 0.5]
-
-    def test_dimension_mismatch(self):
-        model = LinearModel(weights=(1.0, 2.0), metric="p5", seed=0)
-        with pytest.raises(VenuerecError, match="features"):
-            predict_matrix(model, np.zeros((2, 5)))
 
     def test_empty_rows(self):
         model = LinearModel(weights=(1.0,) * N_FEATURES, metric="p5", seed=0)
@@ -965,7 +952,8 @@ class TestModelRoundTripIsBitExact:
         assert (back.metric, back.seed) == ("mrr", 3)
 
     @settings(deadline=None)
-    @given(weights=st.lists(_EDGE_FLOATS, min_size=1, max_size=N_FEATURES))
+    @given(weights=st.lists(_EDGE_FLOATS, min_size=N_FEATURES,
+                            max_size=N_FEATURES))
     def test_linear_model(self, tmp_path_factory, weights):
         model = LinearModel(weights=tuple(weights), metric="p5", seed=0)
         path = tmp_path_factory.mktemp("model") / "model.json"
@@ -1033,7 +1021,8 @@ class TestSerialization:
     def base_doc(self):
         return {"format": "venuerec-model", "version": 1,
                 "learner": "coordinate_ascent", "seed": 0,
-                "metric": "p5", "weights": [1.0], "hyperparameters": {}}
+                "metric": "p5", "weights": [1.0] * N_FEATURES,
+                "hyperparameters": {}}
 
     def test_rejects_wrong_format_tag(self, tmp_path):
         doc = self.base_doc()
@@ -1080,13 +1069,25 @@ class TestSerialization:
     def test_rejects_empty_weights(self, tmp_path):
         doc = self.base_doc()
         doc["weights"] = []
-        with pytest.raises(FormatError, match="empty"):
+        with pytest.raises(FormatError, match="^.*: 0 weights for the 13 "):
             load_model(self.write_doc(tmp_path, doc))
+
+    # predict_matrix scores the 13 columns of a feature row and takes a
+    # model that fits them
+    @pytest.mark.parametrize("n", [2, N_FEATURES + 1])
+    def test_rejects_weights_that_do_not_fit_the_columns(self, tmp_path, n):
+        doc = self.base_doc()
+        doc["weights"] = [1.0] * n
+        path = self.write_doc(tmp_path, doc)
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            "%s: %d weights for the 13 columns of a feature row" % (path, n))
 
     def test_rejects_non_finite_weight(self, tmp_path):
         path = tmp_path / "model.json"
         doc = self.base_doc()
-        doc["weights"] = [1.0, float("nan")]
+        doc["weights"] = [1.0] * (N_FEATURES - 1) + [float("nan")]
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="non-finite"):
             load_model(path)
@@ -1151,11 +1152,15 @@ class TestSerialization:
         assert str(info.value) == "%s: shrinkage must be in (0, 1], got %r" \
             % (path, shrinkage)
 
-    def test_tree_feature_past_the_matrix(self):
-        tree = Tree(feature=(99, -1, -1), threshold=(0.5, 0.0, 0.0),
-                    left=(1, 0, 0), right=(2, 0, 0), value=(0.0, -1.0, 1.0))
-        model = TreeEnsemble(trees=(tree,), shrinkage=0.1, metric="p5",
-                             seed=0)
-        with pytest.raises(VenuerecError,
-                           match="matrix has 13 features, model needs 100"):
-            predict_matrix(model, np.zeros((2, N_FEATURES)))
+    def test_tree_feature_past_the_matrix(self, tmp_path):
+        last = [N_FEATURES - 1, -1, -1]
+        model, _ = load_model(self.write_doc(tmp_path,
+                                             self.mart_doc(feature=last)))
+        assert model.trees[0].feature == tuple(last)
+        path = self.write_doc(tmp_path, self.mart_doc(
+            feature=[N_FEATURES, -1, -1]))
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            "%s: tree 0 node 0 splits on feature 13, past the 13 columns "
+            "of a feature row" % path)
