@@ -471,12 +471,14 @@ def _load_topics(args, venues, profiles):
 
 
 def _embed_corpus(cfg, args):
-    """The venues, and (term count, dimension, venue vectors, context
-    vectors): all that is read of the store, which dies on return."""
-    store = load_embeddings(args.embeddings, format=cfg["embedding_format"])
+    """The venues, ids and statistics only, and (term count, dimension,
+    venue vectors, context vectors): all that is read of the store,
+    which loads after the venues and dies on return."""
     venues = load_venues(args.venues)
-    return venues, (len(store.terms), store.dimension,
-                    build_venue_vectors(store, venues),
+    store = load_embeddings(args.embeddings, format=cfg["embedding_format"])
+    venue_vectors = build_venue_vectors(store, venues)
+    venues = [dataclasses.replace(v, comments=()) for v in venues]
+    return venues, (len(store.terms), store.dimension, venue_vectors,
                     build_context_vectors(store, k=cfg["k"]))
 
 
@@ -487,7 +489,8 @@ def _cmd_build_profiles(cfg, args):
 
 def _cmd_extract(cfg, args):
     venues_by_id, pairs, qrels = _load_topics(
-        args, load_venues(args.venues), _load_profiles(cfg, args.profiles))
+        args, load_venues(args.venues, stem=False),
+        _load_profiles(cfg, args.profiles))
     extract_step(venues_by_id, pairs, qrels,
                  _load_models(args.out_dir, venues_by_id, pairs), args.out_dir)
 
@@ -525,7 +528,7 @@ def _cmd_pipeline(cfg, args):
     """The five steps on a corpus loaded once, passed on in memory; the
     embedding store, the largest input, is freed before the rest of the
     corpus loads.  The peak RSS falls in build_context_vectors, with the
-    store and the venues alive."""
+    store, the venue vectors and the venues' ids and statistics alive."""
     out_dir = args.out_dir
     venues, embedded = _embed_corpus(cfg, args)
     profiles = _load_profiles(cfg, args.profiles)

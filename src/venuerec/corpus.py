@@ -7,7 +7,10 @@ an unknown venue is kept, it just scores zero later.
 
 A loaded venue keeps its id, its statistics and the stemmed tokens of
 each comment.  Its name and the raw comment text are checked, then
-dropped: nothing downstream reads them.
+dropped: nothing downstream reads them.  The tokens live only until the
+venue's vector is summed, and a caller that never sums one asks for no
+tokens at all.  Porter stems are remembered within one venue load and
+forgotten when it ends.
 """
 
 import logging
@@ -15,7 +18,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError, decode_json, numbered_lines
-from .text import preprocess
+from .text import porter_stem, preprocess
 
 log = logging.getLogger(__name__)
 
@@ -158,7 +161,22 @@ def _identifier(obj, key, path, lineno):
     return value
 
 
-def load_venues(path):
+def load_venues(path, stem=True):
+    """The venues of `path`.  Each comment is checked as a string and,
+    when `stem` is true, kept as its stemmed tokens; otherwise every
+    venue has ``comments=()``.
+
+    The stemmer's cache is emptied when the load ends, returned or
+    raised, through this module's own reference to it: a tracer may
+    rebind ``text.porter_stem`` to a wrapper without ``cache_clear``.
+    """
+    try:
+        return _load_venues(path, stem)
+    finally:
+        porter_stem.cache_clear()
+
+
+def _load_venues(path, stem):
     venues = []
     seen = set()
     for lineno, obj in _records(path):
@@ -184,7 +202,8 @@ def load_venues(path):
             if not isinstance(raw, str):
                 raise FormatError("field 'comments' must hold strings",
                                   path=path, line=lineno)
-            comments.append(Comment(tokens=tuple(preprocess(raw))))
+            if stem:
+                comments.append(Comment(tokens=tuple(preprocess(raw))))
         _field(obj, "name", str, path, lineno)  # checked, not kept
         venues.append(Venue(id=vid, stats=stats, comments=tuple(comments)))
     if not venues:

@@ -211,7 +211,9 @@ def porter_stem(word):
     """Stem one lowercase token; words of length <= 2 pass through.
 
     The rules look at the word alone, so each distinct token is stemmed
-    once and its stem remembered for the life of the process.
+    once and its stem remembered until the cache is cleared:
+    ``corpus.load_venues`` clears it as each load ends, so a corpus's
+    stems do not outlive its load.
     """
     if len(word) <= 2:
         return word

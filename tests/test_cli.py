@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 import synthdata
 import venuerec.ablation
 import venuerec.cli
+import venuerec.corpus
+import venuerec.text
 from venuerec.cli import build_parser, main, resolve_config
 from venuerec.embeddings import EmbeddingStore
-from venuerec.errors import ConfigError
+from venuerec.errors import ConfigError, FormatError
 from venuerec.ltr.serialize import load_model, save_model
 from writers import save_embeddings
 
@@ -208,6 +210,80 @@ class TestEmbeddingLifetime:
                     "--profiles", corpus["profiles"]]
         assert main(argv) == 0
         assert alive_at == {name: [False] for name in loaders}
+
+
+class TestVenueTextLifetime:
+    """A venue's comment tokens live only until its vector is summed:
+    the venues load before the store, the stems die with the load, and
+    the steps after the venue vectors see ids and statistics only."""
+
+    def test_pipeline_drops_the_text_before_the_context_vectors(
+            self, corpus, tmp_path, monkeypatch):
+        events = []
+
+        def wrap(name, on_enter):
+            fn = getattr(venuerec.cli, name)
+
+            def wrapped(*args, **kwargs):
+                events.append(("enter", name, on_enter(args)))
+                result = fn(*args, **kwargs)
+                events.append(("return", name, None))
+                return result
+            monkeypatch.setattr(venuerec.cli, name, wrapped)
+
+        def token_counts(args):
+            return [sum(len(c.tokens) for c in v.comments) for v in args[1]]
+
+        def cached_stems(args):
+            return venuerec.text.porter_stem.cache_info().currsize
+
+        def comments_of(args):
+            return {v.comments for v in args[0].values()}
+        wrap("load_venues", lambda args: None)
+        wrap("load_embeddings", lambda args: None)
+        wrap("build_venue_vectors", token_counts)
+        wrap("build_context_vectors", cached_stems)
+        wrap("extract_step", comments_of)
+        assert main(pipeline_argv(corpus, tmp_path)) == 0
+        calls = [(kind, name) for kind, name, _ in events]
+        assert calls.index(("return", "load_venues")) < calls.index(
+            ("enter", "load_embeddings"))
+        seen = {name: value for kind, name, value in events
+                if kind == "enter"}
+        with open(corpus["venues"], encoding="utf-8") as fh:
+            assert len(seen["build_venue_vectors"]) == len(fh.readlines())
+        assert min(seen["build_venue_vectors"]) > 0
+        assert seen["build_context_vectors"] == 0
+        assert seen["extract_step"] == {()}
+
+    def test_a_failed_load_leaves_no_stem(self, corpus, tmp_path):
+        with open(corpus["venues"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[1] = lines[1][:len(lines[1]) // 2] + "\n"
+        path = tmp_path / "venues.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        venuerec.text.porter_stem("seating")
+        with pytest.raises(FormatError, match="line 2: bad JSON"):
+            venuerec.corpus.load_venues(str(path))
+        assert venuerec.text.porter_stem.cache_info().currsize == 0
+
+    def test_extract_stems_no_comment(self, corpus, pipeline_dir, tmp_path,
+                                      monkeypatch):
+        # extract reads only ids and statistics of the venues
+        for name in ("venue_vectors.txt", "user_vectors.txt",
+                     "context_vectors.txt"):
+            (tmp_path / name).write_bytes((pipeline_dir / name).read_bytes())
+
+        def refuse(word):
+            raise AssertionError("extract stemmed %r" % word)
+        monkeypatch.setattr(venuerec.text, "porter_stem", refuse)
+        assert main(["extract", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--venues", corpus["venues"],
+                     "--profiles", corpus["profiles"],
+                     "--contexts", corpus["contexts"],
+                     "--qrels", corpus["qrels"]]) == 0
+        assert (tmp_path / "features.txt").read_bytes() == \
+            (pipeline_dir / "features.txt").read_bytes()
 
 
 class TestEval:

@@ -62,6 +62,26 @@ class TestLoadVenues:
         assert v1.comments[0].tokens == ("great", "coffe", "cake")
         assert v1.comments[1].tokens == ("love", "garden", "seat")
 
+    def test_unstemmed_load_keeps_ids_and_statistics_only(self, venue_file):
+        stemmed = load_venues(venue_file)
+        bare = load_venues(venue_file, stem=False)
+        assert [(v.id, v.stats) for v in bare] == \
+            [(v.id, v.stats) for v in stemmed]
+        assert [v.comments for v in bare] == [(), ()]
+
+    @pytest.mark.parametrize("stem", [True, False])
+    @pytest.mark.parametrize("comments, message", [
+        (["fine", 7], "field 'comments' must hold strings"),
+        ("fine", "field 'comments' must be a list"),
+    ], ids=["non-string", "non-list"])
+    def test_comments_are_checked_either_way(self, tmp_path, stem, comments,
+                                             message):
+        p = tmp_path / "v.jsonl"
+        write_jsonl(p, [{"id": "v1", "comments": ["fine"]},
+                        {"id": "v2", "comments": comments}])
+        with pytest.raises(FormatError, match="line 2: " + message):
+            load_venues(p, stem=stem)
+
     def test_missing_stats_are_none_not_zero(self, venue_file):
         v2 = load_venues(venue_file)[1]
         assert v2.stats.checkins is None

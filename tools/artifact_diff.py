@@ -19,6 +19,10 @@ its own ``src/``, so a change to the code that writes them shows too:
   line cut in half, made the same way, so a command that fails on a bad
   input is compared too: its exit code, its error line and the files it
   leaves behind;
+* a copy of the planted corpus whose ``venues.jsonl`` has its second
+  line cut in half, made the same way, so the load order that
+  ``pipeline`` and ``build-profiles`` share shows in which input's
+  error they report and when;
 * the ``ablate-mart`` features file of ``perfbench/gen.py``, seed 1,
   with CRLF line ends, which the features reader cannot take through
   its regular expression and parses line by line instead.
@@ -50,7 +54,8 @@ the run of the default ``pipeline``, all in one out-dir.  On the
 t statistic, and its p-value comes from the Student-t series of
 ``evaluation.paired_t_test``; the chains' compared runs have equal P@5
 per topic, which gives t = 0 and p = 1 without it.  On each copy,
-each side runs ``pipeline`` with the MART defaults, and on the CRLF
+each side runs ``pipeline`` with the MART defaults, on the copy with
+the broken venues line ``build-profiles`` too, and on the CRLF
 features file ``ablate`` with the ``ablate-mart`` settings.
 
 Every command runs with ``-v`` from its side's own directory and names
@@ -101,8 +106,9 @@ CHAINS = (("steps", ()),
           ("steps-ca-normalize", ("--learner", "ca", "--normalize")))
 # (copy, corpus it copies, seed): the headerless, tab-separated copy
 LINE_PARSED = ("synth-tab", "synth", 42)
-# (copy, corpus it copies, seed): the copy with a broken profiles line
-BAD_PROFILES = ("synth-bad-profiles", "synth", 42)
+# (copy, corpus it copies, seed, file): the copies with a broken line
+BAD_PROFILES = ("synth-bad-profiles", "synth", 42, "profiles.jsonl")
+BAD_VENUES = ("synth-bad-venues", "synth", 42, "venues.jsonl")
 # (name, workload, seed): the CRLF features file and the ablation run on it
 CRLF_FEATURES = ("crlf", "ablate-mart", 1)
 # (corpus, run, compared run): eval --compare of two of its pipelines
@@ -155,14 +161,15 @@ def make_inputs(root, side_dir):
     with open(os.path.join(in_dir, copy, "embeddings.txt"), "w",
               encoding="utf-8") as fh:
         fh.writelines(row.replace(" ", "\t") for row in rows)
-    copy, original, _ = BAD_PROFILES
-    shutil.copytree(os.path.join(in_dir, original), os.path.join(in_dir, copy))
-    profiles = os.path.join(in_dir, copy, "profiles.jsonl")
-    with open(profiles, encoding="utf-8") as fh:
-        rows = fh.readlines()
-    rows[1] = rows[1][:len(rows[1]) // 2] + "\n"
-    with open(profiles, "w", encoding="utf-8") as fh:
-        fh.writelines(rows)
+    for copy, original, _, name in (BAD_PROFILES, BAD_VENUES):
+        shutil.copytree(os.path.join(in_dir, original),
+                        os.path.join(in_dir, copy))
+        broken = os.path.join(in_dir, copy, name)
+        with open(broken, encoding="utf-8") as fh:
+            rows = fh.readlines()
+        rows[1] = rows[1][:len(rows[1]) // 2] + "\n"
+        with open(broken, "w", encoding="utf-8") as fh:
+            fh.writelines(rows)
     name, workload, seed = CRLF_FEATURES
     crlf_dir = os.path.join(in_dir, name)
     os.makedirs(crlf_dir)
@@ -236,8 +243,11 @@ def commands():
                                       corpus + "/pipeline/run.txt"))):
             argv = on_corpus(corpus, seed, name, flags, command, inputs)[2]
             out.append(("%s.%s" % (steps, command), steps, [*argv, *files]))
-    for copy, _, seed in (LINE_PARSED, BAD_PROFILES):
+    for copy, _, seed, *_ in (LINE_PARSED, BAD_PROFILES, BAD_VENUES):
         out.append(on_corpus(copy, seed, *PIPELINES[0]))
+    copy, _, seed, _ = BAD_VENUES
+    out.append(on_corpus(copy, seed, "build-profiles", (), "build-profiles",
+                         INPUTS[:3]))
     name, workload, seed = CRLF_FEATURES
     out.append(ablate("%s/%s" % (name, workload), seed, workload,
                       "%s/%s/features.txt" % (IN_DIR, name)))
